@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import statistics
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -88,22 +87,6 @@ class PreprocessPolicy:
             raise ValueError(f"z_cutoff must be > 0, got {self.z_cutoff}")
 
 
-def _one_pass(values: list[float], half: int, cutoff: float) -> list[float]:
-    # synchronous update: every replacement reads the same input vector
-    n = len(values)
-    out = list(values)
-    for i in range(n):
-        lo = max(0, i - half)
-        hi = min(n, i + half + 1)
-        window = values[lo:hi]
-        med = statistics.median(window)
-        mad = statistics.median(abs(v - med) for v in window)
-        z = abs(values[i] - med) / (mad * _MAD_SCALE + _EPS)
-        if z > cutoff:
-            out[i] = med
-    return out
-
-
 def preprocess(samples: Iterable[MetricSample], policy: PreprocessPolicy | None = None) -> list[MetricSample]:
     """Robust per-series cleanup preserving order and timestamps.
 
@@ -112,48 +95,73 @@ def preprocess(samples: Iterable[MetricSample], policy: PreprocessPolicy | None 
     sample dropped when the policy says not to clamp), then a sliding
     median/MAD filter replaces outliers with the window median.  The
     filter is iterated to a fixed point so running preprocess on its own
-    output changes nothing.
+    output changes nothing.  After the first pass only the positions
+    whose window holds a sample the previous pass replaced are
+    recomputed; the others would give the same result again.
     """
     policy = policy or PreprocessPolicy()
     ordered = list(samples)
-    series: dict[tuple, list[int]] = {}
-    last_ts: dict[tuple, int] = {}
-    dropped: set[int] = set()
-    values: dict[int, float] = {}
-
+    # per series: [last timestamp, positions in ordered, values]
+    series: dict[tuple, list] = {}
     for idx, s in enumerate(ordered):
         key = (s.host_id, s.vm_id, s.metric.key)
-        if key in last_ts and s.timestamp < last_ts[key]:
+        entry = series.get(key)
+        if entry is None:
+            entry = series[key] = [s.timestamp, [], []]
+        elif s.timestamp < entry[0]:
             raise SequencingError(
-                f"series {key}: timestamp {s.timestamp} after {last_ts[key]}"
+                f"series {key}: timestamp {s.timestamp} after {entry[0]}"
             )
-        last_ts[key] = s.timestamp
+        entry[0] = s.timestamp
         v = s.value
         if s.metric.name in PERCENT_METRIC_NAMES and not 0.0 <= v <= 100.0:
-            if policy.clamp:
-                v = min(100.0, max(0.0, v))
-            else:
-                dropped.add(idx)
+            if not policy.clamp:
                 continue
-        values[idx] = v
-        series.setdefault(key, []).append(idx)
+            v = min(100.0, max(0.0, v))
+        entry[1].append(idx)
+        entry[2].append(v)
 
     half = policy.window // 2
-    for indices in series.values():
-        vals = [values[i] for i in indices]
+    cutoff = policy.z_cutoff
+    cleaned: list[float | None] = [None] * len(ordered)  # None: dropped
+    for _, indices, vals in series.values():
+        n = len(vals)
+        todo = range(n)
         for _ in range(_MAX_PASSES):
-            nxt = _one_pass(vals, half, policy.z_cutoff)
-            if nxt == vals:
+            # synchronous update: every position of a pass reads the same
+            # vals, and the replacements land only after the pass
+            replaced = []
+            for i in todo:
+                w = vals[i - half if i > half else 0 : i + half + 1]
+                w.sort()
+                # the median of an even (shrunken edge) window is the
+                # mean of the middle pair, as statistics.median computes it
+                k, odd = divmod(len(w), 2)
+                med = w[k] if odd else (w[k - 1] + w[k]) / 2
+                dev = sorted([abs(v - med) for v in w])
+                mad = dev[k] if odd else (dev[k - 1] + dev[k]) / 2
+                if abs(vals[i] - med) / (mad * _MAD_SCALE + _EPS) > cutoff:
+                    replaced.append((i, med))
+            # z > cutoff > 0 needs vals[i] != med, so every replacement
+            # changes a value and an empty pass is the fixed point
+            if not replaced:
                 break
-            vals = nxt
+            # the output at i reads only its own window, so only windows
+            # that hold a replaced sample can change on the next pass
+            todo = []
+            end = 0
+            for i, med in replaced:
+                vals[i] = med
+                start = max(i - half, end)
+                end = min(n, i + half + 1)
+                todo.extend(range(start, end))
         for i, v in zip(indices, vals):
-            values[i] = v
+            cleaned[i] = v
 
     out = []
-    for idx, s in enumerate(ordered):
-        if idx in dropped:
+    for s, v in zip(ordered, cleaned):
+        if v is None:
             continue
-        v = values[idx]
         if v == s.value:
             out.append(s)
         else:
@@ -348,21 +356,22 @@ class EngineConfig:
     def classes(self) -> tuple[str, ...]:
         return self.model.schema.classes
 
-    @property
-    def vm_metric_names(self) -> tuple[str, ...]:
+    def _metric_names(self, level: str) -> tuple[str, ...]:
+        # every metric a window is judged on: classifier attributes first,
+        # then severity components, in first-seen order
         seen = []
-        for c in self.attributes:
-            if c.level == "vm" and c.name not in seen:
+        for c in self.attributes + self.severity_components:
+            if c.level == level and c.name not in seen:
                 seen.append(c.name)
         return tuple(seen)
 
     @property
+    def vm_metric_names(self) -> tuple[str, ...]:
+        return self._metric_names("vm")
+
+    @property
     def host_metric_names(self) -> tuple[str, ...]:
-        seen = []
-        for c in self.attributes:
-            if c.level == "host" and c.name not in seen:
-                seen.append(c.name)
-        return tuple(seen)
+        return self._metric_names("host")
 
 
 class Engine:
@@ -469,7 +478,7 @@ class Engine:
             self.nbc_invocations += 1
             features = tuple(usage[c.key] for c in self.config.attributes)
             post = nbc_mod.posterior(self.config.model, features)
-            top = nbc_mod.classify(self.config.model, features)
+            top = nbc_mod.top_class(post)
             return [
                 Alarm(
                     timestamp=window.timestamp,

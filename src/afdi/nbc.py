@@ -27,6 +27,7 @@ __all__ = [
     "train",
     "posterior",
     "classify",
+    "top_class",
     "save_model",
     "load_model",
     "read_training_csv",
@@ -243,7 +244,11 @@ def posterior(model: NbcModel, features: Sequence) -> tuple[float, ...]:
 
 def classify(model: NbcModel, features: Sequence) -> int:
     """MAP class index; exact ties go to the lowest class index."""
-    post = posterior(model, features)
+    return top_class(posterior(model, features))
+
+
+def top_class(post: Sequence[float]) -> int:
+    """Index of the largest posterior entry; exact ties go to the lowest index."""
     best = 0
     for c in range(1, len(post)):
         if post[c] > post[best]:

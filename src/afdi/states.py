@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -221,7 +222,8 @@ class MetricSample:
 
     ``value`` is a percent for utilization metrics, transactions/second
     for throughput, and milliseconds for latency.  Out-of-range raw
-    utilization values are accepted here and handled by preprocessing.
+    utilization values are accepted here and handled by preprocessing;
+    a non-finite value (NaN or an infinity) is rejected.
     """
 
     timestamp: int
@@ -235,6 +237,8 @@ class MetricSample:
             raise ValueError(f"host-level metric {self.metric.key} must not carry vm_id")
         if self.metric.level == "vm" and self.vm_id is None:
             raise ValueError(f"vm-level metric {self.metric.key} requires vm_id")
+        if not math.isfinite(self.value):
+            raise ValueError(f"{self.metric.key}: non-finite value {self.value}")
 
     def to_json_obj(self) -> dict:
         return {
@@ -269,10 +273,14 @@ def write_metric_samples(samples: Iterable[MetricSample], path) -> int:
 
 
 def read_metric_samples(path) -> list[MetricSample]:
+    """Read a JSON Lines stream; a bad record raises naming its line."""
     samples = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
-                samples.append(MetricSample.from_json_obj(json.loads(line)))
+                try:
+                    samples.append(MetricSample.from_json_obj(json.loads(line)))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {line_no}: {exc}") from exc
     return samples

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from afdi import nbc
+from afdi import engine as engine_mod, nbc
 from afdi.engine import (
     Alarm,
     ConfigError,
@@ -23,8 +24,10 @@ from afdi.engine import (
     write_alarm_log,
 )
 from afdi.simulator import generate, load_scenario
-from afdi.states import ComponentId, MetricSample
+from afdi.states import ComponentId, DiscretizationSpec, MetricSample
 from conftest import fixture_path
+
+import oracles
 
 # representative raw value for each usage bucket under [0,25,50,75,100]
 BUCKET_VALUE = (10.0, 30.0, 60.0, 90.0)
@@ -164,6 +167,63 @@ def test_preprocess_idempotent(values):
     assert preprocess(once) == once
 
 
+def _preprocess_against_oracle(values, metric, policy) -> int:
+    """Assert preprocess equals the single-pass oracle iterated to its
+    fixed point (stopping, as the engine does, after _MAX_PASSES);
+    returns the number of passes that changed something."""
+    expected = []
+    for v in values:
+        if metric in engine_mod.PERCENT_METRIC_NAMES and not 0.0 <= v <= 100.0:
+            if not policy.clamp:
+                continue
+            v = min(100.0, max(0.0, v))
+        expected.append(v)
+    passes = 0
+    while passes < engine_mod._MAX_PASSES:
+        nxt = oracles.median_mad_pass(expected, policy.window, policy.z_cutoff)
+        if nxt == expected:
+            break
+        expected = nxt
+        passes += 1
+    got = [s.value for s in preprocess(sample_series(values, metric=metric), policy)]
+    assert len(got) == len(expected)
+    assert all(a == b for a, b in zip(got, expected))
+    return passes
+
+
+_MANY_PASS_SERIES = [
+    ([100.0, 90.0, 1.0, 21.0, 91.0, 0.0, 20.0, 90.0, 21.0, 50.0, 90.5, 10.5], 5, 3.0),
+    ([91.0, 10.0, 50.0, 10.5, 100.0, 100.0, 10.0, 91.0, 10.5, 0.0, 90.5, 100.0], 11, 3.0),
+]
+
+
+@pytest.mark.parametrize("values,window,cutoff", _MANY_PASS_SERIES)
+def test_preprocess_matches_oracle_on_many_pass_series(values, window, cutoff):
+    policy = PreprocessPolicy(window=window, z_cutoff=cutoff)
+    assert _preprocess_against_oracle(values, "cpu", policy) > 2
+
+
+@settings(max_examples=300)
+@given(
+    values=st.lists(
+        st.one_of(
+            st.floats(min_value=-50.0, max_value=150.0),
+            st.sampled_from([-1e9, -1e3, 0.0, 100.0, 1e3, 1e9]),
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+    metric=st.sampled_from(["cpu", "throughput"]),
+    window=st.sampled_from([3, 5, 11, 21]),
+    cutoff=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+    clamp=st.booleans(),
+)
+@example(values=_MANY_PASS_SERIES[0][0], metric="cpu", window=5, cutoff=3.0, clamp=True)
+def test_preprocess_matches_oracle(values, metric, window, cutoff, clamp):
+    policy = PreprocessPolicy(window=window, z_cutoff=cutoff, clamp=clamp)
+    _preprocess_against_oracle(values, metric, policy)
+
+
 @pytest.mark.parametrize("window", [2, 1, -3, 4])
 def test_preprocess_policy_rejects_bad_window(window):
     with pytest.raises(ValueError):
@@ -231,6 +291,19 @@ def test_minor_window_gets_nbc_diagnosis(config):
     features = tuple(usage[c.key] for c in config.attributes)
     assert a.diagnosis == nbc.posterior(config.model, features)
     assert a.top_cause == config.classes[nbc.classify(config.model, features)]
+
+
+def test_minor_window_computes_one_posterior(config, monkeypatch):
+    calls = []
+    real = nbc.posterior
+
+    def counting(model, features):
+        calls.append(features)
+        return real(model, features)
+
+    monkeypatch.setattr(nbc, "posterior", counting)
+    alarms = Engine(config).step(window_at(0, variant(**{"vm.memory": 60.0})))
+    assert alarms[0].trigger == TRIGGER_NBC and len(calls) == 1
 
 
 def test_throughput_alone_never_alarms(config):
@@ -637,3 +710,23 @@ def test_engine_config_cross_checks(config):
             model=config.model,
             loop_rule=LoopRule(cause="gremlins"),
         )
+
+
+def test_severity_component_outside_attributes_is_collected(config):
+    # a severity component the classifier does not use must still be
+    # windowed, so it can open the gate on its own
+    extra = ComponentId("extra", "host")
+    cfg = dataclasses.replace(
+        config,
+        specs={**config.specs, extra.key: DiscretizationSpec(extra, (0.0, 25.0, 50.0, 75.0, 100.0))},
+        severity_components=config.severity_components + (extra,),
+    )
+    assert cfg.host_metric_names == config.host_metric_names + ("extra",)
+    assert cfg.vm_metric_names == config.vm_metric_names
+    stream = samples_for(
+        [dict(HEALTHY, **{"host.extra": 10.0})] * 20
+        + [dict(HEALTHY, **{"host.extra": 90.0})] * 20
+    )
+    alarms = Engine(cfg).process_stream(stream)
+    assert len(alarms) == 20
+    assert all(a.trigger == TRIGGER_GATE and a.timestamp >= 20000 for a in alarms)

@@ -15,6 +15,7 @@ from afdi.nbc import (
     posterior,
     read_training_csv,
     save_model,
+    top_class,
     train,
     write_training_csv,
 )
@@ -163,6 +164,7 @@ def test_classify_argmax_and_tie_break():
     assert classify(model, (1,)) == 1
     tie = _model((0.5, 0.5), (((0.5, 0.5), (0.5, 0.5)),))
     assert classify(tie, (0,)) == 0  # exact tie goes to the lowest index
+    assert top_class((0.2, 0.4, 0.4)) == 1
 
 
 def test_zero_likelihood_class_is_exactly_zero():

@@ -167,6 +167,22 @@ def test_metric_sample_jsonl_roundtrip(tmp_path):
     assert read_metric_samples(path) == samples
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_metric_sample_rejects_non_finite_value(value):
+    with pytest.raises(ValueError, match="non-finite"):
+        MetricSample(0, "h0", "vm0", CPU, value)
+
+
+@pytest.mark.parametrize("spelling", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_read_metric_samples_names_line_of_non_finite_value(tmp_path, spelling):
+    good = json.dumps(MetricSample(0, "h0", "vm0", CPU, 42.5).to_json_obj())
+    bad = good.replace("42.5", spelling)
+    path = tmp_path / "stream.jsonl"
+    path.write_text(f"{good}\n\n{good}\n{bad}\n")
+    with pytest.raises(ValueError, match=r"line 4: .*non-finite"):
+        read_metric_samples(path)
+
+
 def test_severity_map_composes_with_discretize():
     # 90% usage is the top bucket, which is serious by the default table
     assert severity_map(discretize(90.0, USAGE)) == 2
