@@ -14,7 +14,6 @@ distribution over the node's states.
 
 from __future__ import annotations
 
-import itertools
 import json
 import logging
 from dataclasses import dataclass
@@ -66,13 +65,14 @@ class NetNode:
 class DiscreteBayesNet:
     """Validated, immutable network; build via ``load_net``."""
 
-    def __init__(self, nodes: Sequence[NetNode], cpts: Mapping[str, tuple], load_warnings=()):
+    def __init__(self, nodes: Sequence[NetNode], cpts: Mapping[str, tuple], load_warnings, order):
         self.nodes = tuple(nodes)
         self._by_name = {n.name: n for n in self.nodes}
         # cpts[name][row][state]; rows ordered over parent assignments
         # with the first-listed parent varying slowest.
         self.cpts = {name: tuple(tuple(row) for row in table) for name, table in cpts.items()}
         self.load_warnings = list(load_warnings)
+        self._order = tuple(order)
 
     def node(self, name: str) -> NetNode:
         try:
@@ -85,21 +85,8 @@ class DiscreteBayesNet:
         return tuple(n.name for n in self.nodes)
 
     def topological_order(self) -> tuple[str, ...]:
-        # nodes are stored in load order, which load_net verifies is
-        # consistent with some topological order; recompute anyway so
-        # callers never depend on document order.
-        remaining = {n.name: set(n.parents) for n in self.nodes}
-        out = []
-        while remaining:
-            ready = sorted(name for name, deps in remaining.items() if not deps)
-            if not ready:
-                raise NetLoadError("cycle in parent graph")
-            for name in ready:
-                out.append(name)
-                del remaining[name]
-            for deps in remaining.values():
-                deps.difference_update(ready)
-        return tuple(out)
+        """Parents before children, independent of document order."""
+        return self._order
 
     def state_index(self, node_name: str, state) -> int:
         node = self.node(node_name)
@@ -130,29 +117,17 @@ class Factor:
         if len(self.values) != size:
             raise ValueError(f"factor over {self.scope} needs {size} values, got {len(self.values)}")
 
-    def _strides(self) -> tuple[int, ...]:
-        strides = []
-        acc = 1
-        for c in reversed(self.cards):
-            strides.append(acc)
-            acc *= c
-        return tuple(reversed(strides))
-
     def value_at(self, assignment: Mapping[str, int]) -> float:
-        idx = 0
-        for var, stride in zip(self.scope, self._strides()):
-            idx += assignment[var] * stride
-        return self.values[idx]
+        return self.values[_cell_indices((), (), self.scope, self.cards, assignment)[0]]
 
     def multiply(self, other: "Factor") -> "Factor":
         scope = self.scope + tuple(v for v in other.scope if v not in self.scope)
         card_of = dict(zip(self.scope, self.cards))
         card_of.update(zip(other.scope, other.cards))
         cards = tuple(card_of[v] for v in scope)
-        values = []
-        for combo in itertools.product(*(range(c) for c in cards)):
-            assignment = dict(zip(scope, combo))
-            values.append(self.value_at(assignment) * other.value_at(assignment))
+        mine = _cell_indices(scope, cards, self.scope, self.cards, {})
+        theirs = _cell_indices(scope, cards, other.scope, other.cards, {})
+        values = [self.values[i] * other.values[j] for i, j in zip(mine, theirs)]
         return Factor(scope, cards, values)
 
     def sum_out(self, var: str) -> "Factor":
@@ -162,21 +137,9 @@ class Factor:
         scope = self.scope[:pos] + self.scope[pos + 1:]
         cards = self.cards[:pos] + self.cards[pos + 1:]
         values = [0.0] * (len(self.values) // self.cards[pos])
-        out_strides = []
-        acc = 1
-        for c in reversed(cards):
-            out_strides.append(acc)
-            acc *= c
-        out_strides = tuple(reversed(out_strides))
-        for combo in itertools.product(*(range(c) for c in self.cards)):
-            out_idx = 0
-            k = 0
-            for i, s in enumerate(combo):
-                if i == pos:
-                    continue
-                out_idx += s * out_strides[k]
-                k += 1
-            values[out_idx] += self.value_at(dict(zip(self.scope, combo)))
+        # cells in row-major order, so each sum adds var's states in turn
+        for out_idx, v in zip(_cell_indices(self.scope, self.cards, scope, cards, {}), self.values):
+            values[out_idx] += v
         return Factor(scope, cards, values)
 
     def reduce(self, var: str, state: int) -> "Factor":
@@ -186,12 +149,8 @@ class Factor:
         pos = self.scope.index(var)
         scope = self.scope[:pos] + self.scope[pos + 1:]
         cards = self.cards[:pos] + self.cards[pos + 1:]
-        values = []
-        for combo in itertools.product(*(range(c) for c in cards)):
-            assignment = dict(zip(scope, combo))
-            assignment[var] = state
-            values.append(self.value_at(assignment))
-        return Factor(scope, cards, values)
+        indices = _cell_indices(scope, cards, self.scope, self.cards, {var: state})
+        return Factor(scope, cards, [self.values[i] for i in indices])
 
     @classmethod
     def from_cpt(cls, net: DiscreteBayesNet, name: str) -> "Factor":
@@ -200,6 +159,40 @@ class Factor:
         cards = tuple(net.node(p).card for p in node.parents) + (node.card,)
         values = [v for row in net.cpts[name] for v in row]
         return cls(scope, cards, values)
+
+
+def _cell_indices(scope, cards, table_scope, table_cards, fixed: Mapping[str, int]) -> list[int]:
+    """For each cell over ``scope`` in row-major order, its index in a
+    table over ``table_scope``.  A ``scope`` variable outside the table
+    does not move the index; a table variable outside ``scope`` is read
+    from ``fixed`` (``KeyError`` if absent)."""
+    strides = {}
+    acc = 1
+    for var, card in zip(reversed(table_scope), reversed(table_cards)):
+        strides[var] = acc
+        acc *= card
+    indices = [sum(fixed[v] * strides[v] for v in table_scope if v not in scope)]
+    for var, card in zip(scope, cards):
+        stride = strides.get(var, 0)
+        indices = [i + s * stride for i in indices for s in range(card)]
+    return indices
+
+
+def _topological_order(nodes: Sequence[NetNode]) -> tuple[str, ...]:
+    """Kahn's algorithm taking each round of ready nodes sorted by name,
+    so the order does not depend on document order."""
+    remaining = {n.name: set(n.parents) for n in nodes}
+    out = []
+    while remaining:
+        ready = sorted(name for name, deps in remaining.items() if not deps)
+        if not ready:
+            raise NetLoadError(f"cycle involving nodes {sorted(remaining)}")
+        for name in ready:
+            out.append(name)
+            del remaining[name]
+        for deps in remaining.values():
+            deps.difference_update(ready)
+    return tuple(out)
 
 
 def _parent_rows(net_nodes: Mapping[str, NetNode], node: NetNode) -> int:
@@ -249,16 +242,7 @@ def load_net(source) -> DiscreteBayesNet:
             if p not in by_name:
                 raise NetLoadError(f"node {node.name!r} lists unknown parent {p!r}")
 
-    # acyclicity via Kahn's algorithm
-    remaining = {n.name: set(n.parents) for n in nodes}
-    while remaining:
-        ready = [name for name, deps in remaining.items() if not deps]
-        if not ready:
-            raise NetLoadError(f"cycle involving nodes {sorted(remaining)}")
-        for name in ready:
-            del remaining[name]
-        for deps in remaining.values():
-            deps.difference_update(ready)
+    order = _topological_order(nodes)  # also the acyclicity check
 
     warnings_acc: list[str] = []
     cpts = {}
@@ -297,7 +281,7 @@ def load_net(source) -> DiscreteBayesNet:
             rows.append(row)
         cpts[node.name] = tuple(rows)
 
-    return DiscreteBayesNet(nodes, cpts, warnings_acc)
+    return DiscreteBayesNet(nodes, cpts, warnings_acc, order)
 
 
 def _normalize_evidence(net: DiscreteBayesNet, evidence) -> dict[str, int]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -28,9 +29,7 @@ from .states import (
     ComponentId,
     DiscretizationSpec,
     MetricSample,
-    StateVector,
     discretize,
-    severity_map,
 )
 
 __all__ = [
@@ -330,40 +329,59 @@ class EngineConfig:
     preprocess: PreprocessPolicy = field(default_factory=PreprocessPolicy)
 
     def __post_init__(self) -> None:
+        # everything a window needs is built here once, so judging a
+        # window is lookups only
+        judged = {}  # spec by key, in first-seen order
         for comp in self.attributes + self.severity_components:
             if comp.key not in self.specs:
                 raise ConfigError(f"no discretization spec for {comp.key}")
+            judged[comp.key] = self.specs[comp.key]
+        self.judged = tuple(judged.items())
+        self.attribute_keys = tuple(c.key for c in self.attributes)
         model_names = tuple(name for name, _ in self.model.schema.attributes)
-        config_names = tuple(c.key for c in self.attributes)
-        if model_names != config_names:
+        if model_names != self.attribute_keys:
             raise ConfigError(
-                f"model attributes {model_names} do not match config attributes {config_names}"
+                f"model attributes {model_names} do not match config attributes {self.attribute_keys}"
             )
-        for comp, (_, card) in zip(self.attributes, self.model.schema.attributes):
-            spec = self.specs[comp.key]
-            if spec.num_levels != card:
+        for key, (_, card) in zip(self.attribute_keys, self.model.schema.attributes):
+            if judged[key].num_levels != card:
                 raise ConfigError(
-                    f"{comp.key}: spec yields {spec.num_levels} buckets, model expects {card}"
+                    f"{key}: spec yields {judged[key].num_levels} buckets, model expects {card}"
                 )
-        if self.loop_rule.cause not in self.model.schema.classes:
-            raise ConfigError(f"loop rule cause {self.loop_rule.cause!r} not in model classes")
+        rule = self.loop_rule
+        for key in (rule.vm_cpu, rule.host_cpu, rule.throughput):
+            if key not in judged:
+                raise ConfigError(
+                    f"loop rule component {key} is neither an attribute nor a severity component"
+                )
+        if rule.cause not in self.classes:
+            raise ConfigError(f"loop rule cause {rule.cause!r} not in model classes")
+        self.loop_diagnosis = tuple(1.0 if c == rule.cause else 0.0 for c in self.classes)
         if self.window_ms <= 0:
             raise ConfigError("window_ms must be positive")
-        # severity model operates on mapped 3-state levels
+        # severity model operates on mapped 3-state levels; each severity
+        # component gets the level of each of its usage buckets
         self.severity_mdd = mdd_mod.build_max_severity(self.severity_components)
+        tables = []
+        for comp, arity in zip(self.severity_components, self.severity_mdd.arities):
+            buckets = self.specs[comp.key].num_levels
+            table = tuple(self.severity_mapping[:buckets])
+            if len(table) < buckets or not all(0 <= level < arity for level in table):
+                raise ConfigError(
+                    f"{comp.key}: severity_mapping {self.severity_mapping} must send each "
+                    f"of its {buckets} buckets to a level in 0..{arity - 1}"
+                )
+            tables.append((comp.key, table))
+        self.severity_tables = tuple(tables)
 
     @property
     def classes(self) -> tuple[str, ...]:
         return self.model.schema.classes
 
     def _metric_names(self, level: str) -> tuple[str, ...]:
-        # every metric a window is judged on: classifier attributes first,
-        # then severity components, in first-seen order
-        seen = []
-        for c in self.attributes + self.severity_components:
-            if c.level == level and c.name not in seen:
-                seen.append(c.name)
-        return tuple(seen)
+        # every metric a window is judged on, in first-seen order
+        judged = dict.fromkeys(self.attributes + self.severity_components)
+        return tuple(c.name for c in judged if c.level == level)
 
     @property
     def vm_metric_names(self) -> tuple[str, ...]:
@@ -394,29 +412,30 @@ class Engine:
     # -- window processing -------------------------------------------
 
     def _usage(self, window: Window) -> dict[str, int]:
+        """Usage bucket per judged key; a missing metric raises."""
+        values = window.values
         usage = {}
-        for comp in self.config.attributes + self.config.severity_components:
-            if comp.key in usage:
-                continue
-            spec = self.config.specs[comp.key]
-            value = window.values[comp.key]
+        for key, spec in self.config.judged:
+            try:
+                value = values[key]
+            except KeyError:
+                raise IncompleteWindowError(
+                    f"window t={window.timestamp} {window.host_id}/{window.vm_id}: "
+                    f"missing {key}"
+                ) from None
             # preprocessed values are in range; clamp defensively so a
             # caller skipping preprocess still gets a bucket
-            value = min(spec.boundaries[-1], max(spec.boundaries[0], value))
-            usage[comp.key] = discretize(value, spec)
+            bounds = spec.boundaries
+            usage[key] = discretize(min(bounds[-1], max(bounds[0], value)), spec)
         return usage
 
     def severity_of(self, window: Window) -> int:
-        usage = self._usage(window)
-        return self._severity(usage)
+        return self._severity(self._usage(window))
 
     def _severity(self, usage: Mapping[str, int]) -> int:
-        levels = [
-            severity_map(usage[c.key], self.config.severity_mapping)
-            for c in self.config.severity_components
-        ]
-        vec = StateVector.from_levels(self.config.severity_components, levels)
-        return self.config.severity_mdd.evaluate(vec)
+        return self.config.severity_mdd.evaluate_levels(
+            [table[usage[key]] for key, table in self.config.severity_tables]
+        )
 
     def step(self, window: Window) -> list[Alarm]:
         """Process one complete window; returns the alarms it raised.
@@ -428,12 +447,6 @@ class Engine:
         is to replace the K-th consecutive anonymous gate alarm with a
         named diagnosis, once per span.
         """
-        for comp in self.config.attributes + self.config.severity_components:
-            if comp.key not in window.values:
-                raise IncompleteWindowError(
-                    f"window t={window.timestamp} {window.host_id}/{window.vm_id}: "
-                    f"missing {comp.key}"
-                )
         usage = self._usage(window)
         severity = self._severity(usage)
         scope = (window.host_id, window.vm_id)
@@ -445,17 +458,13 @@ class Engine:
             self._streaks[scope] = streak
             if streak >= rule.k and not self._loop_fired.get(scope, False):
                 self._loop_fired[scope] = True
-                cause_idx = self.config.classes.index(rule.cause)
-                onehot = tuple(
-                    1.0 if i == cause_idx else 0.0 for i in range(len(self.config.classes))
-                )
                 loop_alarm = Alarm(
                     timestamp=window.timestamp,
                     host_id=window.host_id,
                     vm_id=window.vm_id,
                     severity=severity,
                     trigger=TRIGGER_NBC,
-                    diagnosis=onehot,
+                    diagnosis=self.config.loop_diagnosis,
                     top_cause=rule.cause,
                 )
         else:
@@ -476,7 +485,7 @@ class Engine:
             ]
         if severity == 1:
             self.nbc_invocations += 1
-            features = tuple(usage[c.key] for c in self.config.attributes)
+            features = tuple(usage[key] for key in self.config.attribute_keys)
             post = nbc_mod.posterior(self.config.model, features)
             top = nbc_mod.top_class(post)
             return [
@@ -559,25 +568,22 @@ class Engine:
     def advance_clock(self, to_time: int) -> None:
         if to_time < self.clock:
             raise SequencingError(f"clock cannot move backwards: {to_time} < {self.clock}")
-        for s in self._sensors.values():
-            if s._pending is None:
-                continue
-            queued_at, alarm = s._pending
-            boundary = (queued_at // s.frequency_ms + 1) * s.frequency_ms
-            if to_time >= boundary:
-                s.deliveries += 1
-                s.last_delivery_time = boundary
-                s.last_alarm = alarm
-                s._pending = None
+        self._deliver(to_time)
         self.clock = to_time
 
     def flush_sensors(self) -> None:
         """Deliver any still-pending alarms at their next boundary (end of run)."""
+        self._deliver(math.inf)
+
+    def _deliver(self, until: float) -> None:
+        """Deliver each pending alarm whose boundary is at or before ``until``."""
         for s in self._sensors.values():
             if s._pending is None:
                 continue
             queued_at, alarm = s._pending
             boundary = (queued_at // s.frequency_ms + 1) * s.frequency_ms
+            if boundary > until:
+                continue
             s.deliveries += 1
             s.last_delivery_time = boundary
             s.last_alarm = alarm

@@ -133,13 +133,16 @@ class Mdd:
             if not 0 <= lvl < arity:
                 raise MddInputError(f"level {lvl} out of range for {comp.key} (arity {arity})")
             levels.append(lvl)
-        idx = self.root.index
-        while True:
-            node = self._nodes[idx]
-            if node[0] == _SINK:
-                return node[1]
-            _, comp_index, children = node
-            idx = children[levels[comp_index]]
+        return self.evaluate_levels(levels)
+
+    def evaluate_levels(self, levels: Sequence[int]) -> int:
+        """Sink level of the path selected by ``levels``, one per component
+        in diagram order.  Unchecked: ``evaluate`` is the checked entry."""
+        nodes = self._nodes
+        node = nodes[self.root.index]
+        while node[0] == _NODE:
+            node = nodes[node[2][levels[node[1]]]]
+        return node[1]
 
     def level_probabilities(self, dists: Sequence[Sequence[float]]) -> StateDistribution:
         """Exact distribution over system levels under component independence.

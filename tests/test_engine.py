@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import itertools
 import json
 
 import pytest
@@ -24,7 +26,7 @@ from afdi.engine import (
     write_alarm_log,
 )
 from afdi.simulator import generate, load_scenario
-from afdi.states import ComponentId, DiscretizationSpec, MetricSample
+from afdi.states import ComponentId, DiscretizationSpec, MetricSample, StateVector, severity_map
 from conftest import fixture_path
 
 import oracles
@@ -352,6 +354,20 @@ def test_severity_monotone_in_each_component(buckets, which):
     assert engine.severity_of(window_at(0, raised)) >= before
 
 
+
+@pytest.mark.parametrize("mapping", [(0, 0, 1, 2), (0, 1, 1, 2)])
+def test_compiled_severity_matches_mdd_on_every_bucket_combination(config, mapping):
+    # the engine's config-time tables against the validated MDD walk
+    cfg = dataclasses.replace(config, severity_mapping=mapping)
+    engine = Engine(cfg)
+    comps = cfg.severity_components
+    for buckets in itertools.product(range(4), repeat=len(comps)):
+        values = dict(HEALTHY, **{c.key: BUCKET_VALUE[b] for c, b in zip(comps, buckets)})
+        levels = [severity_map(b, mapping) for b in buckets]
+        want = cfg.severity_mdd.evaluate(StateVector.from_levels(comps, levels))
+        assert engine.severity_of(window_at(0, values)) == want, buckets
+
+
 def test_incomplete_window_rejected(config):
     engine = Engine(config)
     values = dict(HEALTHY)
@@ -498,6 +514,24 @@ def test_alarm_log_byte_identical_across_runs(config, tmp_path):
     assert set(first) == {
         "timestamp", "host_id", "vm_id", "severity", "trigger", "diagnosis", "top_cause",
     }
+
+
+
+# SHA-256 of each fixture scenario's alarm log: the byte contract
+ALARM_LOG_SHA256 = {
+    "scenario_800": "36446186c87ebfcdb10ca94e7156782e692c992c73ec8bb428caca8b73445a1d",
+    "scenario_endless_loop": "2a22f11bb218cf31a6b3a968321264fb092eb539181353bbeccf88ba5caaf30d",
+    "scenario_healthy": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "scenario_serious_crash": "cf8bcf983b4ac76384ef31e6f45cd98ab64d040e0e72b030c3000a3074bb3437",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALARM_LOG_SHA256))
+def test_alarm_log_bytes_pinned(config, tmp_path, name):
+    samples, _ = generate(load_scenario(fixture_path(f"{name}.json")))
+    p = tmp_path / "alarms.jsonl"
+    write_alarm_log(Engine(config).process_stream(samples), p)
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == ALARM_LOG_SHA256[name]
 
 
 # -- alarm record validation -----------------------------------------
@@ -710,6 +744,28 @@ def test_engine_config_cross_checks(config):
             model=config.model,
             loop_rule=LoopRule(cause="gremlins"),
         )
+
+
+
+def test_severity_mapping_too_short_rejected(config):
+    # bucket 3 of every 4-bucket severity component has no severity
+    with pytest.raises(ConfigError, match=r"vm\.cpu: severity_mapping"):
+        dataclasses.replace(config, severity_mapping=(0, 0, 1))
+
+
+def test_severity_mapping_beyond_serious_rejected(config):
+    with pytest.raises(ConfigError, match=r"vm\.cpu: severity_mapping \(0, 0, 1, 3\)"):
+        dataclasses.replace(config, severity_mapping=(0, 0, 1, 3))
+
+
+def test_severity_mapping_longer_than_needed_accepted(config):
+    cfg = dataclasses.replace(config, severity_mapping=(0, 0, 1, 2, 2))
+    assert Engine(cfg).severity_of(window_at(0, variant(**{"vm.cpu": 90.0}))) == 2
+
+
+def test_loop_rule_component_must_be_judged(config):
+    with pytest.raises(ConfigError, match=r"vm\.tput"):
+        dataclasses.replace(config, loop_rule=LoopRule(throughput="vm.tput"))
 
 
 def test_severity_component_outside_attributes_is_collected(config):

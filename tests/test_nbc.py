@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from afdi.bayesnet import load_net, posterior_given_evidence
 from afdi.nbc import (
     AllZeroLikelihoodError,
     AttributeSchema,
@@ -19,6 +21,8 @@ from afdi.nbc import (
     train,
     write_training_csv,
 )
+
+from conftest import fixture_path
 
 import oracles
 
@@ -310,3 +314,48 @@ def test_training_csv_errors(tmp_path):
     path.write_text("x,label\n0,zzz\n")
     with pytest.raises(ValueError):
         read_training_csv(path, schema)
+
+
+# -- the classifier against the Bayesian network it encodes ----------
+
+
+def _fixture_model_and_net():
+    """The shipped model, and the BN with the class as root and one child
+    per attribute whose CPT rows are the model's ``cond[j][c]``."""
+    model = load_model(fixture_path("nbc_model.json"))
+    classes = model.schema.classes
+    nodes = [{"name": "class", "states": list(classes), "parents": [], "cpt": [list(model.priors)]}]
+    for j, (name, card) in enumerate(model.schema.attributes):
+        nodes.append({
+            "name": name,
+            "states": [str(v) for v in range(card)],
+            "parents": ["class"],
+            "cpt": [list(model.cond[j][c]) for c in range(len(classes))],
+        })
+    return model, load_net({"nodes": nodes})
+
+
+_MODEL_AND_NET = _fixture_model_and_net()
+
+
+def _assert_nbc_matches_bn(features):
+    model, net = _MODEL_AND_NET
+    names = [name for name, _ in model.schema.attributes]
+    evidence = {n: v for n, v in zip(names, features) if v is not None}
+    got = posterior(model, features)
+    want = posterior_given_evidence(net, "class", evidence).probs
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12, features
+
+
+def test_nbc_matches_equivalent_bn_on_every_full_vector():
+    model, _ = _MODEL_AND_NET
+    cards = [card for _, card in model.schema.attributes]
+    for features in itertools.product(*(range(c) for c in cards)):
+        _assert_nbc_matches_bn(features)
+
+
+@given(st.lists(st.one_of(st.none(), st.integers(0, 3)), min_size=6, max_size=6))
+def test_nbc_matches_equivalent_bn_on_partial_vectors(features):
+    # a missing attribute drops out on both sides: no factor in the
+    # classifier, no evidence in the network
+    _assert_nbc_matches_bn(tuple(features))

@@ -1,0 +1,27 @@
+"""The runtime imports nothing outside the standard library."""
+
+import ast
+import pathlib
+import sys
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "afdi"
+
+
+def _absolute_imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_runtime_imports_only_the_standard_library():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    foreign = []
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for module in _absolute_imports(tree):
+            if module.partition(".")[0] not in sys.stdlib_module_names:
+                foreign.append(f"{path.name}: {module}")
+    assert foreign == []
