@@ -189,7 +189,6 @@ def make_model_and_config() -> None:
     dump(
         "engine_config.json",
         {
-            "window_ms": 1000,
             "model": {"path": "nbc_model.json", "sha256": digest},
             "attributes": ATTR_KEYS,
             "severity_components": ["vm.cpu", "vm.memory", "vm.network", "host.storage_io"],

@@ -14,7 +14,6 @@ from .states import (
     StateDistribution,
     StateVector,
     discretize,
-    severity_map,
 )
 from .mdd import Mdd, build_from_structure_function, build_max_severity
 from .nbc import AttributeSchema, LabeledExample, NbcModel, classify, posterior, train
@@ -38,7 +37,6 @@ __all__ = [
     "StateDistribution",
     "StateVector",
     "discretize",
-    "severity_map",
     "Mdd",
     "build_from_structure_function",
     "build_max_severity",

@@ -55,12 +55,11 @@ def _require_file(path: str) -> str:
 
 
 def cmd_simulate(args) -> int:
-    scenario = simulator.load_scenario(_require_file(args.scenario))
+    with open(_require_file(args.scenario), encoding="utf-8") as fh:
+        doc = json.load(fh)
     if args.seed is not None:
-        with open(args.scenario, encoding="utf-8") as fh:
-            doc = json.load(fh)
         doc["seed"] = args.seed
-        scenario = simulator.load_scenario(doc)
+    scenario = simulator.load_scenario(doc)
     samples, labels = simulator.generate(scenario)
     write_metric_samples(samples, args.out_metrics)
     simulator.write_labels(labels, args.out_labels)

@@ -93,8 +93,11 @@ def preprocess(samples: Iterable[MetricSample], policy: PreprocessPolicy | None 
     metrics get their range enforced first (clamped to [0, 100], or the
     sample dropped when the policy says not to clamp), then a sliding
     median/MAD filter replaces outliers with the window median.  The
-    filter is iterated to a fixed point so running preprocess on its own
-    output changes nothing.  After the first pass only the positions
+    filter is iterated until a pass replaces nothing, for at most
+    ``_MAX_PASSES`` (64) passes.  Running preprocess on its own output
+    changes nothing only when that fixed point is reached within the
+    cap: with ``window=5, z_cutoff=0.5``, ``[1, 20, 50, 100.5, 91]``
+    still moves after 64 passes.  After the first pass only the positions
     whose window holds a sample the previous pass replaced are
     recomputed; the others would give the same result again.
     """
@@ -308,15 +311,6 @@ class LoopRule:
         )
 
 
-DEFAULT_CLASSES = (
-    "normal",
-    "high-cpu-usage",
-    "memory-shortage",
-    "network-overhead",
-    "endless-loop",
-)
-
-
 @dataclass
 class EngineConfig:
     specs: dict[str, DiscretizationSpec]  # keyed by ComponentId.key
@@ -325,7 +319,6 @@ class EngineConfig:
     model: nbc_mod.NbcModel
     severity_mapping: tuple[int, ...] = (0, 0, 1, 2)
     loop_rule: LoopRule = field(default_factory=LoopRule)
-    window_ms: int = 1000
     preprocess: PreprocessPolicy = field(default_factory=PreprocessPolicy)
 
     def __post_init__(self) -> None:
@@ -344,10 +337,21 @@ class EngineConfig:
                 f"model attributes {model_names} do not match config attributes {self.attribute_keys}"
             )
         for key, (_, card) in zip(self.attribute_keys, self.model.schema.attributes):
-            if judged[key].num_levels != card:
+            if judged[key].num_intervals != card:
                 raise ConfigError(
-                    f"{key}: spec yields {judged[key].num_levels} buckets, model expects {card}"
+                    f"{key}: spec yields {judged[key].num_intervals} buckets, model expects {card}"
                 )
+        # a zero entry can zero every class for some window, which the
+        # classifier cannot answer; smoothed models (alpha > 0) have none
+        for c, (name, prior) in enumerate(zip(self.classes, self.model.priors)):
+            if prior == 0.0:
+                raise ConfigError(f"model prior of class {name!r} is 0")
+            for key, table in zip(self.attribute_keys, self.model.cond):
+                for value, p in enumerate(table[c]):
+                    if p == 0.0:
+                        raise ConfigError(
+                            f"model gives {key}={value} probability 0 under class {name!r}"
+                        )
         rule = self.loop_rule
         for key in (rule.vm_cpu, rule.host_cpu, rule.throughput):
             if key not in judged:
@@ -357,14 +361,12 @@ class EngineConfig:
         if rule.cause not in self.classes:
             raise ConfigError(f"loop rule cause {rule.cause!r} not in model classes")
         self.loop_diagnosis = tuple(1.0 if c == rule.cause else 0.0 for c in self.classes)
-        if self.window_ms <= 0:
-            raise ConfigError("window_ms must be positive")
         # severity model operates on mapped 3-state levels; each severity
         # component gets the level of each of its usage buckets
         self.severity_mdd = mdd_mod.build_max_severity(self.severity_components)
         tables = []
         for comp, arity in zip(self.severity_components, self.severity_mdd.arities):
-            buckets = self.specs[comp.key].num_levels
+            buckets = self.specs[comp.key].num_intervals
             table = tuple(self.severity_mapping[:buckets])
             if len(table) < buckets or not all(0 <= level < arity for level in table):
                 raise ConfigError(
@@ -423,8 +425,10 @@ class Engine:
                     f"window t={window.timestamp} {window.host_id}/{window.vm_id}: "
                     f"missing {key}"
                 ) from None
-            # preprocessed values are in range; clamp defensively so a
-            # caller skipping preprocess still gets a bucket
+            # preprocess enforces the range of percent metrics only, so
+            # a non-percent metric past the bounds (throughput at 250
+            # tx/s) lands in the edge bucket here, as does any value
+            # from a caller that skips preprocess
             bounds = spec.boundaries
             usage[key] = discretize(min(bounds[-1], max(bounds[0], value)), spec)
         return usage
@@ -591,6 +595,17 @@ class Engine:
             self.clock = max(self.clock, boundary)
 
 
+_CONFIG_KEYS = frozenset({
+    "model",
+    "discretization",
+    "attributes",
+    "severity_components",
+    "severity_mapping",
+    "loop_rule",
+    "preprocess",
+})
+
+
 def load_config(path) -> EngineConfig:
     """Load an engine configuration document, verifying the model hash.
 
@@ -602,6 +617,9 @@ def load_config(path) -> EngineConfig:
 
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    unknown = sorted(set(doc) - _CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"bad config {path}: unknown keys {unknown}")
     base = os.path.dirname(os.path.abspath(path))
 
     model_ref = doc.get("model")
@@ -652,6 +670,5 @@ def load_config(path) -> EngineConfig:
         model=model,
         severity_mapping=tuple(doc.get("severity_mapping", (0, 0, 1, 2))),
         loop_rule=loop_rule,
-        window_ms=int(doc.get("window_ms", 1000)),
         preprocess=policy,
     )

@@ -18,7 +18,6 @@ __all__ = [
     "precision",
     "accuracy",
     "false_alarm_rate",
-    "merge",
 ]
 
 
@@ -114,19 +113,3 @@ def false_alarm_rate(m: ConfusionMatrix) -> float:
         raise UndefinedMetricError("false_alarm_rate", m.counts)
     return m.fp / (m.tp + m.fp)
 
-
-def merge(a: ConfusionMatrix, b: ConfusionMatrix) -> ConfusionMatrix:
-    """Cellwise sum of two matrices from parallel scoring shards."""
-    if a.classes != b.classes or a.negatives != b.negatives:
-        raise ValueError("cannot merge matrices with different class setups")
-    out = ConfusionMatrix(
-        classes=a.classes,
-        negatives=a.negatives,
-        tp=a.tp + b.tp,
-        fp=a.fp + b.fp,
-        fn=a.fn + b.fn,
-        tn=a.tn + b.tn,
-    )
-    for key in set(a.table) | set(b.table):
-        out.table[key] = a.table.get(key, 0) + b.table.get(key, 0)
-    return out

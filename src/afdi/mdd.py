@@ -12,14 +12,12 @@ probability query is a single memoized pass over the DAG.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .states import ComponentId, StateDistribution, StateVector
 
 __all__ = [
     "Mdd",
-    "MddNodeRef",
     "CapacityError",
     "InvalidModelError",
     "MddInputError",
@@ -41,13 +39,6 @@ class InvalidModelError(ValueError):
 
 class MddInputError(ValueError):
     """A query argument does not fit the diagram it was given to."""
-
-
-@dataclass(frozen=True)
-class MddNodeRef:
-    """Handle into one diagram's node store."""
-
-    index: int
 
 
 # Node store entries.  Sinks: ("sink", level).  Internal: ("node",
@@ -80,7 +71,7 @@ class Mdd:
         self.arities = tuple(int(a) for a in arities)
         self._nodes: list[tuple] = []
         self._id_by_key: dict[tuple, int] = {}
-        self.root: MddNodeRef | None = None
+        self.root: int | None = None  # node index, set by the builder
 
     # -- construction internals -------------------------------------
 
@@ -111,10 +102,6 @@ class Mdd:
         """Number of stored nodes, sinks included."""
         return len(self._nodes)
 
-    @property
-    def sink_levels(self) -> tuple[int, ...]:
-        return tuple(sorted(n[1] for n in self._nodes if n[0] == _SINK))
-
     def evaluate(self, states: StateVector) -> int:
         """Follow the path selected by ``states`` and return its sink level.
 
@@ -139,7 +126,7 @@ class Mdd:
         """Sink level of the path selected by ``levels``, one per component
         in diagram order.  Unchecked: ``evaluate`` is the checked entry."""
         nodes = self._nodes
-        node = nodes[self.root.index]
+        node = nodes[self.root]
         while node[0] == _NODE:
             node = nodes[node[2][levels[node[1]]]]
         return node[1]
@@ -193,7 +180,7 @@ class Mdd:
             memo[idx] = out
             return out
 
-        return StateDistribution(dist_at(self.root.index))
+        return StateDistribution(dist_at(self.root))
 
     def to_dot(self) -> str:
         """Graph-description text: internal nodes by component name, sinks by level."""
@@ -207,7 +194,7 @@ class Mdd:
             if node[0] == _NODE:
                 for state, child in enumerate(node[2]):
                     lines.append(f'  n{idx} -> n{child} [label="{state}"];')
-        lines.append(f"  root -> n{self.root.index};")
+        lines.append(f"  root -> n{self.root};")
         lines.append('  root [shape=point];')
         lines.append("}")
         return "\n".join(lines)
@@ -246,7 +233,7 @@ def build_from_structure_function(
             partial.pop()
         return mdd._mk_node(i, tuple(children))
 
-    mdd.root = MddNodeRef(build(0, []))
+    mdd.root = build(0, [])
     return mdd
 
 

@@ -328,11 +328,10 @@ def to_training_set(
     specs: Mapping[str, DiscretizationSpec],
     attributes: Sequence[ComponentId],
     classes: Sequence[str],
-    label_to_class: Mapping[str, str] | None = None,
     window_ms: int = 1000,
 ) -> list[LabeledExample]:
-    """One labeled example per window/scope, features in bucket space."""
-    mapping = dict(DEFAULT_KIND_TO_CLASS if label_to_class is None else label_to_class)
+    """One labeled example per window/scope, features in bucket space;
+    labels become classes through ``DEFAULT_KIND_TO_CLASS``."""
     vm_names = sorted({c.name for c in attributes if c.level == "vm"})
     host_names = sorted({c.name for c in attributes if c.level == "host"})
     windows = collect_windows(samples, vm_names, host_names)
@@ -348,7 +347,7 @@ def to_training_set(
         if window is None:
             raise AlignmentError(f"label for missing window {key}")
         seen.add(key)
-        class_name = mapping.get(row.label)
+        class_name = DEFAULT_KIND_TO_CLASS.get(row.label)
         if class_name is None:
             raise AlignmentError(f"label {row.label!r} has no class mapping")
         try:

@@ -2,10 +2,10 @@
 
 State levels are small non-negative integers with a fixed project-wide
 meaning: 0 = normal work, 1 = minor fault, 2 = serious fault.  Raw
-percentage metrics are mapped onto levels by a ``DiscretizationSpec``;
-the four usage buckets of the default boundaries (0-25, 25-50, 50-75,
-75-100 %) collapse onto the three fault states through
-``severity_map``.
+metrics are mapped onto usage buckets by a ``DiscretizationSpec``; the
+engine collapses the four buckets of the default boundaries (0-25,
+25-50, 50-75, 75-100 %) onto the three fault states through
+``EngineConfig.severity_mapping``.
 """
 
 from __future__ import annotations
@@ -18,21 +18,15 @@ from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "ComponentId",
-    "StateLevel",
     "StateVector",
     "StateDistribution",
     "DiscretizationSpec",
     "MetricSample",
     "OutOfRangeError",
-    "DEFAULT_SEVERITY_MAP",
     "discretize",
-    "severity_map",
     "read_metric_samples",
     "write_metric_samples",
 ]
-
-# A state level is just an int; the alias documents intent in signatures.
-StateLevel = int
 
 SCOPE_LEVELS = ("vm", "host")
 
@@ -98,12 +92,6 @@ class StateVector:
     def levels(self) -> tuple[int, ...]:
         return tuple(v for _, v in self.assignments)
 
-    def level_of(self, component: ComponentId) -> int:
-        for comp, lvl in self.assignments:
-            if comp == component:
-                return lvl
-        raise KeyError(component.key)
-
     def __len__(self) -> int:
         return len(self.assignments)
 
@@ -136,18 +124,15 @@ class StateDistribution:
 
 @dataclass(frozen=True)
 class DiscretizationSpec:
-    """Interval boundaries mapping a percentage metric onto state levels.
+    """Interval boundaries mapping a metric onto usage buckets.
 
     ``boundaries`` are strictly ascending within [0, 100].  Interval i is
     half-open [b_i, b_{i+1}) except the last, which is closed, so every
-    value in [b_0, b_last] lands in exactly one interval.  ``levels``
-    optionally maps interval index to a level; by default the mapping is
-    the identity (interval i -> level i).
+    value in [b_0, b_last] lands in exactly one interval, its bucket.
     """
 
     component: ComponentId
     boundaries: tuple[float, ...]
-    levels: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if len(self.boundaries) < 2:
@@ -158,32 +143,14 @@ class DiscretizationSpec:
         for lo, hi in zip(self.boundaries, self.boundaries[1:]):
             if not lo < hi:
                 raise ValueError("boundaries must be strictly ascending")
-        if self.levels is not None:
-            if len(self.levels) != self.num_intervals:
-                raise ValueError(
-                    f"level table has {len(self.levels)} entries for {self.num_intervals} intervals"
-                )
-            if any(l < 0 for l in self.levels):
-                raise ValueError("levels must be non-negative")
 
     @property
     def num_intervals(self) -> int:
         return len(self.boundaries) - 1
 
-    @property
-    def num_levels(self) -> int:
-        if self.levels is None:
-            return self.num_intervals
-        return max(self.levels) + 1
 
-    def level_for_interval(self, interval: int) -> int:
-        if self.levels is None:
-            return interval
-        return self.levels[interval]
-
-
-def discretize(value: float, spec: DiscretizationSpec) -> StateLevel:
-    """Map a raw percentage value onto the level of its interval.
+def discretize(value: float, spec: DiscretizationSpec) -> int:
+    """Map a raw value onto the index of its interval, its usage bucket.
 
     Intervals are half-open [lo, hi) except the last, which is closed,
     so a boundary value belongs to the upper interval.  Values outside
@@ -198,22 +165,7 @@ def discretize(value: float, spec: DiscretizationSpec) -> StateLevel:
     idx = bisect.bisect_right(bounds, value) - 1
     if idx == spec.num_intervals:  # value == top boundary, last interval closed
         idx -= 1
-    return spec.level_for_interval(idx)
-
-
-DEFAULT_SEVERITY_MAP = (0, 0, 1, 2)
-
-
-def severity_map(usage_level: int, mapping: Sequence[int] = DEFAULT_SEVERITY_MAP) -> StateLevel:
-    """Collapse a usage bucket onto a fault state.
-
-    The default table sends the two low-usage buckets to normal, the
-    third to minor, and the top bucket to serious; supply ``mapping``
-    to override.
-    """
-    if not 0 <= usage_level < len(mapping):
-        raise ValueError(f"usage level {usage_level} outside 0..{len(mapping) - 1}")
-    return mapping[usage_level]
+    return idx
 
 
 @dataclass(frozen=True)

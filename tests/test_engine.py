@@ -25,8 +25,8 @@ from afdi.engine import (
     preprocess,
     write_alarm_log,
 )
-from afdi.simulator import generate, load_scenario
-from afdi.states import ComponentId, DiscretizationSpec, MetricSample, StateVector, severity_map
+from afdi.simulator import generate, load_scenario, to_training_set
+from afdi.states import ComponentId, DiscretizationSpec, MetricSample, StateVector, discretize
 from conftest import fixture_path
 
 import oracles
@@ -315,6 +315,26 @@ def test_throughput_alone_never_alarms(config):
     assert engine.step(window_at(0, variant(**{"vm.throughput": 90.0}))) == []
 
 
+def test_throughput_past_its_bounds_is_clamped_to_the_top_bucket(config, monkeypatch):
+    # throughput is not a percent metric, so a steady 250 tx/s series
+    # survives preprocess; only the clamp in Engine._usage buckets it
+    stream = samples_for([variant(**{"vm.memory": 60.0, "vm.throughput": 250.0})] * 15)
+    cleaned = preprocess(stream)
+    assert {s.value for s in cleaned if s.metric.name == "throughput"} == {250.0}
+    seen = []
+    real = nbc.posterior
+
+    def capture(model, features):
+        seen.append(features)
+        return real(model, features)
+
+    monkeypatch.setattr(nbc, "posterior", capture)
+    alarms = Engine(config).process_stream(stream)
+    assert len(alarms) == len(seen) == 15
+    throughput = config.attribute_keys.index("vm.throughput")
+    assert {f[throughput] for f in seen} == {3}
+
+
 def test_severity_uses_mapped_buckets(config):
     engine = Engine(config)
     assert engine.severity_of(window_at(0, HEALTHY)) == 0
@@ -363,7 +383,7 @@ def test_compiled_severity_matches_mdd_on_every_bucket_combination(config, mappi
     comps = cfg.severity_components
     for buckets in itertools.product(range(4), repeat=len(comps)):
         values = dict(HEALTHY, **{c.key: BUCKET_VALUE[b] for c, b in zip(comps, buckets)})
-        levels = [severity_map(b, mapping) for b in buckets]
+        levels = [mapping[b] for b in buckets]
         want = cfg.severity_mdd.evaluate(StateVector.from_levels(comps, levels))
         assert engine.severity_of(window_at(0, values)) == want, buckets
 
@@ -714,6 +734,18 @@ def test_load_config_missing_model_file(tmp_path):
         load_config(p)
 
 
+def test_load_config_rejects_unknown_keys(tmp_path):
+    # the loader does not read window_ms (windows are keyed by exact
+    # timestamp), so a config carrying it must not pass in silence
+    cfg_doc = json.loads(open(fixture_path("engine_config.json")).read())
+    cfg_doc["model"]["path"] = fixture_path(cfg_doc["model"]["path"])
+    cfg_doc["window_ms"] = 1000
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps(cfg_doc))
+    with pytest.raises(ConfigError, match=r"unknown keys \['window_ms'\]"):
+        load_config(p)
+
+
 def test_load_config_requires_model_reference(tmp_path):
     p = tmp_path / "config.json"
     p.write_text(json.dumps({"attributes": ["vm.cpu"]}))
@@ -745,6 +777,23 @@ def test_engine_config_cross_checks(config):
             loop_rule=LoopRule(cause="gremlins"),
         )
 
+
+
+def test_model_with_zero_probability_rejected(config):
+    # unsmoothed on the fixture scenario, the model never saw host.cpu
+    # in bucket 2, so one minor window there zeroes every class
+    scenario = load_scenario(fixture_path("scenario_800.json"))
+    samples, labels = generate(scenario)
+    dataset = to_training_set(samples, labels, config.specs, config.attributes, config.classes)
+    model = nbc.train(dataset, config.model.schema, alpha=0.0)
+    host_cpu = config.attribute_keys.index("host.cpu")
+    assert all(row[2] == 0.0 for row in model.cond[host_cpu])
+    values = variant(**{"vm.memory": 60.0, "host.cpu": 60.0})
+    features = tuple(discretize(values[k], config.specs[k]) for k in config.attribute_keys)
+    with pytest.raises(nbc.AllZeroLikelihoodError):
+        nbc.posterior(model, features)
+    with pytest.raises(ConfigError, match=r"vm\.cpu=0 probability 0 under class 'normal'"):
+        dataclasses.replace(config, model=model)
 
 
 def test_severity_mapping_too_short_rejected(config):

@@ -6,7 +6,6 @@ from afdi.evaluation import (
     UndefinedMetricError,
     accuracy,
     false_alarm_rate,
-    merge,
     precision,
     recall,
 )
@@ -117,19 +116,6 @@ def test_custom_binarization_rule():
     m = ConfusionMatrix(classes=CLASSES, negatives=frozenset({"normal", "memory-shortage"}))
     m.record("memory-shortage", "normal")
     assert m.fp == 0 and m.tn == 1
-
-
-def test_merge():
-    a = ConfusionMatrix(classes=CLASSES)
-    a.record("normal", "normal")
-    a.record("high-cpu-usage", "high-cpu-usage")
-    b = ConfusionMatrix(classes=CLASSES)
-    b.record("high-cpu-usage", "normal")
-    out = merge(a, b)
-    assert (out.tp, out.fp, out.tn) == (1, 1, 1)
-    assert out.table[("high-cpu-usage", "normal")] == 1
-    with pytest.raises(ValueError):
-        merge(a, ConfusionMatrix(classes=("x", "y")))
 
 
 def test_negative_counts_rejected():

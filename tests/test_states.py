@@ -13,7 +13,6 @@ from afdi.states import (
     StateVector,
     discretize,
     read_metric_samples,
-    severity_map,
     write_metric_samples,
 )
 
@@ -89,15 +88,6 @@ def test_discretize_midpoint_roundtrip():
         assert discretize(mid, USAGE) == level
 
 
-def test_interval_to_level_table():
-    spec = DiscretizationSpec(CPU, (0.0, 25.0, 50.0, 75.0, 100.0), levels=(0, 0, 1, 2))
-    assert spec.num_levels == 3
-    assert discretize(10.0, spec) == 0
-    assert discretize(30.0, spec) == 0
-    assert discretize(60.0, spec) == 1
-    assert discretize(90.0, spec) == 2
-
-
 def test_spec_validation():
     with pytest.raises(ValueError):
         DiscretizationSpec(CPU, (0.0,))
@@ -105,25 +95,12 @@ def test_spec_validation():
         DiscretizationSpec(CPU, (0.0, 50.0, 50.0, 100.0))
     with pytest.raises(ValueError):
         DiscretizationSpec(CPU, (0.0, 120.0))
-    with pytest.raises(ValueError):
-        DiscretizationSpec(CPU, (0.0, 50.0, 100.0), levels=(0,))
-
-
-def test_severity_map_default_table():
-    assert severity_map(0) == 0
-    assert severity_map(1) == 0
-    assert severity_map(2) == 1
-    assert severity_map(3) == 2
-    with pytest.raises(ValueError):
-        severity_map(4)
-    assert severity_map(2, mapping=(0, 1, 1, 2)) == 1
 
 
 def test_state_vector():
     comps = [ComponentId("cpu"), ComponentId("memory")]
     sv = StateVector.from_levels(comps, [1, 2])
     assert sv.levels == (1, 2)
-    assert sv.level_of(comps[1]) == 2
     assert len(sv) == 2
     with pytest.raises(ValueError):
         StateVector.from_levels(comps, [1])
@@ -181,10 +158,3 @@ def test_read_metric_samples_names_line_of_non_finite_value(tmp_path, spelling):
     path.write_text(f"{good}\n\n{good}\n{bad}\n")
     with pytest.raises(ValueError, match=r"line 4: .*non-finite"):
         read_metric_samples(path)
-
-
-def test_severity_map_composes_with_discretize():
-    # 90% usage is the top bucket, which is serious by the default table
-    assert severity_map(discretize(90.0, USAGE)) == 2
-    assert severity_map(discretize(63.0, USAGE)) == 1
-    assert severity_map(discretize(30.0, USAGE)) == 0
