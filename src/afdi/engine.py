@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping, Sequence
 
 from . import mdd as mdd_mod
@@ -620,6 +620,10 @@ def load_config(path) -> EngineConfig:
     unknown = sorted(set(doc) - _CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"bad config {path}: unknown keys {unknown}")
+    for section, cls in (("loop_rule", LoopRule), ("preprocess", PreprocessPolicy)):
+        unknown = sorted(set(doc.get(section, {})) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"bad config {path}: unknown keys {unknown} in {section}")
     base = os.path.dirname(os.path.abspath(path))
 
     model_ref = doc.get("model")

@@ -2,8 +2,9 @@
 
 Training is closed-form counting with Laplace smoothing; inference
 scores classes in log space (prior plus per-attribute conditional
-log-likelihoods) and normalizes with a max-shifted exponentiation, so
-long feature vectors with small probabilities do not underflow.
+log-likelihoods, from log tables each model builds once) and normalizes
+with a max-shifted exponentiation, so long feature vectors with small
+probabilities do not underflow.
 Missing attribute values simply drop their factor.
 """
 
@@ -14,7 +15,7 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 __all__ = [
@@ -109,6 +110,10 @@ class LabeledExample:
     label: int
 
 
+def _log(p: float) -> float:
+    return math.log(p) if p > 0.0 else float("-inf")
+
+
 @dataclass(frozen=True)
 class NbcModel:
     schema: AttributeSchema
@@ -116,6 +121,9 @@ class NbcModel:
     # cond[j][c][v] = P(attribute j takes value v | class c)
     cond: tuple[tuple[tuple[float, ...], ...], ...]
     alpha: float
+    # the logs posterior adds, taken once: log_priors[c], log_cond[j][c][v]
+    log_priors: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    log_cond: tuple[tuple[tuple[float, ...], ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         k = self.schema.num_classes
@@ -136,6 +144,12 @@ class NbcModel:
                     raise ValueError(f"table row {name!r}/class {c} sums to {total}, not 1")
                 if self.alpha > 0 and any(p <= 0.0 for p in row):
                     raise ValueError(f"smoothed row {name!r}/class {c} contains a non-positive entry")
+        object.__setattr__(self, "log_priors", tuple(_log(p) for p in self.priors))
+        object.__setattr__(
+            self,
+            "log_cond",
+            tuple(tuple(tuple(_log(p) for p in row) for row in table) for table in self.cond),
+        )
 
 
 def _validate_example(ex: LabeledExample, schema: AttributeSchema) -> None:
@@ -201,10 +215,6 @@ def train(dataset: Sequence[LabeledExample], schema: AttributeSchema, alpha: flo
     return NbcModel(schema=schema, priors=priors, cond=tuple(cond), alpha=alpha)
 
 
-def _log(p: float) -> float:
-    return math.log(p) if p > 0.0 else float("-inf")
-
-
 def posterior(model: NbcModel, features: Sequence) -> tuple[float, ...]:
     """Normalized class posterior for a (possibly partial) feature vector.
 
@@ -228,11 +238,11 @@ def posterior(model: NbcModel, features: Sequence) -> tuple[float, ...]:
     if not observed:
         return model.priors
 
+    log_cond = model.log_cond
     scores = []
-    for c in range(schema.num_classes):
-        s = _log(model.priors[c])
+    for c, s in enumerate(model.log_priors):
         for j, v in observed:
-            s += _log(model.cond[j][c][v])
+            s += log_cond[j][c][v]
         scores.append(s)
     top = max(scores)
     if top == float("-inf"):

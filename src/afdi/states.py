@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -35,23 +35,25 @@ class OutOfRangeError(ValueError):
     """Raised when a value falls outside the discretization range."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComponentId:
-    """A monitored component: a metric name plus its measurement scope."""
+    """A monitored component: a metric name plus its measurement scope.
+
+    ``key`` is the stable string form used in config files, e.g.
+    ``vm.cpu``; it is computed once and takes no part in ``repr``,
+    ``==`` or ``hash``.
+    """
 
     name: str
     level: str = "vm"
+    key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("component name must be non-empty")
         if self.level not in SCOPE_LEVELS:
             raise ValueError(f"component level must be one of {SCOPE_LEVELS}, got {self.level!r}")
-
-    @property
-    def key(self) -> str:
-        """Stable string form used in config files, e.g. ``vm.cpu``."""
-        return f"{self.level}.{self.name}"
+        object.__setattr__(self, "key", f"{self.level}.{self.name}")
 
     @classmethod
     def parse(cls, key: str) -> "ComponentId":
@@ -168,7 +170,7 @@ def discretize(value: float, spec: DiscretizationSpec) -> int:
     return idx
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetricSample:
     """One timestamped telemetry reading for a component.
 
@@ -202,16 +204,6 @@ class MetricSample:
             "level": self.metric.level,
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "MetricSample":
-        return cls(
-            timestamp=int(obj["timestamp"]),
-            host_id=obj["host_id"],
-            vm_id=obj["vm_id"],
-            metric=ComponentId(name=obj["metric"], level=obj["level"]),
-            value=float(obj["value"]),
-        )
-
 
 def write_metric_samples(samples: Iterable[MetricSample], path) -> int:
     """Write samples as JSON Lines; returns the number written."""
@@ -224,15 +216,52 @@ def write_metric_samples(samples: Iterable[MetricSample], path) -> int:
     return n
 
 
+_NOT_A_RECORD = (
+    "a record must be a JSON object with exactly the keys "
+    "host_id, level, metric, timestamp, value and vm_id"
+)
+_decode = json.JSONDecoder().raw_decode
+
+
 def read_metric_samples(path) -> list[MetricSample]:
-    """Read a JSON Lines stream; a bad record raises naming its line."""
+    """Read a JSON Lines stream; a bad record raises naming its line.
+
+    Blank lines are skipped.  Every other line must hold one JSON object
+    with exactly the six wire keys: ``host_id``, ``metric`` and ``level``
+    strings, ``vm_id`` a string or null, and ``timestamp`` and ``value``
+    that ``int()`` and ``float()`` accept.  Anything else, and any sample
+    ``MetricSample`` rejects, raises ``ValueError`` naming the path and
+    the 1-based line.  Samples of one component share one ``ComponentId``.
+    """
     samples = []
+    components: dict[tuple[str, str], ComponentId] = {}  # valid ones only
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                try:
-                    samples.append(MetricSample.from_json_obj(json.loads(line)))
-                except ValueError as exc:
-                    raise ValueError(f"{path}: line {line_no}: {exc}") from exc
+            if not line:
+                continue
+            try:
+                # the line is stripped, so this accepts exactly what
+                # json.loads accepts
+                obj, end = _decode(line)
+                if end != len(line):
+                    raise json.JSONDecodeError("Extra data", line, end)
+                # six entries, and all six wire keys read below: no other key
+                if type(obj) is not dict or len(obj) != 6:
+                    raise ValueError(_NOT_A_RECORD)
+                host_id, vm_id, name, level = obj["host_id"], obj["vm_id"], obj["metric"], obj["level"]
+                if type(host_id) is not str or not (vm_id is None or type(vm_id) is str):
+                    raise ValueError("host_id must be a string and vm_id a string or null")
+                if type(name) is not str or type(level) is not str:
+                    raise ValueError("metric and level must be strings")
+                metric = components.get((name, level))
+                if metric is None:
+                    metric = components[name, level] = ComponentId(name, level)
+                samples.append(
+                    MetricSample(int(obj["timestamp"]), host_id, vm_id, metric, float(obj["value"]))
+                )
+            except KeyError as exc:  # a wire key is missing
+                raise ValueError(f"{path}: line {line_no}: {_NOT_A_RECORD}") from exc
+            except (ValueError, TypeError, OverflowError) as exc:
+                raise ValueError(f"{path}: line {line_no}: {exc}") from exc
     return samples

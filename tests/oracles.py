@@ -9,8 +9,12 @@ derivation rather than against itself.
 from __future__ import annotations
 
 import itertools
+import json
+import math
 import statistics
 from math import prod
+
+from afdi.states import ComponentId, MetricSample
 
 
 # -- decision diagrams ------------------------------------------------
@@ -80,6 +84,27 @@ def nb_posterior_linear(priors, cond, features):
     if total == 0:
         raise ZeroDivisionError("all classes have zero likelihood")
     return [s / total for s in scores]
+
+
+def nb_posterior_log_per_call(priors, cond, features):
+    """Log-space posterior taking every log on each call, in the order
+    the classifier adds them: log prior, then each observed conditional
+    by attribute position, then a max-shifted normalization."""
+
+    def log(p):
+        return math.log(p) if p > 0.0 else float("-inf")
+
+    scores = []
+    for c in range(len(priors)):
+        s = log(priors[c])
+        for j, v in enumerate(features):
+            if v is not None:
+                s += log(cond[j][c][v])
+        scores.append(s)
+    top = max(scores)
+    weights = [math.exp(s - top) for s in scores]
+    total = sum(weights)
+    return tuple(w / total for w in weights)
 
 
 def nb_classify_linear(priors, cond, features):
@@ -179,3 +204,31 @@ def median_mad_pass(values, window, cutoff, eps=1e-9, scale=1.4826):
         if abs(values[i] - med) / (mad * scale + eps) > cutoff:
             out[i] = med
     return out
+
+
+# -- metric streams ---------------------------------------------------
+
+
+def read_metric_samples_per_line(path):
+    """Reference stream reader: ``json.loads`` per line and a new
+    ``ComponentId`` per sample, with no check of the record's shape
+    beyond what building the sample does."""
+    samples = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if line:
+                try:
+                    obj = json.loads(line)
+                    samples.append(
+                        MetricSample(
+                            timestamp=int(obj["timestamp"]),
+                            host_id=obj["host_id"],
+                            vm_id=obj["vm_id"],
+                            metric=ComponentId(name=obj["metric"], level=obj["level"]),
+                            value=float(obj["value"]),
+                        )
+                    )
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {line_no}: {exc}") from exc
+    return samples

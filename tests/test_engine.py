@@ -746,6 +746,25 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         load_config(p)
 
 
+@pytest.mark.parametrize(
+    "section, entry, named",
+    [
+        ("preprocess", {"z_cutof": 0.5}, r"\['z_cutof'\]"),
+        ("loop_rule", {"kk": 9, "k": 2}, r"\['kk'\]"),
+    ],
+    ids=["preprocess", "loop_rule"],
+)
+def test_load_config_rejects_unknown_keys_inside_a_section(tmp_path, section, entry, named):
+    # a misspelt key would otherwise leave its default in force unnoticed
+    cfg_doc = json.loads(open(fixture_path("engine_config.json")).read())
+    cfg_doc["model"]["path"] = fixture_path(cfg_doc["model"]["path"])
+    cfg_doc[section] = entry
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps(cfg_doc))
+    with pytest.raises(ConfigError, match=rf"unknown keys {named} in {section}"):
+        load_config(p)
+
+
 def test_load_config_requires_model_reference(tmp_path):
     p = tmp_path / "config.json"
     p.write_text(json.dumps({"attributes": ["vm.cpu"]}))

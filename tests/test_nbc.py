@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -359,3 +360,24 @@ def test_nbc_matches_equivalent_bn_on_partial_vectors(features):
     # a missing attribute drops out on both sides: no factor in the
     # classifier, no evidence in the network
     _assert_nbc_matches_bn(tuple(features))
+
+
+def test_log_tables_give_the_per_call_log_posterior_bit_for_bit():
+    # posterior adds the tabled logs in the order the per-call formula
+    # takes them, so every sum, and so every posterior, is the same float
+    model, _ = _MODEL_AND_NET
+    cards = [card for _, card in model.schema.attributes]
+    for features in itertools.product(*(range(c) for c in cards)):
+        want = oracles.nb_posterior_log_per_call(model.priors, model.cond, features)
+        assert posterior(model, features) == want, features
+
+
+def test_log_tables_take_no_part_in_equality_or_repr():
+    cond = (((0.5, 0.5), (0.1, 0.9)),)
+    model = _model((0.25, 0.75), cond)
+    assert model.log_priors == (math.log(0.25), math.log(0.75))
+    assert model.log_cond[0][1] == (math.log(0.1), math.log(0.9))
+    other = _model((0.25, 0.75), cond)
+    object.__setattr__(other, "log_priors", (0.0, 0.0))
+    assert other == model
+    assert "log_" not in repr(model)
