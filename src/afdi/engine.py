@@ -20,17 +20,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping, Sequence
 
 from . import mdd as mdd_mod
 from . import nbc as nbc_mod
-from .states import (
-    ComponentId,
-    DiscretizationSpec,
-    MetricSample,
-    discretize,
-)
+from .states import ComponentId, DiscretizationSpec, MetricSample
 
 __all__ = [
     "PreprocessPolicy",
@@ -123,7 +119,9 @@ def preprocess(samples: Iterable[MetricSample], policy: PreprocessPolicy | None 
         entry[1].append(idx)
         entry[2].append(v)
 
-    half = policy.window // 2
+    window = policy.window
+    half = window // 2
+    j = (half + 1) // 2  # ceil(half / 2), for the MAD lower bound below
     cutoff = policy.z_cutoff
     cleaned: list[float | None] = [None] * len(ordered)  # None: dropped
     for _, indices, vals in series.values():
@@ -140,9 +138,20 @@ def preprocess(samples: Iterable[MetricSample], policy: PreprocessPolicy | None 
                 # mean of the middle pair, as statistics.median computes it
                 k, odd = divmod(len(w), 2)
                 med = w[k] if odd else (w[k - 1] + w[k]) / 2
+                dist = abs(vals[i] - med)
+                if len(w) == window:
+                    # w[k - j] and below, and w[k + j] and above, lie at
+                    # least `low` from the median, so at most 2j - 1 < k + 1
+                    # deviations are under `low` and the MAD is at least
+                    # `low`, itself one of the deviations; rounding is
+                    # monotone, so a z within the cutoff under `low` is
+                    # within it under the MAD, and the sample stays
+                    low = min(w[k + j] - med, med - w[k - j])
+                    if dist / (low * _MAD_SCALE + _EPS) <= cutoff:
+                        continue
                 dev = sorted([abs(v - med) for v in w])
                 mad = dev[k] if odd else (dev[k - 1] + dev[k]) / 2
-                if abs(vals[i] - med) / (mad * _MAD_SCALE + _EPS) > cutoff:
+                if dist / (mad * _MAD_SCALE + _EPS) > cutoff:
                     replaced.append((i, med))
             # z > cutoff > 0 needs vals[i] != med, so every replacement
             # changes a value and an empty pass is the fixed point
@@ -192,31 +201,33 @@ def collect_windows(
     missing any configured metric raises; windows come back sorted by
     (timestamp, host, vm) so downstream processing is deterministic.
     """
+    # no key string is formatted per window: rows are keyed by each
+    # component's ComponentId.key, windows by the key lists made below
     vm_rows: dict[tuple, dict[str, float]] = {}
     host_rows: dict[tuple, dict[str, float]] = {}
     for s in samples:
         if s.metric.level == "host":
-            host_rows.setdefault((s.timestamp, s.host_id), {})[s.metric.name] = s.value
+            host_rows.setdefault((s.timestamp, s.host_id), {})[s.metric.key] = s.value
         else:
-            vm_rows.setdefault((s.timestamp, s.host_id, s.vm_id), {})[s.metric.name] = s.value
+            vm_rows.setdefault((s.timestamp, s.host_id, s.vm_id), {})[s.metric.key] = s.value
 
+    vm_keys = [f"vm.{name}" for name in vm_metrics]
+    host_keys = [f"host.{name}" for name in host_metrics]
     windows = []
-    for (ts, host, vm) in sorted(vm_rows):
-        row = vm_rows[(ts, host, vm)]
-        merged = {}
-        for name in vm_metrics:
-            if name not in row:
-                raise IncompleteWindowError(
-                    f"window t={ts} {host}/{vm}: missing vm metric {name!r}"
-                )
-            merged[f"vm.{name}"] = row[name]
+    for ts, host, vm in sorted(vm_rows):
+        row = vm_rows[ts, host, vm]
         hrow = host_rows.get((ts, host), {})
-        for name in host_metrics:
-            if name not in hrow:
-                raise IncompleteWindowError(
-                    f"window t={ts} {host}/{vm}: missing host metric {name!r}"
-                )
-            merged[f"host.{name}"] = hrow[name]
+        merged = {}
+        try:
+            for key in vm_keys:
+                merged[key] = row[key]
+            for key in host_keys:
+                merged[key] = hrow[key]
+        except KeyError as exc:
+            level, _, name = exc.args[0].partition(".")
+            raise IncompleteWindowError(
+                f"window t={ts} {host}/{vm}: missing {level} metric {name!r}"
+            ) from None
         windows.append(Window(ts, host, vm, merged))
     return windows
 
@@ -329,7 +340,10 @@ class EngineConfig:
             if comp.key not in self.specs:
                 raise ConfigError(f"no discretization spec for {comp.key}")
             judged[comp.key] = self.specs[comp.key]
-        self.judged = tuple(judged.items())
+        # (key, boundaries, index of the top boundary) per judged key
+        self.bucket_bounds = tuple(
+            (key, spec.boundaries, len(spec.boundaries) - 1) for key, spec in judged.items()
+        )
         self.attribute_keys = tuple(c.key for c in self.attributes)
         model_names = tuple(name for name, _ in self.model.schema.attributes)
         if model_names != self.attribute_keys:
@@ -417,7 +431,7 @@ class Engine:
         """Usage bucket per judged key; a missing metric raises."""
         values = window.values
         usage = {}
-        for key, spec in self.config.judged:
+        for key, bounds, top in self.config.bucket_bounds:
             try:
                 value = values[key]
             except KeyError:
@@ -425,12 +439,14 @@ class Engine:
                     f"window t={window.timestamp} {window.host_id}/{window.vm_id}: "
                     f"missing {key}"
                 ) from None
-            # preprocess enforces the range of percent metrics only, so
-            # a non-percent metric past the bounds (throughput at 250
-            # tx/s) lands in the edge bucket here, as does any value
-            # from a caller that skips preprocess
-            bounds = spec.boundaries
-            usage[key] = discretize(min(bounds[-1], max(bounds[0], value)), spec)
+            # discretize() of the value clamped to the bounds: searching
+            # the inner boundaries only puts a value past either end in
+            # the edge bucket, and NaN goes to the bottom one as the clamp
+            # sent it.  preprocess enforces the range of percent metrics
+            # only, so a non-percent metric past the bounds (throughput
+            # at 250 tx/s) lands in the edge bucket here, as does any
+            # value from a caller that skips preprocess.
+            usage[key] = bisect_right(bounds, value, 1, top) - 1 if value == value else 0
         return usage
 
     def severity_of(self, window: Window) -> int:
@@ -595,6 +611,10 @@ class Engine:
             self.clock = max(self.clock, boundary)
 
 
+# Python types of each JSON kind a config entry may need; compared
+# exactly, so true is no integer and 2.7 no integer either
+_JSON_KINDS = {"integer": (int,), "number": (int, float), "boolean": (bool,)}
+
 _CONFIG_KEYS = frozenset({
     "model",
     "discretization",
@@ -651,28 +671,41 @@ def load_config(path) -> EngineConfig:
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad config {path}: {exc}") from exc
 
+    def entry(section: str, key: str, default, kind: str):
+        value = doc.get(section, {}).get(key, default)
+        if type(value) not in _JSON_KINDS[kind]:
+            raise ConfigError(
+                f"bad config {path}: {section}.{key} must be a JSON {kind}, got {json.dumps(value)}"
+            )
+        return value
+
     loop_doc = doc.get("loop_rule", {})
     loop_rule = LoopRule(
-        k=int(loop_doc.get("k", 3)),
+        k=entry("loop_rule", "k", 3, "integer"),
         vm_cpu=loop_doc.get("vm_cpu", "vm.cpu"),
         host_cpu=loop_doc.get("host_cpu", "host.cpu"),
         throughput=loop_doc.get("throughput", "vm.throughput"),
-        cpu_bucket=int(loop_doc.get("cpu_bucket", 3)),
-        throughput_bucket=int(loop_doc.get("throughput_bucket", 0)),
+        cpu_bucket=entry("loop_rule", "cpu_bucket", 3, "integer"),
+        throughput_bucket=entry("loop_rule", "throughput_bucket", 0, "integer"),
         cause=loop_doc.get("cause", "endless-loop"),
     )
-    pp_doc = doc.get("preprocess", {})
     policy = PreprocessPolicy(
-        window=int(pp_doc.get("window", 11)),
-        z_cutoff=float(pp_doc.get("z_cutoff", 3.0)),
-        clamp=bool(pp_doc.get("clamp", True)),
+        window=entry("preprocess", "window", 11, "integer"),
+        z_cutoff=float(entry("preprocess", "z_cutoff", 3.0, "number")),
+        clamp=entry("preprocess", "clamp", True, "boolean"),
     )
+    mapping = doc.get("severity_mapping", [0, 0, 1, 2])
+    if type(mapping) is not list or any(type(level) is not int for level in mapping):
+        raise ConfigError(
+            f"bad config {path}: severity_mapping must be a list of JSON integers, "
+            f"got {json.dumps(mapping)}"
+        )
     return EngineConfig(
         specs=specs,
         attributes=attributes,
         severity_components=severity_components,
         model=model,
-        severity_mapping=tuple(doc.get("severity_mapping", (0, 0, 1, 2))),
+        severity_mapping=tuple(mapping),
         loop_rule=loop_rule,
         preprocess=policy,
     )

@@ -11,6 +11,7 @@ engine collapses the four buckets of the default boundaries (0-25,
 from __future__ import annotations
 
 import bisect
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -221,6 +222,66 @@ _NOT_A_RECORD = (
     "host_id, level, metric, timestamp, value and vm_id"
 )
 _decode = json.JSONDecoder().raw_decode
+# lines decoded by one json.loads call; a chunk's joined text stays far
+# below the size of the samples it yields
+_CHUNK_LINES = 1024
+
+
+def _sample(obj, components: dict) -> MetricSample:
+    """The sample one decoded record describes; raises on a bad record."""
+    # six entries, and all six wire keys read below: no other key
+    if type(obj) is not dict or len(obj) != 6:
+        raise ValueError(_NOT_A_RECORD)
+    host_id, vm_id, name, level = obj["host_id"], obj["vm_id"], obj["metric"], obj["level"]
+    timestamp, value = obj["timestamp"], obj["value"]
+    if type(host_id) is not str or not (vm_id is None or type(vm_id) is str):
+        raise ValueError("host_id must be a string and vm_id a string or null")
+    if type(name) is not str or type(level) is not str:
+        raise ValueError("metric and level must be strings")
+    metric = components.get((name, level))
+    if metric is None:
+        metric = components[name, level] = ComponentId(name, level)
+    # bool is a subclass of int, so the types are compared exactly
+    if type(timestamp) is not int:
+        raise ValueError(f"timestamp must be a JSON integer, got {json.dumps(timestamp)}")
+    if type(value) is not float and type(value) is not int:
+        raise ValueError(f"value must be a JSON int or float, got {json.dumps(value)}")
+    return MetricSample(timestamp, host_id, vm_id, metric, float(value))
+
+
+def _chunk_samples(lines: list[str], components: dict) -> list[MetricSample] | None:
+    """The samples of stripped, non-blank lines from one decode call, or
+    None when the lines must be decoded one by one.
+
+    This equals decoding each line: no JSON token holds a raw newline and
+    a valid record holds only scalars, so when every line starts with
+    ``{`` and ends with ``}``, and the array has one element per line,
+    each a valid record, the i-th element is the i-th line's object.
+    """
+    for line in lines:
+        if line[0] != "{" or line[-1] != "}":
+            return None
+    try:
+        objs = json.loads("[" + "\n,".join(lines) + "]")
+        if len(objs) != len(lines):
+            return None
+        return [_sample(obj, components) for obj in objs]
+    except (ValueError, KeyError, OverflowError, RecursionError):
+        return None
+
+
+def _line_sample(path, line_no: int, line: str, components: dict) -> MetricSample:
+    """The sample of one stripped line; a bad record raises naming the line."""
+    try:
+        # the line is stripped, so this accepts exactly what json.loads accepts
+        obj, end = _decode(line)
+        if end != len(line):
+            raise json.JSONDecodeError("Extra data", line, end)
+        return _sample(obj, components)
+    except KeyError as exc:  # a wire key is missing
+        raise ValueError(f"{path}: line {line_no}: {_NOT_A_RECORD}") from exc
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: line {line_no}: {exc}") from exc
 
 
 def read_metric_samples(path) -> list[MetricSample]:
@@ -228,40 +289,29 @@ def read_metric_samples(path) -> list[MetricSample]:
 
     Blank lines are skipped.  Every other line must hold one JSON object
     with exactly the six wire keys: ``host_id``, ``metric`` and ``level``
-    strings, ``vm_id`` a string or null, and ``timestamp`` and ``value``
-    that ``int()`` and ``float()`` accept.  Anything else, and any sample
-    ``MetricSample`` rejects, raises ``ValueError`` naming the path and
-    the 1-based line.  Samples of one component share one ``ComponentId``.
+    strings, ``vm_id`` a string or null, ``timestamp`` a JSON integer and
+    ``value`` a JSON integer or float (``true`` and ``"42.5"`` are
+    neither).  Anything else, and any sample ``MetricSample`` rejects,
+    raises ``ValueError`` naming the path and the 1-based line.  Samples
+    of one component share one ``ComponentId``.
+
+    Lines are decoded ``_CHUNK_LINES`` at a time with one ``json.loads``
+    call; a chunk that does not decode to one valid record per line is
+    decoded again line by line, which names the first bad line.
     """
     samples = []
     components: dict[tuple[str, str], ComponentId] = {}  # valid ones only
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                # the line is stripped, so this accepts exactly what
-                # json.loads accepts
-                obj, end = _decode(line)
-                if end != len(line):
-                    raise json.JSONDecodeError("Extra data", line, end)
-                # six entries, and all six wire keys read below: no other key
-                if type(obj) is not dict or len(obj) != 6:
-                    raise ValueError(_NOT_A_RECORD)
-                host_id, vm_id, name, level = obj["host_id"], obj["vm_id"], obj["metric"], obj["level"]
-                if type(host_id) is not str or not (vm_id is None or type(vm_id) is str):
-                    raise ValueError("host_id must be a string and vm_id a string or null")
-                if type(name) is not str or type(level) is not str:
-                    raise ValueError("metric and level must be strings")
-                metric = components.get((name, level))
-                if metric is None:
-                    metric = components[name, level] = ComponentId(name, level)
-                samples.append(
-                    MetricSample(int(obj["timestamp"]), host_id, vm_id, metric, float(obj["value"]))
-                )
-            except KeyError as exc:  # a wire key is missing
-                raise ValueError(f"{path}: line {line_no}: {_NOT_A_RECORD}") from exc
-            except (ValueError, TypeError, OverflowError) as exc:
-                raise ValueError(f"{path}: line {line_no}: {exc}") from exc
+        first_line = 1
+        while chunk := list(itertools.islice(fh, _CHUNK_LINES)):
+            lines = [line for line in map(str.strip, chunk) if line]
+            fast = _chunk_samples(lines, components) if lines else []
+            if fast is not None:
+                samples += fast
+            else:
+                for line_no, line in enumerate(chunk, start=first_line):
+                    line = line.strip()
+                    if line:
+                        samples.append(_line_sample(path, line_no, line, components))
+            first_line += len(chunk)
     return samples

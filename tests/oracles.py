@@ -14,7 +14,7 @@ import math
 import statistics
 from math import prod
 
-from afdi.states import ComponentId, MetricSample
+from afdi.states import ComponentId, MetricSample, StateVector, discretize
 
 
 # -- decision diagrams ------------------------------------------------
@@ -209,26 +209,130 @@ def median_mad_pass(values, window, cutoff, eps=1e-9, scale=1.4826):
 # -- metric streams ---------------------------------------------------
 
 
+def _samples_per_line(lines, name):
+    samples = []
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if line:
+            try:
+                obj = json.loads(line)
+                samples.append(
+                    MetricSample(
+                        timestamp=int(obj["timestamp"]),
+                        host_id=obj["host_id"],
+                        vm_id=obj["vm_id"],
+                        metric=ComponentId(name=obj["metric"], level=obj["level"]),
+                        value=float(obj["value"]),
+                    )
+                )
+            except ValueError as exc:
+                raise ValueError(f"{name}: line {line_no}: {exc}") from exc
+    return samples
+
+
 def read_metric_samples_per_line(path):
     """Reference stream reader: ``json.loads`` per line and a new
     ``ComponentId`` per sample, with no check of the record's shape
     beyond what building the sample does."""
-    samples = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line:
-                try:
-                    obj = json.loads(line)
-                    samples.append(
-                        MetricSample(
-                            timestamp=int(obj["timestamp"]),
-                            host_id=obj["host_id"],
-                            vm_id=obj["vm_id"],
-                            metric=ComponentId(name=obj["metric"], level=obj["level"]),
-                            value=float(obj["value"]),
-                        )
-                    )
-                except ValueError as exc:
-                    raise ValueError(f"{path}: line {line_no}: {exc}") from exc
-    return samples
+        return _samples_per_line(fh, path)
+
+
+# -- the diagnose pipeline ---------------------------------------------
+
+PERCENT_METRICS = {"cpu", "memory", "network", "storage_io"}
+
+
+class OracleRejects(ValueError):
+    """The stream cannot be diagnosed (out of order, or a window short of
+    a metric); ``afdi diagnose`` must fail on it too."""
+
+
+def oracle_diagnose(lines, config):
+    """The alarm records ``afdi diagnose`` writes for a JSON Lines stream,
+    as dicts, derived stage by stage the plain way.
+
+    Lines are read by ``json.loads`` each; every series is clamped (or
+    dropped) and run through ``median_mad_pass`` until a pass changes
+    nothing or 64 passes ran; windows are dicts keyed by component key;
+    severity is ``Mdd.evaluate`` over a ``StateVector`` of mapped levels;
+    a minor window's diagnosis takes every log on each call.
+    """
+    policy = config.preprocess
+    series = {}
+    for s in _samples_per_line(lines, "<stream>"):
+        series.setdefault((s.host_id, s.vm_id, s.metric), []).append(s)
+
+    vm_rows, host_rows = {}, {}
+    for (host, vm, metric), samples in series.items():
+        times = [s.timestamp for s in samples]
+        if times != sorted(times):
+            raise OracleRejects(f"{host}/{vm} {metric.key}: out of order")
+        kept = []
+        for s in samples:
+            value = s.value
+            if metric.name in PERCENT_METRICS and not 0.0 <= value <= 100.0:
+                if not policy.clamp:
+                    continue
+                value = min(100.0, max(0.0, value))
+            kept.append((s.timestamp, value))
+        values = [v for _, v in kept]
+        for _ in range(64):
+            after = median_mad_pass(values, policy.window, policy.z_cutoff)
+            if after == values:
+                break
+            values = after
+        for (ts, _), value in zip(kept, values):
+            if metric.level == "host":
+                host_rows.setdefault((ts, host), {})[metric.key] = value
+            else:
+                vm_rows.setdefault((ts, host, vm), {})[metric.key] = value
+
+    model = config.model
+    rule = config.loop_rule
+    judged = list(dict.fromkeys(config.attributes + config.severity_components))
+    streak, fired = {}, {}
+    alarms = []
+    for ts, host, vm in sorted(vm_rows):
+        window = {**vm_rows[ts, host, vm], **host_rows.get((ts, host), {})}
+        usage = {}
+        for comp in judged:
+            if comp.key not in window:
+                raise OracleRejects(f"t={ts} {host}/{vm}: no {comp.key}")
+            spec = config.specs[comp.key]
+            low, high = spec.boundaries[0], spec.boundaries[-1]
+            usage[comp.key] = discretize(min(high, max(low, window[comp.key])), spec)
+        levels = [config.severity_mapping[usage[c.key]] for c in config.severity_components]
+        severity = config.severity_mdd.evaluate(
+            StateVector.from_levels(config.severity_components, levels)
+        )
+
+        alarm = {"timestamp": ts, "host_id": host, "vm_id": vm, "severity": severity}
+        scope = (host, vm)
+        if (
+            usage[rule.vm_cpu] >= rule.cpu_bucket
+            and usage[rule.host_cpu] >= rule.cpu_bucket
+            and usage[rule.throughput] <= rule.throughput_bucket
+        ):
+            streak[scope] = streak.get(scope, 0) + 1
+        else:
+            streak[scope] = 0
+            fired[scope] = False
+        if streak[scope] >= rule.k and not fired.get(scope, False):
+            fired[scope] = True
+            alarm.update(
+                trigger="nbc_diagnosis",
+                diagnosis=[1.0 if c == rule.cause else 0.0 for c in config.classes],
+                top_cause=rule.cause,
+            )
+        elif severity == 2:
+            alarm.update(trigger="severity_gate", diagnosis=None, top_cause=None)
+        elif severity == 1:
+            features = [usage[c.key] for c in config.attributes]
+            post = nb_posterior_log_per_call(model.priors, model.cond, features)
+            top = max(range(len(post)), key=lambda c: (post[c], -c))
+            alarm.update(trigger="nbc_diagnosis", diagnosis=list(post), top_cause=config.classes[top])
+        else:
+            continue
+        alarms.append(alarm)
+    return alarms

@@ -1,0 +1,152 @@
+"""``afdi diagnose`` end to end: the fleet alarm logs pinned, and every
+alarm equal to the plain-way oracle's on small random streams."""
+
+import hashlib
+import importlib.util
+import json
+import pathlib
+import random
+import tempfile
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from afdi import cli
+from afdi.engine import load_config
+from afdi.simulator import generate, load_scenario
+from afdi.states import write_metric_samples
+from conftest import fixture_path
+
+import oracles
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _workloads():
+    """The benchmark's scenario builders, loaded from their file."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def _diagnose(config_path, metrics_path, alarms_path) -> int:
+    return cli.main(
+        ["diagnose", "--config", str(config_path), "--metrics", str(metrics_path),
+         "--out-alarms", str(alarms_path)]
+    )
+
+
+# SHA-256 of the alarm log of each 4x8 benchmark fleet at seed 3; each
+# stream is 108,800 lines, so it crosses many of the reader's chunks
+FLEET_ALARM_LOG_SHA256 = {
+    "fleet-replay": "2a8d5cb73f27e125e3207bc94f1eb483d7c8e377e932c95c7700d95d85556512",
+    "hot-fleet": "0be3e231484347bdd5f2b222ecec8fd407b0e8e105611f8a3b041efda7620de5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLEET_ALARM_LOG_SHA256))
+def test_fleet_alarm_log_through_the_reader_pinned(tmp_path, name):
+    samples, _ = generate(load_scenario(_workloads()[name](str(ROOT), 3)))
+    metrics, alarms = tmp_path / "metrics.jsonl", tmp_path / "alarms.jsonl"
+    write_metric_samples(samples, metrics)
+    assert _diagnose(fixture_path("engine_config.json"), metrics, alarms) == 0
+    assert hashlib.sha256(alarms.read_bytes()).hexdigest() == FLEET_ALARM_LOG_SHA256[name]
+
+
+# -- against the oracle ------------------------------------------------
+
+# base value of each metric per regime; "edge" holds percent values the
+# preprocessor clamps (or drops) and a throughput past its bounds
+VM_REGIMES = {
+    "idle": {"cpu": 12.0, "memory": 30.0, "network": 10.0, "throughput": 60.0},
+    "minor": {"cpu": 15.0, "memory": 62.0, "network": 12.0, "throughput": 55.0},
+    "loop": {"cpu": 96.0, "memory": 30.0, "network": 10.0, "throughput": 5.0},
+    "serious": {"cpu": 20.0, "memory": 35.0, "network": 88.0, "throughput": 40.0},
+    "edge": {"cpu": 101.0, "memory": -2.0, "network": 100.0, "throughput": 250.0},
+}
+HOST_REGIMES = {
+    "calm": {"cpu": 20.0, "storage_io": 15.0},
+    "hot": {"cpu": 92.0, "storage_io": 30.0},
+    "busy": {"cpu": 60.0, "storage_io": 55.0},
+}
+
+
+def _regime_runs(names):
+    return st.lists(st.tuples(st.sampled_from(names), st.integers(1, 8)), min_size=1, max_size=5)
+
+
+def _expand(runs, length):
+    out = [name for name, n in runs for _ in range(n)]
+    return (out + out[-1:] * length)[:length]
+
+
+@st.composite
+def streams(draw):
+    """JSON Lines of a small fleet, in time order per series."""
+    duration = draw(st.integers(1, 30))
+    hosts = draw(st.integers(1, 2))
+    vms = draw(st.integers(1, 3))
+    # loops need a looping VM on a hot host, so both come up twice as often
+    host_plan = [
+        _expand(draw(_regime_runs(["calm", "hot", "hot", "busy"])), duration) for _ in range(hosts)
+    ]
+    vm_plan = [
+        [_expand(draw(_regime_runs(["idle", "minor", "loop", "loop", "serious", "edge"])), duration)
+         for _ in range(vms)]
+        for _ in range(hosts)
+    ]
+    jitter = draw(st.sampled_from([0.0, 1.0, 4.0]))
+    outlier_rate = draw(st.sampled_from([0.0, 0.05, 0.2]))
+    shuffle = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def value(base):
+        v = base + rng.uniform(-jitter, jitter)
+        if rng.random() < outlier_rate:
+            v += rng.choice((-1, 1)) * rng.uniform(20.0, 80.0)
+        return v
+
+    lines = []
+    for t in range(duration):
+        batch = []
+        for h in range(hosts):
+            for metric, base in HOST_REGIMES[host_plan[h][t]].items():
+                batch.append({"host_id": f"h{h}", "vm_id": None, "level": "host",
+                              "metric": metric, "timestamp": 1000 * t, "value": value(base)})
+            for v in range(vms):
+                for metric, base in VM_REGIMES[vm_plan[h][v][t]].items():
+                    batch.append({"host_id": f"h{h}", "vm_id": f"vm{v}", "level": "vm",
+                                  "metric": metric, "timestamp": 1000 * t, "value": value(base)})
+        if shuffle:
+            rng.shuffle(batch)
+        lines += [json.dumps(obj, sort_keys=True) for obj in batch]
+    return lines
+
+
+@settings(max_examples=150)
+@given(
+    lines=streams(),
+    window=st.sampled_from([3, 5, 11]),
+    z_cutoff=st.sampled_from([1.0, 3.0]),
+    clamp=st.sampled_from([True, True, True, False]),
+)
+def test_diagnose_matches_the_oracle_alarm_for_alarm(lines, window, z_cutoff, clamp):
+    with open(fixture_path("engine_config.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["model"]["path"] = fixture_path(doc["model"]["path"])
+    doc["preprocess"] = {"window": window, "z_cutoff": z_cutoff, "clamp": clamp}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        config_path, metrics, alarms = tmp / "config.json", tmp / "metrics.jsonl", tmp / "alarms.jsonl"
+        config_path.write_text(json.dumps(doc))
+        metrics.write_text("".join(line + "\n" for line in lines))
+        rc = _diagnose(config_path, metrics, alarms)
+        try:
+            expected = oracles.oracle_diagnose(lines, load_config(config_path))
+        except oracles.OracleRejects:
+            assert rc == 1
+            return
+        assert rc == 0
+        got = [json.loads(line) for line in alarms.read_text().splitlines()]
+    assert got == expected

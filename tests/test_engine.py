@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -333,6 +334,22 @@ def test_throughput_past_its_bounds_is_clamped_to_the_top_bucket(config, monkeyp
     assert len(alarms) == len(seen) == 15
     throughput = config.attribute_keys.index("vm.throughput")
     assert {f[throughput] for f in seen} == {3}
+
+
+_BUCKET_PROBES = [-math.inf, -5.0, 250.0, math.inf, math.nan] + [
+    v for b in (0.0, 25.0, 50.0, 75.0, 100.0)
+    for v in (math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf))
+]
+
+
+@pytest.mark.parametrize("value", _BUCKET_PROBES, ids=[repr(v) for v in _BUCKET_PROBES])
+def test_usage_bucket_is_the_bucket_of_the_clamped_value(config, value):
+    # the engine looks buckets up inline; this is the clamp-then-discretize
+    # it stands for, NaN (which the clamp sends to the bottom) included
+    spec = config.specs["vm.throughput"]
+    low, high = spec.boundaries[0], spec.boundaries[-1]
+    usage = Engine(config)._usage(window_at(0, variant(**{"vm.throughput": value})))
+    assert usage["vm.throughput"] == discretize(min(high, max(low, value)), spec)
 
 
 def test_severity_uses_mapped_buckets(config):
@@ -763,6 +780,54 @@ def test_load_config_rejects_unknown_keys_inside_a_section(tmp_path, section, en
     p.write_text(json.dumps(cfg_doc))
     with pytest.raises(ConfigError, match=rf"unknown keys {named} in {section}"):
         load_config(p)
+
+
+@pytest.mark.parametrize(
+    "section, key, value, named",
+    [
+        ("preprocess", "clamp", "false", r"preprocess\.clamp must be a JSON boolean, got \"false\""),
+        ("preprocess", "clamp", 0, r"preprocess\.clamp must be a JSON boolean, got 0"),
+        ("preprocess", "window", 11.9, r"preprocess\.window must be a JSON integer, got 11\.9"),
+        ("preprocess", "window", True, r"preprocess\.window must be a JSON integer, got true"),
+        ("preprocess", "z_cutoff", "3", r"preprocess\.z_cutoff must be a JSON number, got \"3\""),
+        ("preprocess", "z_cutoff", False, r"preprocess\.z_cutoff must be a JSON number, got false"),
+        ("loop_rule", "k", 2.7, r"loop_rule\.k must be a JSON integer, got 2\.7"),
+        ("loop_rule", "cpu_bucket", True, r"loop_rule\.cpu_bucket must be a JSON integer, got true"),
+        ("loop_rule", "throughput_bucket", 0.5,
+         r"loop_rule\.throughput_bucket must be a JSON integer, got 0\.5"),
+        (None, "severity_mapping", [0, 0, 1.0, 2],
+         r"severity_mapping must be a list of JSON integers, got \[0, 0, 1\.0, 2\]"),
+        (None, "severity_mapping", [0, 0, True, 2],
+         r"severity_mapping must be a list of JSON integers, got \[0, 0, true, 2\]"),
+        (None, "severity_mapping", "0012", r"severity_mapping must be a list of JSON integers"),
+    ],
+    ids=[
+        "clamp-string", "clamp-number", "window-fraction", "window-true", "z-cutoff-string",
+        "z-cutoff-false", "k-fraction", "cpu-bucket-true", "throughput-bucket-fraction",
+        "mapping-float", "mapping-true", "mapping-string",
+    ],
+)
+def test_load_config_rejects_entries_of_the_wrong_json_type(tmp_path, section, key, value, named):
+    # before, int(), float() and bool() took these: "false" loaded as
+    # clamp=True, 11.9 as window 11, and a float in the mapping aborted
+    # the run at the first window in that bucket
+    cfg_doc = json.loads(open(fixture_path("engine_config.json")).read())
+    cfg_doc["model"]["path"] = fixture_path(cfg_doc["model"]["path"])
+    (cfg_doc[section] if section else cfg_doc)[key] = value
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps(cfg_doc))
+    with pytest.raises(ConfigError, match=named):
+        load_config(p)
+
+
+def test_load_config_takes_an_integer_z_cutoff_as_a_number(tmp_path):
+    cfg_doc = json.loads(open(fixture_path("engine_config.json")).read())
+    cfg_doc["model"]["path"] = fixture_path(cfg_doc["model"]["path"])
+    cfg_doc["preprocess"]["z_cutoff"] = 2
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps(cfg_doc))
+    z_cutoff = load_config(p).preprocess.z_cutoff
+    assert z_cutoff == 2.0 and type(z_cutoff) is float
 
 
 def test_load_config_requires_model_reference(tmp_path):

@@ -6,6 +6,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from afdi import states
 from afdi.states import (
     ComponentId,
     DiscretizationSpec,
@@ -224,6 +225,7 @@ _SAME_OUTCOME = {
     "extra-data": f"{_GOOD}\n{_GOOD} x\n",
     "two-objects": f"{_GOOD}\n{_GOOD}{_GOOD_HOST}\n",
     "two-objects-spaced": f"{_GOOD}\n{_GOOD} {_GOOD_HOST}\n",
+    "two-objects-comma": f"{_GOOD}\n{_GOOD}, {_GOOD_HOST}\n",
     "trailing-comma": f"{_GOOD}\n{_GOOD},\n",
     "bom-first-line": "\ufeff" + _GOOD + "\n",
     "bom-second-line": _GOOD + "\n\ufeff" + _GOOD_HOST + "\n",
@@ -232,7 +234,6 @@ _SAME_OUTCOME = {
         for v in ("NaN", "Infinity", "-Infinity", "1e999")
     },
     "value-1e308": _good_with("42.5", "1e308") + "\n",
-    "value-numeric-string": _GOOD + "\n" + _good_with("42.5", '"42.5"') + "\n",
     "value-text": _GOOD + "\n" + _good_with("42.5", '"x"') + "\n",
     "bad-level": _GOOD + "\n" + _good_with('"vm"', '"container"') + "\n",
     "host-metric-with-vm": _GOOD_HOST.replace("null", '"vm0"') + "\n",
@@ -263,7 +264,14 @@ def _with(**changes):
         pytest.param(_with(value=None), "float", id="value-null"),
         pytest.param(_with(timestamp=None), "int", id="timestamp-null"),
         pytest.param(_with(timestamp=[0]), "int", id="timestamp-list"),
-        pytest.param(_with(timestamp=math.inf), "infinity", id="timestamp-infinity"),
+        pytest.param(_with(timestamp=math.inf), "JSON integer, got Infinity", id="timestamp-infinity"),
+        pytest.param(_with(timestamp=1000.7), "JSON integer, got 1000.7", id="timestamp-fraction"),
+        pytest.param(_with(timestamp=1000.0), "JSON integer, got 1000.0", id="timestamp-integral-float"),
+        pytest.param(_with(timestamp=True), "JSON integer, got true", id="timestamp-true"),
+        pytest.param(_with(timestamp="1000"), 'JSON integer, got "1000"', id="timestamp-string"),
+        pytest.param(_with(value="42.5"), 'JSON int or float, got "42.5"', id="value-numeric-string"),
+        pytest.param(_with(value=False), "JSON int or float, got false", id="value-false"),
+        pytest.param(_with(value=True), "JSON int or float, got true", id="value-true"),
         pytest.param(_with(level=_MISSING), "keys", id="level-missing"),
         pytest.param(_with(extra=1), "keys", id="extra-key"),
         pytest.param(_with(level=_MISSING, lvl="vm"), "keys", id="key-renamed"),
@@ -281,3 +289,49 @@ def test_reader_rejects_malformed_records_naming_the_line(tmp_path, bad, message
     path.write_text(f"{_GOOD}\n{bad}\n{_GOOD}\n")
     with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: line 2: .*{message}"):
         read_metric_samples(path)
+
+
+# -- chunked decode ---------------------------------------------------
+
+CHUNK = states._CHUNK_LINES
+
+
+def test_reader_rejects_a_record_split_over_two_lines_naming_the_first(tmp_path):
+    # joined into one array the two lines decode to two valid records,
+    # the second spanning both lines; line 1 is not one braced record
+    first = _GOOD + ', {"host_id": "h0", "level": "vm", "metric": "cpu"'
+    second = '"timestamp": 1000, "value": 42.5, "vm_id": "vm0"}'
+    path = tmp_path / "stream.jsonl"
+    path.write_text(f"{first}\n{second}\n")
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: line 1: "):
+        read_metric_samples(path)
+
+
+@pytest.mark.parametrize("bad_line", [CHUNK, CHUNK + 1], ids=["last-of-chunk", "first-of-next"])
+def test_reader_names_a_bad_record_at_a_chunk_boundary_by_its_line(tmp_path, bad_line):
+    lines = [_GOOD] * (2 * CHUNK)
+    lines[bad_line - 1] = _good_with('"vm"', '"container"')
+    path = tmp_path / "stream.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf": line {bad_line}: component level must be"):
+        read_metric_samples(path)
+
+
+def test_reader_matches_per_line_reader_over_many_chunks(tmp_path):
+    # blank lines shift the records against the chunk boundaries
+    records = []
+    for i in range(2 * CHUNK + 300):
+        if i % 97 == 0:
+            records.append("   ")
+        host = i % 5 == 0
+        sample = MetricSample(
+            1000 * (i // 6), "h0", None if host else f"vm{i % 3}",
+            ComponentId("storage_io" if host else "memory", "host" if host else "vm"),
+            float(i % 101) + 0.25 if i % 2 else float(i % 7),
+        )
+        records.append(json.dumps(sample.to_json_obj(), sort_keys=i % 3 == 0))
+    path = tmp_path / "stream.jsonl"
+    path.write_text("\n".join(records) + "\n")
+    got = read_metric_samples(path)
+    assert len(got) == 2 * CHUNK + 300
+    assert got == oracles.read_metric_samples_per_line(path)
