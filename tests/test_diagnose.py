@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from afdi import cli
 from afdi.engine import load_config
-from afdi.simulator import generate, load_scenario
+from afdi.simulator import generate, load_scenario, write_labels
 from afdi.states import write_metric_samples
 from conftest import fixture_path
 
@@ -43,15 +43,34 @@ FLEET_ALARM_LOG_SHA256 = {
     "fleet-replay": "2a8d5cb73f27e125e3207bc94f1eb483d7c8e377e932c95c7700d95d85556512",
     "hot-fleet": "0be3e231484347bdd5f2b222ecec8fd407b0e8e105611f8a3b041efda7620de5",
 }
+# SHA-256 of the metric stream and of the labels file the simulator
+# writes for each fleet at seed 3: the bytes every fixture, the shipped
+# model and both benchmark fleets rest on
+FLEET_STREAM_SHA256 = {
+    "fleet-replay": (
+        "815ace3806ecb201bd5c804562f4ce6969e7e8e96692b837d1115995d409598d",
+        "2e1018c58fc82940d6a053bc2757ea4b3a4ba408409f4667814231c7a98de387",
+    ),
+    "hot-fleet": (
+        "40d9e79b95952b87c1a1f7848afdde1f1a9a6d67b1fdf9f473c1394f8959d363",
+        "50447e8d741554d8abbc39e784a0309da06081b6d271c579215f30c44ed6f5c0",
+    ),
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(FLEET_ALARM_LOG_SHA256))
 def test_fleet_alarm_log_through_the_reader_pinned(tmp_path, name):
-    samples, _ = generate(load_scenario(_workloads()[name](str(ROOT), 3)))
+    samples, labels = generate(load_scenario(_workloads()[name](str(ROOT), 3)))
     metrics, alarms = tmp_path / "metrics.jsonl", tmp_path / "alarms.jsonl"
     write_metric_samples(samples, metrics)
+    write_labels(labels, tmp_path / "labels.csv")
+    assert (_sha256(metrics), _sha256(tmp_path / "labels.csv")) == FLEET_STREAM_SHA256[name]
     assert _diagnose(fixture_path("engine_config.json"), metrics, alarms) == 0
-    assert hashlib.sha256(alarms.read_bytes()).hexdigest() == FLEET_ALARM_LOG_SHA256[name]
+    assert _sha256(alarms) == FLEET_ALARM_LOG_SHA256[name]
 
 
 # -- against the oracle ------------------------------------------------

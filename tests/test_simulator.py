@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import os
+import pathlib
 
 import pytest
 
@@ -19,6 +22,8 @@ from afdi.simulator import (
 )
 from afdi.states import ComponentId, DiscretizationSpec, discretize, write_metric_samples
 from conftest import fixture_path
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 BOUNDS = (0.0, 25.0, 50.0, 75.0, 100.0)
 ATTR_KEYS = ("vm.cpu", "vm.memory", "vm.network", "vm.throughput", "host.cpu", "host.storage_io")
@@ -111,12 +116,34 @@ def test_no_injection_all_normal_within_jitter():
         assert mean - jitter <= s.value <= mean + jitter
 
 
-def test_sample_count_and_ordering():
-    samples, _ = generate(small(duration=5, hosts=2, vms_per_host=3))
+@pytest.mark.parametrize(
+    "hosts, vms_per_host, injections",
+    [
+        (2, 3, ()),
+        # ids compare as strings on the wire: "h10" < "h2" and "vm10" < "vm2"
+        (
+            11,
+            11,
+            (
+                FaultInjection("endless_loop", "h10", 1, 4, vm="vm10"),
+                FaultInjection("serious_crash", "h2", 0, 3, metric="storage_io"),
+                FaultInjection("cpu_hog", "h2", 2, 5, vm="vm3"),
+            ),
+        ),
+    ],
+    ids=["2x3", "11x11"],
+)
+def test_sample_count_and_ordering(hosts, vms_per_host, injections):
+    samples, labels = generate(
+        small(duration=5, hosts=hosts, vms_per_host=vms_per_host, injections=injections)
+    )
     # per window: 2 host metrics per host + 4 vm metrics per vm
-    assert len(samples) == 5 * (2 * 2 + 2 * 3 * 4)
+    assert len(samples) == 5 * (2 * hosts + 4 * hosts * vms_per_host)
     keys = [(s.timestamp, s.host_id, s.vm_id or "", s.metric.level, s.metric.name) for s in samples]
     assert keys == sorted(keys)
+    label_keys = [(l.window, l.host, l.vm) for l in labels]
+    assert len(labels) == 5 * hosts * vms_per_host
+    assert label_keys == sorted(label_keys)
 
 
 def test_values_clamped_to_percent_range():
@@ -203,6 +230,18 @@ def test_host_crash_labels_every_vm_on_host():
             assert l.label == "serious_crash"
         else:
             assert l.label == "normal"
+
+
+def test_vm_fault_label_wins_over_host_crash():
+    # the crash labels every vm on h0 except the one with its own fault
+    crash = FaultInjection("serious_crash", "h0", 3, 8, metric="storage_io")
+    hog = FaultInjection("cpu_hog", "h0", 5, 10, vm="vm1")
+    _, labels = generate(small(vms_per_host=2, injections=[crash, hog]))
+    got = {(l.window, l.vm): l.label for l in labels}
+    assert [got[w, "vm0"] for w in range(2, 10)] == ["normal"] + ["serious_crash"] * 5 + ["normal"] * 2
+    assert [got[w, "vm1"] for w in range(2, 11)] == (
+        ["normal"] + ["serious_crash"] * 2 + ["cpu_hog"] * 5 + ["normal"]
+    )
 
 
 def test_distinct_faults_have_distinct_full_effect_signatures():
@@ -409,3 +448,17 @@ def test_labels_csv_bad_header(tmp_path):
     p.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(AlignmentError, match="header"):
         read_labels(p)
+
+
+def test_make_fixtures_reproduces_every_fixture(tmp_path):
+    # guards the chain the shipped model hash rests on: simulator ->
+    # to_training_set -> train -> engine_config.json
+    spec = importlib.util.spec_from_file_location("make_fixtures", ROOT / "scripts" / "make_fixtures.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.FIXTURES = str(tmp_path)
+    module.main()
+    fixtures = ROOT / "fixtures"
+    assert sorted(os.listdir(tmp_path)) == sorted(os.listdir(fixtures))
+    for name in os.listdir(fixtures):
+        assert (tmp_path / name).read_bytes() == (fixtures / name).read_bytes(), name
