@@ -7,7 +7,9 @@ scopes can be generated independently and in parallel without changing
 a single byte of output.  The generator algorithm is recorded in the
 run metadata (``mt19937``, the stdlib Mersenne Twister).
 
-Fault kinds and their effect over the injection span:
+The scopes an injection reaches are ``FaultInjection.scopes()``; what it
+does to each metric there is ``_pinned``.  Fault kinds and their effect
+over the injection span:
 
 - ``cpu_hog``        VM cpu jumps to 75 + 25*intensity percent.
 - ``memory_leak``    VM memory ramps linearly from baseline up to
@@ -52,6 +54,7 @@ __all__ = [
 
 RNG_ALGORITHM = "mt19937"
 
+# in name order: each scope draws its jitter, and emits, in this order
 VM_METRICS = ("cpu", "memory", "network", "throughput")
 HOST_METRICS = ("cpu", "storage_io")
 
@@ -125,11 +128,10 @@ class FaultInjection:
         return self.start <= window < self.end
 
     def scopes(self) -> frozenset:
-        """(host, vm) scopes whose samples this injection touches."""
+        """The (host, vm) scopes this injection reaches: its own, which is
+        ``(host, None)`` for a host crash, and the host's for a loop."""
         if self.kind == KIND_ENDLESS_LOOP:
             return frozenset({(self.host, self.vm), (self.host, None)})
-        if self.kind == KIND_SERIOUS_CRASH and self.metric in HOST_METRICS and self.vm is None:
-            return frozenset({(self.host, None)})
         return frozenset({(self.host, self.vm)})
 
 
@@ -167,16 +169,14 @@ class Scenario:
             mean, jitter = self.baseline[key]
             if jitter < 0:
                 raise ScenarioError(f"negative jitter for {key}")
-        host_ids = {f"h{i}" for i in range(self.hosts)}
-        vm_ids = {f"vm{i}" for i in range(self.vms_per_host)}
         for inj in self.injections:
             if inj.end > self.duration:
                 raise ScenarioError(
                     f"injection [{inj.start}, {inj.end}) exceeds duration {self.duration}"
                 )
-            if inj.host not in host_ids:
+            if inj.host not in self.host_ids():
                 raise ScenarioError(f"injection targets unknown host {inj.host!r}")
-            if inj.vm is not None and inj.vm not in vm_ids:
+            if inj.vm is not None and inj.vm not in self.vm_ids():
                 raise ScenarioError(f"injection targets unknown vm {inj.vm!r}")
         # reject overlapping injections that touch a common scope: each
         # window/scope must have at most one active fault so ground
@@ -213,113 +213,79 @@ def _clamp(v: float) -> float:
     return min(100.0, max(0.0, v))
 
 
-def _label_for(scenario: Scenario, window: int, host: str, vm: str) -> str:
-    # an injection aimed at this vm wins; a host-wide crash covers every
-    # vm on the host; side effects (a neighbour's loop raising host cpu)
-    # do not relabel healthy vms
-    for inj in scenario.injections:
-        if inj.active(window) and inj.host == host and inj.vm == vm:
-            return inj.kind
-    for inj in scenario.injections:
-        if (
-            inj.active(window)
-            and inj.kind == KIND_SERIOUS_CRASH
-            and inj.host == host
-            and inj.vm is None
-        ):
-            return inj.kind
-    return LABEL_NORMAL
+def _pinned(inj: FaultInjection, metric: str, window: int, baseline, jitter: float) -> float | None:
+    """The value ``inj`` pins ``metric`` to in ``window``, or None.
+
+    ``metric`` is a metric name of a scope the injection reaches
+    (``FaultInjection.scopes``); ``jitter`` is that sample's draw.
+    """
+    kind = inj.kind
+    if kind == KIND_CPU_HOG and metric == "cpu" or kind == KIND_NETWORK_OVERHEAD and metric == "network":
+        return 75.0 + 25.0 * inj.intensity + jitter
+    if kind == KIND_MEMORY_LEAK and metric == "memory":
+        base = baseline["vm.memory"][0]
+        target = 75.0 + 25.0 * inj.intensity
+        span = inj.end - inj.start - 1
+        progress = 1.0 if span == 0 else (window - inj.start) / span
+        return base + (target - base) * progress + jitter
+    if kind == KIND_ENDLESS_LOOP and metric == "cpu":  # the vm's and the host's
+        return 80.0 + 20.0 * inj.intensity + jitter
+    if kind == KIND_ENDLESS_LOOP and metric == "throughput":
+        return 0.10 * baseline["vm.throughput"][0] + jitter
+    if kind == KIND_SERIOUS_CRASH and metric == inj.metric:
+        return 100.0
+    return None
 
 
 def generate(scenario: Scenario) -> tuple[list[MetricSample], list[WindowLabel]]:
-    """Produce the metric stream and per-window ground truth.
+    """Produce the metric stream and per-window ground truth, in wire order.
 
-    Jitter draws happen per scope in a fixed (window, metric) order and
-    are consumed whether or not an injection overrides the value, so
-    adding an injection never shifts the noise pattern elsewhere.
+    Samples come ordered by timestamp, host id, vm id (the host's own
+    samples first), level and metric name; labels by window, host and
+    vm.  Ids compare as strings, so ``"h10"`` precedes ``"h2"``.  Jitter
+    draws happen per scope in a fixed (window, metric) order and are
+    consumed whether or not an injection overrides the value, so adding
+    an injection never shifts the noise pattern elsewhere.  The first
+    active injection, in scenario order, that pins a metric sets it.
     """
+    reach: dict[tuple[str, str | None], list[FaultInjection]] = {}
+    for inj in scenario.injections:
+        for scope in inj.scopes():
+            reach.setdefault(scope, []).append(inj)
+    metrics = {
+        level: [(name, ComponentId(name, level), *scenario.baseline[f"{level}.{name}"]) for name in names]
+        for level, names in (("host", HOST_METRICS), ("vm", VM_METRICS))
+    }
+    scopes = [
+        (host, vm, random.Random(_subseed(scenario.seed, host, vm)), reach.get((host, vm), ()))
+        for host in sorted(scenario.host_ids())
+        for vm in [None, *sorted(scenario.vm_ids())]
+    ]
+
     samples: list[MetricSample] = []
     labels: list[WindowLabel] = []
-
-    for host in scenario.host_ids():
-        host_jitter = _draw_jitter(scenario, host, None, HOST_METRICS)
-        for w in range(scenario.duration):
-            ts = w * scenario.window_ms
-            for metric in HOST_METRICS:
-                mean, _ = scenario.baseline[f"host.{metric}"]
-                value = mean + host_jitter[(w, metric)]
-                value = _apply_host_injections(scenario, host, w, metric, value, host_jitter)
-                samples.append(
-                    MetricSample(ts, host, None, ComponentId(metric, "host"), _clamp(value))
-                )
-        for vm in scenario.vm_ids():
-            vm_jitter = _draw_jitter(scenario, host, vm, VM_METRICS)
-            for w in range(scenario.duration):
-                ts = w * scenario.window_ms
-                for metric in VM_METRICS:
-                    mean, _ = scenario.baseline[f"vm.{metric}"]
-                    value = mean + vm_jitter[(w, metric)]
-                    value = _apply_vm_injections(scenario, host, vm, w, metric, value, vm_jitter)
-                    samples.append(
-                        MetricSample(ts, host, vm, ComponentId(metric, "vm"), _clamp(value))
-                    )
-                labels.append(WindowLabel(w, host, vm, _label_for(scenario, w, host, vm)))
-
-    samples.sort(key=lambda s: (s.timestamp, s.host_id, s.vm_id or "", s.metric.level, s.metric.name))
-    labels.sort(key=lambda l: (l.window, l.host, l.vm))
-    return samples, labels
-
-
-def _draw_jitter(scenario, host, vm, metrics) -> dict:
-    rng = random.Random(_subseed(scenario.seed, host, vm))
-    scope = "host" if vm is None else "vm"
-    out = {}
     for w in range(scenario.duration):
-        for metric in metrics:
-            _, jitter = scenario.baseline[f"{scope}.{metric}"]
-            out[(w, metric)] = rng.uniform(-jitter, jitter)
-    return out
-
-
-def _apply_vm_injections(scenario, host, vm, w, metric, value, jitter):
-    for inj in scenario.injections:
-        if not (inj.active(w) and inj.host == host):
-            continue
-        j = jitter[(w, metric)]
-        if inj.kind == KIND_CPU_HOG and inj.vm == vm and metric == "cpu":
-            return 75.0 + 25.0 * inj.intensity + j
-        if inj.kind == KIND_MEMORY_LEAK and inj.vm == vm and metric == "memory":
-            base = scenario.baseline["vm.memory"][0]
-            target = 75.0 + 25.0 * inj.intensity
-            span = inj.end - inj.start - 1
-            progress = 1.0 if span == 0 else (w - inj.start) / span
-            return base + (target - base) * progress + j
-        if inj.kind == KIND_NETWORK_OVERHEAD and inj.vm == vm and metric == "network":
-            return 75.0 + 25.0 * inj.intensity + j
-        if inj.kind == KIND_ENDLESS_LOOP and inj.vm == vm:
-            if metric == "cpu":
-                return 80.0 + 20.0 * inj.intensity + j
-            if metric == "throughput":
-                return 0.10 * scenario.baseline["vm.throughput"][0] + j
-        if inj.kind == KIND_SERIOUS_CRASH and inj.vm == vm and metric == inj.metric:
-            return 100.0
-    return value
-
-
-def _apply_host_injections(scenario, host, w, metric, value, jitter):
-    for inj in scenario.injections:
-        if not (inj.active(w) and inj.host == host):
-            continue
-        if inj.kind == KIND_ENDLESS_LOOP and metric == "cpu":
-            return 80.0 + 20.0 * inj.intensity + jitter[(w, metric)]
-        if (
-            inj.kind == KIND_SERIOUS_CRASH
-            and inj.vm is None
-            and metric == inj.metric
-            and metric in HOST_METRICS
-        ):
-            return 100.0
-    return value
+        ts = w * scenario.window_ms
+        for host, vm, rng, injections in scopes:
+            active = [inj for inj in injections if inj.active(w)]
+            for name, component, mean, jitter in metrics["host" if vm is None else "vm"]:
+                j = rng.uniform(-jitter, jitter)
+                value = mean + j
+                for inj in active:
+                    pinned = _pinned(inj, name, w, scenario.baseline, j)
+                    if pinned is not None:
+                        value = pinned
+                        break
+                samples.append(MetricSample(ts, host, vm, component, _clamp(value)))
+            # a fault aimed at the vm labels it; else a host crash does;
+            # a neighbour's loop raising host cpu does not
+            if vm is None:
+                host_label = next(
+                    (inj.kind for inj in active if inj.kind == KIND_SERIOUS_CRASH), LABEL_NORMAL
+                )
+            else:
+                labels.append(WindowLabel(w, host, vm, active[0].kind if active else host_label))
+    return samples, labels
 
 
 def to_training_set(
