@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import logging
@@ -55,11 +56,9 @@ def _require_file(path: str) -> str:
 
 
 def cmd_simulate(args) -> int:
-    with open(_require_file(args.scenario), encoding="utf-8") as fh:
-        doc = json.load(fh)
+    scenario = simulator.load_scenario(_require_file(args.scenario))
     if args.seed is not None:
-        doc["seed"] = args.seed
-    scenario = simulator.load_scenario(doc)
+        scenario = dataclasses.replace(scenario, seed=args.seed)
     samples, labels = simulator.generate(scenario)
     write_metric_samples(samples, args.out_metrics)
     simulator.write_labels(labels, args.out_labels)

@@ -21,7 +21,7 @@ import hashlib
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from . import mdd as mdd_mod
@@ -611,9 +611,32 @@ class Engine:
             self.clock = max(self.clock, boundary)
 
 
-# Python types of each JSON kind a config entry may need; compared
+# Python types of each JSON kind a loaded document may hold; compared
 # exactly, so true is no integer and 2.7 no integer either
-_JSON_KINDS = {"integer": (int,), "number": (int, float), "boolean": (bool,)}
+_JSON_KINDS = {
+    "integer": (int,),
+    "number": (int, float),
+    "boolean": (bool,),
+    "string": (str,),
+    "string or null": (str, type(None)),
+    "object": (dict,),
+    "array": (list,),
+}
+
+# the JSON kind of each key of the config's sections; the defaults live
+# in LoopRule and PreprocessPolicy
+_SECTION_KINDS = {
+    "loop_rule": {
+        "k": "integer",
+        "vm_cpu": "string",
+        "host_cpu": "string",
+        "throughput": "string",
+        "cpu_bucket": "integer",
+        "throughput_bucket": "integer",
+        "cause": "string",
+    },
+    "preprocess": {"window": "integer", "z_cutoff": "number", "clamp": "boolean"},
+}
 
 _CONFIG_KEYS = frozenset({
     "model",
@@ -637,19 +660,42 @@ def load_config(path) -> EngineConfig:
 
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    unknown = sorted(set(doc) - _CONFIG_KEYS)
+
+    def expect(value, kind: str, name: str):
+        if type(value) not in _JSON_KINDS[kind]:
+            raise ConfigError(
+                f"bad config {path}: {name} must be a JSON {kind}, got {json.dumps(value)}"
+            )
+        return value
+
+    def expect_list(value, kind: str, name: str) -> list:
+        if type(value) is not list or any(type(v) not in _JSON_KINDS[kind] for v in value):
+            raise ConfigError(
+                f"bad config {path}: {name} must be a list of JSON {kind}s, got {json.dumps(value)}"
+            )
+        return value
+
+    unknown = sorted(set(expect(doc, "object", "the document")) - _CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"bad config {path}: unknown keys {unknown}")
-    for section, cls in (("loop_rule", LoopRule), ("preprocess", PreprocessPolicy)):
-        unknown = sorted(set(doc.get(section, {})) - {f.name for f in fields(cls)})
+    sections = {}
+    for section, kinds in _SECTION_KINDS.items():
+        entries = expect(doc.get(section, {}), "object", section)
+        unknown = sorted(set(entries) - set(kinds))
         if unknown:
             raise ConfigError(f"bad config {path}: unknown keys {unknown} in {section}")
+        for key, value in entries.items():
+            expect(value, kinds[key], f"{section}.{key}")
+        # an integer z_cutoff is taken, as a float
+        sections[section] = {
+            key: float(value) if kinds[key] == "number" else value for key, value in entries.items()
+        }
     base = os.path.dirname(os.path.abspath(path))
 
-    model_ref = doc.get("model")
-    if not model_ref or "path" not in model_ref:
+    model_ref = expect(doc.get("model", {}), "object", "model")
+    if "path" not in model_ref:
         raise ConfigError("config needs model.path")
-    model_path = os.path.join(base, model_ref["path"])
+    model_path = os.path.join(base, expect(model_ref["path"], "string", "model.path"))
     if not os.path.exists(model_path):
         raise ConfigError(f"model file not found: {model_path}")
     with open(model_path, "rb") as fh:
@@ -661,51 +707,30 @@ def load_config(path) -> EngineConfig:
         )
     model = nbc_mod.load_model(model_path)
 
+    # a missing key reads as null, which no kind below admits
+    discretization = {
+        key: expect_list(bounds, "number", f"discretization.{key}")
+        for key, bounds in expect(doc.get("discretization"), "object", "discretization").items()
+    }
+    attribute_keys = expect_list(doc.get("attributes"), "string", "attributes")
+    severity_keys = expect_list(doc.get("severity_components"), "string", "severity_components")
     try:
-        specs = {}
-        for key, bounds in doc["discretization"].items():
-            comp = ComponentId.parse(key)
-            specs[key] = DiscretizationSpec(comp, tuple(float(b) for b in bounds))
-        attributes = tuple(ComponentId.parse(k) for k in doc["attributes"])
-        severity_components = tuple(ComponentId.parse(k) for k in doc["severity_components"])
-    except (KeyError, ValueError) as exc:
+        specs = {
+            key: DiscretizationSpec(ComponentId.parse(key), tuple(float(b) for b in bounds))
+            for key, bounds in discretization.items()
+        }
+        attributes = tuple(ComponentId.parse(k) for k in attribute_keys)
+        severity_components = tuple(ComponentId.parse(k) for k in severity_keys)
+    except ValueError as exc:
         raise ConfigError(f"bad config {path}: {exc}") from exc
 
-    def entry(section: str, key: str, default, kind: str):
-        value = doc.get(section, {}).get(key, default)
-        if type(value) not in _JSON_KINDS[kind]:
-            raise ConfigError(
-                f"bad config {path}: {section}.{key} must be a JSON {kind}, got {json.dumps(value)}"
-            )
-        return value
-
-    loop_doc = doc.get("loop_rule", {})
-    loop_rule = LoopRule(
-        k=entry("loop_rule", "k", 3, "integer"),
-        vm_cpu=loop_doc.get("vm_cpu", "vm.cpu"),
-        host_cpu=loop_doc.get("host_cpu", "host.cpu"),
-        throughput=loop_doc.get("throughput", "vm.throughput"),
-        cpu_bucket=entry("loop_rule", "cpu_bucket", 3, "integer"),
-        throughput_bucket=entry("loop_rule", "throughput_bucket", 0, "integer"),
-        cause=loop_doc.get("cause", "endless-loop"),
-    )
-    policy = PreprocessPolicy(
-        window=entry("preprocess", "window", 11, "integer"),
-        z_cutoff=float(entry("preprocess", "z_cutoff", 3.0, "number")),
-        clamp=entry("preprocess", "clamp", True, "boolean"),
-    )
-    mapping = doc.get("severity_mapping", [0, 0, 1, 2])
-    if type(mapping) is not list or any(type(level) is not int for level in mapping):
-        raise ConfigError(
-            f"bad config {path}: severity_mapping must be a list of JSON integers, "
-            f"got {json.dumps(mapping)}"
-        )
+    mapping = expect_list(doc.get("severity_mapping", [0, 0, 1, 2]), "integer", "severity_mapping")
     return EngineConfig(
         specs=specs,
         attributes=attributes,
         severity_components=severity_components,
         model=model,
         severity_mapping=tuple(mapping),
-        loop_rule=loop_rule,
-        preprocess=policy,
+        loop_rule=LoopRule(**sections["loop_rule"]),
+        preprocess=PreprocessPolicy(**sections["preprocess"]),
     )

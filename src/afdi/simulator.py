@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .engine import collect_windows
+from .engine import _JSON_KINDS, collect_windows
 from .nbc import LabeledExample
 from .states import ComponentId, DiscretizationSpec, MetricSample, discretize
 
@@ -163,6 +163,9 @@ class Scenario:
             raise ScenarioError("topology must have at least one host and one vm")
         if self.window_ms <= 0:
             raise ScenarioError("window_ms must be positive")
+        unknown = sorted(set(self.baseline) - set(_default_baseline()))
+        if unknown:
+            raise ScenarioError(f"unknown keys {unknown} in baseline")
         for key in _default_baseline():
             if key not in self.baseline:
                 raise ScenarioError(f"baseline missing {key}")
@@ -220,7 +223,7 @@ def _pinned(inj: FaultInjection, metric: str, window: int, baseline, jitter: flo
     (``FaultInjection.scopes``); ``jitter`` is that sample's draw.
     """
     kind = inj.kind
-    if kind == KIND_CPU_HOG and metric == "cpu" or kind == KIND_NETWORK_OVERHEAD and metric == "network":
+    if (kind, metric) in ((KIND_CPU_HOG, "cpu"), (KIND_NETWORK_OVERHEAD, "network")):
         return 75.0 + 25.0 * inj.intensity + jitter
     if kind == KIND_MEMORY_LEAK and metric == "memory":
         base = baseline["vm.memory"][0]
@@ -332,42 +335,75 @@ def to_training_set(
 # -- files -----------------------------------------------------------
 
 
+# the JSON kind of each key of a scenario document, of an injection and
+# of a baseline entry; defaults live in the dataclasses
+_SCENARIO_KEYS = {
+    "seed": "integer",
+    "duration": "integer",
+    "hosts": "integer",
+    "vms_per_host": "integer",
+    "window_ms": "integer",
+    "baseline": "object",
+    "injections": "array",
+}
+_INJECTION_KEYS = {
+    "kind": "string",
+    "host": "string",
+    "vm": "string or null",
+    "start": "integer",
+    "end": "integer",
+    "intensity": "number",
+    "metric": "string",
+}
+_BASELINE_KEYS = {"mean": "number", "jitter": "number"}
+
+
+def _entries(obj, kinds: Mapping[str, str], required: Sequence[str], where: str) -> dict:
+    """The entries of one object of a scenario document, each checked to
+    be of its JSON kind; numbers come back as floats."""
+    if type(obj) is not dict:
+        raise ScenarioError(f"{where} must be a JSON object, got {json.dumps(obj)}")
+    unknown = sorted(set(obj) - set(kinds))
+    if unknown:
+        raise ScenarioError(f"unknown keys {unknown} in {where}")
+    for key in required:
+        if key not in obj:
+            raise ScenarioError(f"{where} missing field {key!r}")
+    for key, value in obj.items():
+        if type(value) not in _JSON_KINDS[kinds[key]]:
+            raise ScenarioError(
+                f"{where}: {key} must be a JSON {kinds[key]}, got {json.dumps(value)}"
+            )
+    return {key: float(value) if kinds[key] == "number" else value for key, value in obj.items()}
+
+
 def load_scenario(source) -> Scenario:
+    """Load a scenario document from a path or an already decoded dict.
+
+    Unknown keys and entries of the wrong JSON kind (``true`` for an
+    integer, ``"10"`` for a number) raise ``ScenarioError`` naming the
+    key; nothing is converted but an integer where a number is expected.
+    """
     if isinstance(source, dict):
         doc = source
     else:
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    try:
-        baseline = {
-            key: (float(entry["mean"]), float(entry["jitter"]))
-            for key, entry in doc.get("baseline", {}).items()
-        }
-        if not baseline:
-            baseline = _default_baseline()
-        injections = tuple(
+    entries = _entries(doc, _SCENARIO_KEYS, ("seed", "duration"), "scenario document")
+    if "baseline" in entries:
+        baseline = {}
+        for key, entry in entries["baseline"].items():
+            entry = _entries(entry, _BASELINE_KEYS, ("mean", "jitter"), f"baseline {key}")
+            baseline[key] = (entry["mean"], entry["jitter"])
+        entries["baseline"] = baseline
+    if "injections" in entries:
+        entries["injections"] = tuple(
             FaultInjection(
-                kind=item["kind"],
-                host=item["host"],
-                vm=item.get("vm"),
-                start=int(item["start"]),
-                end=int(item["end"]),
-                intensity=float(item.get("intensity", 1.0)),
-                metric=item.get("metric", "cpu"),
+                **_entries(item, _INJECTION_KEYS, ("kind", "host", "start", "end"), f"injection {i}")
             )
-            for item in doc.get("injections", ())
+            for i, item in enumerate(entries["injections"])
         )
-        return Scenario(
-            seed=int(doc["seed"]),
-            duration=int(doc["duration"]),
-            hosts=int(doc.get("hosts", 1)),
-            vms_per_host=int(doc.get("vms_per_host", 1)),
-            baseline=baseline,
-            injections=injections,
-            window_ms=int(doc.get("window_ms", 1000)),
-        )
-    except KeyError as exc:
-        raise ScenarioError(f"scenario document missing field {exc}") from None
+    return Scenario(**entries)
 
 
 def write_labels(labels: Iterable[WindowLabel], path) -> int:

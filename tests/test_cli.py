@@ -87,6 +87,20 @@ def test_simulate_seed_override_changes_output(tmp_path):
     assert outs[0] != outs[1]
 
 
+def test_simulate_rejects_a_scenario_that_is_not_an_object(tmp_path):
+    scenario = tmp_path / "list.json"
+    scenario.write_text("[1]\n")
+    res = run_cli(
+        "simulate",
+        "--scenario", str(scenario),
+        "--out-metrics", str(tmp_path / "m.jsonl"),
+        "--out-labels", str(tmp_path / "l.csv"),
+        "--seed", "3",
+    )
+    assert res.returncode == 1
+    assert "error: scenario document must be a JSON object, got [1]" in res.stderr
+
+
 # -- train -----------------------------------------------------------
 
 

@@ -800,17 +800,40 @@ def test_load_config_rejects_unknown_keys_inside_a_section(tmp_path, section, en
         (None, "severity_mapping", [0, 0, True, 2],
          r"severity_mapping must be a list of JSON integers, got \[0, 0, true, 2\]"),
         (None, "severity_mapping", "0012", r"severity_mapping must be a list of JSON integers"),
+        ("discretization", "vm.cpu", [False, "25", 50, 75, 100],
+         r"discretization\.vm\.cpu must be a list of JSON numbers, "
+         r"got \[false, \"25\", 50, 75, 100\]"),
+        ("discretization", "vm.cpu", 5,
+         r"discretization\.vm\.cpu must be a list of JSON numbers, got 5"),
+        (None, "discretization", [], r"discretization must be a JSON object, got \[\]"),
+        (None, "attributes", [5], r"attributes must be a list of JSON strings, got \[5\]"),
+        (None, "severity_components", ["vm.cpu", True],
+         r"severity_components must be a list of JSON strings, got \[\"vm\.cpu\", true\]"),
+        (None, "loop_rule", [], r"loop_rule must be a JSON object, got \[\]"),
+        (None, "preprocess", 5, r"preprocess must be a JSON object, got 5"),
+        (None, "model", 5, r"model must be a JSON object, got 5"),
+        ("model", "path", 5, r"model\.path must be a JSON string, got 5"),
+        ("loop_rule", "vm_cpu", 5, r"loop_rule\.vm_cpu must be a JSON string, got 5"),
+        ("loop_rule", "host_cpu", None, r"loop_rule\.host_cpu must be a JSON string, got null"),
+        ("loop_rule", "throughput", ["vm.throughput"],
+         r"loop_rule\.throughput must be a JSON string, got \[\"vm\.throughput\"\]"),
+        ("loop_rule", "cause", 4, r"loop_rule\.cause must be a JSON string, got 4"),
     ],
     ids=[
         "clamp-string", "clamp-number", "window-fraction", "window-true", "z-cutoff-string",
         "z-cutoff-false", "k-fraction", "cpu-bucket-true", "throughput-bucket-fraction",
-        "mapping-float", "mapping-true", "mapping-string",
+        "mapping-float", "mapping-true", "mapping-string", "bounds-false-and-string",
+        "bounds-number", "discretization-list", "attributes-number", "severity-components-true",
+        "loop-rule-list", "preprocess-number", "model-number", "model-path-number",
+        "loop-vm-cpu-number", "loop-host-cpu-null", "loop-throughput-list", "loop-cause-number",
     ],
 )
 def test_load_config_rejects_entries_of_the_wrong_json_type(tmp_path, section, key, value, named):
     # before, int(), float() and bool() took these: "false" loaded as
-    # clamp=True, 11.9 as window 11, and a float in the mapping aborted
-    # the run at the first window in that bucket
+    # clamp=True, 11.9 as window 11, a float in the mapping aborted the
+    # run at the first window in that bucket, false and "25" loaded as
+    # boundaries, and a non-object section or a non-string key ended in
+    # a traceback
     cfg_doc = json.loads(open(fixture_path("engine_config.json")).read())
     cfg_doc["model"]["path"] = fixture_path(cfg_doc["model"]["path"])
     (cfg_doc[section] if section else cfg_doc)[key] = value

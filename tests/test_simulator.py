@@ -238,7 +238,9 @@ def test_vm_fault_label_wins_over_host_crash():
     hog = FaultInjection("cpu_hog", "h0", 5, 10, vm="vm1")
     _, labels = generate(small(vms_per_host=2, injections=[crash, hog]))
     got = {(l.window, l.vm): l.label for l in labels}
-    assert [got[w, "vm0"] for w in range(2, 10)] == ["normal"] + ["serious_crash"] * 5 + ["normal"] * 2
+    assert [got[w, "vm0"] for w in range(2, 10)] == (
+        ["normal"] + ["serious_crash"] * 5 + ["normal"] * 2
+    )
     assert [got[w, "vm1"] for w in range(2, 11)] == (
         ["normal"] + ["serious_crash"] * 2 + ["cpu_hog"] * 5 + ["normal"]
     )
@@ -436,6 +438,74 @@ def test_load_scenario_missing_field():
         load_scenario({"duration": 10})
 
 
+INJECTION = {"kind": "cpu_hog", "host": "h0", "vm": "vm0", "start": 2, "end": 6}
+
+
+def _doc(**top):
+    return {"seed": 3, "duration": 10, "injections": [INJECTION], **top}
+
+
+def _inj(**entries):
+    return _doc(injections=[{**INJECTION, **entries}])
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        (_doc(vms_per_hosts=8), r"unknown keys \['vms_per_hosts'\] in scenario document"),
+        (_doc(seed=True), r"seed must be a JSON integer, got true"),
+        (_doc(hosts=2.9), r"hosts must be a JSON integer, got 2\.9"),
+        (_doc(duration="10"), r"duration must be a JSON integer, got \"10\""),
+        (_doc(window_ms=1000.0), r"window_ms must be a JSON integer, got 1000\.0"),
+        (_doc(injections={}), r"injections must be a JSON array, got \{\}"),
+        (_doc(baseline=[]), r"baseline must be a JSON object, got \[\]"),
+        (_doc(baseline={"vm.cpuu": {"mean": 30, "jitter": 2}}),
+         r"unknown keys \['vm\.cpuu'\] in baseline"),
+        (_doc(baseline={"vm.cpu": 30}), r"baseline vm\.cpu must be a JSON object, got 30"),
+        (_doc(baseline={"vm.cpu": {"mean": 30, "jitter": 2, "sd": 1}}),
+         r"unknown keys \['sd'\] in baseline vm\.cpu"),
+        (_doc(baseline={"vm.cpu": {"mean": "30", "jitter": 2}}),
+         r"baseline vm\.cpu: mean must be a JSON number, got \"30\""),
+        (_doc(baseline={"vm.cpu": {"mean": 30, "jitter": False}}),
+         r"baseline vm\.cpu: jitter must be a JSON number, got false"),
+        (_doc(injections=["cpu_hog"]), r"injection 0 must be a JSON object, got \"cpu_hog\""),
+        (_inj(intensity="0.5"), r"injection 0: intensity must be a JSON number, got \"0\.5\""),
+        (_inj(note="x"), r"unknown keys \['note'\] in injection 0"),
+        (_inj(start=2.0), r"injection 0: start must be a JSON integer, got 2\.0"),
+        (_inj(end=True), r"injection 0: end must be a JSON integer, got true"),
+        (_inj(kind=["cpu_hog"]), r"injection 0: kind must be a JSON string, got \[\"cpu_hog\"\]"),
+        (_inj(host=0), r"injection 0: host must be a JSON string, got 0"),
+        (_inj(vm=0), r"injection 0: vm must be a JSON string or null, got 0"),
+        (_inj(metric=None), r"injection 0: metric must be a JSON string, got null"),
+        ({"seed": 3}, r"scenario document missing field 'duration'"),
+        (_doc(injections=[{k: v for k, v in INJECTION.items() if k != "end"}]),
+         r"injection 0 missing field 'end'"),
+        (_doc(baseline={"vm.cpu": {"mean": 30}}), r"baseline vm\.cpu missing field 'jitter'"),
+    ],
+    ids=[
+        "misspelt-key", "seed-true", "hosts-fraction", "duration-string", "window-ms-float",
+        "injections-object", "baseline-list", "baseline-metric-misspelt", "baseline-entry-number",
+        "baseline-entry-unknown-key", "mean-string", "jitter-false", "injection-string",
+        "intensity-string", "injection-unknown-key", "start-float", "end-true", "kind-list",
+        "host-number", "vm-number", "metric-null", "duration-missing", "end-missing",
+        "jitter-missing",
+    ],
+)
+def test_load_scenario_rejects_unknown_keys_and_wrong_json_kinds(doc, named):
+    # before, int() and float() took most of these (true as seed 1, 2.9
+    # as 2 hosts, "10" as 10 windows) and a misspelt key left its default
+    with pytest.raises(ScenarioError, match=named):
+        load_scenario(doc)
+
+
+def test_load_scenario_takes_integer_numbers_as_floats():
+    baseline = {k: {"mean": 30, "jitter": 2} for k in ATTR_KEYS}
+    scenario = load_scenario(_doc(baseline=baseline, injections=[{**INJECTION, "intensity": 1}]))
+    assert scenario.baseline["vm.cpu"] == (30.0, 2.0)
+    assert type(scenario.baseline["vm.cpu"][0]) is float
+    assert type(scenario.injections[0].intensity) is float
+
+
 def test_labels_csv_roundtrip(tmp_path):
     _, labels = generate(small(duration=6))
     p = tmp_path / "labels.csv"
@@ -453,7 +523,8 @@ def test_labels_csv_bad_header(tmp_path):
 def test_make_fixtures_reproduces_every_fixture(tmp_path):
     # guards the chain the shipped model hash rests on: simulator ->
     # to_training_set -> train -> engine_config.json
-    spec = importlib.util.spec_from_file_location("make_fixtures", ROOT / "scripts" / "make_fixtures.py")
+    script = ROOT / "scripts" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     module.FIXTURES = str(tmp_path)
