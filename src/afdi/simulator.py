@@ -236,7 +236,7 @@ def _pinned(inj: FaultInjection, metric: str, window: int, baseline, jitter: flo
     if kind == KIND_ENDLESS_LOOP and metric == "throughput":
         return 0.10 * baseline["vm.throughput"][0] + jitter
     if kind == KIND_SERIOUS_CRASH and metric == inj.metric:
-        return 100.0
+        return 100.0  # exactly: a crash value is not jittered
     return None
 
 
@@ -256,7 +256,10 @@ def generate(scenario: Scenario) -> tuple[list[MetricSample], list[WindowLabel]]
         for scope in inj.scopes():
             reach.setdefault(scope, []).append(inj)
     metrics = {
-        level: [(name, ComponentId(name, level), *scenario.baseline[f"{level}.{name}"]) for name in names]
+        level: [
+            (name, ComponentId(name, level), *scenario.baseline[f"{level}.{name}"])
+            for name in names
+        ]
         for level, names in (("host", HOST_METRICS), ("vm", VM_METRICS))
     }
     scopes = [
