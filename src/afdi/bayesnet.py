@@ -14,12 +14,11 @@ distribution over the node's states.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .states import StateDistribution
+from .states import StateDistribution, check_entries, read_document
 
 __all__ = [
     "NetNode",
@@ -202,42 +201,38 @@ def _parent_rows(net_nodes: Mapping[str, NetNode], node: NetNode) -> int:
     return rows
 
 
+_NET_KINDS = {"nodes": "array", "name": "string", "notes": "string"}
+_NODE_KINDS = {
+    "name": "string",
+    "states": "array of strings",
+    "parents": "array of strings",
+    "cpt": "array of arrays of numbers",
+}
+
+
 def load_net(source) -> DiscreteBayesNet:
-    """Parse and validate a network document (path, file-like, or dict).
+    """Parse and validate a network document (path or dict); an unknown
+    key or an entry of another JSON kind raises ``NetLoadError``.
 
     CPT rows are checked against the distribution invariant: a row sum
     within 1e-12 of 1 is kept bit-for-bit, small drift is rescaled
     (silently up to 1e-9, with a warning record up to 0.02), and
     anything further off is rejected as a likely authoring error.
     """
-    if isinstance(source, dict):
-        doc = source
-    elif hasattr(source, "read"):
-        doc = json.load(source)
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-
-    raw_nodes = doc.get("nodes")
-    if not raw_nodes:
+    doc = check_entries(read_document(source), _NET_KINDS, ("nodes",), "network document", NetLoadError)
+    if not doc["nodes"]:
         raise NetLoadError("document has no nodes")
-    nodes = []
-    for item in raw_nodes:
-        try:
-            node = NetNode(
-                name=str(item["name"]),
-                states=tuple(str(s) for s in item["states"]),
-                parents=tuple(str(p) for p in item.get("parents", ())),
-            )
-        except KeyError as exc:
-            raise NetLoadError(f"node entry missing field {exc}") from None
-        if node.card < 2:
-            raise NetLoadError(f"node {node.name!r} needs at least 2 states")
-        nodes.append(node)
+    items = [
+        check_entries(item, _NODE_KINDS, ("name", "states", "cpt"), f"node {i}", NetLoadError)
+        for i, item in enumerate(doc["nodes"])
+    ]
+    nodes = [NetNode(n["name"], tuple(n["states"]), tuple(n.get("parents", ()))) for n in items]
     by_name = {n.name: n for n in nodes}
     if len(by_name) != len(nodes):
         raise NetLoadError("duplicate node names")
     for node in nodes:
+        if node.card < 2:
+            raise NetLoadError(f"node {node.name!r} needs at least 2 states")
         for p in node.parents:
             if p not in by_name:
                 raise NetLoadError(f"node {node.name!r} lists unknown parent {p!r}")
@@ -246,18 +241,15 @@ def load_net(source) -> DiscreteBayesNet:
 
     warnings_acc: list[str] = []
     cpts = {}
-    for item, node in zip(raw_nodes, nodes):
-        table = item.get("cpt")
-        if table is None:
-            raise NetLoadError(f"node {node.name!r} has no cpt")
+    for item, node in zip(items, nodes):
+        table = item["cpt"]
         expected_rows = _parent_rows(by_name, node)
         if len(table) != expected_rows:
             raise NetLoadError(
                 f"node {node.name!r}: cpt has {len(table)} rows, expected {expected_rows}"
             )
         rows = []
-        for r, raw_row in enumerate(table):
-            row = tuple(float(v) for v in raw_row)
+        for r, row in enumerate(table):
             if len(row) != node.card:
                 raise NetLoadError(
                     f"node {node.name!r} row {r}: {len(row)} entries for {node.card} states"
@@ -328,18 +320,24 @@ def _run_elimination(net, query: str, evidence: dict[str, int], order):
     return result
 
 
+def _normalized(values: Sequence[float], zero_mass: Callable[[], Exception]) -> StateDistribution:
+    """``values`` divided by their sum, or kept bit-for-bit when the sum
+    is within ``KEEP_TOL`` of 1; raises ``zero_mass()`` when it is 0."""
+    total = sum(values)
+    if total <= 0.0:
+        raise zero_mass()
+    if abs(total - 1.0) > KEEP_TOL:
+        return StateDistribution(tuple(v / total for v in values))
+    return StateDistribution(tuple(values))
+
+
 def marginal(net: DiscreteBayesNet, query: str, elimination_order=None) -> StateDistribution:
     """P(query) by summing out every other node; normalized exactly."""
     net.node(query)
     result = _run_elimination(net, query, {}, elimination_order)
-    total = sum(result.values)
-    if total <= 0.0:
-        raise ValueError(f"marginal of {query!r} has zero mass; CPTs inconsistent")
-    if abs(total - 1.0) > KEEP_TOL:
-        values = tuple(v / total for v in result.values)
-    else:
-        values = tuple(result.values)
-    return StateDistribution(values)
+    return _normalized(
+        result.values, lambda: ValueError(f"marginal of {query!r} has zero mass; CPTs inconsistent")
+    )
 
 
 def posterior_given_evidence(net: DiscreteBayesNet, query: str, evidence) -> StateDistribution:
@@ -350,14 +348,9 @@ def posterior_given_evidence(net: DiscreteBayesNet, query: str, evidence) -> Sta
     if query in ev:
         raise ValueError(f"evidence already fixes the query node {query!r}")
     result = _run_elimination(net, query, ev, None)
-    total = sum(result.values)
-    if total <= 0.0:
-        raise ImpossibleEvidenceError(f"evidence {evidence!r} has probability zero")
-    if abs(total - 1.0) > KEEP_TOL:
-        values = tuple(v / total for v in result.values)
-    else:
-        values = tuple(result.values)
-    return StateDistribution(values)
+    return _normalized(
+        result.values, lambda: ImpossibleEvidenceError(f"evidence {evidence!r} has probability zero")
+    )
 
 
 def joint_probability(net: DiscreteBayesNet, assignment: Mapping[str, int]) -> float:

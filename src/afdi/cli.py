@@ -20,7 +20,8 @@ import os
 import sys
 
 from . import bayesnet, engine, evaluation, mdd, nbc, simulator
-from .states import ComponentId, StateVector, read_metric_samples, write_metric_samples
+from .states import ComponentId, StateVector, check_entries, read_document
+from .states import read_metric_samples, write_metric_samples
 
 log = logging.getLogger("afdi")
 
@@ -186,13 +187,10 @@ def cmd_mdd(args) -> int:
         out["query"] = levels
         out["level"] = diagram.evaluate(sv)
     if args.dists:
-        with open(_require_file(args.dists), "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        dists = [doc[c.key] for c in diagram.components if c.key in doc]
-        if len(dists) != len(diagram.components):
-            missing = [c.key for c in diagram.components if c.key not in doc]
-            raise CliError(f"distributions missing for {missing}")
-        result = diagram.level_probabilities(dists)
+        keys = [c.key for c in diagram.components]
+        doc = read_document(_require_file(args.dists))
+        dists = check_entries(doc, dict.fromkeys(keys, "array of numbers"), keys, f"distributions {args.dists}")
+        result = diagram.level_probabilities([dists[key] for key in keys])
         out["level_probabilities"] = list(result.probs)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
@@ -299,15 +297,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (
-        OSError,
-        ValueError,
-        KeyError,
-        nbc.TrainingError,
-        simulator.ScenarioError,
-        engine.ConfigError,
-        bayesnet.NetLoadError,
-    ) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

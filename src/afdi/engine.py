@@ -27,6 +27,7 @@ from typing import Iterable, Mapping, Sequence
 from . import mdd as mdd_mod
 from . import nbc as nbc_mod
 from .states import ComponentId, DiscretizationSpec, MetricSample
+from .states import check_entries, check_kind, read_document
 
 __all__ = [
     "PreprocessPolicy",
@@ -611,20 +612,18 @@ class Engine:
             self.clock = max(self.clock, boundary)
 
 
-# Python types of each JSON kind a loaded document may hold; compared
-# exactly, so true is no integer and 2.7 no integer either
-_JSON_KINDS = {
-    "integer": (int,),
-    "number": (int, float),
-    "boolean": (bool,),
-    "string": (str,),
-    "string or null": (str, type(None)),
-    "object": (dict,),
-    "array": (list,),
+# the JSON kind of each key of a config document and of its sections;
+# the defaults live in EngineConfig, LoopRule and PreprocessPolicy
+_CONFIG_KINDS = {
+    "model": "object",
+    "discretization": "object",
+    "attributes": "array of strings",
+    "severity_components": "array of strings",
+    "severity_mapping": "array of integers",
+    "loop_rule": "object",
+    "preprocess": "object",
 }
-
-# the JSON kind of each key of the config's sections; the defaults live
-# in LoopRule and PreprocessPolicy
+_MODEL_REF_KINDS = {"path": "string", "sha256": "string"}
 _SECTION_KINDS = {
     "loop_rule": {
         "k": "integer",
@@ -638,99 +637,58 @@ _SECTION_KINDS = {
     "preprocess": {"window": "integer", "z_cutoff": "number", "clamp": "boolean"},
 }
 
-_CONFIG_KEYS = frozenset({
-    "model",
-    "discretization",
-    "attributes",
-    "severity_components",
-    "severity_mapping",
-    "loop_rule",
-    "preprocess",
-})
-
 
 def load_config(path) -> EngineConfig:
     """Load an engine configuration document, verifying the model hash.
 
     The model path is resolved relative to the config file's directory;
-    its SHA-256 must match the recorded value so a config can never
-    silently pick up a retrained model.
+    its SHA-256 must match the required ``model.sha256`` so a config can
+    never silently pick up a retrained model.  An unknown key or an
+    entry of another JSON kind raises ``ConfigError`` naming the key.
     """
     import os
 
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    where = f"config {path}"
+    required = ("model", "discretization", "attributes", "severity_components")
+    doc = check_entries(read_document(path), _CONFIG_KINDS, required, where, ConfigError)
+    sections = {
+        section: check_entries(doc.get(section, {}), kinds, (), f"{section} of {where}", ConfigError)
+        for section, kinds in _SECTION_KINDS.items()
+    }
 
-    def expect(value, kind: str, name: str):
-        if type(value) not in _JSON_KINDS[kind]:
-            raise ConfigError(
-                f"bad config {path}: {name} must be a JSON {kind}, got {json.dumps(value)}"
-            )
-        return value
-
-    def expect_list(value, kind: str, name: str) -> list:
-        if type(value) is not list or any(type(v) not in _JSON_KINDS[kind] for v in value):
-            raise ConfigError(
-                f"bad config {path}: {name} must be a list of JSON {kind}s, got {json.dumps(value)}"
-            )
-        return value
-
-    unknown = sorted(set(expect(doc, "object", "the document")) - _CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"bad config {path}: unknown keys {unknown}")
-    sections = {}
-    for section, kinds in _SECTION_KINDS.items():
-        entries = expect(doc.get(section, {}), "object", section)
-        unknown = sorted(set(entries) - set(kinds))
-        if unknown:
-            raise ConfigError(f"bad config {path}: unknown keys {unknown} in {section}")
-        for key, value in entries.items():
-            expect(value, kinds[key], f"{section}.{key}")
-        # an integer z_cutoff is taken, as a float
-        sections[section] = {
-            key: float(value) if kinds[key] == "number" else value for key, value in entries.items()
-        }
-    base = os.path.dirname(os.path.abspath(path))
-
-    model_ref = expect(doc.get("model", {}), "object", "model")
-    if "path" not in model_ref:
-        raise ConfigError("config needs model.path")
-    model_path = os.path.join(base, expect(model_ref["path"], "string", "model.path"))
+    required = ("path", "sha256")
+    model_ref = check_entries(doc["model"], _MODEL_REF_KINDS, required, f"model of {where}", ConfigError)
+    model_path = os.path.join(os.path.dirname(os.path.abspath(path)), model_ref["path"])
     if not os.path.exists(model_path):
         raise ConfigError(f"model file not found: {model_path}")
     with open(model_path, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
-    expected = model_ref.get("sha256")
-    if expected and digest != expected:
+    if digest != model_ref["sha256"]:
         raise ConfigError(
-            f"model hash mismatch for {model_path}: expected {expected}, got {digest}"
+            f"model hash mismatch for {model_path}: expected {model_ref['sha256']!r}, got {digest!r}"
         )
     model = nbc_mod.load_model(model_path)
 
-    # a missing key reads as null, which no kind below admits
     discretization = {
-        key: expect_list(bounds, "number", f"discretization.{key}")
-        for key, bounds in expect(doc.get("discretization"), "object", "discretization").items()
+        key: check_kind(bounds, "array of numbers", f"discretization of {where}: {key}", ConfigError)
+        for key, bounds in doc["discretization"].items()
     }
-    attribute_keys = expect_list(doc.get("attributes"), "string", "attributes")
-    severity_keys = expect_list(doc.get("severity_components"), "string", "severity_components")
     try:
         specs = {
-            key: DiscretizationSpec(ComponentId.parse(key), tuple(float(b) for b in bounds))
+            key: DiscretizationSpec(ComponentId.parse(key), tuple(bounds))
             for key, bounds in discretization.items()
         }
-        attributes = tuple(ComponentId.parse(k) for k in attribute_keys)
-        severity_components = tuple(ComponentId.parse(k) for k in severity_keys)
+        attributes = tuple(ComponentId.parse(k) for k in doc["attributes"])
+        severity_components = tuple(ComponentId.parse(k) for k in doc["severity_components"])
     except ValueError as exc:
-        raise ConfigError(f"bad config {path}: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
 
-    mapping = expect_list(doc.get("severity_mapping", [0, 0, 1, 2]), "integer", "severity_mapping")
     return EngineConfig(
         specs=specs,
         attributes=attributes,
         severity_components=severity_components,
         model=model,
-        severity_mapping=tuple(mapping),
+        severity_mapping=tuple(doc.get("severity_mapping", EngineConfig.severity_mapping)),
         loop_rule=LoopRule(**sections["loop_rule"]),
         preprocess=PreprocessPolicy(**sections["preprocess"]),
     )

@@ -18,6 +18,8 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from .states import check_entries, check_kind, read_document
+
 __all__ = [
     "AttributeSchema",
     "NbcModel",
@@ -47,6 +49,18 @@ class AllZeroLikelihoodError(ValueError):
 
 class ModelFormatError(ValueError):
     """Persisted model fails hash or invariant checks."""
+
+
+_SCHEMA_KINDS = {"attributes": "array of arrays", "classes": "array of strings"}
+_MODEL_KINDS = {
+    "format": "string",
+    "version": "integer",
+    "schema": "object",
+    "schema_sha256": "string",
+    "alpha": "number",
+    "priors": "array of numbers",
+    "cond": "array of arrays of arrays of numbers",
+}
 
 
 @dataclass(frozen=True)
@@ -91,11 +105,16 @@ class AttributeSchema:
         }
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "AttributeSchema":
-        return cls(
-            attributes=tuple((str(n), int(c)) for n, c in obj["attributes"]),
-            classes=tuple(str(c) for c in obj["classes"]),
-        )
+    def from_json_obj(cls, obj) -> "AttributeSchema":
+        """The schema a decoded document describes; any other key or JSON kind raises."""
+        doc = check_entries(obj, _SCHEMA_KINDS, tuple(_SCHEMA_KINDS), "schema")
+        for i, pair in enumerate(doc["attributes"]):
+            if len(pair) != 2:
+                got = json.dumps(pair)
+                raise ValueError(f"schema: attribute {i} must be a [name, cardinality] pair, got {got}")
+            check_kind(pair[0], "string", f"schema: name of attribute {i}")
+            check_kind(pair[1], "integer", f"schema: cardinality of attribute {i}")
+        return cls(attributes=tuple(map(tuple, doc["attributes"])), classes=tuple(doc["classes"]))
 
     def content_hash(self) -> str:
         blob = json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
@@ -287,21 +306,20 @@ def save_model(model: NbcModel, path) -> None:
 
 
 def load_model(path) -> NbcModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != _MODEL_FORMAT:
-        raise ModelFormatError(f"not an NBC model document: {path}")
+    """Load a ``save_model`` document; any other key or JSON kind raises ``ModelFormatError``."""
+    where = f"model {path}"
+    doc = check_entries(read_document(path), _MODEL_KINDS, tuple(_MODEL_KINDS), where, ModelFormatError)
+    if doc["format"] != _MODEL_FORMAT or doc["version"] != 1:
+        raise ModelFormatError(f"not an NBC model document of version 1: {path}")
     schema = AttributeSchema.from_json_obj(doc["schema"])
-    if schema.content_hash() != doc.get("schema_sha256"):
+    if schema.content_hash() != doc["schema_sha256"]:
         raise ModelFormatError("schema content hash mismatch; model file corrupted or edited")
     try:
         return NbcModel(
             schema=schema,
-            priors=tuple(float(p) for p in doc["priors"]),
-            cond=tuple(
-                tuple(tuple(float(p) for p in row) for row in table) for table in doc["cond"]
-            ),
-            alpha=float(doc["alpha"]),
+            priors=tuple(doc["priors"]),
+            cond=tuple(tuple(tuple(row) for row in table) for table in doc["cond"]),
+            alpha=doc["alpha"],
         )
     except ValueError as exc:
         raise ModelFormatError(f"model invariants violated: {exc}") from exc
@@ -345,5 +363,4 @@ def read_training_csv(path, schema: AttributeSchema) -> list[LabeledExample]:
 
 
 def load_schema(path) -> AttributeSchema:
-    with open(path, "r", encoding="utf-8") as fh:
-        return AttributeSchema.from_json_obj(json.load(fh))
+    return AttributeSchema.from_json_obj(read_document(path))

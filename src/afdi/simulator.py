@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .engine import _JSON_KINDS, collect_windows
+from .engine import collect_windows
 from .nbc import LabeledExample
 from .states import ComponentId, DiscretizationSpec, MetricSample, discretize
+from .states import check_entries, read_document
 
 __all__ = [
     "Scenario",
@@ -101,7 +101,7 @@ class FaultInjection:
     end: int  # exclusive window index
     intensity: float = 1.0
     vm: str | None = None
-    metric: str = "cpu"  # serious_crash only: which metric gets pinned
+    metric: str | None = None  # serious_crash only: the metric pinned, cpu if None
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -113,6 +113,8 @@ class FaultInjection:
         if not 0.0 < self.intensity <= 1.0:
             raise ScenarioError(f"intensity must be in (0, 1], got {self.intensity}")
         if self.kind == KIND_SERIOUS_CRASH:
+            if self.metric is None:
+                object.__setattr__(self, "metric", "cpu")
             if self.metric in VM_METRICS:
                 if self.vm is None:
                     raise ScenarioError(f"crash on vm metric {self.metric!r} needs a vm")
@@ -121,6 +123,8 @@ class FaultInjection:
                     raise ScenarioError(f"crash on host metric {self.metric!r} takes no vm")
             else:
                 raise ScenarioError(f"crash metric {self.metric!r} is not simulated")
+        elif self.metric is not None:
+            raise ScenarioError(f"only serious_crash takes a metric, {self.kind} got {self.metric!r}")
         elif self.vm is None:
             raise ScenarioError(f"{self.kind} targets a vm")
 
@@ -361,25 +365,6 @@ _INJECTION_KEYS = {
 _BASELINE_KEYS = {"mean": "number", "jitter": "number"}
 
 
-def _entries(obj, kinds: Mapping[str, str], required: Sequence[str], where: str) -> dict:
-    """The entries of one object of a scenario document, each checked to
-    be of its JSON kind; numbers come back as floats."""
-    if type(obj) is not dict:
-        raise ScenarioError(f"{where} must be a JSON object, got {json.dumps(obj)}")
-    unknown = sorted(set(obj) - set(kinds))
-    if unknown:
-        raise ScenarioError(f"unknown keys {unknown} in {where}")
-    for key in required:
-        if key not in obj:
-            raise ScenarioError(f"{where} missing field {key!r}")
-    for key, value in obj.items():
-        if type(value) not in _JSON_KINDS[kinds[key]]:
-            raise ScenarioError(
-                f"{where}: {key} must be a JSON {kinds[key]}, got {json.dumps(value)}"
-            )
-    return {key: float(value) if kinds[key] == "number" else value for key, value in obj.items()}
-
-
 def load_scenario(source) -> Scenario:
     """Load a scenario document from a path or an already decoded dict.
 
@@ -387,22 +372,21 @@ def load_scenario(source) -> Scenario:
     integer, ``"10"`` for a number) raise ``ScenarioError`` naming the
     key; nothing is converted but an integer where a number is expected.
     """
-    if isinstance(source, dict):
-        doc = source
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    entries = _entries(doc, _SCENARIO_KEYS, ("seed", "duration"), "scenario document")
+    doc = read_document(source)
+    entries = check_entries(doc, _SCENARIO_KEYS, ("seed", "duration"), "scenario document", ScenarioError)
     if "baseline" in entries:
         baseline = {}
         for key, entry in entries["baseline"].items():
-            entry = _entries(entry, _BASELINE_KEYS, ("mean", "jitter"), f"baseline {key}")
+            entry = check_entries(
+                entry, _BASELINE_KEYS, ("mean", "jitter"), f"baseline {key}", ScenarioError
+            )
             baseline[key] = (entry["mean"], entry["jitter"])
         entries["baseline"] = baseline
     if "injections" in entries:
+        required = ("kind", "host", "start", "end")
         entries["injections"] = tuple(
             FaultInjection(
-                **_entries(item, _INJECTION_KEYS, ("kind", "host", "start", "end"), f"injection {i}")
+                **check_entries(item, _INJECTION_KEYS, required, f"injection {i}", ScenarioError)
             )
             for i, item in enumerate(entries["injections"])
         )

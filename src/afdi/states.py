@@ -15,7 +15,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "ComponentId",
@@ -24,7 +24,10 @@ __all__ = [
     "DiscretizationSpec",
     "MetricSample",
     "OutOfRangeError",
+    "check_entries",
+    "check_kind",
     "discretize",
+    "read_document",
     "read_metric_samples",
     "write_metric_samples",
 ]
@@ -315,3 +318,54 @@ def read_metric_samples(path) -> list[MetricSample]:
                         samples.append(_line_sample(path, line_no, line, components))
             first_line += len(chunk)
     return samples
+
+
+# Python types of each JSON kind a loaded document may hold; compared
+# exactly, so true is no integer and 2.7 no integer either
+_JSON_KINDS = {
+    "integer": (int,),
+    "number": (int, float),
+    "boolean": (bool,),
+    "string": (str,),
+    "string or null": (str, type(None)),
+    "object": (dict,),
+    "array": (list,),
+}
+
+
+def read_document(source):
+    """``source`` itself if it is a dict, else the JSON document at path ``source``."""
+    if isinstance(source, dict):
+        return source
+    with open(source, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def check_kind(value, kind: str, name: str, error: type[Exception] = ValueError):
+    """``value``, with every number in it a float, if it is of the JSON ``kind``; else raises
+    ``error``: ``<name> must be a JSON <kind>, got <value>``.  A kind is a key of
+    ``_JSON_KINDS`` or ``array of`` a plural kind, such as ``array of arrays of numbers``."""
+    if kind.startswith("array of "):
+        plural, _, rest = kind[len("array of "):].partition(" ")
+        item_kind = plural[:-1] + (" " + rest if rest else "")
+        if type(value) is list:
+            try:
+                return [check_kind(item, item_kind, name, error) for item in value]
+            except error:
+                pass  # the message names the whole value
+    elif type(value) in _JSON_KINDS[kind]:
+        return float(value) if kind == "number" else value
+    raise error(f"{name} must be a JSON {kind}, got {json.dumps(value)}")
+
+
+def check_entries(obj, kinds: Mapping, required: Sequence, where: str, error=ValueError) -> dict:
+    """The entries of the JSON object ``obj``, named ``where``, each checked by ``check_kind``;
+    a key outside ``kinds`` or a missing ``required`` key raises ``error``."""
+    check_kind(obj, "object", where, error)
+    unknown = sorted(set(obj) - set(kinds))
+    if unknown:
+        raise error(f"unknown keys {unknown} in {where}")
+    for key in required:
+        if key not in obj:
+            raise error(f"{where} missing field {key!r}")
+    return {key: check_kind(value, kinds[key], f"{where}: {key}", error) for key, value in obj.items()}

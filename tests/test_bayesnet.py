@@ -217,6 +217,55 @@ def test_load_rejects_bad_documents():
         load_net({"nodes": [{"name": "a", "states": ["0", "1"], "parents": [], "cpt": [[1.0]]}]})
 
 
+ROOT_A = {"name": "a", "states": ["x", "y"], "parents": [], "cpt": [[0.5, 0.5]]}
+CHILD_B = {"name": "b", "states": ["x", "y"], "parents": ["a"], "cpt": [[0.5, 0.5], [0.5, 0.5]]}
+
+
+def _net(**b):
+    return {"nodes": [ROOT_A, {**CHILD_B, **b}]}
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        ([1], r"network document must be a JSON object, got \[1\]"),
+        ({"nodes": {"a": 1}}, r"network document: nodes must be a JSON array, got \{\"a\": 1\}"),
+        ({**_net(), "title": "x"}, r"unknown keys \['title'\] in network document"),
+        ({**_net(), "notes": 5}, r"network document: notes must be a JSON string, got 5"),
+        (_net(parents="a"), r"node 1: parents must be a JSON array of strings, got \"a\""),
+        (_net(states="xy"), r"node 1: states must be a JSON array of strings, got \"xy\""),
+        (_net(name=5), r"node 1: name must be a JSON string, got 5"),
+        (_net(cpt=[["0.5", "0.5"], [0.5, 0.5]]),
+         r"node 1: cpt must be a JSON array of arrays of numbers, "
+         r"got \[\[\"0\.5\", \"0\.5\"\], \[0\.5, 0\.5\]\]"),
+        (_net(cpt=[[True, False], [0.5, 0.5]]),
+         r"node 1: cpt must be a JSON array of arrays of numbers, got \[\[true, false\], "),
+        (_net(cpts=[[0.5, 0.5]]), r"unknown keys \['cpts'\] in node 1"),
+        ({"nodes": [ROOT_A, {k: v for k, v in CHILD_B.items() if k != "states"}]},
+         r"node 1 missing field 'states'"),
+    ],
+    ids=[
+        "document-list", "nodes-object", "unknown-top-key", "notes-number", "parents-string",
+        "states-string", "name-number", "cpt-strings", "cpt-booleans", "unknown-node-key",
+        "states-missing",
+    ],
+)
+def test_load_net_rejects_unknown_keys_and_wrong_json_kinds(tmp_path, doc, named):
+    # before, str() and float() took most of these: "a" as the parent list
+    # ["a"], "xy" as two states, "0.5" and true as probabilities, and an
+    # unknown key was ignored
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(NetLoadError, match=named):
+        load_net(path)
+
+
+def test_load_net_takes_integer_probabilities_as_floats():
+    net = load_net({"nodes": [{**ROOT_A, "cpt": [[1, 0]]}]})
+    assert net.cpts["a"] == ((1.0, 0.0),)
+    assert all(type(p) is float for p in net.cpts["a"][0])
+
+
 def test_load_row_sum_cascade():
     def doc_with_row(row):
         return {"nodes": [{"name": "a", "states": ["0", "1"], "parents": [], "cpt": [row]}]}

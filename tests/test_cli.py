@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from afdi import nbc, simulator
 from afdi.states import ComponentId, DiscretizationSpec
 from conftest import fixture_path
@@ -274,6 +276,31 @@ def test_mdd_dot_output(tmp_path):
     assert "digraph" in text and "vm.cpu" in text
 
 
+UNIFORM = [1 / 3, 1 / 3, 1 / 3]
+DIST_KEYS = ("vm.cpu", "vm.memory", "vm.network", "host.storage_io")
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        ({**dict.fromkeys(DIST_KEYS, UNIFORM), "vm.cpu": ["0.5", 0.5, 0.0]},
+         r'vm.cpu must be a JSON array of numbers, got ["0.5", 0.5, 0.0]'),
+        ({**dict.fromkeys(DIST_KEYS, UNIFORM), "vm.cpuu": UNIFORM},
+         r"unknown keys ['vm.cpuu'] in distributions"),
+        (dict.fromkeys(DIST_KEYS[1:], UNIFORM), r"missing field 'vm.cpu'"),
+    ],
+    ids=["string-probability", "unknown-key", "missing-key"],
+)
+def test_mdd_rejects_malformed_distributions(tmp_path, doc, named):
+    # before, "0.5" loaded as 0.5 and an unknown key was ignored
+    dists = tmp_path / "dists.json"
+    dists.write_text(json.dumps(doc))
+    res = run_cli("mdd", "--table", fixture_path("mdd_max4.csv"), "--dists", str(dists))
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: ")
+    assert named in res.stderr
+
+
 def test_mdd_incomplete_table_rejected(tmp_path):
     p = tmp_path / "partial.csv"
     p.write_text("vm.cpu,vm.memory,level\n0,0,0\n1,1,1\n")
@@ -348,6 +375,46 @@ def test_bn_query_malformed_evidence():
     )
     assert res.returncode == 1
     assert "NODE=STATE" in res.stderr
+
+
+# -- malformed documents ---------------------------------------------
+
+
+def _config_without_hash():
+    doc = json.loads(open(fixture_path("engine_config.json")).read())
+    doc["model"] = {"path": fixture_path(doc["model"]["path"])}
+    return doc
+
+
+@pytest.mark.parametrize(
+    "command, flag, doc, extra, named",
+    [
+        ("train", "--schema", {"attributes": [["vm.cpu", "4"]], "classes": ["a", "b"]},
+         ["--data", "TMP/train.csv", "--out-model", "TMP/model.json"],
+         'schema: cardinality of attribute 0 must be a JSON integer, got "4"'),
+        ("diagnose", "--config", _config_without_hash(),
+         ["--metrics", fixture_path("engine_config.json"), "--out-alarms", "TMP/alarms.jsonl"],
+         "missing field 'sha256'"),
+        ("evaluate", "--model", [1], ["--data", "TMP/train.csv"], "must be a JSON object, got [1]"),
+        ("mdd", "--dists", {**dict.fromkeys(DIST_KEYS, UNIFORM), "vm.cpu": "uniform"},
+         ["--table", fixture_path("mdd_max4.csv")],
+         'vm.cpu must be a JSON array of numbers, got "uniform"'),
+        ("bn-query", "--net", {"nodes": {"a": 1}}, ["--query", "a"],
+         'nodes must be a JSON array, got {"a": 1}'),
+    ],
+    ids=["train", "diagnose", "evaluate", "mdd", "bn-query"],
+)
+def test_malformed_document_is_an_error_not_a_traceback(tmp_path, command, flag, doc, extra, named):
+    # before, bn-query and evaluate ended in a TypeError and an
+    # AttributeError traceback, and the others loaded the document
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    (tmp_path / "train.csv").write_text("vm.cpu,label\n0,a\n")
+    extra = [arg.replace("TMP", str(tmp_path)) for arg in extra]
+    res = run_cli(command, flag, str(path), *extra)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+    assert named in res.stderr
 
 
 # -- parser behaviour ------------------------------------------------

@@ -785,39 +785,49 @@ def test_load_config_rejects_unknown_keys_inside_a_section(tmp_path, section, en
 @pytest.mark.parametrize(
     "section, key, value, named",
     [
-        ("preprocess", "clamp", "false", r"preprocess\.clamp must be a JSON boolean, got \"false\""),
-        ("preprocess", "clamp", 0, r"preprocess\.clamp must be a JSON boolean, got 0"),
-        ("preprocess", "window", 11.9, r"preprocess\.window must be a JSON integer, got 11\.9"),
-        ("preprocess", "window", True, r"preprocess\.window must be a JSON integer, got true"),
-        ("preprocess", "z_cutoff", "3", r"preprocess\.z_cutoff must be a JSON number, got \"3\""),
-        ("preprocess", "z_cutoff", False, r"preprocess\.z_cutoff must be a JSON number, got false"),
-        ("loop_rule", "k", 2.7, r"loop_rule\.k must be a JSON integer, got 2\.7"),
-        ("loop_rule", "cpu_bucket", True, r"loop_rule\.cpu_bucket must be a JSON integer, got true"),
+        ("preprocess", "clamp", "false",
+         r"preprocess of config .*: clamp must be a JSON boolean, got \"false\""),
+        ("preprocess", "clamp", 0, r"preprocess of config .*: clamp must be a JSON boolean, got 0"),
+        ("preprocess", "window", 11.9,
+         r"preprocess of config .*: window must be a JSON integer, got 11\.9"),
+        ("preprocess", "window", True,
+         r"preprocess of config .*: window must be a JSON integer, got true"),
+        ("preprocess", "z_cutoff", "3",
+         r"preprocess of config .*: z_cutoff must be a JSON number, got \"3\""),
+        ("preprocess", "z_cutoff", False,
+         r"preprocess of config .*: z_cutoff must be a JSON number, got false"),
+        ("loop_rule", "k", 2.7, r"loop_rule of config .*: k must be a JSON integer, got 2\.7"),
+        ("loop_rule", "cpu_bucket", True,
+         r"loop_rule of config .*: cpu_bucket must be a JSON integer, got true"),
         ("loop_rule", "throughput_bucket", 0.5,
-         r"loop_rule\.throughput_bucket must be a JSON integer, got 0\.5"),
+         r"loop_rule of config .*: throughput_bucket must be a JSON integer, got 0\.5"),
         (None, "severity_mapping", [0, 0, 1.0, 2],
-         r"severity_mapping must be a list of JSON integers, got \[0, 0, 1\.0, 2\]"),
+         r"config .*: severity_mapping must be a JSON array of integers, got \[0, 0, 1\.0, 2\]"),
         (None, "severity_mapping", [0, 0, True, 2],
-         r"severity_mapping must be a list of JSON integers, got \[0, 0, true, 2\]"),
-        (None, "severity_mapping", "0012", r"severity_mapping must be a list of JSON integers"),
+         r"config .*: severity_mapping must be a JSON array of integers, got \[0, 0, true, 2\]"),
+        (None, "severity_mapping", "0012",
+         r"config .*: severity_mapping must be a JSON array of integers, got \"0012\""),
         ("discretization", "vm.cpu", [False, "25", 50, 75, 100],
-         r"discretization\.vm\.cpu must be a list of JSON numbers, "
+         r"discretization of config .*: vm\.cpu must be a JSON array of numbers, "
          r"got \[false, \"25\", 50, 75, 100\]"),
         ("discretization", "vm.cpu", 5,
-         r"discretization\.vm\.cpu must be a list of JSON numbers, got 5"),
+         r"discretization of config .*: vm\.cpu must be a JSON array of numbers, got 5"),
         (None, "discretization", [], r"discretization must be a JSON object, got \[\]"),
-        (None, "attributes", [5], r"attributes must be a list of JSON strings, got \[5\]"),
+        (None, "attributes", [5],
+         r"config .*: attributes must be a JSON array of strings, got \[5\]"),
         (None, "severity_components", ["vm.cpu", True],
-         r"severity_components must be a list of JSON strings, got \[\"vm\.cpu\", true\]"),
+         r"config .*: severity_components must be a JSON array of strings, "
+         r"got \[\"vm\.cpu\", true\]"),
         (None, "loop_rule", [], r"loop_rule must be a JSON object, got \[\]"),
         (None, "preprocess", 5, r"preprocess must be a JSON object, got 5"),
         (None, "model", 5, r"model must be a JSON object, got 5"),
-        ("model", "path", 5, r"model\.path must be a JSON string, got 5"),
-        ("loop_rule", "vm_cpu", 5, r"loop_rule\.vm_cpu must be a JSON string, got 5"),
-        ("loop_rule", "host_cpu", None, r"loop_rule\.host_cpu must be a JSON string, got null"),
+        ("model", "path", 5, r"model of config .*: path must be a JSON string, got 5"),
+        ("loop_rule", "vm_cpu", 5, r"loop_rule of config .*: vm_cpu must be a JSON string, got 5"),
+        ("loop_rule", "host_cpu", None,
+         r"loop_rule of config .*: host_cpu must be a JSON string, got null"),
         ("loop_rule", "throughput", ["vm.throughput"],
-         r"loop_rule\.throughput must be a JSON string, got \[\"vm\.throughput\"\]"),
-        ("loop_rule", "cause", 4, r"loop_rule\.cause must be a JSON string, got 4"),
+         r"loop_rule of config .*: throughput must be a JSON string, got \[\"vm\.throughput\"\]"),
+        ("loop_rule", "cause", 4, r"loop_rule of config .*: cause must be a JSON string, got 4"),
     ],
     ids=[
         "clamp-string", "clamp-number", "window-fraction", "window-true", "z-cutoff-string",
@@ -837,6 +847,27 @@ def test_load_config_rejects_entries_of_the_wrong_json_type(tmp_path, section, k
     cfg_doc = json.loads(open(fixture_path("engine_config.json")).read())
     cfg_doc["model"]["path"] = fixture_path(cfg_doc["model"]["path"])
     (cfg_doc[section] if section else cfg_doc)[key] = value
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps(cfg_doc))
+    with pytest.raises(ConfigError, match=named):
+        load_config(p)
+
+
+@pytest.mark.parametrize(
+    "sha256, named",
+    [
+        (None, r"model of config .* missing field 'sha256'"),
+        ("", r"model hash mismatch for .*nbc_model\.json: expected '', got '[0-9a-f]{64}'"),
+    ],
+    ids=["missing", "empty"],
+)
+def test_load_config_requires_the_model_hash(tmp_path, sha256, named):
+    # before, a config without sha256, or with "", loaded any model file
+    cfg_doc = json.loads(open(fixture_path("engine_config.json")).read())
+    cfg_doc["model"]["path"] = fixture_path(cfg_doc["model"]["path"])
+    del cfg_doc["model"]["sha256"]
+    if sha256 is not None:
+        cfg_doc["model"]["sha256"] = sha256
     p = tmp_path / "config.json"
     p.write_text(json.dumps(cfg_doc))
     with pytest.raises(ConfigError, match=named):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 
@@ -15,6 +16,7 @@ from afdi.nbc import (
     TrainingError,
     classify,
     load_model,
+    load_schema,
     posterior,
     read_training_csv,
     save_model,
@@ -289,6 +291,80 @@ def test_load_detects_tampering(tmp_path):
     path.write_text(text)
     with pytest.raises(ModelFormatError):
         load_model(path)
+
+
+def _edit(doc, **entries):
+    """``doc`` with ``entries`` set; an entry of None is removed."""
+    doc = {**doc, **entries}
+    return {k: v for k, v in doc.items() if v is not None}
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda d: [1], r"model .*model\.json must be a JSON object, got \[1\]"),
+        (lambda d: _edit(d, version=2), r"not an NBC model document of version 1"),
+        (lambda d: _edit(d, format="nbc"), r"not an NBC model document of version 1"),
+        (lambda d: _edit(d, alpha="1.0"), r"model .*: alpha must be a JSON number, got \"1\.0\""),
+        (lambda d: _edit(d, alpha=True), r"model .*: alpha must be a JSON number, got true"),
+        (lambda d: _edit(d, version=1.0), r"model .*: version must be a JSON integer, got 1\.0"),
+        (lambda d: _edit(d, priors=[str(p) for p in d["priors"]]),
+         r"model .*: priors must be a JSON array of numbers, got \[\"0\.5\", \"0\.5\"\]"),
+        (lambda d: _edit(d, cond=[[[0.5, "0.5"]] * 2]),
+         r"model .*: cond must be a JSON array of arrays of arrays of numbers, got "),
+        (lambda d: _edit(d, note="x"), r"unknown keys \['note'\] in model"),
+        (lambda d: _edit(d, alpha=None), r"model .* missing field 'alpha'"),
+        (lambda d: _edit(d, priors=[0.5]), r"model invariants violated: one prior per class"),
+    ],
+    ids=[
+        "document-list", "version-2", "format", "alpha-string", "alpha-true", "version-float",
+        "priors-strings", "cond-string", "unknown-key", "alpha-missing", "priors-short",
+    ],
+)
+def test_load_model_rejects_unknown_keys_and_wrong_json_kinds(tmp_path, edit, named):
+    # before, float() took "1.0", true and string priors, version 2 and
+    # unknown keys loaded, and a document that is no object ended in a
+    # traceback
+    model = train([LabeledExample((0,), 0), LabeledExample((1,), 1)], BINARY)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(ModelFormatError, match=named):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        ([1], r"schema must be a JSON object, got \[1\]"),
+        ({"attributes": [["x", "4"]], "classes": ["a", "b"]},
+         r"schema: cardinality of attribute 0 must be a JSON integer, got \"4\""),
+        ({"attributes": [["x", 4.7]], "classes": ["a", "b"]},
+         r"schema: cardinality of attribute 0 must be a JSON integer, got 4\.7"),
+        ({"attributes": [[5, 4]], "classes": ["a", "b"]},
+         r"schema: name of attribute 0 must be a JSON string, got 5"),
+        ({"attributes": [["x", 4, 1]], "classes": ["a", "b"]},
+         r"schema: attribute 0 must be a \[name, cardinality\] pair, got \[\"x\", 4, 1\]"),
+        ({"attributes": ["x4"], "classes": ["a", "b"]},
+         r"schema: attributes must be a JSON array of arrays, got \[\"x4\"\]"),
+        ({"attributes": [["x", 4]], "classes": "ab"},
+         r"schema: classes must be a JSON array of strings, got \"ab\""),
+        ({"attributes": [["x", 4]], "classes": ["a", "b"], "alpha": 1},
+         r"unknown keys \['alpha'\] in schema"),
+        ({"attributes": [["x", 4]]}, r"schema missing field 'classes'"),
+    ],
+    ids=[
+        "document-list", "cardinality-string", "cardinality-fraction", "name-number",
+        "attribute-triple", "attribute-string", "classes-string", "unknown-key", "classes-missing",
+    ],
+)
+def test_load_schema_rejects_unknown_keys_and_wrong_json_kinds(tmp_path, doc, named):
+    # before, int() and str() took "4" and 4.7 as cardinality 4, and "ab"
+    # as the classes a and b
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=named):
+        load_schema(path)
 
 
 def test_training_csv_roundtrip(tmp_path):

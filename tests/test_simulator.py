@@ -299,6 +299,20 @@ def test_crash_target_consistency():
         FaultInjection("serious_crash", "h0", 0, 5, vm="vm0", metric="temperature")
 
 
+def test_only_a_crash_takes_a_metric():
+    # before, a hog naming a metric loaded and pinned cpu all the same
+    named = r"only serious_crash takes a metric, cpu_hog got 'memory'"
+    with pytest.raises(ScenarioError, match=named):
+        FaultInjection("cpu_hog", "h0", 0, 5, vm="vm0", metric="memory")
+    with pytest.raises(ScenarioError, match=named):
+        load_scenario(_inj(metric="memory"))
+    crash = FaultInjection("serious_crash", "h0", 0, 5, vm="vm0")
+    assert crash.metric == "cpu"
+    samples, _ = generate(small(duration=5, injections=[crash]))
+    pinned = {s.metric.key for s in samples if s.value == 100.0}
+    assert pinned == {"vm.cpu"}
+
+
 def test_injection_bounds_checked_against_scenario():
     with pytest.raises(ScenarioError, match="duration"):
         small(duration=10, injections=[FaultInjection("cpu_hog", "h0", 5, 15, vm="vm0")])
