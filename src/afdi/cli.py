@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import gc
 import hashlib
 import json
 import logging
@@ -89,10 +90,19 @@ def cmd_train(args) -> int:
 
 def cmd_diagnose(args) -> int:
     config = engine.load_config(_require_file(args.config))
-    samples = read_metric_samples(_require_file(args.metrics))
     eng = engine.Engine(config)
-    alarms = eng.process_stream(samples)
-    engine.write_alarm_log(eng.alarm_log, args.out_alarms)
+    # read, process_stream and write build no reference cycles, so the
+    # cycle collector would only rescan the growing heap of samples and
+    # windows; it is off for them and back as it was afterwards
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        samples = read_metric_samples(_require_file(args.metrics))
+        alarms = eng.process_stream(samples)
+        engine.write_alarm_log(eng.alarm_log, args.out_alarms)
+    finally:
+        if collecting:
+            gc.enable()
     print(
         f"processed {len(samples)} samples, raised {len(alarms)} alarms "
         f"({eng.nbc_invocations} classifier calls)",

@@ -22,7 +22,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import mdd as mdd_mod
 from . import nbc as nbc_mod
@@ -102,18 +102,15 @@ def preprocess(samples: Iterable[MetricSample], policy: PreprocessPolicy | None 
     ordered = list(samples)
     # per series: [last timestamp, positions in ordered, values]
     series: dict[tuple, list] = {}
-    for idx, s in enumerate(ordered):
-        key = (s.host_id, s.vm_id, s.metric.key)
+    for idx, (ts, host, vm, metric, v) in enumerate(ordered):
+        key = (host, vm, metric.key)
         entry = series.get(key)
         if entry is None:
-            entry = series[key] = [s.timestamp, [], []]
-        elif s.timestamp < entry[0]:
-            raise SequencingError(
-                f"series {key}: timestamp {s.timestamp} after {entry[0]}"
-            )
-        entry[0] = s.timestamp
-        v = s.value
-        if s.metric.name in PERCENT_METRIC_NAMES and not 0.0 <= v <= 100.0:
+            entry = series[key] = [ts, [], []]
+        elif ts < entry[0]:
+            raise SequencingError(f"series {key}: timestamp {ts} after {entry[0]}")
+        entry[0] = ts
+        if metric.name in PERCENT_METRIC_NAMES and not 0.0 <= v <= 100.0:
             if not policy.clamp:
                 continue
             v = min(100.0, max(0.0, v))
@@ -177,12 +174,13 @@ def preprocess(samples: Iterable[MetricSample], policy: PreprocessPolicy | None 
         if v == s.value:
             out.append(s)
         else:
-            out.append(MetricSample(s.timestamp, s.host_id, s.vm_id, s.metric, v))
+            ts, host, vm, metric, _ = s
+            # checked again: the mean of two huge values can overflow to inf
+            out.append(MetricSample(ts, host, vm, metric, v))
     return out
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(NamedTuple):
     """All configured metric values for one (host, vm) scope at one time."""
 
     timestamp: int
@@ -206,11 +204,11 @@ def collect_windows(
     # component's ComponentId.key, windows by the key lists made below
     vm_rows: dict[tuple, dict[str, float]] = {}
     host_rows: dict[tuple, dict[str, float]] = {}
-    for s in samples:
-        if s.metric.level == "host":
-            host_rows.setdefault((s.timestamp, s.host_id), {})[s.metric.key] = s.value
+    for ts, host, vm, metric, value in samples:
+        if metric.level == "host":
+            host_rows.setdefault((ts, host), {})[metric.key] = value
         else:
-            vm_rows.setdefault((s.timestamp, s.host_id, s.vm_id), {})[s.metric.key] = s.value
+            vm_rows.setdefault((ts, host, vm), {})[metric.key] = value
 
     vm_keys = [f"vm.{name}" for name in vm_metrics]
     host_keys = [f"host.{name}" for name in host_metrics]
@@ -266,11 +264,16 @@ class Alarm:
         }
 
 
+# one encoder for every record: json.dumps(obj, sort_keys=True) builds
+# a new one per call, and writes the same text
+_encode_sorted = json.JSONEncoder(sort_keys=True).encode
+
+
 def write_alarm_log(alarms: Iterable[Alarm], path) -> int:
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
         for a in alarms:
-            fh.write(json.dumps(a.to_json_obj(), sort_keys=True))
+            fh.write(_encode_sorted(a.to_json_obj()))
             fh.write("\n")
             n += 1
     return n

@@ -176,15 +176,15 @@ class Scenario:
             mean, jitter = self.baseline[key]
             if jitter < 0:
                 raise ScenarioError(f"negative jitter for {key}")
-        for inj in self.injections:
+        for i, inj in enumerate(self.injections):
             if inj.end > self.duration:
                 raise ScenarioError(
-                    f"injection [{inj.start}, {inj.end}) exceeds duration {self.duration}"
+                    f"injection {i} [{inj.start}, {inj.end}) exceeds duration {self.duration}"
                 )
             if inj.host not in self.host_ids():
-                raise ScenarioError(f"injection targets unknown host {inj.host!r}")
+                raise ScenarioError(f"injection {i} targets unknown host {inj.host!r}")
             if inj.vm is not None and inj.vm not in self.vm_ids():
-                raise ScenarioError(f"injection targets unknown vm {inj.vm!r}")
+                raise ScenarioError(f"injection {i} targets unknown vm {inj.vm!r}")
         # reject overlapping injections that touch a common scope: each
         # window/scope must have at most one active fault so ground
         # truth stays single-labeled
@@ -384,12 +384,15 @@ def load_scenario(source) -> Scenario:
         entries["baseline"] = baseline
     if "injections" in entries:
         required = ("kind", "host", "start", "end")
-        entries["injections"] = tuple(
-            FaultInjection(
-                **check_entries(item, _INJECTION_KEYS, required, f"injection {i}", ScenarioError)
-            )
-            for i, item in enumerate(entries["injections"])
-        )
+        injections = []
+        for i, item in enumerate(entries["injections"]):
+            where = f"injection {i}"
+            fields = check_entries(item, _INJECTION_KEYS, required, where, ScenarioError)
+            try:
+                injections.append(FaultInjection(**fields))
+            except ScenarioError as exc:
+                raise ScenarioError(f"{where}: {exc}") from None
+        entries["injections"] = tuple(injections)
     return Scenario(**entries)
 
 

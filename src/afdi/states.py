@@ -14,6 +14,8 @@ import bisect
 import itertools
 import json
 import math
+import operator
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -174,29 +176,35 @@ def discretize(value: float, spec: DiscretizationSpec) -> int:
     return idx
 
 
-@dataclass(frozen=True, slots=True)
-class MetricSample:
+def _check_sample(vm_id, metric: ComponentId, value) -> None:
+    """Raise unless a sample of ``metric`` may carry ``vm_id`` and ``value``."""
+    if metric.level == "host" and vm_id is not None:
+        raise ValueError(f"host-level metric {metric.key} must not carry vm_id")
+    if metric.level == "vm" and vm_id is None:
+        raise ValueError(f"vm-level metric {metric.key} requires vm_id")
+    if not math.isfinite(value):
+        raise ValueError(f"{metric.key}: non-finite value {value}")
+
+
+class MetricSample(namedtuple("MetricSample", "timestamp host_id vm_id metric value")):
     """One timestamped telemetry reading for a component.
 
     ``value`` is a percent for utilization metrics, transactions/second
     for throughput, and milliseconds for latency.  Out-of-range raw
     utilization values are accepted here and handled by preprocessing;
     a non-finite value (NaN or an infinity) is rejected.
+
+    A sample is an immutable tuple with no instance dict.  The
+    constructor checks it; code that has already made those checks
+    builds one with ``tuple.__new__(MetricSample, fields)``, and the
+    inherited ``_make`` and ``_replace`` check nothing either.
     """
 
-    timestamp: int
-    host_id: str
-    vm_id: str | None
-    metric: ComponentId
-    value: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.metric.level == "host" and self.vm_id is not None:
-            raise ValueError(f"host-level metric {self.metric.key} must not carry vm_id")
-        if self.metric.level == "vm" and self.vm_id is None:
-            raise ValueError(f"vm-level metric {self.metric.key} requires vm_id")
-        if not math.isfinite(self.value):
-            raise ValueError(f"{self.metric.key}: non-finite value {self.value}")
+    def __new__(cls, timestamp: int, host_id: str, vm_id: str | None, metric: ComponentId, value: float):
+        _check_sample(vm_id, metric, value)
+        return tuple.__new__(cls, (timestamp, host_id, vm_id, metric, value))
 
     def to_json_obj(self) -> dict:
         return {
@@ -228,31 +236,47 @@ _decode = json.JSONDecoder().raw_decode
 # lines decoded by one json.loads call; a chunk's joined text stays far
 # below the size of the samples it yields
 _CHUNK_LINES = 1024
+# the values of a record's six wire keys
+_wire_values = operator.itemgetter("timestamp", "host_id", "vm_id", "metric", "level", "value")
+_first_char, _last_char = operator.itemgetter(0), operator.itemgetter(-1)
+# the level a record's vm_id calls for: vm for a string, host for null
+_LEVEL_OF_VM_ID = {str: "vm", type(None): "host"}.get
 
 
-def _sample(obj, components: dict) -> MetricSample:
+def _component(name: str, level: str, shared: dict) -> ComponentId:
+    """The one ``ComponentId`` of ``(name, level)`` in ``shared``; raises if invalid."""
+    metric = shared.get((name, level))
+    if metric is None:
+        metric = shared[name, level] = ComponentId(name, level)
+    return metric
+
+
+def _sample(obj, shared: dict) -> MetricSample:
     """The sample one decoded record describes; raises on a bad record."""
     # six entries, and all six wire keys read below: no other key
     if type(obj) is not dict or len(obj) != 6:
         raise ValueError(_NOT_A_RECORD)
-    host_id, vm_id, name, level = obj["host_id"], obj["vm_id"], obj["metric"], obj["level"]
-    timestamp, value = obj["timestamp"], obj["value"]
+    timestamp, host_id, vm_id, name, level, value = _wire_values(obj)
     if type(host_id) is not str or not (vm_id is None or type(vm_id) is str):
         raise ValueError("host_id must be a string and vm_id a string or null")
     if type(name) is not str or type(level) is not str:
         raise ValueError("metric and level must be strings")
-    metric = components.get((name, level))
-    if metric is None:
-        metric = components[name, level] = ComponentId(name, level)
+    metric = _component(name, level, shared)
     # bool is a subclass of int, so the types are compared exactly
     if type(timestamp) is not int:
         raise ValueError(f"timestamp must be a JSON integer, got {json.dumps(timestamp)}")
     if type(value) is not float and type(value) is not int:
         raise ValueError(f"value must be a JSON int or float, got {json.dumps(value)}")
-    return MetricSample(timestamp, host_id, vm_id, metric, float(value))
+    return MetricSample(
+        shared.setdefault(timestamp, timestamp),
+        shared.setdefault(host_id, host_id),
+        shared.setdefault(vm_id, vm_id),
+        metric,
+        float(value),
+    )
 
 
-def _chunk_samples(lines: list[str], components: dict) -> list[MetricSample] | None:
+def _chunk_samples(lines: list[str], shared: dict) -> list[MetricSample] | None:
     """The samples of stripped, non-blank lines from one decode call, or
     None when the lines must be decoded one by one.
 
@@ -260,27 +284,60 @@ def _chunk_samples(lines: list[str], components: dict) -> list[MetricSample] | N
     a valid record holds only scalars, so when every line starts with
     ``{`` and ends with ``}``, and the array has one element per line,
     each a valid record, the i-th element is the i-th line's object.
+    The records are checked a column at a time, each column with the
+    checks ``_sample`` makes on one record's value, so a chunk passes
+    exactly when every record would pass ``_sample``.
     """
-    for line in lines:
-        if line[0] != "{" or line[-1] != "}":
-            return None
+    if set(map(_first_char, lines)) != {"{"} or set(map(_last_char, lines)) != {"}"}:
+        return None
     try:
         objs = json.loads("[" + "\n,".join(lines) + "]")
-        if len(objs) != len(lines):
-            return None
-        return [_sample(obj, components) for obj in objs]
-    except (ValueError, KeyError, OverflowError, RecursionError):
+    except (ValueError, RecursionError):
         return None
+    if len(objs) != len(lines) or set(map(type, objs)) != {dict} or set(map(len, objs)) != {6}:
+        return None
+    try:
+        timestamps, hosts, vms, names, levels, values = zip(*map(_wire_values, objs))
+    except KeyError:
+        return None
+    value_types = set(map(type, values))
+    if (
+        set(map(type, timestamps)) != {int}
+        or set(map(type, hosts)) != {str}
+        or set(map(type, names)) != {str}
+        or set(map(type, levels)) != {str}
+        or not value_types <= {int, float}
+        # a vm_id of another type calls for no level, and matches no string
+        or tuple(map(_LEVEL_OF_VM_ID, map(type, vms))) != levels
+    ):
+        return None
+    try:
+        for name, level in set(zip(names, levels)):
+            _component(name, level, shared)
+        if int in value_types:
+            values = tuple(map(float, values))
+    except (ValueError, OverflowError):
+        return None
+    if not all(map(math.isfinite, values)):
+        return None
+    fields = zip(
+        map(shared.setdefault, timestamps, timestamps),
+        map(shared.setdefault, hosts, hosts),
+        map(shared.setdefault, vms, vms),
+        map(shared.__getitem__, zip(names, levels)),
+        values,
+    )
+    return list(map(tuple.__new__, itertools.repeat(MetricSample), fields))
 
 
-def _line_sample(path, line_no: int, line: str, components: dict) -> MetricSample:
+def _line_sample(path, line_no: int, line: str, shared: dict) -> MetricSample:
     """The sample of one stripped line; a bad record raises naming the line."""
     try:
         # the line is stripped, so this accepts exactly what json.loads accepts
         obj, end = _decode(line)
         if end != len(line):
             raise json.JSONDecodeError("Extra data", line, end)
-        return _sample(obj, components)
+        return _sample(obj, shared)
     except KeyError as exc:  # a wire key is missing
         raise ValueError(f"{path}: line {line_no}: {_NOT_A_RECORD}") from exc
     except (ValueError, OverflowError) as exc:
@@ -296,26 +353,30 @@ def read_metric_samples(path) -> list[MetricSample]:
     ``value`` a JSON integer or float (``true`` and ``"42.5"`` are
     neither).  Anything else, and any sample ``MetricSample`` rejects,
     raises ``ValueError`` naming the path and the 1-based line.  Samples
-    of one component share one ``ComponentId``.
+    share one object per distinct timestamp, ``host_id`` and ``vm_id``,
+    and one ``ComponentId`` per component.
 
     Lines are decoded ``_CHUNK_LINES`` at a time with one ``json.loads``
-    call; a chunk that does not decode to one valid record per line is
-    decoded again line by line, which names the first bad line.
+    call and checked a column at a time; a chunk that does not decode to
+    one valid record per line is decoded again line by line, which names
+    the first bad line.
     """
     samples = []
-    components: dict[tuple[str, str], ComponentId] = {}  # valid ones only
+    # one object per distinct timestamp and id, and a ComponentId per
+    # valid (name, level) pair
+    shared: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         first_line = 1
         while chunk := list(itertools.islice(fh, _CHUNK_LINES)):
-            lines = [line for line in map(str.strip, chunk) if line]
-            fast = _chunk_samples(lines, components) if lines else []
+            lines = list(filter(None, map(str.strip, chunk)))
+            fast = _chunk_samples(lines, shared) if lines else []
             if fast is not None:
                 samples += fast
             else:
                 for line_no, line in enumerate(chunk, start=first_line):
                     line = line.strip()
                     if line:
-                        samples.append(_line_sample(path, line_no, line, components))
+                        samples.append(_line_sample(path, line_no, line, shared))
             first_line += len(chunk)
     return samples
 
@@ -354,7 +415,12 @@ def check_kind(value, kind: str, name: str, error: type[Exception] = ValueError)
             except error:
                 pass  # the message names the whole value
     elif type(value) in _JSON_KINDS[kind]:
-        return float(value) if kind == "number" else value
+        if kind != "number":
+            return value
+        try:
+            return float(value)
+        except OverflowError:
+            raise error(f"{name} is too large for a float, got {json.dumps(value)}") from None
     raise error(f"{name} must be a JSON {kind}, got {json.dumps(value)}")
 
 

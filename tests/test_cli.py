@@ -103,6 +103,25 @@ def test_simulate_rejects_a_scenario_that_is_not_an_object(tmp_path):
     assert "error: scenario document must be a JSON object, got [1]" in res.stderr
 
 
+def test_simulate_rejects_an_intensity_too_large_for_a_float(tmp_path):
+    # before, float() of the 401-digit integer ended in an OverflowError traceback
+    doc = json.loads(open(fixture_path("scenario_healthy.json")).read())
+    doc["injections"] = [
+        {"kind": "cpu_hog", "host": "h0", "vm": "vm0", "start": 0, "end": 2, "intensity": 10**400}
+    ]
+    scenario = tmp_path / "huge.json"
+    scenario.write_text(json.dumps(doc))
+    res = run_cli(
+        "simulate",
+        "--scenario", str(scenario),
+        "--out-metrics", str(tmp_path / "m.jsonl"),
+        "--out-labels", str(tmp_path / "l.csv"),
+    )
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: injection 0: intensity is too large for a float, got 1")
+    assert "Traceback" not in res.stderr
+
+
 # -- train -----------------------------------------------------------
 
 

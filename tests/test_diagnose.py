@@ -1,6 +1,7 @@
 """``afdi diagnose`` end to end: the fleet alarm logs pinned, and every
 alarm equal to the plain-way oracle's on small random streams."""
 
+import gc
 import hashlib
 import importlib.util
 import json
@@ -12,9 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from afdi import cli
-from afdi.engine import load_config
+from afdi.engine import Engine, load_config, write_alarm_log
 from afdi.simulator import generate, load_scenario, write_labels
-from afdi.states import write_metric_samples
+from afdi.states import read_metric_samples, write_metric_samples
 from conftest import fixture_path
 
 import oracles
@@ -71,6 +72,66 @@ def test_fleet_alarm_log_through_the_reader_pinned(tmp_path, name):
     assert (_sha256(metrics), _sha256(tmp_path / "labels.csv")) == FLEET_STREAM_SHA256[name]
     assert _diagnose(fixture_path("engine_config.json"), metrics, alarms) == 0
     assert _sha256(alarms) == FLEET_ALARM_LOG_SHA256[name]
+
+
+# -- the cycle collector ----------------------------------------------
+
+
+def _cycles_left(config_path, metrics_path, alarms_path) -> int:
+    """Objects ``gc.collect`` finds unreachable once read, process_stream
+    and write ran with the collector off and their results were dropped."""
+    config = load_config(config_path)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        eng = Engine(config)
+        eng.process_stream(read_metric_samples(metrics_path))
+        write_alarm_log(eng.alarm_log, alarms_path)
+        del eng
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    ["scenario_healthy.json", "scenario_endless_loop.json", "scenario_serious_crash.json",
+     "scenario_800.json", "fleet-replay"],
+)
+def test_diagnose_stages_build_no_reference_cycles(tmp_path, scenario):
+    # afdi diagnose runs these stages with the collector off; a cycle
+    # they built would only be freed by a collection
+    pinned = FLEET_STREAM_SHA256.get(scenario)
+    source = _workloads()[scenario](str(ROOT), 3) if pinned else fixture_path(scenario)
+    metrics = tmp_path / "metrics.jsonl"
+    write_metric_samples(generate(load_scenario(source))[0], metrics)
+    if pinned:
+        assert _sha256(metrics) == pinned[0]
+    assert _cycles_left(fixture_path("engine_config.json"), metrics, tmp_path / "alarms.jsonl") == 0
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("stream", ["good", "bad-line", "out-of-order"])
+def test_diagnose_leaves_the_collector_as_it_found_it(tmp_path, enabled, stream):
+    samples, _ = generate(load_scenario(fixture_path("scenario_healthy.json")))
+    metrics = tmp_path / "metrics.jsonl"
+    write_metric_samples(samples, metrics)
+    lines = metrics.read_text().splitlines()
+    if stream == "bad-line":
+        lines.insert(5, "{")
+    elif stream == "out-of-order":
+        lines.reverse()
+    metrics.write_text("\n".join(lines) + "\n")
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        rc = _diagnose(fixture_path("engine_config.json"), metrics, tmp_path / "alarms.jsonl")
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert rc == (0 if stream == "good" else 1)
 
 
 # -- against the oracle ------------------------------------------------

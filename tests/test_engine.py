@@ -884,6 +884,19 @@ def test_load_config_takes_an_integer_z_cutoff_as_a_number(tmp_path):
     assert z_cutoff == 2.0 and type(z_cutoff) is float
 
 
+def test_load_config_rejects_a_z_cutoff_too_large_for_a_float(tmp_path):
+    # before, float() raised OverflowError out of the loader
+    cfg_doc = json.loads(open(fixture_path("engine_config.json")).read())
+    cfg_doc["model"]["path"] = fixture_path(cfg_doc["model"]["path"])
+    cfg_doc["preprocess"]["z_cutoff"] = 10**399
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps(cfg_doc))
+    assert len(json.dumps(10**399)) == 400
+    named = r"preprocess of config .*: z_cutoff is too large for a float, got 10{399}$"
+    with pytest.raises(ConfigError, match=named):
+        load_config(p)
+
+
 def test_load_config_requires_model_reference(tmp_path):
     p = tmp_path / "config.json"
     p.write_text(json.dumps({"attributes": ["vm.cpu"]}))
@@ -973,3 +986,11 @@ def test_severity_component_outside_attributes_is_collected(config):
     alarms = Engine(cfg).process_stream(stream)
     assert len(alarms) == 20
     assert all(a.trigger == TRIGGER_GATE and a.timestamp >= 20000 for a in alarms)
+
+
+def test_windows_are_immutable_tuple_records():
+    window = Window(0, "h0", "vm0", {"vm.cpu": 1.0})
+    assert isinstance(window, tuple) and not hasattr(window, "__dict__")
+    with pytest.raises(AttributeError):
+        window.timestamp = 1
+    assert window == Window(timestamp=0, host_id="h0", vm_id="vm0", values={"vm.cpu": 1.0})

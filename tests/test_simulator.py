@@ -512,6 +512,22 @@ def test_load_scenario_rejects_unknown_keys_and_wrong_json_kinds(doc, named):
         load_scenario(doc)
 
 
+def test_load_scenario_names_the_injection_a_check_rejects():
+    # before, FaultInjection's and Scenario's own messages named no injection
+    hog_with_metric = [INJECTION, INJECTION, INJECTION, {**INJECTION, "metric": "memory"}]
+    with pytest.raises(
+        ScenarioError, match=r"^injection 3: only serious_crash takes a metric, cpu_hog got 'memory'$"
+    ):
+        load_scenario(_doc(injections=hog_with_metric))
+    with pytest.raises(ScenarioError, match=r"^injection 1: intensity must be in \(0, 1\], got 2\.0$"):
+        load_scenario(_doc(injections=[INJECTION, {**INJECTION, "intensity": 2}]))
+    elsewhere = {**INJECTION, "start": 6, "end": 9}
+    with pytest.raises(ScenarioError, match=r"^injection 1 targets unknown host 'h7'$"):
+        load_scenario(_doc(injections=[INJECTION, {**elsewhere, "host": "h7"}]))
+    with pytest.raises(ScenarioError, match=r"^injection 1 \[6, 12\) exceeds duration 10$"):
+        load_scenario(_doc(injections=[INJECTION, {**elsewhere, "end": 12}]))
+
+
 def test_load_scenario_takes_integer_numbers_as_floats():
     baseline = {k: {"mean": 30, "jitter": 2} for k in ATTR_KEYS}
     scenario = load_scenario(_doc(baseline=baseline, injections=[{**INJECTION, "intensity": 1}]))

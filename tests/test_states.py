@@ -335,3 +335,72 @@ def test_reader_matches_per_line_reader_over_many_chunks(tmp_path):
     got = read_metric_samples(path)
     assert len(got) == 2 * CHUNK + 300
     assert got == oracles.read_metric_samples_per_line(path)
+
+
+# -- tuple records ----------------------------------------------------
+
+HOST_CPU = ComponentId("cpu", "host")
+
+
+def test_samples_are_immutable_hashable_tuple_records():
+    sample = MetricSample(0, "h0", "vm0", CPU, 42.5)
+    assert isinstance(sample, tuple) and not hasattr(sample, "__dict__")
+    with pytest.raises(AttributeError):
+        sample.value = 1.0
+    with pytest.raises(TypeError):
+        sample[4] = 1.0
+    twin = MetricSample(timestamp=0, host_id="h0", vm_id="vm0", metric=CPU, value=42.5)
+    assert twin == sample and hash(twin) == hash(sample) and len({sample, twin}) == 1
+    assert tuple(sample) == (0, "h0", "vm0", CPU, 42.5)
+    assert repr(sample).startswith("MetricSample(timestamp=0, host_id='h0', vm_id='vm0', ")
+
+
+@pytest.mark.parametrize(
+    "vm_id, metric, value, message",
+    [
+        ("vm0", HOST_CPU, 10.0, "host-level metric host.cpu must not carry vm_id"),
+        (None, CPU, 10.0, "vm-level metric vm.cpu requires vm_id"),
+        ("vm0", CPU, math.nan, "vm.cpu: non-finite value nan"),
+        ("vm0", CPU, math.inf, "vm.cpu: non-finite value inf"),
+        (None, HOST_CPU, -math.inf, "host.cpu: non-finite value -inf"),
+    ],
+    ids=["host-with-vm", "vm-without-vm", "nan", "inf", "minus-inf"],
+)
+def test_metric_sample_rejects_each_bad_scope_or_value_with_its_message(vm_id, metric, value, message):
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        MetricSample(0, "h0", vm_id, metric, value)
+
+
+def test_reader_shares_one_object_per_distinct_timestamp_and_id(tmp_path):
+    samples, _ = generate(load_scenario(fixture_path("scenario_800.json")))
+    path = tmp_path / "stream.jsonl"
+    write_metric_samples(samples, path)
+    got = read_metric_samples(path)
+    for field in ("timestamp", "host_id", "vm_id"):
+        values = [getattr(s, field) for s in got]
+        # every sample is alive, so distinct objects have distinct ids
+        assert len({id(v) for v in values}) == len(set(values)), field
+    assert len({s.timestamp for s in got}) == 800
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (_with(timestamp=True), "timestamp must be a JSON integer, got true"),
+        (_GOOD_HOST.replace("null", '"vm0"'), "host-level metric host.cpu must not carry vm_id"),
+        (_good_with("42.5", "1" + "0" * 399), "int too large to convert to float"),
+        (_good_with("42.5", "NaN"), "vm.cpu: non-finite value nan"),
+    ],
+    ids=["timestamp-true", "host-metric-with-vm", "value-400-digits", "value-nan"],
+)
+def test_reader_names_the_line_of_one_bad_entry_in_a_column(tmp_path, bad, message):
+    # the bad entry sits inside a full chunk of good records of both scopes
+    lines = [_GOOD if i % 3 else _GOOD_HOST for i in range(CHUNK + 200)]
+    lines[700] = bad
+    path = tmp_path / "stream.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: line 701: {re.escape(message)}$"):
+        read_metric_samples(path)
+    lines[700] = _GOOD
+    path.write_text("\n".join(lines) + "\n")
+    assert len(read_metric_samples(path)) == CHUNK + 200
