@@ -21,6 +21,7 @@ import hashlib
 import json
 import math
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -231,26 +232,55 @@ def collect_windows(
     return windows
 
 
-@dataclass(frozen=True)
-class Alarm:
-    timestamp: int
-    host_id: str
-    vm_id: str | None
-    severity: int
-    trigger: str
-    diagnosis: tuple[float, ...] | None = None
-    top_cause: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.trigger not in (TRIGGER_GATE, TRIGGER_NBC):
-            raise ValueError(f"unknown trigger {self.trigger!r}")
-        if self.trigger == TRIGGER_GATE and self.severity != 2:
+def _check_alarm(timestamp, host_id, vm_id, severity, trigger, diagnosis, top_cause) -> None:
+    """Raise unless the fields make an alarm record: a JSON line of the
+    kinds the alarm log documents, whose diagnosis is a distribution."""
+    if trigger not in (TRIGGER_GATE, TRIGGER_NBC):
+        raise ValueError(f"unknown trigger {trigger!r}")
+    if type(timestamp) is not int:
+        raise ValueError(f"timestamp must be an integer, got {timestamp!r}")
+    if not isinstance(host_id, str):
+        raise ValueError(f"host_id must be a string, got {host_id!r}")
+    if vm_id is not None and not isinstance(vm_id, str):
+        raise ValueError(f"vm_id must be a string or None, got {vm_id!r}")
+    if type(severity) is not int or not 0 <= severity <= 2:
+        raise ValueError(f"severity must be an integer in 0..2, got {severity!r}")
+    if trigger == TRIGGER_GATE:
+        if severity != 2:
             raise ValueError("severity_gate alarms are always serious")
-        if self.trigger == TRIGGER_NBC:
-            if self.diagnosis is None:
-                raise ValueError("nbc_diagnosis alarms carry a diagnosis distribution")
-            if abs(sum(self.diagnosis) - 1.0) > 1e-12:
-                raise ValueError("diagnosis distribution must be normalized")
+        if diagnosis is not None or top_cause is not None:
+            raise ValueError("severity_gate alarms carry no diagnosis and no top_cause")
+        return
+    if diagnosis is None:
+        raise ValueError("nbc_diagnosis alarms carry a diagnosis distribution")
+    # NaN fails the range test too, so it cannot pass the sum below
+    for p in diagnosis:
+        if type(p) not in (int, float) or not 0 <= p <= 1:
+            raise ValueError(f"diagnosis entries must be numbers in [0, 1], got {diagnosis!r}")
+    if abs(sum(diagnosis) - 1.0) > 1e-12:
+        raise ValueError("diagnosis distribution must be normalized")
+    if not isinstance(top_cause, str):
+        raise ValueError(f"nbc_diagnosis alarms name a top_cause string, got {top_cause!r}")
+
+
+class Alarm(namedtuple("Alarm", "timestamp host_id vm_id severity trigger diagnosis top_cause")):
+    """One alarm: a ``severity_gate`` alarm on a serious window, or an
+    ``nbc_diagnosis`` alarm with a class distribution and its top cause.
+
+    An alarm is an immutable tuple with no instance dict.  The
+    constructor checks it; the engine, whose alarms pass those checks by
+    construction, builds them with ``tuple.__new__(Alarm, fields)``, and
+    the inherited ``_make`` and ``_replace`` check nothing either.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, timestamp: int, host_id: str, vm_id: str | None, severity: int, trigger: str,
+                diagnosis: Sequence[float] | None = None, top_cause: str | None = None):
+        if diagnosis is not None:
+            diagnosis = tuple(diagnosis)
+        _check_alarm(timestamp, host_id, vm_id, severity, trigger, diagnosis, top_cause)
+        return tuple.__new__(cls, (timestamp, host_id, vm_id, severity, trigger, diagnosis, top_cause))
 
     def to_json_obj(self) -> dict:
         return {
@@ -264,17 +294,43 @@ class Alarm:
         }
 
 
-# one encoder for every record: json.dumps(obj, sort_keys=True) builds
+# one encoder for every field: json.dumps(obj, sort_keys=True) builds
 # a new one per call, and writes the same text
 _encode_sorted = json.JSONEncoder(sort_keys=True).encode
 
 
 def write_alarm_log(alarms: Iterable[Alarm], path) -> int:
+    """Write one line per alarm, ``json.dumps(alarm.to_json_obj(),
+    sort_keys=True)``, and return the number written."""
+    # JSON text of each diagnosis, id, trigger and top_cause object, keyed
+    # by identity: equal values need not encode alike, as (0.0, 1.0),
+    # (-0.0, 1.0) and (1, 0) show.  Each object is kept, so its id is not
+    # reused while the table lives.
+    texts: dict[int, str] = {}
+    kept = []
+
+    def text(obj) -> str:
+        found = texts.get(id(obj))
+        if found is None:
+            kept.append(obj)
+            found = texts[id(obj)] = _encode_sorted(obj)
+        return found
+
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
-        for a in alarms:
-            fh.write(_encode_sorted(a.to_json_obj()))
-            fh.write("\n")
+        write = fh.write
+        for timestamp, host, vm, severity, trigger, diagnosis, cause in alarms:
+            try:
+                d, h, c, t, v = (
+                    texts[id(diagnosis)], texts[id(host)], texts[id(cause)], texts[id(trigger)], texts[id(vm)]
+                )
+            except KeyError:
+                d, h, c, t, v = map(text, (diagnosis, host, cause, trigger, vm))
+            # str() of an int is the text the encoder writes for it
+            write(
+                f'{{"diagnosis": {d}, "host_id": {h}, "severity": {severity}, '
+                f'"timestamp": {timestamp}, "top_cause": {c}, "trigger": {t}, "vm_id": {v}}}\n'
+            )
             n += 1
     return n
 
@@ -298,8 +354,20 @@ class VirtualSensor:
     _pending: tuple[int, Alarm] | None = None
 
     def __post_init__(self) -> None:
-        if self.frequency_ms <= 0:
-            raise ValueError("frequency must be positive")
+        _check_active(self.sensor_id, self.active)
+        _check_frequency(self.sensor_id, self.frequency_ms)
+
+
+def _check_active(sensor_id: str, active) -> None:
+    if type(active) is not bool:
+        raise ValueError(f"sensor {sensor_id!r}: active must be a bool, got {active!r}")
+
+
+def _check_frequency(sensor_id: str, frequency_ms) -> None:
+    if type(frequency_ms) is not int or frequency_ms <= 0:
+        raise ValueError(
+            f"sensor {sensor_id!r}: frequency_ms must be a positive integer, got {frequency_ms!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -426,23 +494,25 @@ class Engine:
         self.nbc_invocations = 0
         self.clock = 0
         self._sensors: dict[str, VirtualSensor] = {}
+        # matching windows in a row per scope; the loop alarm fires when
+        # the streak reaches k, so once per span
         self._streaks: dict[tuple, int] = {}
-        self._loop_fired: dict[tuple, bool] = {}
+        # (severity, loop rule matched, NBC features) per bucket vector
+        self._judged: dict[tuple, tuple] = {}
+        # (diagnosis, top cause) per distinct diagnosis, the loop rule's
+        # one-hot among them, so equal diagnoses are one object.  Keying
+        # by value is exact: the posterior yields no -0.0, which equals
+        # 0.0 but encodes differently, and no NaN, which equals nothing
+        loop = config.loop_diagnosis
+        self._diagnoses: dict[tuple, tuple] = {loop: (loop, config.loop_rule.cause)}
 
     # -- window processing -------------------------------------------
 
-    def _usage(self, window: Window) -> dict[str, int]:
-        """Usage bucket per judged key; a missing metric raises."""
+    def _buckets(self, window: Window) -> tuple[int, ...]:
+        """Usage bucket of each judged key, in ``bucket_bounds`` order; a
+        missing metric raises."""
         values = window.values
-        usage = {}
-        for key, bounds, top in self.config.bucket_bounds:
-            try:
-                value = values[key]
-            except KeyError:
-                raise IncompleteWindowError(
-                    f"window t={window.timestamp} {window.host_id}/{window.vm_id}: "
-                    f"missing {key}"
-                ) from None
+        try:
             # discretize() of the value clamped to the bounds: searching
             # the inner boundaries only puts a value past either end in
             # the edge bucket, and NaN goes to the bottom one as the clamp
@@ -450,8 +520,18 @@ class Engine:
             # only, so a non-percent metric past the bounds (throughput
             # at 250 tx/s) lands in the edge bucket here, as does any
             # value from a caller that skips preprocess.
-            usage[key] = bisect_right(bounds, value, 1, top) - 1 if value == value else 0
-        return usage
+            return tuple([
+                bisect_right(bounds, v, 1, top) - 1 if (v := values[key]) == v else 0
+                for key, bounds, top in self.config.bucket_bounds
+            ])
+        except KeyError as exc:
+            raise IncompleteWindowError(
+                f"window t={window.timestamp} {window.host_id}/{window.vm_id}: missing {exc.args[0]}"
+            ) from None
+
+    def _usage(self, window: Window) -> dict[str, int]:
+        """Usage bucket per judged key; a missing metric raises."""
+        return {key: b for (key, _, _), b in zip(self.config.bucket_bounds, self._buckets(window))}
 
     def severity_of(self, window: Window) -> int:
         return self._severity(self._usage(window))
@@ -460,6 +540,14 @@ class Engine:
         return self.config.severity_mdd.evaluate_levels(
             [table[usage[key]] for key, table in self.config.severity_tables]
         )
+
+    def _judge(self, buckets: tuple[int, ...]) -> tuple:
+        """What a window with these buckets is judged, kept for the next one."""
+        config = self.config
+        usage = {key: b for (key, _, _), b in zip(config.bucket_bounds, buckets)}
+        features = tuple(usage[key] for key in config.attribute_keys)
+        judged = self._judged[buckets] = (self._severity(usage), config.loop_rule.matches(usage), features)
+        return judged
 
     def step(self, window: Window) -> list[Alarm]:
         """Process one complete window; returns the alarms it raised.
@@ -470,59 +558,38 @@ class Engine:
         saturated CPU always trips the severity gate, so the rule's job
         is to replace the K-th consecutive anonymous gate alarm with a
         named diagnosis, once per span.
-        """
-        usage = self._usage(window)
-        severity = self._severity(usage)
-        scope = (window.host_id, window.vm_id)
 
-        rule = self.config.loop_rule
-        loop_alarm = None
-        if rule.matches(usage):
-            streak = self._streaks.get(scope, 0) + 1
-            self._streaks[scope] = streak
-            if streak >= rule.k and not self._loop_fired.get(scope, False):
-                self._loop_fired[scope] = True
-                loop_alarm = Alarm(
-                    timestamp=window.timestamp,
-                    host_id=window.host_id,
-                    vm_id=window.vm_id,
-                    severity=severity,
-                    trigger=TRIGGER_NBC,
-                    diagnosis=self.config.loop_diagnosis,
-                    top_cause=rule.cause,
-                )
+        The window's whole judgment depends only on its bucket vector,
+        so each vector is judged once per engine.  Alarms are built
+        unchecked from the window, the config and the model: the
+        windows of read or simulated samples make only valid ones.
+        """
+        timestamp, host, vm, _ = window
+        buckets = self._buckets(window)
+        judged = self._judged.get(buckets)
+        if judged is None:
+            judged = self._judge(buckets)
+        severity, loop, features = judged
+
+        config = self.config
+        scope = (host, vm)
+        if loop:
+            streak = self._streaks[scope] = self._streaks.get(scope, 0) + 1
+            if streak == config.loop_rule.k:
+                fields = (timestamp, host, vm, severity, TRIGGER_NBC, config.loop_diagnosis, config.loop_rule.cause)
+                return [tuple.__new__(Alarm, fields)]
         else:
             self._streaks[scope] = 0
-            self._loop_fired[scope] = False
 
-        if loop_alarm is not None:
-            return [loop_alarm]
         if severity == 2:
-            return [
-                Alarm(
-                    timestamp=window.timestamp,
-                    host_id=window.host_id,
-                    vm_id=window.vm_id,
-                    severity=2,
-                    trigger=TRIGGER_GATE,
-                )
-            ]
+            return [tuple.__new__(Alarm, (timestamp, host, vm, 2, TRIGGER_GATE, None, None))]
         if severity == 1:
             self.nbc_invocations += 1
-            features = tuple(usage[key] for key in self.config.attribute_keys)
-            post = nbc_mod.posterior(self.config.model, features)
-            top = nbc_mod.top_class(post)
-            return [
-                Alarm(
-                    timestamp=window.timestamp,
-                    host_id=window.host_id,
-                    vm_id=window.vm_id,
-                    severity=1,
-                    trigger=TRIGGER_NBC,
-                    diagnosis=post,
-                    top_cause=self.config.classes[top],
-                )
-            ]
+            post = nbc_mod.posterior(config.model, features)
+            diagnosis = self._diagnoses.get(post)
+            if diagnosis is None:
+                diagnosis = self._diagnoses[post] = (post, config.classes[nbc_mod.top_class(post)])
+            return [tuple.__new__(Alarm, (timestamp, host, vm, 1, TRIGGER_NBC) + diagnosis)]
         return []
 
     def process_stream(self, samples: Iterable[MetricSample]) -> list[Alarm]:
@@ -555,12 +622,14 @@ class Engine:
             raise KeyError(f"unknown sensor {sensor_id!r}") from None
 
     def set_active(self, sensor_id: str, active: bool) -> None:
-        self._sensor(sensor_id).active = bool(active)
+        sensor = self._sensor(sensor_id)
+        _check_active(sensor_id, active)
+        sensor.active = active
 
     def set_frequency(self, sensor_id: str, frequency_ms: int) -> None:
-        if frequency_ms <= 0:
-            raise ValueError("frequency must be positive")
-        self._sensor(sensor_id).frequency_ms = int(frequency_ms)
+        sensor = self._sensor(sensor_id)
+        _check_frequency(sensor_id, frequency_ms)
+        sensor.frequency_ms = frequency_ms
 
     def sensor_status(self, sensor_id: str) -> dict:
         s = self._sensor(sensor_id)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from afdi import cli
-from afdi.engine import Engine, load_config, write_alarm_log
+from afdi.engine import Alarm, Engine, IncompleteWindowError, SequencingError, load_config, write_alarm_log
 from afdi.simulator import generate, load_scenario, write_labels
 from afdi.states import read_metric_samples, write_metric_samples
 from conftest import fixture_path
@@ -230,3 +230,46 @@ def test_diagnose_matches_the_oracle_alarm_for_alarm(lines, window, z_cutoff, cl
         assert rc == 0
         got = [json.loads(line) for line in alarms.read_text().splitlines()]
     assert got == expected
+
+
+# -- the engine's unchecked alarms ---------------------------------------
+
+
+def _assert_alarms_pass_the_checked_constructor(alarms):
+    """Each alarm is one the checked constructor makes, and equal
+    diagnoses of one run are one object."""
+    diagnoses = {}
+    for alarm in alarms:
+        assert type(alarm) is Alarm
+        assert Alarm(*alarm) == alarm
+        if alarm.diagnosis is not None:
+            assert diagnoses.setdefault(alarm.diagnosis, alarm.diagnosis) is alarm.diagnosis
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    ["scenario_healthy.json", "scenario_endless_loop.json", "scenario_serious_crash.json", "scenario_800.json"],
+)
+def test_engine_alarms_of_the_fixtures_pass_the_checked_constructor(scenario):
+    samples, _ = generate(load_scenario(fixture_path(scenario)))
+    alarms = Engine(load_config(fixture_path("engine_config.json"))).process_stream(samples)
+    _assert_alarms_pass_the_checked_constructor(alarms)
+
+
+@settings(max_examples=100)
+@given(lines=streams(), window=st.sampled_from([3, 5, 11]), clamp=st.sampled_from([True, False]))
+def test_engine_alarms_of_random_streams_pass_the_checked_constructor(lines, window, clamp):
+    with open(fixture_path("engine_config.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["model"]["path"] = fixture_path(doc["model"]["path"])
+    doc["preprocess"] = {"window": window, "clamp": clamp}
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path, metrics = pathlib.Path(tmp) / "config.json", pathlib.Path(tmp) / "metrics.jsonl"
+        config_path.write_text(json.dumps(doc))
+        metrics.write_text("".join(line + "\n" for line in lines))
+        config, samples = load_config(config_path), read_metric_samples(metrics)
+    try:
+        alarms = Engine(config).process_stream(samples)
+    except (SequencingError, IncompleteWindowError):
+        return
+    _assert_alarms_pass_the_checked_constructor(alarms)

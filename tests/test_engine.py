@@ -571,6 +571,64 @@ def test_alarm_log_bytes_pinned(config, tmp_path, name):
     assert hashlib.sha256(p.read_bytes()).hexdigest() == ALARM_LOG_SHA256[name]
 
 
+# -- the alarm log writer --------------------------------------------
+
+# equal tuples that encode differently, and one that does not equal them
+EQUAL_DIAGNOSES = [(0.0, 1.0), (-0.0, 1.0), (0, 1), (1, 0), (1.0, 0.0), (1.0, -0.0), (0.25, 0.75)]
+
+
+def _fresh(value):
+    """An object equal to ``value`` but not it (for a str or a tuple)."""
+    if isinstance(value, str):
+        return "".join(list(value))
+    return tuple(list(value))
+
+
+@st.composite
+def checked_alarms(draw):
+    """Checked alarms whose ids and diagnoses are shared or fresh objects."""
+
+    def shared_or_fresh(values):
+        value = draw(st.sampled_from(values))
+        return _fresh(value) if value is not None and draw(st.booleans()) else value
+
+    host = shared_or_fresh(["h0", "h1", "h\u00e9"])
+    vm = shared_or_fresh([None, "vm0", "vm1", 'vm"2'])
+    timestamp = draw(st.integers(-(2**70), 2**70))
+    if draw(st.booleans()):
+        return Alarm(timestamp, host, vm, 2, TRIGGER_GATE)
+    p = draw(st.floats(0.0, 1.0))
+    diagnosis = shared_or_fresh(EQUAL_DIAGNOSES + [(p, 1.0 - p)])
+    cause = shared_or_fresh(["cpu-hog", "endless-loop", "normal"])
+    return Alarm(timestamp, host, vm, draw(st.integers(0, 2)), TRIGGER_NBC, diagnosis, cause)
+
+
+def _lines(path):
+    return path.read_text(encoding="utf-8").split("\n")[:-1]
+
+
+@settings(max_examples=300)
+@given(alarms=st.lists(checked_alarms(), max_size=30))
+def test_alarm_log_line_is_json_dumps_of_the_record(tmp_path_factory, alarms):
+    path = tmp_path_factory.mktemp("log") / "alarms.jsonl"
+    assert write_alarm_log(alarms, path) == len(alarms)
+    assert _lines(path) == [json.dumps(a.to_json_obj(), sort_keys=True) for a in alarms]
+
+
+def test_alarm_log_writer_is_not_fooled_by_reused_ids(tmp_path):
+    # each alarm and its fields are freed once the writer moved on, so a
+    # new object can take the id of one the writer has already written
+    def alarms():
+        for i in range(400):
+            diagnosis = _fresh(EQUAL_DIAGNOSES[i % len(EQUAL_DIAGNOSES)])
+            yield Alarm(i, f"h{i % 3}", f"vm{i % 5}" if i % 4 else None, 1, TRIGGER_NBC,
+                        diagnosis, f"cause-{i % 7}")
+
+    path = tmp_path / "alarms.jsonl"
+    assert write_alarm_log(alarms(), path) == 400
+    assert _lines(path) == [json.dumps(a.to_json_obj(), sort_keys=True) for a in alarms()]
+
+
 # -- alarm record validation -----------------------------------------
 
 
@@ -583,6 +641,100 @@ def test_alarm_invariants():
         Alarm(0, "h0", "vm0", severity=1, trigger=TRIGGER_NBC, diagnosis=(0.5, 0.2))
     with pytest.raises(ValueError):
         Alarm(0, "h0", "vm0", severity=2, trigger="page_everyone")
+
+
+def test_alarm_invariants_keep_their_messages():
+    cases = [
+        (dict(severity=1, trigger=TRIGGER_GATE), "severity_gate alarms are always serious"),
+        (dict(severity=1, trigger=TRIGGER_NBC), "nbc_diagnosis alarms carry a diagnosis distribution"),
+        (dict(severity=1, trigger=TRIGGER_NBC, diagnosis=(0.5, 0.2)), "diagnosis distribution must be normalized"),
+        (dict(severity=2, trigger="page_everyone"), "unknown trigger 'page_everyone'"),
+    ]
+    for kwargs, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Alarm(0, "h0", "vm0", **kwargs)
+
+
+def nbc_alarm(**overrides):
+    fields = dict(timestamp=0, host_id="h0", vm_id="vm0", severity=1, trigger=TRIGGER_NBC,
+                  diagnosis=(0.25, 0.75), top_cause="cpu-hog")
+    fields.update(overrides)
+    return Alarm(**fields)
+
+
+def test_alarm_rejects_a_nan_diagnosis():
+    # abs(nan - 1) > 1e-12 is False, so the sum alone lets NaN through,
+    # and the log would get a bare NaN, which is not JSON
+    with pytest.raises(ValueError, match=r"diagnosis entries must be numbers in \[0, 1\]"):
+        nbc_alarm(diagnosis=(math.nan, 1.0))
+
+
+def test_alarm_rejects_a_negative_diagnosis_entry():
+    with pytest.raises(ValueError, match=r"diagnosis entries must be numbers in \[0, 1\]"):
+        nbc_alarm(diagnosis=(1.5, -0.5))
+
+
+@pytest.mark.parametrize("timestamp", [1.5, 1000.0, True, "1000", None])
+def test_alarm_rejects_a_timestamp_that_is_not_an_integer(timestamp):
+    with pytest.raises(ValueError, match="timestamp must be an integer"):
+        nbc_alarm(timestamp=timestamp)
+
+
+@pytest.mark.parametrize("severity", [True, False, -1, 3, 1.0])
+def test_alarm_rejects_a_classifier_severity_outside_0_to_2(severity):
+    with pytest.raises(ValueError, match=r"severity must be an integer in 0\.\.2"):
+        nbc_alarm(severity=severity)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("host_id", 0, "host_id must be a string"),
+        ("host_id", None, "host_id must be a string"),
+        ("vm_id", 3, "vm_id must be a string or None"),
+        ("top_cause", None, "nbc_diagnosis alarms name a top_cause string"),
+        ("top_cause", 2, "nbc_diagnosis alarms name a top_cause string"),
+    ],
+)
+def test_alarm_ids_and_top_cause_are_strings(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        nbc_alarm(**{field: value})
+
+
+@pytest.mark.parametrize("extra", [{"diagnosis": (0.0, 1.0)}, {"top_cause": "cpu-hog"}])
+def test_gate_alarm_carries_no_diagnosis_and_no_top_cause(extra):
+    with pytest.raises(ValueError, match="severity_gate alarms carry no diagnosis and no top_cause"):
+        Alarm(0, "h0", "vm0", severity=2, trigger=TRIGGER_GATE, **extra)
+
+
+def test_alarm_is_an_immutable_tuple_record():
+    a = nbc_alarm(diagnosis=[0.25, 0.75], vm_id=None)
+    assert a == (0, "h0", None, 1, TRIGGER_NBC, (0.25, 0.75), "cpu-hog")
+    assert type(a.diagnosis) is tuple
+    assert not hasattr(a, "__dict__")
+    with pytest.raises(AttributeError):
+        a.severity = 2
+    assert Alarm(0, "h0", None, 2, TRIGGER_GATE) == (0, "h0", None, 2, TRIGGER_GATE, None, None)
+
+
+def test_each_bucket_vector_is_judged_once(config, monkeypatch):
+    judged = []
+    monkeypatch.setattr(Engine, "_severity", lambda self, usage: judged.append(usage) or 0)
+    engine = Engine(config)
+    values = [HEALTHY, variant(**{"vm.cpu": 31.0}), variant(**{"vm.cpu": 60.0}), HEALTHY]
+    for w, v in enumerate(values):
+        engine.step(window_at(w, v))
+        engine.step(window_at(w, v, vm="vm1"))
+    assert judged == [engine._usage(window_at(0, HEALTHY)), engine._usage(window_at(0, values[2]))]
+
+
+def test_equal_diagnoses_of_one_engine_are_one_object(config):
+    engine = Engine(config)
+    minor = variant(**{"vm.memory": 60.0})
+    (first,) = engine.step(window_at(0, minor))
+    (second,) = engine.step(window_at(1, minor, vm="vm1"))
+    assert engine.nbc_invocations == 2
+    assert first.diagnosis is second.diagnosis and first.top_cause is second.top_cause
 
 
 # -- virtual sensors -------------------------------------------------
@@ -700,6 +852,32 @@ def test_sensor_registry_errors(config):
         engine.set_frequency("s", 0)
     with pytest.raises(ValueError):
         VirtualSensor("x", frequency_ms=-5)
+
+
+@pytest.mark.parametrize("frequency_ms", [1.5, 0.5, True, 2000.0, "1000", 0, -5])
+def test_set_frequency_takes_only_a_positive_integer(config, frequency_ms):
+    engine = Engine(config)
+    engine.register_sensor(VirtualSensor("s", frequency_ms=2000))
+    with pytest.raises(ValueError, match="sensor 's': frequency_ms must be a positive integer"):
+        engine.set_frequency("s", frequency_ms)
+    assert engine.sensor_status("s")["frequency_ms"] == 2000
+
+
+@pytest.mark.parametrize("frequency_ms", [0.5, 1000.0, True, None])
+def test_sensor_frequency_must_be_a_positive_integer(frequency_ms):
+    with pytest.raises(ValueError, match="sensor 'x': frequency_ms must be a positive integer"):
+        VirtualSensor("x", frequency_ms=frequency_ms)
+
+
+@pytest.mark.parametrize("active", ["no", "", 0, 1, None])
+def test_set_active_takes_only_a_bool(config, active):
+    engine = Engine(config)
+    engine.register_sensor(VirtualSensor("s", active=False))
+    with pytest.raises(ValueError, match="sensor 's': active must be a bool"):
+        engine.set_active("s", active)
+    assert engine.sensor_status("s")["active"] is False
+    with pytest.raises(ValueError, match="sensor 'x': active must be a bool"):
+        VirtualSensor("x", active=active)
 
 
 def test_clock_cannot_rewind(config):
