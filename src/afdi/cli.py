@@ -2,29 +2,27 @@
 
 One binary, six subcommands: simulate, train, diagnose, evaluate, mdd,
 bn-query.  Machine-readable JSON goes to stdout or the requested output
-file; human summaries and diagnostics go to stderr.  Verbosity is
-controlled by the AFDI_LOG environment variable (error, warn, info,
-debug).  Every run is deterministic given its inputs: timestamps come
-from the input data, randomness only from recorded seeds.
+file; human summaries and diagnostics go to stderr.  The AFDI_LOG
+environment variable (error, warn, info, debug) sets the level of the
+log records printed to stderr.  Every run is deterministic given its
+inputs: timestamps come from the input data, randomness only from
+recorded seeds.
+
+Each subcommand imports the afdi modules it runs when it runs, so
+``afdi diagnose`` loads neither the network engine nor the simulator.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import gc
-import hashlib
 import json
 import logging
 import os
 import sys
 
-from . import bayesnet, engine, evaluation, mdd, nbc, simulator
 from .states import ComponentId, StateVector, check_entries, read_document
 from .states import read_metric_samples, write_metric_samples
-
-log = logging.getLogger("afdi")
 
 _LOG_LEVELS = {
     "error": logging.ERROR,
@@ -58,6 +56,10 @@ def _require_file(path: str) -> str:
 
 
 def cmd_simulate(args) -> int:
+    import dataclasses
+
+    from . import simulator
+
     scenario = simulator.load_scenario(_require_file(args.scenario))
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
@@ -76,6 +78,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from . import nbc
+
     schema = nbc.load_schema(_require_file(args.schema))
     dataset = nbc.read_training_csv(_require_file(args.data), schema)
     model = nbc.train(dataset, schema, alpha=args.alpha)
@@ -89,6 +93,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    from . import engine
+
     config = engine.load_config(_require_file(args.config))
     eng = engine.Engine(config)
     # read, process_stream and write build no reference cycles, so the
@@ -115,6 +121,10 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    import hashlib
+
+    from . import evaluation, nbc
+
     model = nbc.load_model(_require_file(args.model))
     dataset = nbc.read_training_csv(_require_file(args.data), model.schema)
     if not dataset:
@@ -152,6 +162,10 @@ def cmd_evaluate(args) -> int:
 def _load_structure_table(path):
     """CSV: header names the components (final column ``level``), one
     row per state vector covering the entire product space."""
+    import csv
+
+    from . import mdd
+
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -214,6 +228,8 @@ def cmd_mdd(args) -> int:
 
 
 def cmd_bn_query(args) -> int:
+    from . import bayesnet
+
     net = bayesnet.load_net(_require_file(args.net))
     evidence = {}
     for item in args.evidence or ():

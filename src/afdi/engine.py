@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from . import mdd as mdd_mod
 from . import nbc as nbc_mod
 from .states import ComponentId, DiscretizationSpec, MetricSample
-from .states import check_entries, check_kind, read_document
+from .states import check_entries, check_kind, check_origin, read_document
 
 __all__ = [
     "PreprocessPolicy",
@@ -237,12 +237,7 @@ def _check_alarm(timestamp, host_id, vm_id, severity, trigger, diagnosis, top_ca
     kinds the alarm log documents, whose diagnosis is a distribution."""
     if trigger not in (TRIGGER_GATE, TRIGGER_NBC):
         raise ValueError(f"unknown trigger {trigger!r}")
-    if type(timestamp) is not int:
-        raise ValueError(f"timestamp must be an integer, got {timestamp!r}")
-    if not isinstance(host_id, str):
-        raise ValueError(f"host_id must be a string, got {host_id!r}")
-    if vm_id is not None and not isinstance(vm_id, str):
-        raise ValueError(f"vm_id must be a string or None, got {vm_id!r}")
+    check_origin(timestamp, host_id, vm_id)
     if type(severity) is not int or not 0 <= severity <= 2:
         raise ValueError(f"severity must be an integer in 0..2, got {severity!r}")
     if trigger == TRIGGER_GATE:
@@ -480,6 +475,11 @@ class EngineConfig:
         return self._metric_names("host")
 
 
+def _no_bucket(window: Window, key: str):
+    """Raise for the NaN ``window`` holds at ``key``, which has no bucket."""
+    raise ValueError(f"window t={window.timestamp} {window.host_id}/{window.vm_id}: {key} is NaN")
+
+
 class Engine:
     """Stateful pipeline instance: windows in, alarms out.
 
@@ -510,18 +510,18 @@ class Engine:
 
     def _buckets(self, window: Window) -> tuple[int, ...]:
         """Usage bucket of each judged key, in ``bucket_bounds`` order; a
-        missing metric raises."""
+        missing metric or a NaN value raises."""
         values = window.values
         try:
             # discretize() of the value clamped to the bounds: searching
             # the inner boundaries only puts a value past either end in
-            # the edge bucket, and NaN goes to the bottom one as the clamp
-            # sent it.  preprocess enforces the range of percent metrics
-            # only, so a non-percent metric past the bounds (throughput
-            # at 250 tx/s) lands in the edge bucket here, as does any
-            # value from a caller that skips preprocess.
+            # the edge bucket.  preprocess enforces the range of percent
+            # metrics only, so a non-percent metric past the bounds
+            # (throughput at 250 tx/s) lands in the edge bucket here, as
+            # does any value from a caller that skips preprocess.  NaN,
+            # which no reader or simulator yields, has no bucket and raises.
             return tuple([
-                bisect_right(bounds, v, 1, top) - 1 if (v := values[key]) == v else 0
+                bisect_right(bounds, v, 1, top) - 1 if (v := values[key]) == v else _no_bucket(window, key)
                 for key, bounds, top in self.config.bucket_bounds
             ])
         except KeyError as exc:

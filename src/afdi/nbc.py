@@ -10,7 +10,6 @@ Missing attribute values simply drop their factor.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -331,6 +330,8 @@ def load_model(path) -> NbcModel:
 
 
 def write_training_csv(dataset: Sequence[LabeledExample], schema: AttributeSchema, path) -> None:
+    import csv  # here, not at the top: the engine path reads no CSV
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([name for name, _ in schema.attributes] + ["label"])
@@ -341,6 +342,8 @@ def write_training_csv(dataset: Sequence[LabeledExample], schema: AttributeSchem
 
 
 def read_training_csv(path, schema: AttributeSchema) -> list[LabeledExample]:
+    import csv
+
     expected = [name for name, _ in schema.attributes] + ["label"]
     out = []
     with open(path, "r", encoding="utf-8", newline="") as fh:

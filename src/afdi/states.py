@@ -28,6 +28,7 @@ __all__ = [
     "OutOfRangeError",
     "check_entries",
     "check_kind",
+    "check_origin",
     "discretize",
     "read_document",
     "read_metric_samples",
@@ -176,8 +177,22 @@ def discretize(value: float, spec: DiscretizationSpec) -> int:
     return idx
 
 
-def _check_sample(vm_id, metric: ComponentId, value) -> None:
-    """Raise unless a sample of ``metric`` may carry ``vm_id`` and ``value``."""
+def check_origin(timestamp, host_id, vm_id) -> None:
+    """Raise unless ``timestamp`` is an integer (not a bool), ``host_id``
+    a string and ``vm_id`` a string or None: where and when a sample or
+    an alarm was taken."""
+    if type(timestamp) is not int:
+        raise ValueError(f"timestamp must be an integer, got {timestamp!r}")
+    if not isinstance(host_id, str):
+        raise ValueError(f"host_id must be a string, got {host_id!r}")
+    if vm_id is not None and not isinstance(vm_id, str):
+        raise ValueError(f"vm_id must be a string or None, got {vm_id!r}")
+
+
+def _check_sample(timestamp, host_id, vm_id, metric: ComponentId, value) -> None:
+    """Raise unless the fields make a sample: ``check_origin``, and a
+    ``vm_id`` and finite ``value`` that ``metric``'s level allows."""
+    check_origin(timestamp, host_id, vm_id)
     if metric.level == "host" and vm_id is not None:
         raise ValueError(f"host-level metric {metric.key} must not carry vm_id")
     if metric.level == "vm" and vm_id is None:
@@ -192,7 +207,10 @@ class MetricSample(namedtuple("MetricSample", "timestamp host_id vm_id metric va
     ``value`` is a percent for utilization metrics, transactions/second
     for throughput, and milliseconds for latency.  Out-of-range raw
     utilization values are accepted here and handled by preprocessing;
-    a non-finite value (NaN or an infinity) is rejected.
+    a non-finite value (NaN or an infinity) is rejected, and so is a
+    ``timestamp`` that is not an integer (``1.5``, ``True``), a
+    ``host_id`` that is not a string or a ``vm_id`` that is neither a
+    string nor None.
 
     A sample is an immutable tuple with no instance dict.  The
     constructor checks it; code that has already made those checks
@@ -203,7 +221,7 @@ class MetricSample(namedtuple("MetricSample", "timestamp host_id vm_id metric va
     __slots__ = ()
 
     def __new__(cls, timestamp: int, host_id: str, vm_id: str | None, metric: ComponentId, value: float):
-        _check_sample(vm_id, metric, value)
+        _check_sample(timestamp, host_id, vm_id, metric, value)
         return tuple.__new__(cls, (timestamp, host_id, vm_id, metric, value))
 
     def to_json_obj(self) -> dict:

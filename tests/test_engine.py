@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -345,11 +346,28 @@ _BUCKET_PROBES = [-math.inf, -5.0, 250.0, math.inf, math.nan] + [
 @pytest.mark.parametrize("value", _BUCKET_PROBES, ids=[repr(v) for v in _BUCKET_PROBES])
 def test_usage_bucket_is_the_bucket_of_the_clamped_value(config, value):
     # the engine looks buckets up inline; this is the clamp-then-discretize
-    # it stands for, NaN (which the clamp sends to the bottom) included
+    # it stands for, while NaN, which has no bucket, raises
     spec = config.specs["vm.throughput"]
     low, high = spec.boundaries[0], spec.boundaries[-1]
-    usage = Engine(config)._usage(window_at(0, variant(**{"vm.throughput": value})))
+    window = window_at(0, variant(**{"vm.throughput": value}))
+    if math.isnan(value):
+        with pytest.raises(ValueError, match="vm.throughput is NaN"):
+            Engine(config)._usage(window)
+        return
+    usage = Engine(config)._usage(window)
     assert usage["vm.throughput"] == discretize(min(high, max(low, value)), spec)
+
+
+@pytest.mark.parametrize("key", ["vm.cpu", "host.storage_io"])
+def test_a_nan_in_a_window_raises_naming_the_window_and_the_key(config, key):
+    window = window_at(3, variant(**{key: math.nan}), host="h1", vm="vm2")
+    message = rf"window t=3000 h1/vm2: {re.escape(key)} is NaN"
+    engine = Engine(config)
+    with pytest.raises(ValueError, match=message):
+        engine.severity_of(window)
+    with pytest.raises(ValueError, match=message):
+        engine.step(window)
+    assert engine.nbc_invocations == 0
 
 
 def test_severity_uses_mapped_buckets(config):

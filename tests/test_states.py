@@ -158,6 +158,24 @@ def test_metric_sample_rejects_non_finite_value(value):
         MetricSample(0, "h0", "vm0", CPU, value)
 
 
+@pytest.mark.parametrize("timestamp", [1.5, 1000.0, True, "1000", None])
+def test_metric_sample_rejects_a_timestamp_that_is_not_an_integer(timestamp):
+    with pytest.raises(ValueError, match="timestamp must be an integer"):
+        MetricSample(timestamp, "h0", "vm0", CPU, 1.0)
+
+
+@pytest.mark.parametrize("host_id", [7, None, b"h0"])
+def test_metric_sample_rejects_a_host_id_that_is_not_a_string(host_id):
+    with pytest.raises(ValueError, match="host_id must be a string"):
+        MetricSample(0, host_id, "vm0", CPU, 1.0)
+
+
+@pytest.mark.parametrize("vm_id", [3, False, b"vm0"])
+def test_metric_sample_rejects_a_vm_id_that_is_neither_a_string_nor_none(vm_id):
+    with pytest.raises(ValueError, match="vm_id must be a string or None"):
+        MetricSample(0, "h0", vm_id, CPU, 1.0)
+
+
 @pytest.mark.parametrize("spelling", ["NaN", "Infinity", "-Infinity", "1e999"])
 def test_read_metric_samples_names_line_of_non_finite_value(tmp_path, spelling):
     good = json.dumps(MetricSample(0, "h0", "vm0", CPU, 42.5).to_json_obj())
