@@ -5,7 +5,8 @@ scores classes in log space (prior plus per-attribute conditional
 log-likelihoods, from log tables each model builds once) and normalizes
 with a max-shifted exponentiation, so long feature vectors with small
 probabilities do not underflow.
-Missing attribute values simply drop their factor.
+Missing attribute values simply drop their factor.  A model scores each
+distinct feature vector once and answers it again from a memo.
 """
 
 from __future__ import annotations
@@ -142,6 +143,12 @@ class NbcModel:
     # the logs posterior adds, taken once: log_priors[c], log_cond[j][c][v]
     log_priors: tuple[float, ...] = field(init=False, repr=False, compare=False)
     log_cond: tuple[tuple[tuple[float, ...], ...], ...] = field(init=False, repr=False, compare=False)
+    # posterior's answers: features -> (the validated tuple, posterior).
+    # One entry per valid vector with an observed value at most: the
+    # product of (cardinality + 1) over the attributes, minus the all-None
+    # vector.  For six 4-bucket attributes that is 5**6 - 1 = 15,624
+    # entries, 4**6 = 4,096 of them full vectors.  Failures are never stored.
+    _memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         k = self.schema.num_classes
@@ -168,6 +175,7 @@ class NbcModel:
             "log_cond",
             tuple(tuple(tuple(_log(p) for p in row) for row in table) for table in self.cond),
         )
+        object.__setattr__(self, "_memo", {})
 
 
 def _validate_example(ex: LabeledExample, schema: AttributeSchema) -> None:
@@ -236,10 +244,25 @@ def train(dataset: Sequence[LabeledExample], schema: AttributeSchema, alpha: flo
 def posterior(model: NbcModel, features: Sequence) -> tuple[float, ...]:
     """Normalized class posterior for a (possibly partial) feature vector.
 
-    A class whose prior or any observed conditional is zero gets
+    Each feature is None (missing) or an int index into its attribute's
+    values; a bool, a float or any other value raises ``ValueError``.  A
+    class whose prior or any observed conditional is zero gets
     posterior exactly 0; if that happens to every class the query is
     unanswerable and ``AllZeroLikelihoodError`` is raised.
+
+    The model keeps each answer, so equal features give one tuple
+    object and are scored once.  A hit on the very tuple that was
+    checked is returned at once; any other equal sequence is checked
+    first, since ``(1.0,)`` and ``(True,)`` equal ``(1,)``.
     """
+    features = tuple(features)
+    try:
+        hit = model._memo.get(features)
+    except TypeError:  # an unhashable value, which the checks below name
+        hit = None
+    # the memo keeps each checked tuple alive, so no other object has its id
+    if hit is not None and hit[0] is features:
+        return hit[1]
     schema = model.schema
     if len(features) != schema.num_attributes:
         raise ValueError(
@@ -249,10 +272,14 @@ def posterior(model: NbcModel, features: Sequence) -> tuple[float, ...]:
     for j, v in enumerate(features):
         if v is None:
             continue
-        card = schema.attributes[j][1]
+        name, card = schema.attributes[j]
+        if type(v) is not int:
+            raise ValueError(f"value {v!r} for attribute {name!r} is not an integer or None")
         if not 0 <= v < card:
-            raise ValueError(f"value {v} outside 0..{card - 1} for attribute {schema.attributes[j][0]!r}")
+            raise ValueError(f"value {v} outside 0..{card - 1} for attribute {name!r}")
         observed.append((j, v))
+    if hit is not None:
+        return hit[1]
     if not observed:
         return model.priors
 
@@ -267,7 +294,9 @@ def posterior(model: NbcModel, features: Sequence) -> tuple[float, ...]:
         raise AllZeroLikelihoodError("all classes have zero likelihood for these features")
     weights = [math.exp(s - top) for s in scores]
     total = sum(weights)
-    return tuple(w / total for w in weights)
+    post = tuple(w / total for w in weights)
+    model._memo[features] = (features, post)
+    return post
 
 
 def classify(model: NbcModel, features: Sequence) -> int:

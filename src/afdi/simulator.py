@@ -165,8 +165,8 @@ class Scenario:
             raise ScenarioError("duration must be positive")
         if self.hosts <= 0 or self.vms_per_host <= 0:
             raise ScenarioError("topology must have at least one host and one vm")
-        if self.window_ms <= 0:
-            raise ScenarioError("window_ms must be positive")
+        if type(self.window_ms) is not int or self.window_ms <= 0:
+            raise ScenarioError(f"window_ms must be a positive integer, got {self.window_ms!r}")
         unknown = sorted(set(self.baseline) - set(_default_baseline()))
         if unknown:
             raise ScenarioError(f"unknown keys {unknown} in baseline")
@@ -286,7 +286,9 @@ def generate(scenario: Scenario) -> tuple[list[MetricSample], list[WindowLabel]]
                     if pinned is not None:
                         value = pinned
                         break
-                samples.append(MetricSample(ts, host, vm, component, _clamp(value)))
+                # valid by construction: an integer timestamp, the
+                # scenario's string ids and a clamped finite value
+                samples.append(tuple.__new__(MetricSample, (ts, host, vm, component, _clamp(value))))
             # a fault aimed at the vm labels it; else a host crash does;
             # a neighbour's loop raising host cpu does not
             if vm is None:

@@ -206,6 +206,21 @@ def median_mad_pass(values, window, cutoff, eps=1e-9, scale=1.4826):
     return out
 
 
+def median_mad_filter(values, window, cutoff, max_passes=64):
+    """``median_mad_pass`` repeated until a pass changes nothing or
+    ``max_passes`` passes ran: the slice-and-sort filter a series gets in
+    ``preprocess``, every window sliced and sorted afresh.  Returns the
+    values and the number of passes that changed them."""
+    passes = 0
+    while passes < max_passes:
+        after = median_mad_pass(values, window, cutoff)
+        if after == values:
+            break
+        values = after
+        passes += 1
+    return values, passes
+
+
 # -- metric streams ---------------------------------------------------
 
 
@@ -253,10 +268,10 @@ def oracle_diagnose(lines, config):
     as dicts, derived stage by stage the plain way.
 
     Lines are read by ``json.loads`` each; every series is clamped (or
-    dropped) and run through ``median_mad_pass`` until a pass changes
-    nothing or 64 passes ran; windows are dicts keyed by component key;
-    severity is ``Mdd.evaluate`` over a ``StateVector`` of mapped levels;
-    a minor window's diagnosis takes every log on each call.
+    dropped) and run through ``median_mad_filter``; windows are dicts
+    keyed by component key; severity is ``Mdd.evaluate`` over a
+    ``StateVector`` of mapped levels; a minor window's diagnosis takes
+    every log on each call.
     """
     policy = config.preprocess
     series = {}
@@ -276,12 +291,7 @@ def oracle_diagnose(lines, config):
                     continue
                 value = min(100.0, max(0.0, value))
             kept.append((s.timestamp, value))
-        values = [v for _, v in kept]
-        for _ in range(64):
-            after = median_mad_pass(values, policy.window, policy.z_cutoff)
-            if after == values:
-                break
-            values = after
+        values, _ = median_mad_filter([v for _, v in kept], policy.window, policy.z_cutoff)
         for (ts, _), value in zip(kept, values):
             if metric.level == "host":
                 host_rows.setdefault((ts, host), {})[metric.key] = value

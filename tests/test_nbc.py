@@ -457,3 +457,87 @@ def test_log_tables_take_no_part_in_equality_or_repr():
     object.__setattr__(other, "log_priors", (0.0, 0.0))
     assert other == model
     assert "log_" not in repr(model)
+
+
+# -- the posterior memo ------------------------------------------------
+
+
+def _bits(post):
+    return [p.hex() for p in post]
+
+
+def test_posterior_memo_is_the_per_call_log_posterior_bit_for_bit():
+    # a fresh model, so every first call below is a miss
+    model = load_model(fixture_path("nbc_model.json"))
+    cards = [card for _, card in model.schema.attributes]
+    full = list(itertools.product(*(range(c) for c in cards)))
+    rng = random.Random(12)
+    partial = []
+    while len(partial) < 300:
+        features = tuple(None if rng.random() < 0.4 else rng.randrange(c) for c in cards)
+        if None in features and any(v is not None for v in features):
+            partial.append(features)
+    for features in full + partial:
+        want = _bits(oracles.nb_posterior_log_per_call(model.priors, model.cond, features))
+        first = posterior(model, features)
+        assert _bits(first) == want, features
+        second = posterior(model, tuple(features))
+        assert second is first, features
+        assert _bits(second) == want, features
+    assert len(model._memo) == len(set(full + partial))
+
+
+def test_posterior_memo_stores_no_failure():
+    model = _model((0.5, 0.5), (((0.0, 1.0), (0.0, 1.0)),), alpha=0.0)
+    for _ in range(3):
+        with pytest.raises(AllZeroLikelihoodError):
+            posterior(model, (0,))
+        assert posterior(model, (1,)) == (0.5, 0.5)
+    assert list(model._memo) == [(1,)]
+
+
+def test_posterior_memo_takes_no_part_in_equality_or_repr():
+    model = _model((0.25, 0.75), (((0.5, 0.5), (0.1, 0.9)),))
+    other = _model((0.25, 0.75), (((0.5, 0.5), (0.1, 0.9)),))
+    posterior(model, (1,))
+    assert model == other and hash(model) == hash(other)
+    assert "memo" not in repr(model)
+
+
+TWO = AttributeSchema(attributes=(("x", 2), ("y", 3)), classes=("a", "b"))
+TWO_COND = (((0.9, 0.1), (0.2, 0.8)), ((0.2, 0.3, 0.5), (0.6, 0.3, 0.1)))
+
+
+@pytest.mark.parametrize(
+    "bad,named",
+    [
+        ((1.0, 2), r"value 1\.0 for attribute 'x' is not an integer or None"),
+        ((1, True), r"value True for attribute 'y' is not an integer or None"),
+        (("1", 2), r"value '1' for attribute 'x' is not an integer or None"),
+        ((1, 3), r"value 3 outside 0\.\.2 for attribute 'y'"),
+        ((-1, 2), r"value -1 outside 0\.\.1 for attribute 'x'"),
+        ((1, 2, 0), r"expected 2 features, got 3"),
+        ((1, [2]), r"value \[2\] for attribute 'y' is not an integer or None"),
+    ],
+    ids=["float", "bool", "str", "out-of-range", "negative", "wrong-length", "unhashable"],
+)
+def test_posterior_rejects_what_is_not_a_feature_before_and_after_the_memo(bad, named):
+    # (1.0, 2) and (1, True) equal and hash as (1, 2): a memo hit must not answer them
+    model = NbcModel(schema=TWO, priors=(0.5, 0.5), cond=TWO_COND, alpha=1.0)
+    with pytest.raises(ValueError, match=named):
+        posterior(model, bad)
+    valid = posterior(model, (1, 2))
+    with pytest.raises(ValueError, match=named):
+        posterior(model, bad)
+    with pytest.raises(ValueError, match=named):
+        posterior(model, list(bad))
+    assert posterior(model, (1, 2)) is valid
+
+
+def test_posterior_takes_a_list_as_the_equal_tuple():
+    model = NbcModel(schema=TWO, priors=(0.5, 0.5), cond=TWO_COND, alpha=1.0)
+    first = posterior(model, [1, None])
+    assert posterior(model, (1, None)) is first
+    other = NbcModel(schema=TWO, priors=(0.5, 0.5), cond=TWO_COND, alpha=1.0)
+    assert posterior(other, (1, None)) == first
+    assert posterior(other, [1, None]) is posterior(other, (1, None))

@@ -20,7 +20,7 @@ from afdi.simulator import (
     to_training_set,
     write_labels,
 )
-from afdi.states import ComponentId, DiscretizationSpec, discretize, write_metric_samples
+from afdi.states import ComponentId, DiscretizationSpec, MetricSample, discretize, write_metric_samples
 from conftest import fixture_path
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -101,6 +101,23 @@ def test_injection_does_not_shift_noise_elsewhere():
 
 def test_rng_algorithm_recorded():
     assert RNG_ALGORITHM == "mt19937"
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["scenario_800.json", "scenario_endless_loop.json", "scenario_healthy.json", "scenario_serious_crash.json"],
+)
+def test_generated_samples_are_what_the_checked_constructor_builds(name):
+    # generate builds its samples unchecked; each must pass the checks
+    samples, _ = generate(load_scenario(fixture_path(name)))
+    assert all(MetricSample(*s) == s for s in samples)
+
+
+@pytest.mark.parametrize("window_ms", [1000.0, True, 0, -5])
+def test_window_ms_must_be_a_positive_integer(window_ms):
+    # else generate would stamp its unchecked samples with float or bool times
+    with pytest.raises(ScenarioError, match="window_ms must be a positive integer"):
+        small(window_ms=window_ms)
 
 
 # -- healthy output --------------------------------------------------
