@@ -6,6 +6,16 @@ factors that mention it.  Networks here are tiny (a handful of
 three-state nodes), so no junction trees, no approximation, and no
 attention to elimination-order width beyond a deterministic default.
 
+Which cells an elimination multiplies and adds depends only on the
+query, the set of observed nodes and the order, never on the observed
+states.  So the first query of each such kind compiles its plan: the
+CPTs flattened, the cells each reduction keeps, and the index lists of
+every multiply and sum-out.  The net keeps the plan (at most n·2^(n-1)
+of them for an n-node net with the default order, plus one per explicit
+order), and each query gathers its reduced tables and replays the same
+products and sums in the same order as ``Factor`` would, so every answer
+is the same float.  A plan holds index tables, never answers.
+
 Network documents are JSON: a list of nodes, each with a name, its
 state names, its parent list, and a CPT holding one row per parent
 assignment (first-listed parent varying slowest), each row a
@@ -15,8 +25,9 @@ distribution over the node's states.
 from __future__ import annotations
 
 import logging
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from operator import mul
 
 from .states import StateDistribution, check_entries, read_document
 
@@ -72,6 +83,9 @@ class DiscreteBayesNet:
         self.cpts = {name: tuple(tuple(row) for row in table) for name, table in cpts.items()}
         self.load_warnings = list(load_warnings)
         self._order = tuple(order)
+        # compiled eliminations by (query, observed nodes, order or None);
+        # index tables only, every query multiplies and sums afresh
+        self._plans: dict[tuple, tuple] = {}
 
     def node(self, name: str) -> NetNode:
         try:
@@ -88,16 +102,18 @@ class DiscreteBayesNet:
         return self._order
 
     def state_index(self, node_name: str, state) -> int:
+        """A state's index from its name or its index (a bool is neither)."""
         node = self.node(node_name)
+        if type(state) is int:
+            if 0 <= state < len(node.states):
+                return state
+            raise ValueError(f"state {state} outside 0..{node.card - 1} for node {node_name!r}")
         if isinstance(state, str):
             try:
                 return node.states.index(state)
             except ValueError:
                 raise ValueError(f"node {node_name!r} has no state {state!r}") from None
-        idx = int(state)
-        if not 0 <= idx < node.card:
-            raise ValueError(f"state {idx} outside 0..{node.card - 1} for node {node_name!r}")
-        return idx
+        raise ValueError(f"state {state!r} for node {node_name!r} is neither a state name nor an integer index")
 
 
 @dataclass
@@ -120,12 +136,7 @@ class Factor:
         return self.values[_cell_indices((), (), self.scope, self.cards, assignment)[0]]
 
     def multiply(self, other: "Factor") -> "Factor":
-        scope = self.scope + tuple(v for v in other.scope if v not in self.scope)
-        card_of = dict(zip(self.scope, self.cards))
-        card_of.update(zip(other.scope, other.cards))
-        cards = tuple(card_of[v] for v in scope)
-        mine = _cell_indices(scope, cards, self.scope, self.cards, {})
-        theirs = _cell_indices(scope, cards, other.scope, other.cards, {})
+        scope, cards, mine, theirs = _product(self.scope, self.cards, other.scope, other.cards)
         values = [self.values[i] * other.values[j] for i, j in zip(mine, theirs)]
         return Factor(scope, cards, values)
 
@@ -160,16 +171,34 @@ class Factor:
         return cls(scope, cards, values)
 
 
-def _cell_indices(scope, cards, table_scope, table_cards, fixed: Mapping[str, int]) -> list[int]:
-    """For each cell over ``scope`` in row-major order, its index in a
-    table over ``table_scope``.  A ``scope`` variable outside the table
-    does not move the index; a table variable outside ``scope`` is read
-    from ``fixed`` (``KeyError`` if absent)."""
+def _product(scope_a, cards_a, scope_b, cards_b) -> tuple:
+    """Scope and cards of the product of two tables (``scope_a``'s
+    variables first), and for each of its cells the index in each table."""
+    scope = scope_a + tuple(v for v in scope_b if v not in scope_a)
+    card_of = dict(zip(scope_a, cards_a))
+    card_of.update(zip(scope_b, cards_b))
+    cards = tuple(card_of[v] for v in scope)
+    mine = _cell_indices(scope, cards, scope_a, cards_a, {})
+    theirs = _cell_indices(scope, cards, scope_b, cards_b, {})
+    return scope, cards, mine, theirs
+
+
+def _strides(table_scope, table_cards) -> dict[str, int]:
+    """Row-major stride of each variable of a table."""
     strides = {}
     acc = 1
     for var, card in zip(reversed(table_scope), reversed(table_cards)):
         strides[var] = acc
         acc *= card
+    return strides
+
+
+def _cell_indices(scope, cards, table_scope, table_cards, fixed: Mapping[str, int]) -> list[int]:
+    """For each cell over ``scope`` in row-major order, its index in a
+    table over ``table_scope``.  A ``scope`` variable outside the table
+    does not move the index; a table variable outside ``scope`` is read
+    from ``fixed`` (``KeyError`` if absent)."""
+    strides = _strides(table_scope, table_cards)
     indices = [sum(fixed[v] * strides[v] for v in table_scope if v not in scope)]
     for var, card in zip(scope, cards):
         stride = strides.get(var, 0)
@@ -276,48 +305,120 @@ def load_net(source) -> DiscreteBayesNet:
     return DiscreteBayesNet(nodes, cpts, warnings_acc, order)
 
 
-def _normalize_evidence(net: DiscreteBayesNet, evidence) -> dict[str, int]:
-    if not evidence:
+def _state_indices(net: DiscreteBayesNet, states) -> dict[str, int]:
+    """State index by node name from a mapping of names to states (None
+    is no states); anything else raises ``ValueError``."""
+    if states is None:
         return {}
-    out = {}
-    for name, state in evidence.items():
-        net.node(name)  # existence check
-        out[name] = net.state_index(name, state)
-    return out
+    if not isinstance(states, Mapping):
+        raise ValueError(f"expected a mapping of node names to states, got {states!r}")
+    return {name: net.state_index(name, state) for name, state in states.items()}
 
 
-def _run_elimination(net, query: str, evidence: dict[str, int], order):
-    factors = [Factor.from_cpt(net, n.name) for n in net.nodes]
-    for var, state in evidence.items():
-        factors = [f.reduce(var, state) for f in factors]
+def _compile(net: DiscreteBayesNet, query: str, observed: frozenset, order) -> tuple:
+    """The elimination ``Factor`` would run for ``query`` given evidence
+    on ``observed``, as index tables: ``(gathers, steps, answer)``.
 
-    to_eliminate = [n for n in net.names if n != query and n not in evidence]
+    ``gathers`` holds, per node in net order, its CPT flattened, the
+    ``(variable, stride)`` of each observed variable in its scope, and the
+    offsets of the cells a reduction keeps.  ``steps`` holds each multiply
+    ``(slot, slot, indices, indices)`` and each sum-out ``(slot, output
+    index per cell, output size)`` in the order the buckets take them; a
+    step's table takes the next slot after the gathered ones, and
+    ``answer`` is the slot of P(query).  Index lists come from
+    ``_cell_indices``; an identity list is ``None``.
+    """
+    to_eliminate = [n for n in net.names if n != query and n not in observed]
     if order is None:
-        topo = net.topological_order()
-        order = [n for n in reversed(topo) if n != query and n not in evidence]
-    else:
-        order = list(order)
-        if sorted(order) != sorted(to_eliminate):
-            raise ValueError(
-                f"elimination order must cover exactly {sorted(to_eliminate)}, got {sorted(order)}"
-            )
+        order = [n for n in reversed(net.topological_order()) if n != query and n not in observed]
+    elif sorted(order) != sorted(to_eliminate):
+        raise ValueError(
+            f"elimination order must cover exactly {sorted(to_eliminate)}, got {sorted(order)}"
+        )
+
+    gathers = []
+    factors = []  # (scope, cards, slot) in the order the factor list keeps them
+    for node in net.nodes:
+        scope = node.parents + (node.name,)
+        cards = tuple(net.node(p).card for p in node.parents) + (node.card,)
+        strides = _strides(scope, cards)
+        fixed = {v: 0 for v in scope if v in observed}
+        kept = tuple(v for v in scope if v not in fixed)
+        kept_cards = tuple(c for v, c in zip(scope, cards) if v not in fixed)
+        flat = tuple(p for row in net.cpts[node.name] for p in row)
+        offsets = _cell_indices(kept, kept_cards, scope, cards, fixed)
+        gathers.append((flat, tuple((v, strides[v]) for v in fixed), offsets))
+        factors.append((kept, kept_cards, len(factors)))
+
+    steps = []
+
+    def identity_or(indices):
+        return None if indices == list(range(len(indices))) else indices
+
+    def multiply(a, b):
+        scope, cards, mine, theirs = _product(a[0], a[1], b[0], b[1])
+        steps.append((a[2], b[2], identity_or(mine), identity_or(theirs)))
+        return scope, cards, len(gathers) + len(steps) - 1
 
     for var in order:
-        bucket = [f for f in factors if var in f.scope]
-        rest = [f for f in factors if var not in f.scope]
+        bucket = [f for f in factors if var in f[0]]
         if not bucket:
             continue
         product = bucket[0]
         for f in bucket[1:]:
-            product = product.multiply(f)
-        factors = rest + [product.sum_out(var)]
+            product = multiply(product, f)
+        scope, cards, slot = product
+        pos = scope.index(var)
+        out_scope = scope[:pos] + scope[pos + 1:]
+        out_cards = cards[:pos] + cards[pos + 1:]
+        out_of = _cell_indices(scope, cards, out_scope, out_cards, {})
+        steps.append((slot, out_of, len(out_of) // cards[pos]))
+        factors = [f for f in factors if var not in f[0]]
+        factors.append((out_scope, out_cards, len(gathers) + len(steps) - 1))
 
-    result = Factor((), (), [1.0])
-    for f in factors:
-        result = result.multiply(f)
-    if result.scope != (query,):
-        raise ValueError(f"elimination left scope {result.scope}, expected ({query!r},)")
-    return result
+    # Factor((), (), [1.0]) multiplies in the rest; 1.0 * p is p exactly
+    result = factors[0]
+    for f in factors[1:]:
+        result = multiply(result, f)
+    if result[0] != (query,):
+        raise ValueError(f"elimination left scope {result[0]}, expected ({query!r},)")
+    return tuple(gathers), tuple(steps), result[2]
+
+
+def _eliminate(net: DiscreteBayesNet, query: str, evidence: dict[str, int], order) -> Sequence[float]:
+    """Unnormalized P(query, evidence): the net's compiled plan for this
+    query, observed set and order, run on the evidence states."""
+    key = (query, frozenset(evidence), order if order is None else tuple(order))
+    plan = net._plans.get(key)
+    if plan is None:
+        plan = net._plans[key] = _compile(net, *key)
+    gathers, steps, answer = plan
+    tables = []
+    for flat, fixed, offsets in gathers:
+        if not fixed:
+            tables.append(flat)
+            continue
+        base = 0
+        for var, stride in fixed:
+            base += evidence[var] * stride
+        tables.append([flat[base + o] for o in offsets])
+    for step in steps:
+        if len(step) == 4:  # a multiply; a sum-out has three entries
+            a, b, mine, theirs = step
+            a, b = tables[a], tables[b]
+            tables.append(list(map(
+                mul,
+                a if mine is None else map(a.__getitem__, mine),
+                b if theirs is None else map(b.__getitem__, theirs),
+            )))
+        else:
+            table, out_of, size = step
+            acc = [0.0] * size
+            # cells in row-major order, as Factor.sum_out adds them
+            for o, v in zip(out_of, tables[table]):
+                acc[o] += v
+            tables.append(acc)
+    return tables[answer]
 
 
 def _normalized(values: Sequence[float], zero_mass: Callable[[], Exception]) -> StateDistribution:
@@ -334,9 +435,9 @@ def _normalized(values: Sequence[float], zero_mass: Callable[[], Exception]) -> 
 def marginal(net: DiscreteBayesNet, query: str, elimination_order=None) -> StateDistribution:
     """P(query) by summing out every other node; normalized exactly."""
     net.node(query)
-    result = _run_elimination(net, query, {}, elimination_order)
     return _normalized(
-        result.values, lambda: ValueError(f"marginal of {query!r} has zero mass; CPTs inconsistent")
+        _eliminate(net, query, {}, elimination_order),
+        lambda: ValueError(f"marginal of {query!r} has zero mass; CPTs inconsistent"),
     )
 
 
@@ -344,21 +445,21 @@ def posterior_given_evidence(net: DiscreteBayesNet, query: str, evidence) -> Sta
     """P(query | evidence); evidence with zero likelihood is an error,
     never a silent NaN."""
     net.node(query)
-    ev = _normalize_evidence(net, evidence)
+    ev = _state_indices(net, evidence)
     if query in ev:
         raise ValueError(f"evidence already fixes the query node {query!r}")
-    result = _run_elimination(net, query, ev, None)
     return _normalized(
-        result.values, lambda: ImpossibleEvidenceError(f"evidence {evidence!r} has probability zero")
+        _eliminate(net, query, ev, None),
+        lambda: ImpossibleEvidenceError(f"evidence {evidence!r} has probability zero"),
     )
 
 
 def joint_probability(net: DiscreteBayesNet, assignment: Mapping[str, int]) -> float:
     """Product of CPT entries along a full assignment (states by index or name)."""
-    missing = [n for n in net.names if n not in assignment]
+    fixed = _state_indices(net, assignment)
+    missing = [n for n in net.names if n not in fixed]
     if missing:
         raise ValueError(f"assignment missing nodes {missing}")
-    fixed = {name: net.state_index(name, state) for name, state in assignment.items()}
     prob = 1.0
     for node in net.nodes:
         row_idx = 0

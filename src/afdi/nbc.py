@@ -179,6 +179,10 @@ class NbcModel:
 
 
 def _validate_example(ex: LabeledExample, schema: AttributeSchema) -> None:
+    """Features as ``posterior`` takes them (None or an int, a bool is
+    neither) and an int label, each in range."""
+    if type(ex.label) is not int:
+        raise TrainingError(f"label {ex.label!r} is not an integer class index")
     if not 0 <= ex.label < schema.num_classes:
         raise TrainingError(f"label {ex.label} outside 0..{schema.num_classes - 1}")
     if len(ex.features) != schema.num_attributes:
@@ -188,6 +192,8 @@ def _validate_example(ex: LabeledExample, schema: AttributeSchema) -> None:
     for (name, card), v in zip(schema.attributes, ex.features):
         if v is None:
             continue
+        if type(v) is not int:
+            raise TrainingError(f"value {v!r} for attribute {name!r} is not an integer or None")
         if not 0 <= v < card:
             raise TrainingError(f"value {v} outside 0..{card - 1} for attribute {name!r}")
 

@@ -14,6 +14,7 @@ import math
 import statistics
 from math import prod
 
+from afdi.bayesnet import KEEP_TOL, Factor
 from afdi.states import ComponentId, MetricSample, StateVector, discretize
 
 
@@ -107,6 +108,21 @@ def nb_posterior_log_per_call(priors, cond, features):
     return tuple(w / total for w in weights)
 
 
+def naive_bayes_net_doc(model):
+    """The network document of the BN a classifier encodes: the class as
+    root, one child per attribute whose CPT rows are ``cond[j][c]``."""
+    classes = model.schema.classes
+    nodes = [{"name": "class", "states": list(classes), "parents": [], "cpt": [list(model.priors)]}]
+    for j, (name, card) in enumerate(model.schema.attributes):
+        nodes.append({
+            "name": name,
+            "states": [str(v) for v in range(card)],
+            "parents": ["class"],
+            "cpt": [list(model.cond[j][c]) for c in range(len(classes))],
+        })
+    return {"nodes": nodes}
+
+
 def nb_classify_linear(priors, cond, features):
     post = nb_posterior_linear(priors, cond, features)
     best = 0
@@ -154,6 +170,45 @@ def bn_enumerate(net, query, evidence=None):
     if total == 0:
         raise ZeroDivisionError("evidence has zero probability")
     return [v / total for v in acc]
+
+
+def bn_eliminate(net, query, evidence=None, order=None):
+    """P(query | evidence) by bucket elimination on ``Factor`` objects,
+    built and reduced afresh on every call.
+
+    Every CPT becomes a ``Factor`` reduced by each evidence state; each
+    variable of ``order`` (default: reverse topological) is summed out of
+    the product of the factors that mention it, and what is left is
+    multiplied into one table over the query.  ``evidence`` holds state
+    indices.  The table is normalized as the library does: kept as it is
+    when its sum is within ``KEEP_TOL`` of 1.  Returns the tuple of
+    probabilities; zero mass raises ``ZeroDivisionError``.
+    """
+    evidence = evidence or {}
+    factors = [Factor.from_cpt(net, n.name) for n in net.nodes]
+    for var, state in evidence.items():
+        factors = [f.reduce(var, state) for f in factors]
+    if order is None:
+        order = [n for n in reversed(net.topological_order()) if n != query and n not in evidence]
+    for var in order:
+        bucket = [f for f in factors if var in f.scope]
+        rest = [f for f in factors if var not in f.scope]
+        if not bucket:
+            continue
+        product = bucket[0]
+        for f in bucket[1:]:
+            product = product.multiply(f)
+        factors = rest + [product.sum_out(var)]
+    result = Factor((), (), [1.0])
+    for f in factors:
+        result = result.multiply(f)
+    assert result.scope == (query,), result.scope
+    total = sum(result.values)
+    if total <= 0.0:
+        raise ZeroDivisionError("evidence has zero probability")
+    if abs(total - 1.0) > KEEP_TOL:
+        return tuple(v / total for v in result.values)
+    return tuple(result.values)
 
 
 def random_net_doc(rng, max_nodes=8, max_states=3, max_parents=3):

@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from afdi.bayesnet import (
     Factor,
@@ -13,6 +14,7 @@ from afdi.bayesnet import (
     marginal,
     posterior_given_evidence,
 )
+from afdi.nbc import load_model
 
 import oracles
 from conftest import fixture_path
@@ -320,3 +322,149 @@ def test_factor_multiply_sum_out_consistency():
     reduced = f.reduce("a", 1)
     assert reduced.scope == ("b",)
     assert reduced.values == [0.4, 0.5, 0.6]
+
+
+# -- strict states ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "state, named",
+    [
+        (1.7, r"state 1\.7 for node 'CPU' is neither a state name nor an integer index"),
+        (True, r"state True for node 'CPU' is neither a state name nor an integer index"),
+        (None, r"state None for node 'CPU' is neither a state name nor an integer index"),
+    ],
+    ids=["float", "bool", "none"],
+)
+def test_evidence_state_is_a_name_or_an_int(case_net, state, named):
+    # before, int() read 1.7 and True as state 1
+    with pytest.raises(ValueError, match=named):
+        posterior_given_evidence(case_net, "S", {"CPU": state})
+
+
+@pytest.mark.parametrize(
+    "state, named",
+    [
+        (0.9, r"state 0\.9 for node 'CPU' is neither a state name nor an integer index"),
+        (False, r"state False for node 'CPU' is neither a state name nor an integer index"),
+    ],
+    ids=["float", "bool"],
+)
+def test_joint_state_is_a_name_or_an_int(case_net, state, named):
+    # before, int() read 0.9 and False as state 0
+    with pytest.raises(ValueError, match=named):
+        joint_probability(case_net, {"Memory": 0, "CPU": state, "Network": 0, "S": 0})
+
+
+def test_evidence_and_assignments_must_be_mappings(case_net):
+    # before, both ended in a bare AttributeError
+    with pytest.raises(ValueError, match=r"expected a mapping of node names to states, got \[\('CPU', 1\)\]"):
+        posterior_given_evidence(case_net, "S", [("CPU", 1)])
+    with pytest.raises(ValueError, match=r"expected a mapping of node names to states, got \['CPU', "):
+        joint_probability(case_net, ["CPU", "Memory", "Network", "S"])
+
+
+def test_evidence_given_as_none_is_no_evidence(case_net):
+    assert posterior_given_evidence(case_net, "S", None).probs == marginal(case_net, "S").probs
+
+
+# -- compiled eliminations against the factor-by-factor oracle --------
+#
+# Every answer must be the very float ``oracles.bn_eliminate`` gets by
+# building, reducing, multiplying and summing ``Factor`` objects afresh.
+
+
+def _naive_bayes_net():
+    return load_net(oracles.naive_bayes_net_doc(load_model(fixture_path("nbc_model.json"))))
+
+
+NB_NET = _naive_bayes_net()
+NB_ATTRS = [n.name for n in NB_NET.nodes if n.name != "class"]
+
+
+def _assert_exact(net, query, evidence, order=None):
+    """The library's answer is the oracle's bit for bit, or both find the
+    evidence impossible."""
+    try:
+        want = oracles.bn_eliminate(net, query, evidence, order)
+    except ZeroDivisionError:
+        with pytest.raises(ImpossibleEvidenceError):
+            posterior_given_evidence(net, query, evidence)
+        return
+    if order is None:
+        assert posterior_given_evidence(net, query, evidence).probs == want, (query, evidence)
+    else:
+        assert marginal(net, query, order).probs == want, (query, order)
+
+
+def test_naive_bayes_net_every_full_vector_exact_with_one_plan():
+    net = _naive_bayes_net()
+    for vec in itertools.product(*(range(net.node(a).card) for a in NB_ATTRS)):
+        _assert_exact(net, "class", dict(zip(NB_ATTRS, vec)))
+    # plans are keyed by the observed nodes, never by their states
+    assert len(net._plans) == 1
+
+
+@given(st.lists(st.one_of(st.none(), st.integers(0, 3)), min_size=6, max_size=6))
+def test_naive_bayes_net_partial_vectors_exact(features):
+    _assert_exact(NB_NET, "class", {a: v for a, v in zip(NB_ATTRS, features) if v is not None})
+
+
+def _case_study_queries():
+    """P(S | any evidence on the three components) for every pattern
+    (4^3 = 64), and P(component | S=s) for each component and state."""
+    comps = ("Memory", "CPU", "Network")
+    out = []
+    for pattern in itertools.product((None, 0, 1, 2), repeat=3):
+        out.append(("S", {c: s for c, s in zip(comps, pattern) if s is not None}))
+    out.extend((c, {"S": s}) for c in comps for s in range(3))
+    return out
+
+
+def test_case_study_queries_exact_on_both_nets(subsystem_net, case_net):
+    queries = _case_study_queries()
+    assert len(queries) == 73
+    for net in (subsystem_net, case_net):
+        for query, evidence in queries:
+            _assert_exact(net, query, evidence)
+
+
+def test_every_elimination_order_exact(subsystem_net, case_net):
+    for net in (subsystem_net, case_net):
+        for query in net.names:
+            others = [n for n in net.names if n != query]
+            for order in itertools.permutations(others):
+                _assert_exact(net, query, {}, list(order))
+
+
+def test_random_nets_every_query_exact():
+    rng = random.Random(20261018)
+    for _ in range(100):
+        net = load_net(oracles.random_net_doc(rng))
+        for query in net.names:
+            _assert_exact(net, query, {})
+            others = [n for n in net.names if n != query]
+            for _ in range(4):
+                observed = rng.sample(others, rng.randint(0, len(others)))
+                evidence = {n: rng.randrange(net.node(n).card) for n in observed}
+                _assert_exact(net, query, evidence)
+
+
+def test_cached_plans_keep_every_check():
+    net = load_net(fixture_path("subsystem_net.json"))
+    evidence = {"Memory": 0, "CPU": 0, "Network": 0}
+    posterior_given_evidence(net, "S", evidence)
+    marginal(net, "S", ["Memory", "CPU", "Network"])
+    plans = dict(net._plans)
+    # the same observed set, so the same plan, with impossible states
+    with pytest.raises(ImpossibleEvidenceError):
+        posterior_given_evidence(net, "S", {"Memory": 2, "CPU": 0, "Network": 0})
+    with pytest.raises(ValueError, match="already fixes the query"):
+        posterior_given_evidence(net, "S", {**evidence, "S": 0})
+    with pytest.raises(ValueError, match="must cover exactly"):
+        marginal(net, "S", ["Memory", "CPU"])
+    with pytest.raises(ValueError, match="unknown node"):
+        posterior_given_evidence(net, "T", evidence)
+    with pytest.raises(ValueError, match="no state"):
+        posterior_given_evidence(net, "S", {**evidence, "CPU": "hot"})
+    assert net._plans == plans

@@ -1,12 +1,15 @@
-"""The traced benchmark child counts what the alarm log holds.
+"""The traced benchmark children run, and count what the alarm log holds.
 
 ``perfbench/tracer.py`` attributes a classifier alarm to the
 ``nbc.posterior`` call inside its ``engine.step``, and reads the classifier
 decisions from ``Engine.nbc_invocations``.  A change that skips either
 (a posterior memo in the engine, say) would make the traced branch counts
 disagree with the log; these runs of ``child.py diagnose --spans`` on the
-fixture streams show it.  The child runs in a fresh interpreter, so the
-tracer's patches cannot leak into the other tests.
+fixture streams show it.  ``child.py reference --spans`` patches
+``bayesnet.Factor``'s methods by name, so renaming one would crash the
+benchmark's traced run; a short traced slice on the fixtures shows it.
+Each child runs in a fresh interpreter, so the tracer's patches cannot
+leak into the other tests.
 """
 
 import importlib.util
@@ -36,6 +39,19 @@ runpy.run_path(sys.argv[0], run_name="__main__")
 """
 
 
+def _child(*argv) -> dict:
+    """The JSON object ``perfbench/child.py`` prints last for ``argv``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, str(ROOT / "src"), str(ROOT / "perfbench"),
+         str(ROOT / "perfbench" / "child.py"), *map(str, argv)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def _checks():
     spec = importlib.util.spec_from_file_location("checks", ROOT / "perfbench" / "checks.py")
     module = importlib.util.module_from_spec(spec)
@@ -53,19 +69,20 @@ def test_traced_counts_match_the_alarm_log(tmp_path, scenario):
     samples, _ = generate(load_scenario(fixture_path(scenario)))
     write_metric_samples(samples, metrics)
     config_path = fixture_path("engine_config.json")
-    proc = subprocess.run(
-        [sys.executable, "-c", CHILD, str(ROOT / "src"), str(ROOT / "perfbench"),
-         str(ROOT / "perfbench" / "child.py"), "diagnose", "--config", config_path,
-         "--metrics", str(metrics), "--out-alarms", str(alarms_path), "--spans", str(tmp_path / "spans.tsv")],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.splitlines()[-1])
+    out = _child("diagnose", "--config", config_path, "--metrics", metrics,
+                 "--out-alarms", alarms_path, "--spans", tmp_path / "spans.tsv")
     facts = out["facts"]
 
     config = load_config(config_path)
     alarms = [json.loads(line) for line in alarms_path.read_text().splitlines()]
     assert facts["alarms"] == _checks().alarm_branches(alarms, config.classes, config.loop_rule.cause)
     assert facts["nbc_invocations"] == out["layers"]["engine.windows.sev1"][0]
+
+
+def test_traced_reference_slice_runs_and_agrees(tmp_path):
+    spans = tmp_path / "spans.tsv"
+    out = _child("reference", "--model", fixture_path("nbc_model.json"),
+                 "--net", fixture_path("case_study_net.json"), "--seed", 1, "--seconds", 0.2, "--spans", spans)
+    assert out["attempted"] > 0 and out["failed"] == 0
+    names = [line.split("\t")[1] for line in spans.read_text().splitlines()[1:]]
+    assert names.count("bayesnet.posterior_given_evidence") >= out["vectors"]

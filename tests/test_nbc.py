@@ -114,6 +114,23 @@ def test_train_errors():
         train([LabeledExample((0,), 0)], BINARY, alpha=-1.0)
 
 
+@pytest.mark.parametrize(
+    "example, named",
+    [
+        (LabeledExample((True,), 0), r"value True for attribute 'x' is not an integer or None"),
+        (LabeledExample((1.0,), 0), r"value 1\.0 for attribute 'x' is not an integer or None"),
+        (LabeledExample((0,), True), r"label True is not an integer class index"),
+        (LabeledExample((0,), 1.0), r"label 1\.0 is not an integer class index"),
+    ],
+    ids=["bool-feature", "float-feature", "bool-label", "float-label"],
+)
+def test_train_takes_features_as_posterior_does(example, named):
+    # before, True counted as value 1 and label 1, and a float feature
+    # ended in a bare TypeError from the count tables
+    with pytest.raises(TrainingError, match=named):
+        train([example, LabeledExample((0,), 1)], BINARY)
+
+
 def test_train_alpha_zero_unobserved_attribute_warns():
     # class 1 never observes the attribute at all
     ds = [LabeledExample((0,), 0), LabeledExample((None,), 1)]
@@ -397,19 +414,9 @@ def test_training_csv_errors(tmp_path):
 
 
 def _fixture_model_and_net():
-    """The shipped model, and the BN with the class as root and one child
-    per attribute whose CPT rows are the model's ``cond[j][c]``."""
+    """The shipped model, and the BN it encodes."""
     model = load_model(fixture_path("nbc_model.json"))
-    classes = model.schema.classes
-    nodes = [{"name": "class", "states": list(classes), "parents": [], "cpt": [list(model.priors)]}]
-    for j, (name, card) in enumerate(model.schema.attributes):
-        nodes.append({
-            "name": name,
-            "states": [str(v) for v in range(card)],
-            "parents": ["class"],
-            "cpt": [list(model.cond[j][c]) for c in range(len(classes))],
-        })
-    return model, load_net({"nodes": nodes})
+    return model, load_net(oracles.naive_bayes_net_doc(model))
 
 
 _MODEL_AND_NET = _fixture_model_and_net()
