@@ -22,12 +22,11 @@ import json
 import math
 from bisect import bisect_right
 from collections import namedtuple
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import mdd as mdd_mod
 from . import nbc as nbc_mod
-from .states import ComponentId, DiscretizationSpec, MetricSample
+from .states import ComponentId, DiscretizationSpec, MetricSample, _Record
 from .states import check_entries, check_kind, check_origin, read_document
 
 __all__ = [
@@ -54,6 +53,9 @@ TRIGGER_NBC = "nbc_diagnosis"
 # Metrics whose values are percentages and may be clamped to [0, 100].
 PERCENT_METRIC_NAMES = frozenset({"cpu", "memory", "network", "storage_io"})
 
+# usage buckets 0-1 are normal work, 2 a minor fault, 3 a serious one
+_SEVERITY_MAPPING = (0, 0, 1, 2)
+
 _MAD_SCALE = 1.4826  # makes MAD comparable to a standard deviation
 _EPS = 1e-9
 _MAX_PASSES = 64
@@ -71,17 +73,27 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PreprocessPolicy:
-    window: int = 11
-    z_cutoff: float = 3.0
-    clamp: bool = True
+class PreprocessPolicy(namedtuple("PreprocessPolicy", "window z_cutoff clamp")):
+    """How ``preprocess`` cleans each series: a sliding median/MAD filter
+    over an odd ``window`` (an integer >= 3) replaces a sample whose
+    robust z-score exceeds ``z_cutoff`` (a finite number > 0); ``clamp``
+    (a bool) clamps out-of-range percent metrics, or drops them."""
 
-    def __post_init__(self) -> None:
-        if self.window < 3 or self.window % 2 == 0:
-            raise ValueError(f"window must be odd and >= 3, got {self.window}")
-        if self.z_cutoff <= 0:
-            raise ValueError(f"z_cutoff must be > 0, got {self.z_cutoff}")
+    __slots__ = ()
+
+    def __new__(cls, window: int = 11, z_cutoff: float = 3.0, clamp: bool = True):
+        if type(window) is not int:
+            raise ValueError(f"window must be an integer, got {window!r}")
+        if window < 3 or window % 2 == 0:
+            raise ValueError(f"window must be odd and >= 3, got {window}")
+        # a NaN cutoff would fail every z-score comparison and so switch the filter off
+        if type(z_cutoff) not in (int, float) or not z_cutoff < math.inf:
+            raise ValueError(f"z_cutoff must be a finite number, got {z_cutoff!r}")
+        if z_cutoff <= 0:
+            raise ValueError(f"z_cutoff must be > 0, got {z_cutoff}")
+        if type(clamp) is not bool:
+            raise ValueError(f"clamp must be a bool, got {clamp!r}")
+        return tuple.__new__(cls, (window, z_cutoff, clamp))
 
 
 def preprocess(samples: Iterable[MetricSample], policy: PreprocessPolicy | None = None) -> list[MetricSample]:
@@ -330,8 +342,7 @@ def write_alarm_log(alarms: Iterable[Alarm], path) -> int:
     return n
 
 
-@dataclass
-class VirtualSensor:
+class VirtualSensor(_Record):
     """In-process alarm subscriber with activation and rate control.
 
     Deliveries happen only on the sensor's reporting grid: an alarm
@@ -340,17 +351,20 @@ class VirtualSensor:
     interval replaces it.
     """
 
-    sensor_id: str
-    active: bool = True
-    frequency_ms: int = 1000
-    deliveries: int = 0
-    last_delivery_time: int | None = None
-    last_alarm: Alarm | None = None
-    _pending: tuple[int, Alarm] | None = None
+    __slots__ = _fields = (
+        "sensor_id", "active", "frequency_ms", "deliveries", "last_delivery_time", "last_alarm", "_pending"
+    )
 
-    def __post_init__(self) -> None:
-        _check_active(self.sensor_id, self.active)
-        _check_frequency(self.sensor_id, self.frequency_ms)
+    def __init__(self, sensor_id: str, active: bool = True, frequency_ms: int = 1000) -> None:
+        _check_active(sensor_id, active)
+        _check_frequency(sensor_id, frequency_ms)
+        self.sensor_id = sensor_id
+        self.active = active
+        self.frequency_ms = frequency_ms
+        self.deliveries = 0
+        self.last_delivery_time: int | None = None
+        self.last_alarm: Alarm | None = None
+        self._pending: tuple[int, Alarm] | None = None
 
 
 def _check_active(sensor_id: str, active) -> None:
@@ -365,21 +379,28 @@ def _check_frequency(sensor_id: str, frequency_ms) -> None:
         )
 
 
-@dataclass(frozen=True)
-class LoopRule:
-    """Composite-pattern parameters for the sustained-loop detector."""
+class LoopRule(namedtuple("LoopRule", "k vm_cpu host_cpu throughput cpu_bucket throughput_bucket cause")):
+    """Composite-pattern parameters for the sustained-loop detector: both
+    CPU readings at or above usage bucket ``cpu_bucket`` and throughput at
+    or below ``throughput_bucket`` for ``k`` windows in a row raise an
+    alarm diagnosed as ``cause``.  The thresholds are integers (not
+    bools), the three component keys and the cause strings."""
 
-    k: int = 3
-    vm_cpu: str = "vm.cpu"
-    host_cpu: str = "host.cpu"
-    throughput: str = "vm.throughput"
-    cpu_bucket: int = 3  # both CPU readings at or above this usage bucket
-    throughput_bucket: int = 0  # throughput at or below this bucket
-    cause: str = "endless-loop"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
+    def __new__(cls, k: int = 3, vm_cpu: str = "vm.cpu", host_cpu: str = "host.cpu",
+                throughput: str = "vm.throughput", cpu_bucket: int = 3, throughput_bucket: int = 0,
+                cause: str = "endless-loop"):
+        rule = tuple.__new__(cls, (k, vm_cpu, host_cpu, throughput, cpu_bucket, throughput_bucket, cause))
+        for name, value in zip(cls._fields, rule):
+            if name in ("k", "cpu_bucket", "throughput_bucket"):
+                if type(value) is not int:
+                    raise ValueError(f"loop rule {name} must be an integer, got {value!r}")
+            elif not isinstance(value, str):
+                raise ValueError(f"loop rule {name} must be a string, got {value!r}")
+        if k < 1:
             raise ValueError("loop rule needs k >= 1")
+        return rule
 
     def matches(self, usage: Mapping[str, int]) -> bool:
         return (
@@ -389,17 +410,38 @@ class LoopRule:
         )
 
 
-@dataclass
-class EngineConfig:
-    specs: dict[str, DiscretizationSpec]  # keyed by ComponentId.key
-    attributes: tuple[ComponentId, ...]  # NBC feature order
-    severity_components: tuple[ComponentId, ...]
-    model: nbc_mod.NbcModel
-    severity_mapping: tuple[int, ...] = (0, 0, 1, 2)
-    loop_rule: LoopRule = field(default_factory=LoopRule)
-    preprocess: PreprocessPolicy = field(default_factory=PreprocessPolicy)
+class EngineConfig(_Record):
+    """What the engine judges windows by: a discretization spec per
+    component key, the NBC's attributes in feature order, the severity
+    components, the model, the bucket-to-severity mapping, the loop rule
+    and the preprocessing policy.  The constructor cross-checks them and
+    builds the lookup tables a window needs."""
 
-    def __post_init__(self) -> None:
+    _fields = (
+        "specs", "attributes", "severity_components", "model", "severity_mapping", "loop_rule", "preprocess"
+    )
+    __slots__ = (
+        *_fields, "bucket_bounds", "attribute_keys", "loop_diagnosis", "severity_mdd", "severity_tables",
+        "vm_metric_names", "host_metric_names",
+    )
+
+    def __init__(
+        self,
+        specs: dict[str, DiscretizationSpec],  # keyed by ComponentId.key
+        attributes: tuple[ComponentId, ...],  # NBC feature order
+        severity_components: tuple[ComponentId, ...],
+        model: nbc_mod.NbcModel,
+        severity_mapping: tuple[int, ...] = _SEVERITY_MAPPING,
+        loop_rule: LoopRule = LoopRule(),
+        preprocess: PreprocessPolicy = PreprocessPolicy(),
+    ) -> None:
+        self.specs = specs
+        self.attributes = attributes
+        self.severity_components = severity_components
+        self.model = model
+        self.severity_mapping = severity_mapping
+        self.loop_rule = loop_rule
+        self.preprocess = preprocess
         # everything a window needs is built here once, so judging a
         # window is lookups only
         judged = {}  # spec by key, in first-seen order
@@ -456,23 +498,14 @@ class EngineConfig:
                 )
             tables.append((comp.key, table))
         self.severity_tables = tuple(tables)
+        # every metric a window is judged on, in first-seen order
+        components = dict.fromkeys(self.attributes + self.severity_components)
+        self.vm_metric_names = tuple(c.name for c in components if c.level == "vm")
+        self.host_metric_names = tuple(c.name for c in components if c.level == "host")
 
     @property
     def classes(self) -> tuple[str, ...]:
         return self.model.schema.classes
-
-    def _metric_names(self, level: str) -> tuple[str, ...]:
-        # every metric a window is judged on, in first-seen order
-        judged = dict.fromkeys(self.attributes + self.severity_components)
-        return tuple(c.name for c in judged if c.level == level)
-
-    @property
-    def vm_metric_names(self) -> tuple[str, ...]:
-        return self._metric_names("vm")
-
-    @property
-    def host_metric_names(self) -> tuple[str, ...]:
-        return self._metric_names("host")
 
 
 def _no_bucket(window: Window, key: str):
@@ -752,6 +785,8 @@ def load_config(path) -> EngineConfig:
         }
         attributes = tuple(ComponentId.parse(k) for k in doc["attributes"])
         severity_components = tuple(ComponentId.parse(k) for k in doc["severity_components"])
+        loop_rule = LoopRule(**sections["loop_rule"])
+        policy = PreprocessPolicy(**sections["preprocess"])
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -760,7 +795,7 @@ def load_config(path) -> EngineConfig:
         attributes=attributes,
         severity_components=severity_components,
         model=model,
-        severity_mapping=tuple(doc.get("severity_mapping", EngineConfig.severity_mapping)),
-        loop_rule=LoopRule(**sections["loop_rule"]),
-        preprocess=PreprocessPolicy(**sections["preprocess"]),
+        severity_mapping=tuple(doc.get("severity_mapping", _SEVERITY_MAPPING)),
+        loop_rule=loop_rule,
+        preprocess=policy,
     )

@@ -15,10 +15,10 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Sequence
 
-from .states import check_entries, check_kind, read_document
+from .states import _Frozen, check_entries, check_kind, read_document
 
 __all__ = [
     "AttributeSchema",
@@ -63,26 +63,25 @@ _MODEL_KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class AttributeSchema:
+class AttributeSchema(namedtuple("AttributeSchema", "attributes classes")):
     """Ordered attributes with cardinalities, plus the class label set."""
 
-    attributes: tuple[tuple[str, int], ...]
-    classes: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.attributes:
+    def __new__(cls, attributes: tuple[tuple[str, int], ...], classes: tuple[str, ...]):
+        if not attributes:
             raise ValueError("schema needs at least one attribute")
-        if len(self.classes) < 2:
+        if len(classes) < 2:
             raise ValueError("schema needs at least two classes")
-        names = [a for a, _ in self.attributes]
+        names = [a for a, _ in attributes]
         if len(set(names)) != len(names):
             raise ValueError("attribute names must be unique")
-        if len(set(self.classes)) != len(self.classes):
+        if len(set(classes)) != len(classes):
             raise ValueError("class labels must be unique")
-        for name, card in self.attributes:
+        for name, card in attributes:
             if card < 2:
                 raise ValueError(f"attribute {name!r} needs cardinality >= 2, got {card}")
+        return tuple.__new__(cls, (attributes, classes))
 
     @property
     def num_attributes(self) -> int:
@@ -121,61 +120,73 @@ class AttributeSchema:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class LabeledExample:
+class LabeledExample(namedtuple("LabeledExample", "features label")):
     """Feature values by attribute position (None = missing) and a class index."""
 
-    features: tuple
-    label: int
+    __slots__ = ()
 
 
 def _log(p: float) -> float:
     return math.log(p) if p > 0.0 else float("-inf")
 
 
-@dataclass(frozen=True)
-class NbcModel:
-    schema: AttributeSchema
-    priors: tuple[float, ...]
-    # cond[j][c][v] = P(attribute j takes value v | class c)
-    cond: tuple[tuple[tuple[float, ...], ...], ...]
-    alpha: float
-    # the logs posterior adds, taken once: log_priors[c], log_cond[j][c][v]
-    log_priors: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    log_cond: tuple[tuple[tuple[float, ...], ...], ...] = field(init=False, repr=False, compare=False)
-    # posterior's answers: features -> (the validated tuple, posterior).
-    # One entry per valid vector with an observed value at most: the
-    # product of (cardinality + 1) over the attributes, minus the all-None
-    # vector.  For six 4-bucket attributes that is 5**6 - 1 = 15,624
-    # entries, 4**6 = 4,096 of them full vectors.  Failures are never stored.
-    _memo: dict = field(init=False, repr=False, compare=False)
+class NbcModel(_Frozen):
+    """A trained classifier: class ``priors``, conditional tables
+    ``cond[j][c][v]`` = P(attribute j takes value v | class c), and the
+    pseudo-count ``alpha`` they were smoothed with.  Every prior and
+    every table entry is a number in [0, 1], each distribution sums to 1,
+    and ``alpha`` is a number >= 0."""
 
-    def __post_init__(self) -> None:
-        k = self.schema.num_classes
-        if len(self.priors) != k:
+    _fields = ("schema", "priors", "cond", "alpha")
+    # the logs posterior adds, taken once: log_priors[c], log_cond[j][c][v].
+    # _memo holds posterior's answers: features -> (the validated tuple,
+    # posterior).  One entry per valid vector with an observed value at
+    # most: the product of (cardinality + 1) over the attributes, minus
+    # the all-None vector.  For six 4-bucket attributes that is
+    # 5**6 - 1 = 15,624 entries, 4**6 = 4,096 of them full vectors.
+    # Failures are never stored.
+    __slots__ = (*_fields, "log_priors", "log_cond", "_memo")
+
+    def __init__(
+        self,
+        schema: AttributeSchema,
+        priors: tuple[float, ...],
+        cond: tuple[tuple[tuple[float, ...], ...], ...],
+        alpha: float,
+    ) -> None:
+        k = schema.num_classes
+        if len(priors) != k:
             raise ValueError("one prior per class required")
-        if abs(sum(self.priors) - 1.0) > 1e-12:
-            raise ValueError(f"priors sum to {sum(self.priors)}, not 1")
-        if len(self.cond) != self.schema.num_attributes:
+        # NaN fails every range test, so it cannot reach the sums below
+        for c, p in enumerate(priors):
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"prior {c} is {p}, not a number in [0, 1]")
+        if abs(sum(priors) - 1.0) > 1e-12:
+            raise ValueError(f"priors sum to {sum(priors)}, not 1")
+        if not alpha >= 0:
+            raise ValueError(f"alpha must be a number >= 0, got {alpha}")
+        if len(cond) != schema.num_attributes:
             raise ValueError("one conditional table per attribute required")
-        for (name, card), table in zip(self.schema.attributes, self.cond):
+        for (name, card), table in zip(schema.attributes, cond):
             if len(table) != k:
                 raise ValueError(f"table for {name!r} needs {k} class rows")
             for c, row in enumerate(table):
                 if len(row) != card:
                     raise ValueError(f"table row {name!r}/class {c} has wrong width")
+                for v, p in enumerate(row):
+                    if not 0.0 <= p <= 1.0:
+                        raise ValueError(
+                            f"table row {name!r}/class {c} entry {v} is {p}, not a number in [0, 1]"
+                        )
                 total = sum(row)
                 if abs(total - 1.0) > 1e-12:
                     raise ValueError(f"table row {name!r}/class {c} sums to {total}, not 1")
-                if self.alpha > 0 and any(p <= 0.0 for p in row):
+                if alpha > 0 and any(p <= 0.0 for p in row):
                     raise ValueError(f"smoothed row {name!r}/class {c} contains a non-positive entry")
-        object.__setattr__(self, "log_priors", tuple(_log(p) for p in self.priors))
-        object.__setattr__(
-            self,
-            "log_cond",
-            tuple(tuple(tuple(_log(p) for p in row) for row in table) for table in self.cond),
-        )
-        object.__setattr__(self, "_memo", {})
+        log_priors = tuple(_log(p) for p in priors)
+        log_cond = tuple(tuple(tuple(_log(p) for p in row) for row in table) for table in cond)
+        for name, value in zip(self.__slots__, (schema, priors, cond, alpha, log_priors, log_cond, {})):
+            object.__setattr__(self, name, value)
 
 
 def _validate_example(ex: LabeledExample, schema: AttributeSchema) -> None:

@@ -16,7 +16,6 @@ import json
 import math
 import operator
 from collections import namedtuple
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -42,8 +41,48 @@ class OutOfRangeError(ValueError):
     """Raised when a value falls outside the discretization range."""
 
 
-@dataclass(frozen=True, slots=True)
-class ComponentId:
+class _Record:
+    """Base of the slotted records: ``==`` and ``repr`` over ``_fields``,
+    the attributes a record's value is made of, as a dataclass gives them.
+    A record of this class alone is mutable and unhashable."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Frozen(_Record):
+    """A hashable ``_Record`` whose attributes cannot be assigned or
+    deleted.  Its constructor takes the ``_fields`` in order, and sets its
+    slots with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class ComponentId(_Frozen):
     """A monitored component: a metric name plus its measurement scope.
 
     ``key`` is the stable string form used in config files, e.g.
@@ -51,16 +90,17 @@ class ComponentId:
     ``==`` or ``hash``.
     """
 
-    name: str
-    level: str = "vm"
-    key: str = field(init=False, repr=False, compare=False)
+    _fields = ("name", "level")
+    __slots__ = (*_fields, "key")
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(self, name: str, level: str = "vm") -> None:
+        if not name:
             raise ValueError("component name must be non-empty")
-        if self.level not in SCOPE_LEVELS:
-            raise ValueError(f"component level must be one of {SCOPE_LEVELS}, got {self.level!r}")
-        object.__setattr__(self, "key", f"{self.level}.{self.name}")
+        if level not in SCOPE_LEVELS:
+            raise ValueError(f"component level must be one of {SCOPE_LEVELS}, got {level!r}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "key", f"{level}.{name}")
 
     @classmethod
     def parse(cls, key: str) -> "ComponentId":
@@ -70,20 +110,20 @@ class ComponentId:
         return cls(name=name, level=level)
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(_Frozen):
     """One state level per component, in the model's declared order."""
 
-    assignments: tuple[tuple[ComponentId, int], ...]
+    __slots__ = _fields = ("assignments",)
 
-    def __post_init__(self) -> None:
-        seen = set()
-        for comp, lvl in self.assignments:
-            if comp in seen:
+    def __init__(self, assignments: tuple[tuple[ComponentId, int], ...]) -> None:
+        seen = set()  # component keys: equal keys are equal components, and hash faster
+        for comp, lvl in assignments:
+            if comp.key in seen:
                 raise ValueError(f"duplicate component {comp.key} in state vector")
-            seen.add(comp)
+            seen.add(comp.key)
             if lvl < 0:
                 raise ValueError(f"negative state level {lvl} for {comp.key}")
+        object.__setattr__(self, "assignments", assignments)
 
     @classmethod
     def from_levels(cls, components: Sequence[ComponentId], levels: Sequence[int]) -> "StateVector":
@@ -105,21 +145,21 @@ class StateVector:
         return len(self.assignments)
 
 
-@dataclass(frozen=True)
-class StateDistribution:
+class StateDistribution(_Frozen):
     """Probability per state for one component (or for system levels)."""
 
-    probs: tuple[float, ...]
+    __slots__ = _fields = ("probs",)
 
-    def __post_init__(self) -> None:
-        if not self.probs:
+    def __init__(self, probs: tuple[float, ...]) -> None:
+        if not probs:
             raise ValueError("distribution must have at least one state")
-        for p in self.probs:
+        for p in probs:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"probability {p} outside [0, 1]")
-        total = sum(self.probs)
+        total = sum(probs)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"distribution sums to {total}, not 1")
+        object.__setattr__(self, "probs", probs)
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -131,8 +171,7 @@ class StateDistribution:
         return iter(self.probs)
 
 
-@dataclass(frozen=True)
-class DiscretizationSpec:
+class DiscretizationSpec(namedtuple("DiscretizationSpec", "component boundaries")):
     """Interval boundaries mapping a metric onto usage buckets.
 
     ``boundaries`` are strictly ascending within [0, 100].  Interval i is
@@ -140,18 +179,18 @@ class DiscretizationSpec:
     value in [b_0, b_last] lands in exactly one interval, its bucket.
     """
 
-    component: ComponentId
-    boundaries: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.boundaries) < 2:
+    def __new__(cls, component: ComponentId, boundaries: tuple[float, ...]):
+        if len(boundaries) < 2:
             raise ValueError("need at least two boundaries")
-        for b in self.boundaries:
+        for b in boundaries:
             if not 0.0 <= b <= 100.0:
                 raise ValueError(f"boundary {b} outside [0, 100]")
-        for lo, hi in zip(self.boundaries, self.boundaries[1:]):
+        for lo, hi in zip(boundaries, boundaries[1:]):
             if not lo < hi:
                 raise ValueError("boundaries must be strictly ascending")
+        return tuple.__new__(cls, (component, boundaries))
 
     @property
     def num_intervals(self) -> int:

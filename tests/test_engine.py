@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -58,6 +57,20 @@ def _load_fixture_config() -> EngineConfig:
 @pytest.fixture(scope="module")
 def config():
     return _load_fixture_config()
+
+
+def remade(config: EngineConfig, **changes) -> EngineConfig:
+    """A config built anew from ``config``'s arguments, with ``changes``."""
+    args = dict(
+        specs=config.specs,
+        attributes=config.attributes,
+        severity_components=config.severity_components,
+        model=config.model,
+        severity_mapping=config.severity_mapping,
+        loop_rule=config.loop_rule,
+        preprocess=config.preprocess,
+    )
+    return EngineConfig(**{**args, **changes})
 
 
 def window_at(w: int, values: dict, host="h0", vm="vm0") -> Window:
@@ -254,6 +267,39 @@ def test_preprocess_policy_rejects_bad_window(window):
         PreprocessPolicy(window=window)
 
 
+def _config_with(tmp_path, section: str, entries: dict):
+    """The fixture config document, with ``entries`` as its ``section``, written to a file."""
+    cfg_doc = json.loads(open(fixture_path("engine_config.json")).read())
+    cfg_doc["model"]["path"] = fixture_path(cfg_doc["model"]["path"])
+    cfg_doc[section] = entries
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps(cfg_doc))
+    return p
+
+
+@pytest.mark.parametrize(
+    "entries, direct, through_config",
+    [
+        ({"window": 11.0}, r"window must be an integer, got 11\.0",
+         r"window must be a JSON integer, got 11\.0"),
+        ({"z_cutoff": math.nan}, r"z_cutoff must be a finite number, got nan",
+         r"config .*: z_cutoff must be a finite number, got nan"),
+        ({"z_cutoff": math.inf}, r"z_cutoff must be a finite number, got inf",
+         r"config .*: z_cutoff must be a finite number, got inf"),
+        ({"clamp": "no"}, r"clamp must be a bool, got 'no'", r"clamp must be a JSON boolean, got \"no\""),
+    ],
+    ids=["window-float", "z-cutoff-nan", "z-cutoff-inf", "clamp-string"],
+)
+def test_preprocess_policy_takes_only_what_a_config_can_mean(tmp_path, entries, direct, through_config):
+    # before, window 11.0 ended the run in a bare TypeError inside
+    # preprocess, a NaN z_cutoff (which json reads) switched the outlier
+    # filter off, and clamp "no" meant clamp
+    with pytest.raises(ValueError, match=f"^{direct}$"):
+        PreprocessPolicy(**entries)
+    with pytest.raises(ConfigError, match=through_config):
+        load_config(_config_with(tmp_path, "preprocess", entries))
+
+
 # -- windowing -------------------------------------------------------
 
 
@@ -433,7 +479,7 @@ def test_severity_monotone_in_each_component(buckets, which):
 @pytest.mark.parametrize("mapping", [(0, 0, 1, 2), (0, 1, 1, 2)])
 def test_compiled_severity_matches_mdd_on_every_bucket_combination(config, mapping):
     # the engine's config-time tables against the validated MDD walk
-    cfg = dataclasses.replace(config, severity_mapping=mapping)
+    cfg = remade(config, severity_mapping=mapping)
     engine = Engine(cfg)
     comps = cfg.severity_components
     for buckets in itertools.product(range(4), repeat=len(comps)):
@@ -465,6 +511,35 @@ def test_loop_rule_match_table():
     ]
     for usage, want in cases:
         assert rule.matches(usage) is want, usage
+
+
+@pytest.mark.parametrize(
+    "entries, named",
+    [
+        ({"k": 2.5}, r"loop rule k must be an integer, got 2\.5"),
+        ({"k": True}, r"loop rule k must be an integer, got True"),
+        ({"cpu_bucket": 3.0}, r"loop rule cpu_bucket must be an integer, got 3\.0"),
+        ({"throughput_bucket": False}, r"loop rule throughput_bucket must be an integer, got False"),
+        ({"vm_cpu": 5}, r"loop rule vm_cpu must be a string, got 5"),
+        ({"host_cpu": None}, r"loop rule host_cpu must be a string, got None"),
+        ({"throughput": ("vm.throughput",)}, r"loop rule throughput must be a string, got \('vm\.throughput',\)"),
+        ({"cause": b"endless-loop"}, r"loop rule cause must be a string, got b'endless-loop'"),
+        ({"k": 0}, r"loop rule needs k >= 1"),
+    ],
+    ids=["k-fraction", "k-true", "cpu-bucket-float", "throughput-bucket-false", "vm-cpu-number",
+         "host-cpu-none", "throughput-tuple", "cause-bytes", "k-zero"],
+)
+def test_loop_rule_takes_integer_thresholds_and_string_keys(entries, named):
+    # before, k=2.5 was accepted and the streak never equalled it, so the
+    # loop alarm never fired; k=True was taken as 1
+    with pytest.raises(ValueError, match=f"^{named}$"):
+        LoopRule(**entries)
+
+
+def test_load_config_names_an_invalid_loop_rule(tmp_path):
+    # before, this left load_config as a bare ValueError, not a ConfigError
+    with pytest.raises(ConfigError, match=r"config .*: loop rule needs k >= 1"):
+        load_config(_config_with(tmp_path, "loop_rule", {"k": 0}))
 
 
 def test_loop_rule_requires_k_windows(config):
@@ -1160,35 +1235,35 @@ def test_model_with_zero_probability_rejected(config):
     with pytest.raises(nbc.AllZeroLikelihoodError):
         nbc.posterior(model, features)
     with pytest.raises(ConfigError, match=r"vm\.cpu=0 probability 0 under class 'normal'"):
-        dataclasses.replace(config, model=model)
+        remade(config, model=model)
 
 
 def test_severity_mapping_too_short_rejected(config):
     # bucket 3 of every 4-bucket severity component has no severity
     with pytest.raises(ConfigError, match=r"vm\.cpu: severity_mapping"):
-        dataclasses.replace(config, severity_mapping=(0, 0, 1))
+        remade(config, severity_mapping=(0, 0, 1))
 
 
 def test_severity_mapping_beyond_serious_rejected(config):
     with pytest.raises(ConfigError, match=r"vm\.cpu: severity_mapping \(0, 0, 1, 3\)"):
-        dataclasses.replace(config, severity_mapping=(0, 0, 1, 3))
+        remade(config, severity_mapping=(0, 0, 1, 3))
 
 
 def test_severity_mapping_longer_than_needed_accepted(config):
-    cfg = dataclasses.replace(config, severity_mapping=(0, 0, 1, 2, 2))
+    cfg = remade(config, severity_mapping=(0, 0, 1, 2, 2))
     assert Engine(cfg).severity_of(window_at(0, variant(**{"vm.cpu": 90.0}))) == 2
 
 
 def test_loop_rule_component_must_be_judged(config):
     with pytest.raises(ConfigError, match=r"vm\.tput"):
-        dataclasses.replace(config, loop_rule=LoopRule(throughput="vm.tput"))
+        remade(config, loop_rule=LoopRule(throughput="vm.tput"))
 
 
 def test_severity_component_outside_attributes_is_collected(config):
     # a severity component the classifier does not use must still be
     # windowed, so it can open the gate on its own
     extra = ComponentId("extra", "host")
-    cfg = dataclasses.replace(
+    cfg = remade(
         config,
         specs={**config.specs, extra.key: DiscretizationSpec(extra, (0.0, 25.0, 50.0, 75.0, 100.0))},
         severity_components=config.severity_components + (extra,),

@@ -286,6 +286,34 @@ def test_model_invariant_validation():
         _model((0.5, 0.5), (((0.0, 1.0), (0.5, 0.5)),), alpha=1.0)
 
 
+@pytest.mark.parametrize(
+    "entries, named",
+    [
+        (dict(priors=[math.nan, 0.5]), r"prior 0 is nan, not a number in \[0, 1\]"),
+        (dict(priors=[1.5, -0.5]), r"prior 0 is 1\.5, not a number in \[0, 1\]"),
+        (dict(cond=[[[0.5, 0.5], [math.nan, 0.5]]]),
+         r"table row 'x'/class 1 entry 0 is nan, not a number in \[0, 1\]"),
+        (dict(cond=[[[0.5, 0.5], [0.5, math.inf]]]),
+         r"table row 'x'/class 1 entry 1 is inf, not a number in \[0, 1\]"),
+        (dict(alpha=math.nan), r"alpha must be a number >= 0, got nan"),
+        (dict(alpha=-1.0), r"alpha must be a number >= 0, got -1\.0"),
+    ],
+    ids=["prior-nan", "prior-out-of-range", "cond-nan", "cond-inf", "alpha-nan", "alpha-negative"],
+)
+def test_model_rejects_non_finite_and_out_of_range_parameters(tmp_path, entries, named):
+    # before, the sum checks were false for NaN, so a model with a NaN
+    # prior or table entry loaded and posterior answered nonsense, and a
+    # NaN or negative alpha loaded too
+    model = train([LabeledExample((0,), 0), LabeledExample((1,), 1)], BINARY)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    path.write_text(json.dumps(_edit(json.loads(path.read_text()), **entries)))
+    with pytest.raises(ModelFormatError, match=f"model invariants violated: {named}$"):
+        load_model(path)
+    with pytest.raises(ValueError, match=f"^{named}$"):
+        _model(**{"priors": model.priors, "cond": model.cond, "alpha": model.alpha, **entries})
+
+
 def test_save_load_roundtrip(tmp_path):
     rng = random.Random(2)
     schema = AttributeSchema(attributes=(("x", 3), ("y", 2)), classes=("a", "b"))
