@@ -161,7 +161,9 @@ def cmd_evaluate(args) -> int:
 
 def _load_structure_table(path):
     """CSV: header names the components (final column ``level``), one
-    row per state vector covering the entire product space."""
+    row per state vector covering the entire product space.  A row whose
+    width is not the header's, or that repeats a state vector, raises
+    naming its line."""
     import csv
 
     from . import mdd
@@ -173,10 +175,17 @@ def _load_structure_table(path):
             raise CliError(f"{path}: header must be component keys plus final 'level'")
         components = [ComponentId.parse(key) for key in header[:-1]]
         table = {}
+        line_of = {}  # the line of each state vector's row
         for row in reader:
             if not row:
                 continue
+            where = f"{path}: line {reader.line_num}"
+            if len(row) != len(header):
+                raise CliError(f"{where}: expected {len(header)} columns, got {len(row)}")
             states = tuple(int(v) for v in row[:-1])
+            if states in line_of:
+                raise CliError(f"{where}: repeats the states {states} of line {line_of[states]}")
+            line_of[states] = reader.line_num
             table[states] = int(row[-1])
     if not table:
         raise CliError(f"{path}: table has no rows")

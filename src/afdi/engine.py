@@ -402,13 +402,6 @@ class LoopRule(namedtuple("LoopRule", "k vm_cpu host_cpu throughput cpu_bucket t
             raise ValueError("loop rule needs k >= 1")
         return rule
 
-    def matches(self, usage: Mapping[str, int]) -> bool:
-        return (
-            usage[self.vm_cpu] >= self.cpu_bucket
-            and usage[self.host_cpu] >= self.cpu_bucket
-            and usage[self.throughput] <= self.throughput_bucket
-        )
-
 
 class EngineConfig(_Record):
     """What the engine judges windows by: a discretization spec per
@@ -421,8 +414,8 @@ class EngineConfig(_Record):
         "specs", "attributes", "severity_components", "model", "severity_mapping", "loop_rule", "preprocess"
     )
     __slots__ = (
-        *_fields, "bucket_bounds", "attribute_keys", "loop_diagnosis", "severity_mdd", "severity_tables",
-        "vm_metric_names", "host_metric_names",
+        *_fields, "bucket_bounds", "attribute_keys", "feature_positions", "loop_positions", "loop_diagnosis",
+        "severity_mdd", "severity_tables", "vm_metric_names", "host_metric_names",
     )
 
     def __init__(
@@ -449,11 +442,15 @@ class EngineConfig(_Record):
             if comp.key not in self.specs:
                 raise ConfigError(f"no discretization spec for {comp.key}")
             judged[comp.key] = self.specs[comp.key]
-        # (key, boundaries, index of the top boundary) per judged key
+        # (key, boundaries, index of the top boundary) per judged key; a
+        # window's bucket vector has one bucket per entry, in this order,
+        # and the tables below read it by position
         self.bucket_bounds = tuple(
             (key, spec.boundaries, len(spec.boundaries) - 1) for key, spec in judged.items()
         )
+        position = {key: i for i, key in enumerate(judged)}
         self.attribute_keys = tuple(c.key for c in self.attributes)
+        self.feature_positions = tuple(position[key] for key in self.attribute_keys)
         model_names = tuple(name for name, _ in self.model.schema.attributes)
         if model_names != self.attribute_keys:
             raise ConfigError(
@@ -483,9 +480,11 @@ class EngineConfig(_Record):
                 )
         if rule.cause not in self.classes:
             raise ConfigError(f"loop rule cause {rule.cause!r} not in model classes")
+        self.loop_positions = tuple(position[key] for key in (rule.vm_cpu, rule.host_cpu, rule.throughput))
         self.loop_diagnosis = tuple(1.0 if c == rule.cause else 0.0 for c in self.classes)
         # severity model operates on mapped 3-state levels; each severity
-        # component gets the level of each of its usage buckets
+        # component gets its bucket's position and the level of each of
+        # its usage buckets
         self.severity_mdd = mdd_mod.build_max_severity(self.severity_components)
         tables = []
         for comp, arity in zip(self.severity_components, self.severity_mdd.arities):
@@ -496,7 +495,7 @@ class EngineConfig(_Record):
                     f"{comp.key}: severity_mapping {self.severity_mapping} must send each "
                     f"of its {buckets} buckets to a level in 0..{arity - 1}"
                 )
-            tables.append((comp.key, table))
+            tables.append((position[comp.key], table))
         self.severity_tables = tuple(tables)
         # every metric a window is judged on, in first-seen order
         components = dict.fromkeys(self.attributes + self.severity_components)
@@ -562,24 +561,17 @@ class Engine:
                 f"window t={window.timestamp} {window.host_id}/{window.vm_id}: missing {exc.args[0]}"
             ) from None
 
-    def _usage(self, window: Window) -> dict[str, int]:
-        """Usage bucket per judged key; a missing metric raises."""
-        return {key: b for (key, _, _), b in zip(self.config.bucket_bounds, self._buckets(window))}
-
-    def severity_of(self, window: Window) -> int:
-        return self._severity(self._usage(window))
-
-    def _severity(self, usage: Mapping[str, int]) -> int:
-        return self.config.severity_mdd.evaluate_levels(
-            [table[usage[key]] for key, table in self.config.severity_tables]
-        )
-
     def _judge(self, buckets: tuple[int, ...]) -> tuple:
-        """What a window with these buckets is judged, kept for the next one."""
+        """What a window with these buckets is judged, kept for the next
+        one: its severity, whether the loop rule matches, its NBC features."""
         config = self.config
-        usage = {key: b for (key, _, _), b in zip(config.bucket_bounds, buckets)}
-        features = tuple(usage[key] for key in config.attribute_keys)
-        judged = self._judged[buckets] = (self._severity(usage), config.loop_rule.matches(usage), features)
+        rule = config.loop_rule
+        vm_cpu, host_cpu, throughput = config.loop_positions
+        severity = config.severity_mdd.evaluate_levels([table[buckets[i]] for i, table in config.severity_tables])
+        cpu = min(buckets[vm_cpu], buckets[host_cpu])
+        loop = cpu >= rule.cpu_bucket and buckets[throughput] <= rule.throughput_bucket
+        features = tuple([buckets[i] for i in config.feature_positions])
+        judged = self._judged[buckets] = (severity, loop, features)
         return judged
 
     def step(self, window: Window) -> list[Alarm]:

@@ -189,24 +189,31 @@ class NbcModel(_Frozen):
             object.__setattr__(self, name, value)
 
 
+def _observed(features: Sequence, schema: AttributeSchema, error: type[Exception] = ValueError) -> list:
+    """``(position, value)`` of each observed feature; raises ``error``
+    unless there is one feature per attribute, each None (missing) or an
+    int (a bool is none) in its attribute's range."""
+    if len(features) != schema.num_attributes:
+        raise error(f"expected {schema.num_attributes} features, got {len(features)}")
+    observed = []
+    for j, ((name, card), v) in enumerate(zip(schema.attributes, features)):
+        if v is None:
+            continue
+        if type(v) is not int:
+            raise error(f"value {v!r} for attribute {name!r} is not an integer or None")
+        if not 0 <= v < card:
+            raise error(f"value {v} outside 0..{card - 1} for attribute {name!r}")
+        observed.append((j, v))
+    return observed
+
+
 def _validate_example(ex: LabeledExample, schema: AttributeSchema) -> None:
-    """Features as ``posterior`` takes them (None or an int, a bool is
-    neither) and an int label, each in range."""
+    """An int label in range, and features as ``posterior`` takes them."""
     if type(ex.label) is not int:
         raise TrainingError(f"label {ex.label!r} is not an integer class index")
     if not 0 <= ex.label < schema.num_classes:
         raise TrainingError(f"label {ex.label} outside 0..{schema.num_classes - 1}")
-    if len(ex.features) != schema.num_attributes:
-        raise TrainingError(
-            f"example has {len(ex.features)} features, schema has {schema.num_attributes}"
-        )
-    for (name, card), v in zip(schema.attributes, ex.features):
-        if v is None:
-            continue
-        if type(v) is not int:
-            raise TrainingError(f"value {v!r} for attribute {name!r} is not an integer or None")
-        if not 0 <= v < card:
-            raise TrainingError(f"value {v} outside 0..{card - 1} for attribute {name!r}")
+    _observed(ex.features, schema, TrainingError)
 
 
 def train(dataset: Sequence[LabeledExample], schema: AttributeSchema, alpha: float = 1.0) -> NbcModel:
@@ -280,21 +287,7 @@ def posterior(model: NbcModel, features: Sequence) -> tuple[float, ...]:
     # the memo keeps each checked tuple alive, so no other object has its id
     if hit is not None and hit[0] is features:
         return hit[1]
-    schema = model.schema
-    if len(features) != schema.num_attributes:
-        raise ValueError(
-            f"expected {schema.num_attributes} features, got {len(features)}"
-        )
-    observed = []
-    for j, v in enumerate(features):
-        if v is None:
-            continue
-        name, card = schema.attributes[j]
-        if type(v) is not int:
-            raise ValueError(f"value {v!r} for attribute {name!r} is not an integer or None")
-        if not 0 <= v < card:
-            raise ValueError(f"value {v} outside 0..{card - 1} for attribute {name!r}")
-        observed.append((j, v))
+    observed = _observed(features, model.schema)
     if hit is not None:
         return hit[1]
     if not observed:
@@ -388,6 +381,8 @@ def write_training_csv(dataset: Sequence[LabeledExample], schema: AttributeSchem
 
 
 def read_training_csv(path, schema: AttributeSchema) -> list[LabeledExample]:
+    """The examples of a labeled CSV; a bad header or row raises
+    ``TrainingError`` naming the path and the line."""
     import csv
 
     expected = [name for name, _ in schema.attributes] + ["label"]
@@ -398,15 +393,18 @@ def read_training_csv(path, schema: AttributeSchema) -> list[LabeledExample]:
         if header is None:
             raise TrainingError(f"empty training file: {path}")
         if header != expected:
-            raise TrainingError(f"header mismatch: expected {expected}, got {header}")
-        for line_no, row in enumerate(reader, start=2):
+            raise TrainingError(f"{path}: line 1: header mismatch: expected {expected}, got {header}")
+        for row in reader:
             if not row:
                 continue
-            if len(row) != len(expected):
-                raise TrainingError(f"line {line_no}: expected {len(expected)} columns")
-            features = tuple(None if cell == "" else int(cell) for cell in row[:-1])
-            ex = LabeledExample(features=features, label=schema.class_index(row[-1]))
-            _validate_example(ex, schema)
+            try:
+                if len(row) != len(expected):
+                    raise TrainingError(f"expected {len(expected)} columns, got {len(row)}")
+                features = tuple(None if cell == "" else int(cell) for cell in row[:-1])
+                ex = LabeledExample(features=features, label=schema.class_index(row[-1]))
+                _validate_example(ex, schema)
+            except ValueError as exc:
+                raise TrainingError(f"{path}: line {reader.line_num}: {exc}") from None
             out.append(ex)
     return out
 

@@ -290,6 +290,8 @@ _NOT_A_RECORD = (
     "host_id, level, metric, timestamp, value and vm_id"
 )
 _decode = json.JSONDecoder().raw_decode
+# the reason given for JSON nested deeper than the decoder recurses
+_TOO_DEEP = "JSON nested too deeply to decode"
 # lines decoded by one json.loads call; a chunk's joined text stays far
 # below the size of the samples it yields
 _CHUNK_LINES = 1024
@@ -308,29 +310,47 @@ def _component(name: str, level: str, shared: dict) -> ComponentId:
     return metric
 
 
-def _sample(obj, shared: dict) -> MetricSample:
-    """The sample one decoded record describes; raises on a bad record."""
+def _column_samples(objs: list, shared: dict) -> list[MetricSample]:
+    """The samples of decoded records, checked a column at a time as
+    ``read_metric_samples`` documents; a failed check raises its reason,
+    for a lone record the reason of the first check it fails."""
     # six entries, and all six wire keys read below: no other key
-    if type(obj) is not dict or len(obj) != 6:
+    if set(map(type, objs)) != {dict} or set(map(len, objs)) != {6}:
         raise ValueError(_NOT_A_RECORD)
-    timestamp, host_id, vm_id, name, level, value = _wire_values(obj)
-    if type(host_id) is not str or not (vm_id is None or type(vm_id) is str):
+    try:
+        timestamps, hosts, vms, names, levels, values = zip(*map(_wire_values, objs))
+    except KeyError:
+        raise ValueError(_NOT_A_RECORD) from None
+    if set(map(type, hosts)) != {str} or not set(map(type, vms)) <= {str, type(None)}:
         raise ValueError("host_id must be a string and vm_id a string or null")
-    if type(name) is not str or type(level) is not str:
+    if set(map(type, names)) != {str} or set(map(type, levels)) != {str}:
         raise ValueError("metric and level must be strings")
-    metric = _component(name, level, shared)
+    for name, level in set(zip(names, levels)):
+        _component(name, level, shared)
     # bool is a subclass of int, so the types are compared exactly
-    if type(timestamp) is not int:
-        raise ValueError(f"timestamp must be a JSON integer, got {json.dumps(timestamp)}")
-    if type(value) is not float and type(value) is not int:
-        raise ValueError(f"value must be a JSON int or float, got {json.dumps(value)}")
-    return MetricSample(
-        shared.setdefault(timestamp, timestamp),
-        shared.setdefault(host_id, host_id),
-        shared.setdefault(vm_id, vm_id),
-        metric,
-        float(value),
+    if set(map(type, timestamps)) != {int}:
+        bad = next(t for t in timestamps if type(t) is not int)
+        raise ValueError(f"timestamp must be a JSON integer, got {json.dumps(bad)}")
+    value_types = set(map(type, values))
+    if not value_types <= {int, float}:
+        bad = next(v for v in values if type(v) is not int and type(v) is not float)
+        raise ValueError(f"value must be a JSON int or float, got {json.dumps(bad)}")
+    if int in value_types:
+        values = tuple(map(float, values))
+    metrics = tuple(map(shared.__getitem__, zip(names, levels)))
+    if tuple(map(_LEVEL_OF_VM_ID, map(type, vms))) != levels or not all(map(math.isfinite, values)):
+        # some record's vm_id does not fit its level, or its value is not
+        # finite: the sample's own check names which
+        for fields in zip(timestamps, hosts, vms, metrics, values):
+            _check_sample(*fields)
+    fields = zip(
+        map(shared.setdefault, timestamps, timestamps),
+        map(shared.setdefault, hosts, hosts),
+        map(shared.setdefault, vms, vms),
+        metrics,
+        values,
     )
+    return list(map(tuple.__new__, itertools.repeat(MetricSample), fields))
 
 
 def _chunk_samples(lines: list[str], shared: dict) -> list[MetricSample] | None:
@@ -341,64 +361,31 @@ def _chunk_samples(lines: list[str], shared: dict) -> list[MetricSample] | None:
     a valid record holds only scalars, so when every line starts with
     ``{`` and ends with ``}``, and the array has one element per line,
     each a valid record, the i-th element is the i-th line's object.
-    The records are checked a column at a time, each column with the
-    checks ``_sample`` makes on one record's value, so a chunk passes
-    exactly when every record would pass ``_sample``.
     """
     if set(map(_first_char, lines)) != {"{"} or set(map(_last_char, lines)) != {"}"}:
         return None
     try:
         objs = json.loads("[" + "\n,".join(lines) + "]")
-    except (ValueError, RecursionError):
-        return None
-    if len(objs) != len(lines) or set(map(type, objs)) != {dict} or set(map(len, objs)) != {6}:
-        return None
-    try:
-        timestamps, hosts, vms, names, levels, values = zip(*map(_wire_values, objs))
-    except KeyError:
-        return None
-    value_types = set(map(type, values))
-    if (
-        set(map(type, timestamps)) != {int}
-        or set(map(type, hosts)) != {str}
-        or set(map(type, names)) != {str}
-        or set(map(type, levels)) != {str}
-        or not value_types <= {int, float}
-        # a vm_id of another type calls for no level, and matches no string
-        or tuple(map(_LEVEL_OF_VM_ID, map(type, vms))) != levels
-    ):
-        return None
-    try:
-        for name, level in set(zip(names, levels)):
-            _component(name, level, shared)
-        if int in value_types:
-            values = tuple(map(float, values))
-    except (ValueError, OverflowError):
-        return None
-    if not all(map(math.isfinite, values)):
-        return None
-    fields = zip(
-        map(shared.setdefault, timestamps, timestamps),
-        map(shared.setdefault, hosts, hosts),
-        map(shared.setdefault, vms, vms),
-        map(shared.__getitem__, zip(names, levels)),
-        values,
-    )
-    return list(map(tuple.__new__, itertools.repeat(MetricSample), fields))
+        if len(objs) == len(lines):
+            return _column_samples(objs, shared)
+    except (ValueError, OverflowError, RecursionError):
+        pass
+    return None
 
 
 def _line_sample(path, line_no: int, line: str, shared: dict) -> MetricSample:
-    """The sample of one stripped line; a bad record raises naming the line."""
+    """The sample of one stripped line, checked as a one-record column; a
+    bad record raises naming the line."""
     try:
         # the line is stripped, so this accepts exactly what json.loads accepts
         obj, end = _decode(line)
         if end != len(line):
             raise json.JSONDecodeError("Extra data", line, end)
-        return _sample(obj, shared)
-    except KeyError as exc:  # a wire key is missing
-        raise ValueError(f"{path}: line {line_no}: {_NOT_A_RECORD}") from exc
+        return _column_samples([obj], shared)[0]
     except (ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: line {line_no}: {exc}") from exc
+    except RecursionError:
+        raise ValueError(f"{path}: line {line_no}: {_TOO_DEEP}") from None
 
 
 def read_metric_samples(path) -> list[MetricSample]:
@@ -415,8 +402,9 @@ def read_metric_samples(path) -> list[MetricSample]:
 
     Lines are decoded ``_CHUNK_LINES`` at a time with one ``json.loads``
     call and checked a column at a time; a chunk that does not decode to
-    one valid record per line is decoded again line by line, which names
-    the first bad line.
+    one valid record per line is decoded again line by line, each line
+    checked as a one-record column, which names the first bad line and
+    its reason.  JSON nested too deeply to decode is a bad record too.
     """
     samples = []
     # one object per distinct timestamp and id, and a ComponentId per
@@ -452,11 +440,16 @@ _JSON_KINDS = {
 
 
 def read_document(source):
-    """``source`` itself if it is a dict, else the JSON document at path ``source``."""
+    """``source`` itself if it is a dict, else the JSON document at path
+    ``source``; JSON nested too deeply to decode raises ``ValueError``
+    naming the path."""
     if isinstance(source, dict):
         return source
     with open(source, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{source}: {_TOO_DEEP}") from None
 
 
 def check_kind(value, kind: str, name: str, error: type[Exception] = ValueError):

@@ -328,6 +328,27 @@ def test_mdd_incomplete_table_rejected(tmp_path):
     assert "cover" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "rows, named",
+    [
+        ("0,0,0\n0,1\n1,0,1\n1,1,1\n", "line 3: expected 3 columns, got 2"),
+        ("0,0,0\n0,1,1,0\n1,0,1\n1,1,1\n", "line 3: expected 3 columns, got 4"),
+        ("0,0,0\n0,0,2\n0,1,1\n1,0,1\n1,1,1\n", "line 3: repeats the states (0, 0) of line 2"),
+    ],
+    ids=["short-row", "long-row", "repeated-states"],
+)
+def test_mdd_table_rejects_a_row_of_the_wrong_shape_naming_its_line(tmp_path, rows, named):
+    # before, a short row ended in an IndexError traceback, a long one
+    # was reported as a missing row, and a repeated state vector
+    # replaced the earlier level, so --query 0,0 answered 2
+    p = tmp_path / "table.csv"
+    p.write_text("vm.cpu,vm.memory,level\n" + rows)
+    res = run_cli("mdd", "--table", str(p), "--query", "0,0")
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+    assert f"{p}: {named}" in res.stderr
+
+
 def test_mdd_query_arity_mismatch():
     res = run_cli("mdd", "--table", fixture_path("mdd_max4.csv"), "--query", "0,0")
     assert res.returncode == 1
@@ -434,6 +455,32 @@ def test_malformed_document_is_an_error_not_a_traceback(tmp_path, command, flag,
     assert res.returncode == 1
     assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
     assert named in res.stderr
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def test_a_document_nested_too_deeply_is_an_error_not_a_traceback(tmp_path):
+    # before, the decoder's RecursionError ended in a traceback
+    net = tmp_path / "net.json"
+    net.write_text('{"nodes": ' + DEEP + "}")
+    res = run_cli("bn-query", "--net", str(net), "--query", "S")
+    assert res.returncode == 1
+    assert res.stderr == f"error: {net}: JSON nested too deeply to decode\n"
+
+
+def test_a_stream_line_nested_too_deeply_is_an_error_naming_the_line(tmp_path):
+    good = {"host_id": "h0", "level": "vm", "metric": "cpu", "timestamp": 0, "value": 1.0, "vm_id": "vm0"}
+    metrics = tmp_path / "metrics.jsonl"
+    metrics.write_text(json.dumps(good) + "\n" + '{"value": ' + DEEP + "}\n")
+    res = run_cli(
+        "diagnose",
+        "--config", fixture_path("engine_config.json"),
+        "--metrics", str(metrics),
+        "--out-alarms", str(tmp_path / "alarms.jsonl"),
+    )
+    assert res.returncode == 1
+    assert res.stderr == f"error: {metrics}: line 2: JSON nested too deeply to decode\n"
 
 
 # -- parser behaviour ------------------------------------------------

@@ -83,6 +83,20 @@ def variant(**overrides) -> dict:
     return values
 
 
+def judgment(engine: Engine, window: Window) -> tuple:
+    """(severity, loop rule matched, NBC features) of ``window``."""
+    return engine._judge(engine._buckets(window))
+
+
+def severity_of(engine: Engine, window: Window) -> int:
+    return judgment(engine, window)[0]
+
+
+def usage_of(engine: Engine, window: Window) -> dict:
+    """Usage bucket of ``window`` per judged key."""
+    return {key: b for (key, _, _), b in zip(engine.config.bucket_bounds, engine._buckets(window))}
+
+
 LOOP_VALUES = variant(**{"vm.cpu": 90.0, "host.cpu": 90.0, "vm.throughput": 10.0})
 
 
@@ -357,7 +371,7 @@ def test_minor_window_gets_nbc_diagnosis(config):
     assert engine.nbc_invocations == 1
     # the alarm's distribution must be exactly the model posterior for
     # the discretized feature vector
-    usage = engine._usage(window_at(0, values))
+    usage = usage_of(engine, window_at(0, values))
     features = tuple(usage[c.key] for c in config.attributes)
     assert a.diagnosis == nbc.posterior(config.model, features)
     assert a.top_cause == config.classes[nbc.classify(config.model, features)]
@@ -385,7 +399,7 @@ def test_throughput_alone_never_alarms(config):
 
 def test_throughput_past_its_bounds_is_clamped_to_the_top_bucket(config, monkeypatch):
     # throughput is not a percent metric, so a steady 250 tx/s series
-    # survives preprocess; only the clamp in Engine._usage buckets it
+    # survives preprocess; only the clamp in Engine._buckets buckets it
     stream = samples_for([variant(**{"vm.memory": 60.0, "vm.throughput": 250.0})] * 15)
     cleaned = preprocess(stream)
     assert {s.value for s in cleaned if s.metric.name == "throughput"} == {250.0}
@@ -418,9 +432,9 @@ def test_usage_bucket_is_the_bucket_of_the_clamped_value(config, value):
     window = window_at(0, variant(**{"vm.throughput": value}))
     if math.isnan(value):
         with pytest.raises(ValueError, match="vm.throughput is NaN"):
-            Engine(config)._usage(window)
+            usage_of(Engine(config), window)
         return
-    usage = Engine(config)._usage(window)
+    usage = usage_of(Engine(config), window)
     assert usage["vm.throughput"] == discretize(min(high, max(low, value)), spec)
 
 
@@ -430,7 +444,7 @@ def test_a_nan_in_a_window_raises_naming_the_window_and_the_key(config, key):
     message = rf"window t=3000 h1/vm2: {re.escape(key)} is NaN"
     engine = Engine(config)
     with pytest.raises(ValueError, match=message):
-        engine.severity_of(window)
+        severity_of(engine, window)
     with pytest.raises(ValueError, match=message):
         engine.step(window)
     assert engine.nbc_invocations == 0
@@ -438,9 +452,9 @@ def test_a_nan_in_a_window_raises_naming_the_window_and_the_key(config, key):
 
 def test_severity_uses_mapped_buckets(config):
     engine = Engine(config)
-    assert engine.severity_of(window_at(0, HEALTHY)) == 0
-    assert engine.severity_of(window_at(0, variant(**{"vm.network": 60.0}))) == 1
-    assert engine.severity_of(window_at(0, variant(**{"host.storage_io": 90.0}))) == 2
+    assert severity_of(engine, window_at(0, HEALTHY)) == 0
+    assert severity_of(engine, window_at(0, variant(**{"vm.network": 60.0}))) == 1
+    assert severity_of(engine, window_at(0, variant(**{"host.storage_io": 90.0}))) == 2
 
 
 def test_custom_severity_mapping(config):
@@ -467,12 +481,12 @@ def test_severity_monotone_in_each_component(buckets, which):
     engine = Engine(cfg)
     keys = [c.key for c in cfg.attributes]
     values = {k: BUCKET_VALUE[b] for k, b in zip(keys, buckets)}
-    before = engine.severity_of(window_at(0, values))
+    before = severity_of(engine, window_at(0, values))
     raised = dict(values)
     key = keys[which]
     idx = BUCKET_VALUE.index(raised[key])
     raised[key] = BUCKET_VALUE[min(3, idx + 1)]
-    assert engine.severity_of(window_at(0, raised)) >= before
+    assert severity_of(engine, window_at(0, raised)) >= before
 
 
 
@@ -486,7 +500,7 @@ def test_compiled_severity_matches_mdd_on_every_bucket_combination(config, mappi
         values = dict(HEALTHY, **{c.key: BUCKET_VALUE[b] for c, b in zip(comps, buckets)})
         levels = [mapping[b] for b in buckets]
         want = cfg.severity_mdd.evaluate(StateVector.from_levels(comps, levels))
-        assert engine.severity_of(window_at(0, values)) == want, buckets
+        assert severity_of(engine, window_at(0, values)) == want, buckets
 
 
 def test_incomplete_window_rejected(config):
@@ -500,8 +514,9 @@ def test_incomplete_window_rejected(config):
 # -- the loop rule ---------------------------------------------------
 
 
-def test_loop_rule_match_table():
+def test_loop_rule_match_table(config):
     rule = LoopRule()
+    engine = Engine(remade(config, loop_rule=rule))
     cases = [
         ({"vm.cpu": 3, "host.cpu": 3, "vm.throughput": 0}, True),
         ({"vm.cpu": 3, "host.cpu": 3, "vm.throughput": 1}, False),
@@ -510,7 +525,8 @@ def test_loop_rule_match_table():
         ({"vm.cpu": 0, "host.cpu": 0, "vm.throughput": 0}, False),
     ]
     for usage, want in cases:
-        assert rule.matches(usage) is want, usage
+        values = variant(**{key: BUCKET_VALUE[b] for key, b in usage.items()})
+        assert judgment(engine, window_at(0, values))[1] is want, usage
 
 
 @pytest.mark.parametrize(
@@ -832,13 +848,14 @@ def test_alarm_is_an_immutable_tuple_record():
 
 def test_each_bucket_vector_is_judged_once(config, monkeypatch):
     judged = []
-    monkeypatch.setattr(Engine, "_severity", lambda self, usage: judged.append(usage) or 0)
+    real = Engine._judge
+    monkeypatch.setattr(Engine, "_judge", lambda self, buckets: judged.append(buckets) or real(self, buckets))
     engine = Engine(config)
     values = [HEALTHY, variant(**{"vm.cpu": 31.0}), variant(**{"vm.cpu": 60.0}), HEALTHY]
     for w, v in enumerate(values):
         engine.step(window_at(w, v))
         engine.step(window_at(w, v, vm="vm1"))
-    assert judged == [engine._usage(window_at(0, HEALTHY)), engine._usage(window_at(0, values[2]))]
+    assert judged == [engine._buckets(window_at(0, HEALTHY)), engine._buckets(window_at(0, values[2]))]
 
 
 def test_equal_diagnoses_of_one_engine_are_one_object(config):
@@ -1251,7 +1268,7 @@ def test_severity_mapping_beyond_serious_rejected(config):
 
 def test_severity_mapping_longer_than_needed_accepted(config):
     cfg = remade(config, severity_mapping=(0, 0, 1, 2, 2))
-    assert Engine(cfg).severity_of(window_at(0, variant(**{"vm.cpu": 90.0}))) == 2
+    assert severity_of(Engine(cfg), window_at(0, variant(**{"vm.cpu": 90.0}))) == 2
 
 
 def test_loop_rule_component_must_be_judged(config):

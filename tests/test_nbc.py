@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -121,8 +122,9 @@ def test_train_errors():
         (LabeledExample((1.0,), 0), r"value 1\.0 for attribute 'x' is not an integer or None"),
         (LabeledExample((0,), True), r"label True is not an integer class index"),
         (LabeledExample((0,), 1.0), r"label 1\.0 is not an integer class index"),
+        (LabeledExample((0, 1), 0), r"expected 1 features, got 2"),
     ],
-    ids=["bool-feature", "float-feature", "bool-label", "float-label"],
+    ids=["bool-feature", "float-feature", "bool-label", "float-label", "wrong-length"],
 )
 def test_train_takes_features_as_posterior_does(example, named):
     # before, True counted as value 1 and label 1, and a float feature
@@ -435,6 +437,26 @@ def test_training_csv_errors(tmp_path):
         read_training_csv(path, schema)
     path.write_text("x,label\n0,zzz\n")
     with pytest.raises(ValueError):
+        read_training_csv(path, schema)
+
+
+@pytest.mark.parametrize(
+    "row, named",
+    [
+        ("x,a", "invalid literal for int() with base 10: 'x'"),
+        ("0,zzz", "unknown class label 'zzz'"),
+        ("0", "expected 2 columns, got 1"),
+        ("2,a", "value 2 outside 0..1 for attribute 'x'"),
+    ],
+    ids=["not-an-integer", "unknown-label", "short-row", "out-of-range"],
+)
+def test_training_csv_names_the_path_and_line_of_a_bad_row(tmp_path, row, named):
+    # before, a cell x or an unknown label raised naming no line, and no
+    # row error named the path
+    schema = AttributeSchema(attributes=(("x", 2),), classes=("a", "b"))
+    path = tmp_path / "bad.csv"
+    path.write_text(f"x,label\n0,a\n\n{row}\n")
+    with pytest.raises(TrainingError, match=re.escape(f"{path}: line 4: {named}")):
         read_training_csv(path, schema)
 
 

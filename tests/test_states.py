@@ -275,32 +275,33 @@ def _with(**changes):
     return json.dumps({k: v for k, v in obj.items() if v is not _MISSING})
 
 
-@pytest.mark.parametrize(
-    "bad, message",
-    [
-        pytest.param(_with(value=None), "float", id="value-null"),
-        pytest.param(_with(timestamp=None), "int", id="timestamp-null"),
-        pytest.param(_with(timestamp=[0]), "int", id="timestamp-list"),
-        pytest.param(_with(timestamp=math.inf), "JSON integer, got Infinity", id="timestamp-infinity"),
-        pytest.param(_with(timestamp=1000.7), "JSON integer, got 1000.7", id="timestamp-fraction"),
-        pytest.param(_with(timestamp=1000.0), "JSON integer, got 1000.0", id="timestamp-integral-float"),
-        pytest.param(_with(timestamp=True), "JSON integer, got true", id="timestamp-true"),
-        pytest.param(_with(timestamp="1000"), 'JSON integer, got "1000"', id="timestamp-string"),
-        pytest.param(_with(value="42.5"), 'JSON int or float, got "42.5"', id="value-numeric-string"),
-        pytest.param(_with(value=False), "JSON int or float, got false", id="value-false"),
-        pytest.param(_with(value=True), "JSON int or float, got true", id="value-true"),
-        pytest.param(_with(level=_MISSING), "keys", id="level-missing"),
-        pytest.param(_with(extra=1), "keys", id="extra-key"),
-        pytest.param(_with(level=_MISSING, lvl="vm"), "keys", id="key-renamed"),
-        pytest.param(_with(metric=["cpu"]), "metric and level must be strings", id="metric-list"),
-        pytest.param(_with(level=None), "metric and level must be strings", id="level-null"),
-        pytest.param(_with(host_id=7), "host_id must be a string", id="host-id-number"),
-        pytest.param(_with(vm_id=3), "vm_id a string or null", id="vm-id-number"),
-        pytest.param("[1, 2]", "JSON object", id="array"),
-        pytest.param('"text"', "JSON object", id="string"),
-        pytest.param("7", "JSON object", id="number"),
-    ],
-)
+# one record of each malformed kind, and a pattern its message matches
+_MALFORMED = [
+    pytest.param(_with(value=None), "float", id="value-null"),
+    pytest.param(_with(timestamp=None), "int", id="timestamp-null"),
+    pytest.param(_with(timestamp=[0]), "int", id="timestamp-list"),
+    pytest.param(_with(timestamp=math.inf), "JSON integer, got Infinity", id="timestamp-infinity"),
+    pytest.param(_with(timestamp=1000.7), "JSON integer, got 1000.7", id="timestamp-fraction"),
+    pytest.param(_with(timestamp=1000.0), "JSON integer, got 1000.0", id="timestamp-integral-float"),
+    pytest.param(_with(timestamp=True), "JSON integer, got true", id="timestamp-true"),
+    pytest.param(_with(timestamp="1000"), 'JSON integer, got "1000"', id="timestamp-string"),
+    pytest.param(_with(value="42.5"), 'JSON int or float, got "42.5"', id="value-numeric-string"),
+    pytest.param(_with(value=False), "JSON int or float, got false", id="value-false"),
+    pytest.param(_with(value=True), "JSON int or float, got true", id="value-true"),
+    pytest.param(_with(level=_MISSING), "keys", id="level-missing"),
+    pytest.param(_with(extra=1), "keys", id="extra-key"),
+    pytest.param(_with(level=_MISSING, lvl="vm"), "keys", id="key-renamed"),
+    pytest.param(_with(metric=["cpu"]), "metric and level must be strings", id="metric-list"),
+    pytest.param(_with(level=None), "metric and level must be strings", id="level-null"),
+    pytest.param(_with(host_id=7), "host_id must be a string", id="host-id-number"),
+    pytest.param(_with(vm_id=3), "vm_id a string or null", id="vm-id-number"),
+    pytest.param("[1, 2]", "JSON object", id="array"),
+    pytest.param('"text"', "JSON object", id="string"),
+    pytest.param("7", "JSON object", id="number"),
+]
+
+
+@pytest.mark.parametrize("bad, message", _MALFORMED)
 def test_reader_rejects_malformed_records_naming_the_line(tmp_path, bad, message):
     path = tmp_path / "stream.jsonl"
     path.write_text(f"{_GOOD}\n{bad}\n{_GOOD}\n")
@@ -421,3 +422,15 @@ def test_reader_names_the_line_of_one_bad_entry_in_a_column(tmp_path, bad, messa
     lines[700] = _GOOD
     path.write_text("\n".join(lines) + "\n")
     assert len(read_metric_samples(path)) == CHUNK + 200
+
+
+@pytest.mark.parametrize("bad, message", _MALFORMED)
+def test_reader_rejects_each_malformed_record_inside_a_full_chunk(tmp_path, bad, message):
+    # the column check is the reader's only record check, so each kind
+    # must fail the whole chunk it sits in for its line to be named
+    lines = [_GOOD if i % 3 else _GOOD_HOST for i in range(CHUNK + 200)]
+    lines[700] = bad
+    path = tmp_path / "stream.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: line 701: .*{message}"):
+        read_metric_samples(path)
