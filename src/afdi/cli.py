@@ -18,11 +18,12 @@ import argparse
 import gc
 import json
 import logging
+import math
 import os
 import sys
 
-from .states import ComponentId, StateVector, check_entries, read_document
-from .states import read_metric_samples, write_metric_samples
+from .states import ComponentId, StateVector, check_entries, index_cell, read_document
+from .states import read_metric_samples, read_table, write_metric_samples
 
 _LOG_LEVELS = {
     "error": logging.ERROR,
@@ -161,57 +162,46 @@ def cmd_evaluate(args) -> int:
 
 def _load_structure_table(path):
     """CSV: header names the components (final column ``level``), one
-    row per state vector covering the entire product space.  A row whose
-    width is not the header's, or that repeats a state vector, raises
-    naming its line."""
-    import csv
-
+    row per state vector covering the entire product space.  A bad row,
+    or one that repeats a state vector, raises naming its line."""
     from . import mdd
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[-1] != "level" or len(header) < 2:
-            raise CliError(f"{path}: header must be component keys plus final 'level'")
-        components = [ComponentId.parse(key) for key in header[:-1]]
-        table = {}
-        line_of = {}  # the line of each state vector's row
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}: line {reader.line_num}"
-            if len(row) != len(header):
-                raise CliError(f"{where}: expected {len(header)} columns, got {len(row)}")
-            states = tuple(int(v) for v in row[:-1])
-            if states in line_of:
-                raise CliError(f"{where}: repeats the states {states} of line {line_of[states]}")
-            line_of[states] = reader.line_num
-            table[states] = int(row[-1])
+    header, rows = read_table(path, lambda cells: [index_cell(cell) for cell in cells], CliError)
+    if len(header) < 2 or header[-1] != "level":
+        raise CliError(f"{path}: line 1: header must be component keys plus final 'level'")
+    components = [ComponentId.parse(key) for key in header[:-1]]
+    table, line_of = {}, {}  # each state vector's level, and the line of its row
+    for line, (*states, level) in rows:
+        states = tuple(states)
+        if states in line_of:
+            raise CliError(f"{path}: line {line}: repeats the states {states} of line {line_of[states]}")
+        table[states], line_of[states] = level, line
     if not table:
         raise CliError(f"{path}: table has no rows")
-    arities = [max(states[i] for states in table) + 1 for i in range(len(components))]
-    expected = 1
-    for a in arities:
-        expected *= a
+    # the rows are distinct points of the product, so as many rows as it
+    # has points are all of them and the lookup below finds every one
+    arities = [max(column) + 1 for column in zip(*table)]
+    expected = math.prod(arities)
     if len(table) != expected:
         raise CliError(
             f"{path}: {len(table)} rows do not cover the {expected}-point state product"
         )
+    return mdd.build_from_structure_function(components, arities, lambda sv: table[sv.levels])
 
-    def f(sv: StateVector) -> int:
-        try:
-            return table[sv.levels]
-        except KeyError:
-            raise CliError(f"{path}: table missing row for states {sv.levels}") from None
 
-    return mdd.build_from_structure_function(components, arities, f)
+def _argument_index(text: str, name: str) -> int:
+    """``text`` from the command-line argument ``name`` as an index cell."""
+    try:
+        return index_cell(text)
+    except ValueError as exc:
+        raise CliError(f"{name}: {exc}") from None
 
 
 def cmd_mdd(args) -> int:
     diagram = _load_structure_table(_require_file(args.table))
     out: dict = {"node_count": diagram.node_count()}
     if args.query:
-        levels = [int(v) for v in args.query.split(",")]
+        levels = [_argument_index(v, "--query") for v in args.query.split(",")]
         if len(levels) != len(diagram.components):
             raise CliError(
                 f"query has {len(levels)} states, model has {len(diagram.components)} components"
@@ -245,7 +235,9 @@ def cmd_bn_query(args) -> int:
         name, sep, state = item.partition("=")
         if not sep:
             raise CliError(f"evidence must look like NODE=STATE, got {item!r}")
-        evidence[name] = state if not state.lstrip("-").isdigit() else int(state)
+        if state.lstrip("-").isdigit():
+            state = _argument_index(state, f"--evidence {item}")
+        evidence[name] = state
     if evidence:
         dist = bayesnet.posterior_given_evidence(net, args.query, evidence)
     else:

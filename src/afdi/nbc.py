@@ -18,7 +18,7 @@ import warnings
 from collections import namedtuple
 from typing import Sequence
 
-from .states import _Frozen, check_entries, check_kind, read_document
+from .states import _Frozen, check_entries, check_kind, index_cell, read_document, read_table, write_table
 
 __all__ = [
     "AttributeSchema",
@@ -363,50 +363,27 @@ def load_model(path) -> NbcModel:
         raise ModelFormatError(f"model invariants violated: {exc}") from exc
 
 
-# -- training-data CSV ----------------------------------------------
-# One column per attribute holding integer value indices (empty cell =
-# missing), final column = class label name.  Header row required.
+# -- training-data CSV (format: README, "File formats") -------------
 
 
 def write_training_csv(dataset: Sequence[LabeledExample], schema: AttributeSchema, path) -> None:
-    import csv  # here, not at the top: the engine path reads no CSV
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([name for name, _ in schema.attributes] + ["label"])
-        for ex in dataset:
-            row = ["" if v is None else str(v) for v in ex.features]
-            row.append(schema.classes[ex.label])
-            writer.writerow(row)
+    header = [name for name, _ in schema.attributes] + ["label"]
+    write_table(path, header, ([*ex.features, schema.classes[ex.label]] for ex in dataset))
 
 
 def read_training_csv(path, schema: AttributeSchema) -> list[LabeledExample]:
     """The examples of a labeled CSV; a bad header or row raises
     ``TrainingError`` naming the path and the line."""
-    import csv
 
-    expected = [name for name, _ in schema.attributes] + ["label"]
-    out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise TrainingError(f"empty training file: {path}")
-        if header != expected:
-            raise TrainingError(f"{path}: line 1: header mismatch: expected {expected}, got {header}")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                if len(row) != len(expected):
-                    raise TrainingError(f"expected {len(expected)} columns, got {len(row)}")
-                features = tuple(None if cell == "" else int(cell) for cell in row[:-1])
-                ex = LabeledExample(features=features, label=schema.class_index(row[-1]))
-                _validate_example(ex, schema)
-            except ValueError as exc:
-                raise TrainingError(f"{path}: line {reader.line_num}: {exc}") from None
-            out.append(ex)
-    return out
+    def example(cells):
+        features = tuple(None if cell == "" else index_cell(cell) for cell in cells[:-1])
+        ex = LabeledExample(features=features, label=schema.class_index(cells[-1]))
+        _validate_example(ex, schema)
+        return ex
+
+    header = [name for name, _ in schema.attributes] + ["label"]
+    _, rows = read_table(path, example, TrainingError, header)
+    return [ex for _, ex in rows]
 
 
 def load_schema(path) -> AttributeSchema:

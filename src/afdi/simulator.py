@@ -22,7 +22,6 @@ over the injection span:
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import random
 from dataclasses import dataclass, field
@@ -31,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 from .engine import collect_windows
 from .nbc import LabeledExample
 from .states import ComponentId, DiscretizationSpec, MetricSample, discretize
-from .states import check_entries, read_document
+from .states import check_entries, index_cell, read_document, read_table, write_table
 
 __all__ = [
     "Scenario",
@@ -324,6 +323,8 @@ def to_training_set(
         window = by_key.get(key)
         if window is None:
             raise AlignmentError(f"label for missing window {key}")
+        if key in seen:
+            raise AlignmentError(f"repeated label for window {key}")
         seen.add(key)
         class_name = DEFAULT_KIND_TO_CLASS.get(row.label)
         if class_name is None:
@@ -398,26 +399,19 @@ def load_scenario(source) -> Scenario:
     return Scenario(**entries)
 
 
+_LABELS_HEADER = ["window", "host", "vm", "label"]
+
+
 def write_labels(labels: Iterable[WindowLabel], path) -> int:
-    n = 0
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["window", "host", "vm", "label"])
-        for row in labels:
-            writer.writerow([row.window, row.host, row.vm, row.label])
-            n += 1
-    return n
+    return write_table(path, _LABELS_HEADER, ((row.window, row.host, row.vm, row.label) for row in labels))
 
 
 def read_labels(path) -> list[WindowLabel]:
-    out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["window", "host", "vm", "label"]:
-            raise AlignmentError(f"unexpected labels header {header}")
-        for row in reader:
-            if not row:
-                continue
-            out.append(WindowLabel(int(row[0]), row[1], row[2], row[3]))
-    return out
+    """The labels of a labels CSV; a bad header or row raises
+    ``AlignmentError`` naming the path and the line."""
+
+    def label(cells):
+        return WindowLabel(index_cell(cells[0]), *cells[1:])
+
+    _, rows = read_table(path, label, AlignmentError, _LABELS_HEADER)
+    return [row for _, row in rows]

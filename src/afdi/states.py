@@ -29,9 +29,12 @@ __all__ = [
     "check_kind",
     "check_origin",
     "discretize",
+    "index_cell",
     "read_document",
     "read_metric_samples",
+    "read_table",
     "write_metric_samples",
+    "write_table",
 ]
 
 SCOPE_LEVELS = ("vm", "host")
@@ -485,3 +488,49 @@ def check_entries(obj, kinds: Mapping, required: Sequence, where: str, error=Val
         if key not in obj:
             raise error(f"{where} missing field {key!r}")
     return {key: check_kind(value, kinds[key], f"{where}: {key}", error) for key, value in obj.items()}
+
+
+def index_cell(cell: str) -> int:
+    """The integer of a table's index cell, which holds ASCII decimal digits only;
+    anything else (``1_0``, `` +1 ``, ``-1``, ``١``) raises ``ValueError``."""
+    if cell.isascii() and cell.isdigit():
+        return int(cell)
+    raise ValueError(f"invalid literal for int() with base 10: {cell!r}")
+
+
+def read_table(path, parse, error=ValueError, header=None) -> tuple[list[str], list[tuple[int, object]]]:
+    """The header row of the CSV table at ``path`` and, for each later
+    non-blank row, its 1-based line and ``parse`` of its cells.  A header
+    other than the list ``header`` if named, a row whose width is not the
+    header's or that ``csv`` cannot split, and a ``ValueError`` from
+    ``parse`` raise ``error`` naming the path and the line; bytes that
+    are not UTF-8 raise it naming the path."""
+    import csv  # here, not at the top: the engine path reads no CSV
+
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        rows = []
+        try:
+            first = next(reader, [])
+            if header is not None and first != header:
+                raise ValueError(f"header mismatch: expected {header}, got {first}")
+            for cells in filter(None, reader):
+                if len(cells) != len(first):
+                    raise ValueError(f"expected {len(first)} columns, got {len(cells)}")
+                rows.append((reader.line_num, parse(cells)))
+        except UnicodeDecodeError as exc:  # text is decoded a block ahead of the rows
+            raise error(f"{path}: {exc}") from None
+        except (ValueError, csv.Error) as exc:
+            raise error(f"{path}: line {reader.line_num or 1}: {exc}") from None
+    return first, rows
+
+
+def write_table(path, header: Sequence, rows: Iterable[Sequence]) -> int:
+    """Write ``header`` and ``rows`` as a CSV table (``None`` as an empty
+    cell); returns the number of rows."""
+    import csv
+
+    rows = list(rows)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    return len(rows)

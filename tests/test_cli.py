@@ -417,6 +417,26 @@ def test_bn_query_malformed_evidence():
     assert "NODE=STATE" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["mdd", "--table", fixture_path("mdd_max4.csv"), "--query", "0,1,1_0,0"],
+         "--query: invalid literal for int() with base 10: '1_0'"),
+        (["bn-query", "--net", fixture_path("subsystem_net.json"), "--query", "S", "--evidence", "CPU=²"],
+         "--evidence CPU=²: invalid literal for int() with base 10: '²'"),
+        (["bn-query", "--net", fixture_path("subsystem_net.json"), "--query", "S", "--evidence", "CPU=١"],
+         "--evidence CPU=١: invalid literal for int() with base 10: '١'"),
+    ],
+    ids=["query-underscore", "evidence-superscript", "evidence-arabic-indic"],
+)
+def test_an_integer_argument_is_ascii_digits(argv, named):
+    # before, --query 0,1,1_0,0 answered "level 10 out of range", CPU=²
+    # named no argument and CPU=١ was taken as state 1
+    res = run_cli(*argv)
+    assert res.returncode == 1
+    assert res.stderr == f"error: {named}\n"
+
+
 # -- malformed documents ---------------------------------------------
 
 

@@ -26,7 +26,7 @@ from afdi.engine import (
     preprocess,
     write_alarm_log,
 )
-from afdi.simulator import generate, load_scenario, to_training_set
+from afdi.simulator import FaultInjection, Scenario, generate, load_scenario, to_training_set
 from afdi.states import ComponentId, DiscretizationSpec, MetricSample, StateVector, discretize
 from conftest import fixture_path
 
@@ -312,6 +312,18 @@ def test_preprocess_policy_takes_only_what_a_config_can_mean(tmp_path, entries, 
         PreprocessPolicy(**entries)
     with pytest.raises(ConfigError, match=through_config):
         load_config(_config_with(tmp_path, "preprocess", entries))
+
+
+@pytest.mark.parametrize("kind", ["cpu_hog", "network_overhead", "serious_crash"])
+@pytest.mark.parametrize("windows, alarms", [(5, 0), (6, 6)])
+def test_default_filter_removes_a_fault_of_five_windows_or_fewer(kind, windows, alarms):
+    # the median of 11 samples of which at most 5 are faulty is a healthy
+    # value, so the filter replaces each faulty one; from 6 on it is faulty
+    config = load_config(fixture_path("engine_config.json"))
+    assert config.preprocess.window == 11
+    injection = FaultInjection(kind, "h0", 20, 20 + windows, vm="vm0")
+    samples, _ = generate(Scenario(seed=5, duration=60, injections=(injection,)))
+    assert len(Engine(config).process_stream(samples)) == alarms
 
 
 # -- windowing -------------------------------------------------------

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import re
 
 import pytest
 
@@ -432,6 +433,15 @@ def test_alignment_extra_label_detected():
     extra = labels + [WindowLabel(99, "h0", "vm0", "normal")]
     with pytest.raises(AlignmentError, match="missing window"):
         to_training_set(samples, extra, SPECS, ATTRS, CLASSES)
+
+
+def test_alignment_repeated_label_detected():
+    # before, each repeat became an example of its own: 5 labels and 2
+    # repeats gave 7 examples, window 2 both normal and cpu_hog
+    samples, labels = generate(small(duration=5))
+    repeated = labels + [WindowLabel(2, "h0", "vm0", "cpu_hog"), labels[4]]
+    with pytest.raises(AlignmentError, match=re.escape("repeated label for window (2, 'h0', 'vm0')")):
+        to_training_set(samples, repeated, SPECS, ATTRS, CLASSES)
 
 
 def test_alignment_unknown_label_name():

@@ -25,3 +25,12 @@ def test_runtime_imports_only_the_standard_library():
             if module.partition(".")[0] not in sys.stdlib_module_names:
                 foreign.append(f"{path.name}: {module}")
     assert foreign == []
+
+
+def test_only_the_states_module_imports_csv():
+    # one reader and one writer for every CSV table, in states
+    importers = [
+        path.name for path in sorted(SRC.glob("*.py"))
+        if "csv" in _absolute_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    ]
+    assert importers == ["states.py"]
