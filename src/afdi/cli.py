@@ -106,7 +106,7 @@ def cmd_diagnose(args) -> int:
     try:
         samples = read_metric_samples(_require_file(args.metrics))
         alarms = eng.process_stream(samples)
-        engine.write_alarm_log(eng.alarm_log, args.out_alarms)
+        engine.write_alarm_log(alarms, args.out_alarms)
     finally:
         if collecting:
             gc.enable()
@@ -169,7 +169,15 @@ def _load_structure_table(path):
     header, rows = read_table(path, lambda cells: [index_cell(cell) for cell in cells], CliError)
     if len(header) < 2 or header[-1] != "level":
         raise CliError(f"{path}: line 1: header must be component keys plus final 'level'")
-    components = [ComponentId.parse(key) for key in header[:-1]]
+    components = []
+    for key in header[:-1]:
+        try:
+            component = ComponentId.parse(key)
+        except ValueError as exc:
+            raise CliError(f"{path}: line 1: {exc}") from None
+        if component in components:
+            raise CliError(f"{path}: line 1: duplicate component {key}")
+        components.append(component)
     table, line_of = {}, {}  # each state vector's level, and the line of its row
     for line, (*states, level) in rows:
         states = tuple(states)

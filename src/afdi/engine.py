@@ -9,10 +9,9 @@ host level with collapsed throughput) that per-metric severity cannot
 name, promoting it to a diagnosed alarm once it has held for K
 consecutive windows.
 
-Alarms go to the append-only engine log unconditionally and to any
-registered virtual sensors subject to their activation and
-reporting-frequency settings.  Everything is deterministic: same
-config, same stream, same simulated clock, byte-identical log.
+A virtual sensor replays the alarm log on its own reporting grid.
+Everything is deterministic: same config, same stream, byte-identical
+log.
 """
 
 from __future__ import annotations
@@ -342,41 +341,43 @@ def write_alarm_log(alarms: Iterable[Alarm], path) -> int:
     return n
 
 
-class VirtualSensor(_Record):
-    """In-process alarm subscriber with activation and rate control.
+class VirtualSensor(namedtuple("VirtualSensor", "sensor_id active frequency_ms")):
+    """A reader of the alarm log with an activation flag (a bool) and a
+    reporting period (a positive integer of milliseconds).
 
-    Deliveries happen only on the sensor's reporting grid: an alarm
-    dispatched at time t is held until the next multiple of
-    ``frequency_ms`` after t, and a newer alarm dispatched in the same
-    interval replaces it.
+    A sensor reports only on its grid: an alarm raised at time t is held
+    until the next multiple of ``frequency_ms`` after t, and a newer
+    alarm of the same interval replaces it.  ``deliveries`` replays an
+    alarm log under that rule.
     """
 
-    __slots__ = _fields = (
-        "sensor_id", "active", "frequency_ms", "deliveries", "last_delivery_time", "last_alarm", "_pending"
-    )
+    __slots__ = ()
 
-    def __init__(self, sensor_id: str, active: bool = True, frequency_ms: int = 1000) -> None:
-        _check_active(sensor_id, active)
-        _check_frequency(sensor_id, frequency_ms)
-        self.sensor_id = sensor_id
-        self.active = active
-        self.frequency_ms = frequency_ms
-        self.deliveries = 0
-        self.last_delivery_time: int | None = None
-        self.last_alarm: Alarm | None = None
-        self._pending: tuple[int, Alarm] | None = None
+    def __new__(cls, sensor_id: str, active: bool = True, frequency_ms: int = 1000):
+        if type(active) is not bool:
+            raise ValueError(f"sensor {sensor_id!r}: active must be a bool, got {active!r}")
+        if type(frequency_ms) is not int or frequency_ms <= 0:
+            raise ValueError(
+                f"sensor {sensor_id!r}: frequency_ms must be a positive integer, got {frequency_ms!r}"
+            )
+        return tuple.__new__(cls, (sensor_id, active, frequency_ms))
 
-
-def _check_active(sensor_id: str, active) -> None:
-    if type(active) is not bool:
-        raise ValueError(f"sensor {sensor_id!r}: active must be a bool, got {active!r}")
-
-
-def _check_frequency(sensor_id: str, frequency_ms) -> None:
-    if type(frequency_ms) is not int or frequency_ms <= 0:
-        raise ValueError(
-            f"sensor {sensor_id!r}: frequency_ms must be a positive integer, got {frequency_ms!r}"
-        )
+    def deliveries(self, alarms: Iterable[Alarm]) -> list[tuple[int, Alarm]]:
+        """``(boundary, alarm)`` for each reporting interval of ``alarms``
+        that holds one: the newest alarm of the interval, delivered at its
+        end.  An inactive sensor delivers nothing.  Timestamps that
+        decrease raise ``SequencingError``."""
+        period = self.frequency_ms
+        newest: dict[int, Alarm] = {}  # by interval, in time order
+        last = -math.inf
+        for alarm in alarms:
+            if alarm.timestamp < last:
+                raise SequencingError(f"alarm log moves backwards: {alarm.timestamp} after {last}")
+            last = alarm.timestamp
+            newest[last // period] = alarm
+        if not self.active:
+            return []
+        return [((interval + 1) * period, alarm) for interval, alarm in newest.items()]
 
 
 class LoopRule(namedtuple("LoopRule", "k vm_cpu host_cpu throughput cpu_bucket throughput_bucket cause")):
@@ -515,17 +516,15 @@ def _no_bucket(window: Window, key: str):
 class Engine:
     """Stateful pipeline instance: windows in, alarms out.
 
-    State is per-scope loop-rule streaks, the sensor registry, the
-    simulated clock, and the append-only alarm log.  One engine handles
-    one logical stream; make a new engine for a fresh run.
+    State is per-scope loop-rule streaks and what judging a window
+    needs: the judgment of each bucket vector seen and each distinct
+    diagnosis.  One engine handles one logical stream; make a new engine
+    for a fresh run.
     """
 
     def __init__(self, config: EngineConfig):
         self.config = config
-        self.alarm_log: list[Alarm] = []
         self.nbc_invocations = 0
-        self.clock = 0
-        self._sensors: dict[str, VirtualSensor] = {}
         # matching windows in a row per scope; the loop alarm fires when
         # the streak reaches k, so once per span
         self._streaks: dict[tuple, int] = {}
@@ -623,90 +622,10 @@ class Engine:
         windows = collect_windows(
             cleaned, self.config.vm_metric_names, self.config.host_metric_names
         )
-        raised = []
+        alarms = []
         for window in windows:
-            self.advance_clock(window.timestamp)
-            for alarm in self.step(window):
-                self.alarm_log.append(alarm)
-                self.dispatch(alarm)
-                raised.append(alarm)
-        self.flush_sensors()
-        return raised
-
-    # -- virtual sensors ----------------------------------------------
-
-    def register_sensor(self, sensor: VirtualSensor) -> None:
-        if sensor.sensor_id in self._sensors:
-            raise ValueError(f"sensor {sensor.sensor_id!r} already registered")
-        self._sensors[sensor.sensor_id] = sensor
-
-    def _sensor(self, sensor_id: str) -> VirtualSensor:
-        try:
-            return self._sensors[sensor_id]
-        except KeyError:
-            raise KeyError(f"unknown sensor {sensor_id!r}") from None
-
-    def set_active(self, sensor_id: str, active: bool) -> None:
-        sensor = self._sensor(sensor_id)
-        _check_active(sensor_id, active)
-        sensor.active = active
-
-    def set_frequency(self, sensor_id: str, frequency_ms: int) -> None:
-        sensor = self._sensor(sensor_id)
-        _check_frequency(sensor_id, frequency_ms)
-        sensor.frequency_ms = frequency_ms
-
-    def sensor_status(self, sensor_id: str) -> dict:
-        s = self._sensor(sensor_id)
-        return {
-            "sensor_id": s.sensor_id,
-            "active": s.active,
-            "frequency_ms": s.frequency_ms,
-            "deliveries": s.deliveries,
-            "last_delivery_time": s.last_delivery_time,
-            "last_alarm": s.last_alarm.to_json_obj() if s.last_alarm else None,
-            "pending": s._pending is not None,
-        }
-
-    def dispatch(self, alarm: Alarm) -> int:
-        """Queue an alarm for every active sensor; newest wins per interval.
-
-        Returns the number of sensors the alarm reached (queued for).
-        Actual delivery happens when the clock crosses the sensor's next
-        reporting boundary.
-        """
-        reached = 0
-        for s in self._sensors.values():
-            if not s.active:
-                continue
-            s._pending = (self.clock, alarm)
-            reached += 1
-        return reached
-
-    def advance_clock(self, to_time: int) -> None:
-        if to_time < self.clock:
-            raise SequencingError(f"clock cannot move backwards: {to_time} < {self.clock}")
-        self._deliver(to_time)
-        self.clock = to_time
-
-    def flush_sensors(self) -> None:
-        """Deliver any still-pending alarms at their next boundary (end of run)."""
-        self._deliver(math.inf)
-
-    def _deliver(self, until: float) -> None:
-        """Deliver each pending alarm whose boundary is at or before ``until``."""
-        for s in self._sensors.values():
-            if s._pending is None:
-                continue
-            queued_at, alarm = s._pending
-            boundary = (queued_at // s.frequency_ms + 1) * s.frequency_ms
-            if boundary > until:
-                continue
-            s.deliveries += 1
-            s.last_delivery_time = boundary
-            s.last_alarm = alarm
-            s._pending = None
-            self.clock = max(self.clock, boundary)
+            alarms += self.step(window)
+        return alarms
 
 
 # the JSON kind of each key of a config document and of its sections;

@@ -149,7 +149,8 @@ class Mdd:
             probs = tuple(float(p) for p in d)
             if len(probs) != arity:
                 raise MddInputError(f"distribution for {comp.key} has {len(probs)} states, arity is {arity}")
-            if any(p < 0.0 or p > 1.0 for p in probs):
+            # NaN fails the range test too, so it cannot pass the sum below
+            if not all(0.0 <= p <= 1.0 for p in probs):
                 raise MddInputError(f"distribution for {comp.key} has probabilities outside [0, 1]")
             if abs(sum(probs) - 1.0) > 1e-12:
                 raise MddInputError(f"distribution for {comp.key} sums to {sum(probs)}, not 1")

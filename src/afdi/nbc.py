@@ -226,8 +226,8 @@ def train(dataset: Sequence[LabeledExample], schema: AttributeSchema, alpha: flo
     """
     if not dataset:
         raise TrainingError("empty training set")
-    if alpha < 0:
-        raise TrainingError(f"alpha must be >= 0, got {alpha}")
+    if not 0 <= alpha < math.inf:
+        raise TrainingError(f"alpha must be a finite number >= 0, got {alpha}")
     k = schema.num_classes
     for ex in dataset:
         _validate_example(ex, schema)

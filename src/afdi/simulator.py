@@ -23,6 +23,7 @@ over the injection span:
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -173,6 +174,10 @@ class Scenario:
             if key not in self.baseline:
                 raise ScenarioError(f"baseline missing {key}")
             mean, jitter = self.baseline[key]
+            # a NaN mean would clamp every sample of the metric to 0
+            for name, value in (("mean", mean), ("jitter", jitter)):
+                if not -math.inf < value < math.inf:
+                    raise ScenarioError(f"baseline {key}: {name} must be finite, got {value}")
             if jitter < 0:
                 raise ScenarioError(f"negative jitter for {key}")
         for i, inj in enumerate(self.injections):

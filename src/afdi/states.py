@@ -408,6 +408,7 @@ def read_metric_samples(path) -> list[MetricSample]:
     one valid record per line is decoded again line by line, each line
     checked as a one-record column, which names the first bad line and
     its reason.  JSON nested too deeply to decode is a bad record too.
+    Bytes that are not UTF-8 raise ``ValueError`` naming the path.
     """
     samples = []
     # one object per distinct timestamp and id, and a ComponentId per
@@ -415,17 +416,20 @@ def read_metric_samples(path) -> list[MetricSample]:
     shared: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         first_line = 1
-        while chunk := list(itertools.islice(fh, _CHUNK_LINES)):
-            lines = list(filter(None, map(str.strip, chunk)))
-            fast = _chunk_samples(lines, shared) if lines else []
-            if fast is not None:
-                samples += fast
-            else:
-                for line_no, line in enumerate(chunk, start=first_line):
-                    line = line.strip()
-                    if line:
-                        samples.append(_line_sample(path, line_no, line, shared))
-            first_line += len(chunk)
+        try:
+            while chunk := list(itertools.islice(fh, _CHUNK_LINES)):
+                lines = list(filter(None, map(str.strip, chunk)))
+                fast = _chunk_samples(lines, shared) if lines else []
+                if fast is not None:
+                    samples += fast
+                else:
+                    for line_no, line in enumerate(chunk, start=first_line):
+                        line = line.strip()
+                        if line:
+                            samples.append(_line_sample(path, line_no, line, shared))
+                first_line += len(chunk)
+        except UnicodeDecodeError as exc:  # text is decoded a block ahead of the lines
+            raise ValueError(f"{path}: {exc}") from None
     return samples
 
 
@@ -444,8 +448,8 @@ _JSON_KINDS = {
 
 def read_document(source):
     """``source`` itself if it is a dict, else the JSON document at path
-    ``source``; JSON nested too deeply to decode raises ``ValueError``
-    naming the path."""
+    ``source``; bytes that are not UTF-8, text that is not JSON and JSON
+    nested too deeply to decode raise ``ValueError`` naming the path."""
     if isinstance(source, dict):
         return source
     with open(source, "r", encoding="utf-8") as fh:
@@ -453,6 +457,8 @@ def read_document(source):
             return json.load(fh)
         except RecursionError:
             raise ValueError(f"{source}: {_TOO_DEEP}") from None
+        except ValueError as exc:  # a UnicodeDecodeError or a JSONDecodeError
+            raise ValueError(f"{source}: {exc}") from None
 
 
 def check_kind(value, kind: str, name: str, error: type[Exception] = ValueError):

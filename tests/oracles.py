@@ -15,6 +15,7 @@ import statistics
 from math import prod
 
 from afdi.bayesnet import KEEP_TOL, Factor
+from afdi.engine import SequencingError
 from afdi.states import ComponentId, MetricSample, StateVector, discretize
 
 
@@ -401,3 +402,93 @@ def oracle_diagnose(lines, config):
             continue
         alarms.append(alarm)
     return alarms
+
+
+# -- virtual sensors ----------------------------------------------------
+
+
+class SensorState:
+    """A registered sensor's settings and what it has received."""
+
+    def __init__(self, sensor_id, active=True, frequency_ms=1000):
+        self.sensor_id = sensor_id
+        self.active = active
+        self.frequency_ms = frequency_ms
+        self.deliveries = 0
+        self.last_delivery_time = None
+        self.last_alarm = None
+        self._pending = None
+        self.delivered = []  # every (boundary, alarm), in delivery order
+
+
+class SensorClock:
+    """Stateful sensor delivery on a simulated clock, the reference for
+    ``VirtualSensor.deliveries``: an alarm dispatched at the clock's time
+    is held until the next multiple of the sensor's period, a newer one
+    replaces it, and the clock delivers what its moves cross.  The only
+    addition to delivery is that each one is recorded in ``delivered``."""
+
+    def __init__(self):
+        self.clock = 0
+        self._sensors = {}
+
+    def register_sensor(self, sensor):
+        if sensor.sensor_id in self._sensors:
+            raise ValueError(f"sensor {sensor.sensor_id!r} already registered")
+        self._sensors[sensor.sensor_id] = sensor
+
+    def dispatch(self, alarm):
+        """Queue an alarm for every active sensor; newest wins per interval.
+
+        Returns the number of sensors the alarm reached (queued for).
+        Actual delivery happens when the clock crosses the sensor's next
+        reporting boundary.
+        """
+        reached = 0
+        for s in self._sensors.values():
+            if not s.active:
+                continue
+            s._pending = (self.clock, alarm)
+            reached += 1
+        return reached
+
+    def advance_clock(self, to_time):
+        if to_time < self.clock:
+            raise SequencingError(f"clock cannot move backwards: {to_time} < {self.clock}")
+        self._deliver(to_time)
+        self.clock = to_time
+
+    def flush_sensors(self):
+        """Deliver any still-pending alarms at their next boundary (end of run)."""
+        self._deliver(math.inf)
+
+    def _deliver(self, until):
+        """Deliver each pending alarm whose boundary is at or before ``until``."""
+        for s in self._sensors.values():
+            if s._pending is None:
+                continue
+            queued_at, alarm = s._pending
+            boundary = (queued_at // s.frequency_ms + 1) * s.frequency_ms
+            if boundary > until:
+                continue
+            s.deliveries += 1
+            s.last_delivery_time = boundary
+            s.last_alarm = alarm
+            s._pending = None
+            s.delivered.append((boundary, alarm))
+            self.clock = max(self.clock, boundary)
+
+
+def sensor_deliveries(sensor_id, active, frequency_ms, ticks):
+    """Every delivery ``SensorClock`` makes to one sensor over ``ticks``,
+    pairs of a time and the alarms raised then: the clock moves to each
+    time, the alarms are dispatched, and the sensor is flushed at the end."""
+    clock = SensorClock()
+    sensor = SensorState(sensor_id, active, frequency_ms)
+    clock.register_sensor(sensor)
+    for time, alarms in ticks:
+        clock.advance_clock(time)
+        for alarm in alarms:
+            clock.dispatch(alarm)
+    clock.flush_sensors()
+    return sensor.delivered

@@ -179,7 +179,7 @@ def test_criterion_7_gate_precedence_end_to_end(tmp_path):
         assert all(a.trigger == TRIGGER_GATE and a.severity == 2 for a in alarms)
         assert engine.nbc_invocations == 0
         p = tmp_path / name
-        write_alarm_log(engine.alarm_log, p)
+        write_alarm_log(alarms, p)
         crash_logs.append(p.read_bytes())
     assert crash_logs[0] == crash_logs[1]
 
@@ -192,7 +192,7 @@ def test_criterion_7_gate_precedence_end_to_end(tmp_path):
         assert len(named) == 1, f"expected one named loop alarm, got {len(named)}"
         assert engine.nbc_invocations == 0
         p = tmp_path / name
-        write_alarm_log(engine.alarm_log, p)
+        write_alarm_log(alarms, p)
         loop_logs.append(p.read_bytes())
     assert loop_logs[0] == loop_logs[1]
     print(

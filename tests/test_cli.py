@@ -349,6 +349,24 @@ def test_mdd_table_rejects_a_row_of_the_wrong_shape_naming_its_line(tmp_path, ro
     assert f"{p}: {named}" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "header, named",
+    [
+        ("cpu,level", "component key must look like 'vm.cpu', got 'cpu'"),
+        ("vm.cpu,vm.cpu,level", "duplicate component vm.cpu"),
+    ],
+    ids=["key-without-level", "repeated-key"],
+)
+def test_mdd_table_header_error_names_the_path_and_line_1(tmp_path, header, named):
+    # before, neither message named the file or its line
+    p = tmp_path / "table.csv"
+    width = header.count(",")
+    p.write_text(header + "\n" + ",".join(["0"] * (width + 1)) + "\n")
+    res = run_cli("mdd", "--table", str(p))
+    assert res.returncode == 1
+    assert res.stderr == f"error: {p}: line 1: {named}\n"
+
+
 def test_mdd_query_arity_mismatch():
     res = run_cli("mdd", "--table", fixture_path("mdd_max4.csv"), "--query", "0,0")
     assert res.returncode == 1
@@ -501,6 +519,41 @@ def test_a_stream_line_nested_too_deeply_is_an_error_naming_the_line(tmp_path):
     )
     assert res.returncode == 1
     assert res.stderr == f"error: {metrics}: line 2: JSON nested too deeply to decode\n"
+
+
+def test_a_stream_that_is_not_utf8_is_an_error_naming_the_path(tmp_path):
+    good = {"host_id": "h0", "level": "vm", "metric": "cpu", "timestamp": 0, "value": 1.0, "vm_id": "vm0"}
+    metrics = tmp_path / "metrics.jsonl"
+    metrics.write_bytes(json.dumps(good).encode() + b"\n\xff\n")
+    res = run_cli(
+        "diagnose",
+        "--config", fixture_path("engine_config.json"),
+        "--metrics", str(metrics),
+        "--out-alarms", str(tmp_path / "alarms.jsonl"),
+    )
+    assert res.returncode == 1
+    assert res.stderr.startswith(f"error: {metrics}: 'utf-8' codec can't decode byte 0xff")
+
+
+DOCUMENT_FLAGS = [
+    ("diagnose", "--config", ["--metrics", fixture_path("engine_config.json"), "--out-alarms", "TMP/a.jsonl"]),
+    ("bn-query", "--net", ["--query", "S"]),
+]
+
+
+@pytest.mark.parametrize("command, flag, extra", DOCUMENT_FLAGS, ids=["diagnose-config", "bn-query-net"])
+@pytest.mark.parametrize(
+    "text, named",
+    [(b'{"nodes": "\xff"}', "'utf-8' codec can't decode byte 0xff"), (b'{"nodes": ', "Expecting value")],
+    ids=["not-utf8", "not-json"],
+)
+def test_a_document_that_cannot_be_decoded_is_an_error_naming_the_path(tmp_path, command, flag, extra, text, named):
+    path = tmp_path / "doc.json"
+    path.write_bytes(text)
+    extra = [arg.replace("TMP", str(tmp_path)) for arg in extra]
+    res = run_cli(command, flag, str(path), *extra)
+    assert res.returncode == 1
+    assert res.stderr.startswith(f"error: {path}: {named}")
 
 
 # -- parser behaviour ------------------------------------------------

@@ -86,9 +86,9 @@ def _cycles_left(config_path, metrics_path, alarms_path) -> int:
     gc.disable()
     try:
         eng = Engine(config)
-        eng.process_stream(read_metric_samples(metrics_path))
-        write_alarm_log(eng.alarm_log, alarms_path)
-        del eng
+        alarms = eng.process_stream(read_metric_samples(metrics_path))
+        write_alarm_log(alarms, alarms_path)
+        del eng, alarms
         return gc.collect()
     finally:
         if enabled:

@@ -359,7 +359,6 @@ def test_healthy_window_raises_nothing(config):
     engine = Engine(config)
     assert engine.step(window_at(0, HEALTHY)) == []
     assert engine.nbc_invocations == 0
-    assert engine.alarm_log == []
 
 
 def test_serious_window_gates_without_diagnosis(config):
@@ -645,7 +644,6 @@ def test_process_stream_crash_scenario_all_gate(config):
     assert all(a.trigger == TRIGGER_GATE for a in alarms)
     assert all(a.diagnosis is None for a in alarms)
     assert engine.nbc_invocations == 0
-    assert engine.alarm_log == alarms
 
 
 def test_process_stream_loop_scenario_one_named_alarm(config):
@@ -671,9 +669,7 @@ def test_process_stream_healthy_scenario_silent(config):
 def test_no_window_silently_dropped(config):
     scenario = load_scenario(fixture_path("scenario_endless_loop.json"))
     samples, _ = generate(scenario)
-    engine = Engine(config)
-    raised = engine.process_stream(samples)
-    assert raised == engine.alarm_log  # every raised alarm is logged
+    raised = Engine(config).process_stream(samples)
     assert len(raised) == len(set((a.timestamp, a.host_id, a.vm_id) for a in raised))
 
 
@@ -682,10 +678,8 @@ def test_alarm_log_byte_identical_across_runs(config, tmp_path):
     samples, _ = generate(scenario)
     paths = []
     for name in ("one.jsonl", "two.jsonl"):
-        engine = Engine(config)
-        engine.process_stream(list(samples))
         p = tmp_path / name
-        write_alarm_log(engine.alarm_log, p)
+        write_alarm_log(Engine(config).process_stream(list(samples)), p)
         paths.append(p)
     assert paths[0].read_bytes() == paths[1].read_bytes()
     first = json.loads(paths[0].read_text().splitlines()[0])
@@ -881,128 +875,81 @@ def test_equal_diagnoses_of_one_engine_are_one_object(config):
 
 # -- virtual sensors -------------------------------------------------
 
-
-def gate_alarm(ts=0):
-    return Alarm(ts, "h0", "vm0", severity=2, trigger=TRIGGER_GATE)
+SENSOR_PERIODS = (1, 500, 1000, 1500, 5000, 60000)
 
 
-def test_dispatch_counts_active_sensors(config):
+def gate_alarm(ts=0, vm="vm0"):
+    return Alarm(ts, "h0", vm, severity=2, trigger=TRIGGER_GATE)
+
+
+@pytest.mark.parametrize("name", sorted(ALARM_LOG_SHA256))
+def test_deliveries_equal_the_stateful_routine_on_fixture_streams(config, name):
+    samples, _ = generate(load_scenario(fixture_path(f"{name}.json")))
+    alarms = Engine(config).process_stream(samples)
+    # the reference moves its clock to every window and dispatches the
+    # window's alarms, as the engine's run loop once did
     engine = Engine(config)
-    engine.register_sensor(VirtualSensor("a"))
-    engine.register_sensor(VirtualSensor("b"))
-    engine.register_sensor(VirtualSensor("c", active=False))
-    assert engine.dispatch(gate_alarm()) == 2
+    windows = collect_windows(
+        preprocess(samples, config.preprocess), config.vm_metric_names, config.host_metric_names
+    )
+    ticks = [(w.timestamp, engine.step(w)) for w in windows]
+    for period in SENSOR_PERIODS:
+        expected = oracles.sensor_deliveries("s", True, period, ticks)
+        assert VirtualSensor("s", frequency_ms=period).deliveries(alarms) == expected
 
 
-def test_dispatch_with_no_sensors_still_logs(config):
-    engine = Engine(config)
-    alarms = engine.step(window_at(0, variant(**{"vm.cpu": 90.0})))
-    for a in alarms:
-        engine.alarm_log.append(a)
-        assert engine.dispatch(a) == 0
-    assert len(engine.alarm_log) == 1
+@settings(max_examples=300)
+@given(
+    times=st.lists(st.integers(min_value=0, max_value=20_000), max_size=40).map(sorted),
+    period=st.sampled_from(SENSOR_PERIODS) | st.integers(min_value=1, max_value=7_000),
+    active=st.booleans(),
+)
+@example(times=[0, 0, 999, 1000, 1000, 1500], period=1000, active=True)
+def test_deliveries_equal_the_stateful_routine_on_random_logs(times, period, active):
+    # several alarms at one timestamp are told apart by their vm
+    alarms = [gate_alarm(ts, vm=f"vm{i}") for i, ts in enumerate(times)]
+    expected = oracles.sensor_deliveries("s", active, period, [(a.timestamp, [a]) for a in alarms])
+    assert VirtualSensor("s", active, period).deliveries(alarms) == expected
 
 
-def test_delivery_waits_for_reporting_boundary(config):
-    engine = Engine(config)
+def test_delivery_waits_for_reporting_boundary():
     s = VirtualSensor("s", frequency_ms=1000)
-    engine.register_sensor(s)
-    engine.dispatch(gate_alarm(0))  # queued at clock 0, boundary 1000
-    engine.advance_clock(999)
-    assert s.deliveries == 0
-    engine.advance_clock(1000)
-    assert s.deliveries == 1
-    assert s.last_delivery_time == 1000
+    early, late = gate_alarm(999), gate_alarm(1000, vm="vm1")
+    # 999 is held to the boundary at 1000; an alarm at 1000 opens the next interval
+    assert s.deliveries([early]) == [(1000, early)]
+    assert s.deliveries([early, late]) == [(1000, early), (2000, late)]
 
 
-def test_newer_alarm_supersedes_within_interval(config):
-    engine = Engine(config)
+def test_newer_alarm_supersedes_within_interval():
     s = VirtualSensor("s", frequency_ms=1000)
-    engine.register_sensor(s)
     first, second = gate_alarm(0), gate_alarm(10)
-    engine.dispatch(first)
-    engine.advance_clock(10)  # still inside the interval
-    engine.dispatch(second)
-    engine.advance_clock(1000)
-    assert s.deliveries == 1
-    assert s.last_alarm == second
+    assert s.deliveries([first, second]) == [(1000, second)]
 
 
-def test_inactive_sensor_receives_nothing_until_reactivated(config):
-    engine = Engine(config)
-    s = VirtualSensor("s")
-    engine.register_sensor(s)
-    engine.set_active("s", False)
-    assert engine.dispatch(gate_alarm(0)) == 0
-    engine.advance_clock(5000)
-    assert s.deliveries == 0
-    engine.set_active("s", True)
-    engine.dispatch(gate_alarm(5000))
-    engine.advance_clock(10000)
-    assert s.deliveries == 1
+def test_inactive_sensor_receives_nothing_until_reactivated():
+    log = [gate_alarm(0), gate_alarm(5000)]
+    assert VirtualSensor("s", active=False).deliveries(log) == []
+    assert VirtualSensor("s", active=True).deliveries(log) == [(1000, log[0]), (6000, log[1])]
 
 
-def test_frequency_controls_boundary(config):
-    engine = Engine(config)
-    s = VirtualSensor("s", frequency_ms=5000)
-    engine.register_sensor(s)
-    engine.advance_clock(1200)
-    engine.dispatch(gate_alarm(1200))  # boundary (1200//5000 + 1)*5000 = 5000
-    engine.advance_clock(4999)
-    assert s.deliveries == 0
-    engine.advance_clock(5000)
-    assert s.deliveries == 1 and s.last_delivery_time == 5000
+def test_frequency_controls_boundary():
+    alarm = gate_alarm(1200)  # boundary (1200//5000 + 1)*5000 = 5000
+    assert VirtualSensor("s", frequency_ms=5000).deliveries([alarm]) == [(5000, alarm)]
 
 
-def test_flush_delivers_trailing_alarm(config):
-    engine = Engine(config)
-    s = VirtualSensor("s", frequency_ms=1000)
-    engine.register_sensor(s)
-    engine.advance_clock(1500)
-    engine.dispatch(gate_alarm(1500))
-    engine.flush_sensors()
-    assert s.deliveries == 1
-    assert s.last_delivery_time == 2000
-    assert engine.clock == 2000
-
-
-def test_sensor_status_fields(config):
-    engine = Engine(config)
-    engine.register_sensor(VirtualSensor("s", frequency_ms=2000))
-    status = engine.sensor_status("s")
-    assert status == {
-        "sensor_id": "s",
-        "active": True,
-        "frequency_ms": 2000,
-        "deliveries": 0,
-        "last_delivery_time": None,
-        "last_alarm": None,
-        "pending": False,
-    }
-    engine.dispatch(gate_alarm(0))
-    assert engine.sensor_status("s")["pending"] is True
-
-
-def test_sensor_registry_errors(config):
-    engine = Engine(config)
-    engine.register_sensor(VirtualSensor("s"))
-    with pytest.raises(ValueError):
-        engine.register_sensor(VirtualSensor("s"))
-    with pytest.raises(KeyError):
-        engine.set_active("ghost", True)
-    with pytest.raises(ValueError):
-        engine.set_frequency("s", 0)
-    with pytest.raises(ValueError):
-        VirtualSensor("x", frequency_ms=-5)
+def test_flush_delivers_trailing_alarm():
+    # the end of the log delivers its last alarm at that alarm's boundary
+    alarm = gate_alarm(1500)
+    assert VirtualSensor("s", frequency_ms=1000).deliveries([alarm]) == [(2000, alarm)]
 
 
 @pytest.mark.parametrize("frequency_ms", [1.5, 0.5, True, 2000.0, "1000", 0, -5])
-def test_set_frequency_takes_only_a_positive_integer(config, frequency_ms):
-    engine = Engine(config)
-    engine.register_sensor(VirtualSensor("s", frequency_ms=2000))
+def test_set_frequency_takes_only_a_positive_integer(frequency_ms):
+    # a sensor is immutable: a new period is a new record, checked as the first was
+    sensor = VirtualSensor("s", frequency_ms=2000)
     with pytest.raises(ValueError, match="sensor 's': frequency_ms must be a positive integer"):
-        engine.set_frequency("s", frequency_ms)
-    assert engine.sensor_status("s")["frequency_ms"] == 2000
+        VirtualSensor(sensor.sensor_id, sensor.active, frequency_ms)
+    assert sensor.frequency_ms == 2000
 
 
 @pytest.mark.parametrize("frequency_ms", [0.5, 1000.0, True, None])
@@ -1012,33 +959,26 @@ def test_sensor_frequency_must_be_a_positive_integer(frequency_ms):
 
 
 @pytest.mark.parametrize("active", ["no", "", 0, 1, None])
-def test_set_active_takes_only_a_bool(config, active):
-    engine = Engine(config)
-    engine.register_sensor(VirtualSensor("s", active=False))
-    with pytest.raises(ValueError, match="sensor 's': active must be a bool"):
-        engine.set_active("s", active)
-    assert engine.sensor_status("s")["active"] is False
+def test_set_active_takes_only_a_bool(active):
     with pytest.raises(ValueError, match="sensor 'x': active must be a bool"):
         VirtualSensor("x", active=active)
 
 
-def test_clock_cannot_rewind(config):
-    engine = Engine(config)
-    engine.advance_clock(5000)
+def test_clock_cannot_rewind():
+    # the log's timestamps are the sensor's clock
+    s = VirtualSensor("s")
+    with pytest.raises(SequencingError, match="4999 after 5000"):
+        s.deliveries([gate_alarm(5000), gate_alarm(4999)])
     with pytest.raises(SequencingError):
-        engine.advance_clock(4999)
+        VirtualSensor("s", active=False).deliveries([gate_alarm(5000), gate_alarm(4999)])
 
 
 def test_sensors_see_stream_alarms(config):
     scenario = load_scenario(fixture_path("scenario_serious_crash.json"))
     samples, _ = generate(scenario)
-    engine = Engine(config)
-    s = VirtualSensor("ops", frequency_ms=1000)
-    engine.register_sensor(s)
-    engine.process_stream(samples)
-    assert s.deliveries > 0
-    assert s.last_alarm is not None
-    assert s.last_alarm.trigger == TRIGGER_GATE
+    delivered = VirtualSensor("ops", frequency_ms=1000).deliveries(Engine(config).process_stream(samples))
+    assert delivered
+    assert delivered[-1][1].trigger == TRIGGER_GATE
 
 
 # -- config loading --------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -197,6 +198,18 @@ def test_level_probabilities_input_validation():
         m.level_probabilities([(0.5, 0.5)] * 4)  # wrong arity
     with pytest.raises(MddInputError):
         m.level_probabilities([(1.0, 0.0, 0.0)] * 3)  # missing component
+
+
+@pytest.mark.parametrize("depends_on_memory", [False, True], ids=["reduced-away", "branching"])
+def test_level_probabilities_rejects_nan_naming_the_component(depends_on_memory):
+    # before, NaN passed the range and sum tests: on a component the
+    # diagram reduced away the query answered (1.0, 0.0, 0.0), and on a
+    # branching one the error named no component
+    f = (lambda sv: max(sv.levels[:2])) if depends_on_memory else (lambda sv: sv.levels[0])
+    m = build_from_structure_function(COMPS4, [3] * 4, f)
+    dists = [(1.0, 0.0, 0.0), (math.nan, 0.5, 0.5), (1.0, 0.0, 0.0), (1.0, 0.0, 0.0)]
+    with pytest.raises(MddInputError, match=r"^distribution for vm\.memory has probabilities outside \[0, 1\]$"):
+        m.level_probabilities(dists)
 
 
 def test_to_dot_mentions_components_and_sinks():

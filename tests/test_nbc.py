@@ -115,6 +115,13 @@ def test_train_errors():
         train([LabeledExample((0,), 0)], BINARY, alpha=-1.0)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_train_rejects_a_non_finite_alpha(alpha):
+    # before, NbcModel rejected the NaN priors this made, naming no alpha
+    with pytest.raises(TrainingError, match=f"^alpha must be a finite number >= 0, got {alpha}$"):
+        train([LabeledExample((0,), 0), LabeledExample((1,), 1)], BINARY, alpha=alpha)
+
+
 @pytest.mark.parametrize(
     "example, named",
     [

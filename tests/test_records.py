@@ -46,8 +46,7 @@ RECORDS = [
     (PreprocessPolicy, {}, dict(window=11, z_cutoff=3.0, clamp=True), True),
     (LoopRule, {}, dict(k=3, vm_cpu="vm.cpu", host_cpu="host.cpu", throughput="vm.throughput",
                         cpu_bucket=3, throughput_bucket=0, cause="endless-loop"), True),
-    (VirtualSensor, dict(sensor_id="s"), dict(active=True, frequency_ms=1000, deliveries=0,
-                                              last_delivery_time=None, last_alarm=None, _pending=None), False),
+    (VirtualSensor, dict(sensor_id="s"), dict(active=True, frequency_ms=1000), True),
     (EngineConfig, _CONFIG_ARGS, dict(severity_mapping=(0, 0, 1, 2), loop_rule=LoopRule(),
                                       preprocess=PreprocessPolicy()), False),
 ]

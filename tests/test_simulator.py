@@ -539,6 +539,23 @@ def test_load_scenario_rejects_unknown_keys_and_wrong_json_kinds(doc, named):
         load_scenario(doc)
 
 
+@pytest.mark.parametrize(
+    "entry, named",
+    [
+        ('{"mean": NaN, "jitter": 2}', "mean must be finite, got nan"),
+        ('{"mean": 30, "jitter": Infinity}', "jitter must be finite, got inf"),
+        ('{"mean": -Infinity, "jitter": 2}', "mean must be finite, got -inf"),
+    ],
+    ids=["mean-nan", "jitter-inf", "mean-minus-inf"],
+)
+def test_scenario_rejects_a_non_finite_baseline_naming_the_key(tmp_path, entry, named):
+    # before, a NaN mean clamped every vm.cpu sample to 0.0
+    path = tmp_path / "scenario.json"
+    path.write_text('{"seed": 3, "duration": 10, "baseline": {"vm.cpu": ' + entry + "}}")
+    with pytest.raises(ScenarioError, match=f"^baseline vm\\.cpu: {named}$"):
+        load_scenario(path)
+
+
 def test_load_scenario_names_the_injection_a_check_rejects():
     # before, FaultInjection's and Scenario's own messages named no injection
     hog_with_metric = [INJECTION, INJECTION, INJECTION, {**INJECTION, "metric": "memory"}]
