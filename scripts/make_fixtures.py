@@ -203,7 +203,7 @@ def make_model_and_config() -> None:
                 "throughput_bucket": 0,
                 "cause": "endless-loop",
             },
-            "preprocess": {"window": 11, "z_cutoff": 3.0, "clamp": True},
+            "preprocess": {"window": 11, "z_cutoff": 3.0},
         },
     )
 

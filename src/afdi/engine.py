@@ -1,7 +1,8 @@
 """The gate-then-diagnose pipeline over preprocessed telemetry windows.
 
-Flow per (host, vm) window: discretize each metric into its usage
-bucket, collapse buckets to severities, evaluate the severity diagram.
+Flow per (host, vm) window: each metric sample is put in its usage
+bucket as the window is collected, and the window's bucket tuple is
+collapsed to severities and evaluated by the severity diagram.
 Serious windows alarm immediately without classification; minor windows
 get a Naive Bayes diagnosis; and a persistence rule watches every
 window for the composite loop signature (saturated CPU at both VM and
@@ -21,7 +22,7 @@ import json
 import math
 from bisect import bisect_right
 from collections import namedtuple
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import mdd as mdd_mod
 from . import nbc as nbc_mod
@@ -49,7 +50,7 @@ __all__ = [
 TRIGGER_GATE = "severity_gate"
 TRIGGER_NBC = "nbc_diagnosis"
 
-# Metrics whose values are percentages and may be clamped to [0, 100].
+# Metrics whose values are percentages, clamped to [0, 100].
 PERCENT_METRIC_NAMES = frozenset({"cpu", "memory", "network", "storage_io"})
 
 # usage buckets 0-1 are normal work, 2 a minor fault, 3 a serious one
@@ -72,15 +73,14 @@ class ConfigError(ValueError):
     pass
 
 
-class PreprocessPolicy(namedtuple("PreprocessPolicy", "window z_cutoff clamp")):
+class PreprocessPolicy(namedtuple("PreprocessPolicy", "window z_cutoff")):
     """How ``preprocess`` cleans each series: a sliding median/MAD filter
     over an odd ``window`` (an integer >= 3) replaces a sample whose
-    robust z-score exceeds ``z_cutoff`` (a finite number > 0); ``clamp``
-    (a bool) clamps out-of-range percent metrics, or drops them."""
+    robust z-score exceeds ``z_cutoff`` (a finite number > 0)."""
 
     __slots__ = ()
 
-    def __new__(cls, window: int = 11, z_cutoff: float = 3.0, clamp: bool = True):
+    def __new__(cls, window: int = 11, z_cutoff: float = 3.0):
         if type(window) is not int:
             raise ValueError(f"window must be an integer, got {window!r}")
         if window < 3 or window % 2 == 0:
@@ -90,20 +90,17 @@ class PreprocessPolicy(namedtuple("PreprocessPolicy", "window z_cutoff clamp")):
             raise ValueError(f"z_cutoff must be a finite number, got {z_cutoff!r}")
         if z_cutoff <= 0:
             raise ValueError(f"z_cutoff must be > 0, got {z_cutoff}")
-        if type(clamp) is not bool:
-            raise ValueError(f"clamp must be a bool, got {clamp!r}")
-        return tuple.__new__(cls, (window, z_cutoff, clamp))
+        return tuple.__new__(cls, (window, z_cutoff))
 
 
 def preprocess(samples: Iterable[MetricSample], policy: PreprocessPolicy | None = None) -> list[MetricSample]:
     """Robust per-series cleanup preserving order and timestamps.
 
     Each (host, vm, metric) series is handled independently: percent
-    metrics get their range enforced first (clamped to [0, 100], or the
-    sample dropped when the policy says not to clamp), then a sliding
-    median/MAD filter replaces outliers with the window median.  The
-    filter is iterated until a pass replaces nothing, for at most
-    ``_MAX_PASSES`` (64) passes.  Running preprocess on its own output
+    metrics are clamped to [0, 100] first, then a sliding median/MAD
+    filter replaces outliers with the window median.  The filter is
+    iterated until a pass replaces nothing, for at most ``_MAX_PASSES``
+    (64) passes.  Running preprocess on its own output
     changes nothing only when that fixed point is reached within the
     cap: with ``window=5, z_cutoff=0.5``, ``[1, 20, 50, 100.5, 91]``
     still moves after 64 passes.  After the first pass only the positions
@@ -123,8 +120,6 @@ def preprocess(samples: Iterable[MetricSample], policy: PreprocessPolicy | None 
             raise SequencingError(f"series {key}: timestamp {ts} after {entry[0]}")
         entry[0] = ts
         if metric.name in PERCENT_METRIC_NAMES and not 0.0 <= v <= 100.0:
-            if not policy.clamp:
-                continue
             v = min(100.0, max(0.0, v))
         entry[1].append(idx)
         entry[2].append(v)
@@ -133,7 +128,7 @@ def preprocess(samples: Iterable[MetricSample], policy: PreprocessPolicy | None 
     half = window // 2
     j = (half + 1) // 2  # ceil(half / 2), for the MAD lower bound below
     cutoff = policy.z_cutoff
-    cleaned: list[float | None] = [None] * len(ordered)  # None: dropped
+    cleaned = [0.0] * len(ordered)  # every position belongs to a series
     for _, indices, vals in series.values():
         n = len(vals)
         todo = range(n)
@@ -181,8 +176,6 @@ def preprocess(samples: Iterable[MetricSample], policy: PreprocessPolicy | None 
 
     out = []
     for s, v in zip(ordered, cleaned):
-        if v is None:
-            continue
         if v == s.value:
             out.append(s)
         else:
@@ -193,53 +186,63 @@ def preprocess(samples: Iterable[MetricSample], policy: PreprocessPolicy | None 
 
 
 class Window(NamedTuple):
-    """All configured metric values for one (host, vm) scope at one time."""
+    """The usage bucket of each windowed metric for one (host, vm) scope
+    at one time, in the order of the specs the window was collected by."""
 
     timestamp: int
     host_id: str
     vm_id: str
-    values: Mapping[str, float]  # keyed by ComponentId.key
+    buckets: tuple[int, ...]
 
 
-def collect_windows(
-    samples: Iterable[MetricSample],
-    vm_metrics: Sequence[str],
-    host_metrics: Sequence[str],
-) -> list[Window]:
-    """Group a sample stream into per-scope windows by exact timestamp.
+def collect_windows(samples: Iterable[MetricSample], specs: Sequence[DiscretizationSpec]) -> list[Window]:
+    """Group a sample stream into per-scope windows by exact timestamp,
+    putting each sample of a windowed metric in its usage bucket once.
 
-    Host-level metrics are shared by every VM on that host.  A window
-    missing any configured metric raises; windows come back sorted by
-    (timestamp, host, vm) so downstream processing is deterministic.
+    ``specs`` name the windowed metrics, one spec each, in bucket order.
+    A value is bucketed as ``discretize`` buckets it clamped to its
+    spec's bounds, so a value past either end lands in the edge bucket;
+    NaN has no bucket and raises.  Host-level metrics are shared by every
+    VM on that host.  A window missing any windowed metric raises;
+    windows come back sorted by (timestamp, host, vm) so downstream
+    processing is deterministic.
     """
-    # no key string is formatted per window: rows are keyed by each
-    # component's ComponentId.key, windows by the key lists made below
-    vm_rows: dict[tuple, dict[str, float]] = {}
-    host_rows: dict[tuple, dict[str, float]] = {}
+    # position, boundaries and index of the top boundary per metric key:
+    # searching the inner boundaries only puts a value past either end
+    # in the edge bucket
+    routes = {spec.component.key: (i, spec.boundaries, len(spec.boundaries) - 1) for i, spec in enumerate(specs)}
+    width = len(specs)
+    host_positions = [i for i, spec in enumerate(specs) if spec.component.level == "host"]
+    # one bucket list per scope and time, None where no sample came; any
+    # sample opens its row, so a scope short of a windowed metric raises
+    vm_rows: dict[tuple, list] = {}
+    host_rows: dict[tuple, list] = {}
     for ts, host, vm, metric, value in samples:
         if metric.level == "host":
-            host_rows.setdefault((ts, host), {})[metric.key] = value
+            row = host_rows.get((ts, host)) or host_rows.setdefault((ts, host), [None] * width)
         else:
-            vm_rows.setdefault((ts, host, vm), {})[metric.key] = value
+            row = vm_rows.get((ts, host, vm)) or vm_rows.setdefault((ts, host, vm), [None] * width)
+        route = routes.get(metric.key)
+        if route is not None:
+            i, bounds, top = route
+            if value != value:
+                scope = host if vm is None else f"{host}/{vm}"
+                raise ValueError(f"window t={ts} {scope}: {metric.key} is NaN")
+            row[i] = bisect_right(bounds, value, 1, top) - 1
 
-    vm_keys = [f"vm.{name}" for name in vm_metrics]
-    host_keys = [f"host.{name}" for name in host_metrics]
     windows = []
+    no_host_row = [None] * width
     for ts, host, vm in sorted(vm_rows):
         row = vm_rows[ts, host, vm]
-        hrow = host_rows.get((ts, host), {})
-        merged = {}
-        try:
-            for key in vm_keys:
-                merged[key] = row[key]
-            for key in host_keys:
-                merged[key] = hrow[key]
-        except KeyError as exc:
-            level, _, name = exc.args[0].partition(".")
+        host_row = host_rows.get((ts, host), no_host_row)
+        for i in host_positions:
+            row[i] = host_row[i]
+        if None in row:
+            missing = specs[row.index(None)].component
             raise IncompleteWindowError(
-                f"window t={ts} {host}/{vm}: missing {level} metric {name!r}"
-            ) from None
-        windows.append(Window(ts, host, vm, merged))
+                f"window t={ts} {host}/{vm}: missing {missing.level} metric {missing.name!r}"
+            )
+        windows.append(Window(ts, host, vm, tuple(row)))
     return windows
 
 
@@ -415,8 +418,8 @@ class EngineConfig(_Record):
         "specs", "attributes", "severity_components", "model", "severity_mapping", "loop_rule", "preprocess"
     )
     __slots__ = (
-        *_fields, "bucket_bounds", "attribute_keys", "feature_positions", "loop_positions", "loop_diagnosis",
-        "severity_mdd", "severity_tables", "vm_metric_names", "host_metric_names",
+        *_fields, "window_specs", "attribute_keys", "feature_positions", "loop_positions", "loop_diagnosis",
+        "severity_mdd", "severity_tables",
     )
 
     def __init__(
@@ -436,6 +439,10 @@ class EngineConfig(_Record):
         self.severity_mapping = severity_mapping
         self.loop_rule = loop_rule
         self.preprocess = preprocess
+        for key, spec in self.specs.items():
+            # a spec routes the samples of its own component into windows
+            if spec.component.key != key:
+                raise ConfigError(f"discretization spec for {spec.component.key} is filed under {key}")
         # everything a window needs is built here once, so judging a
         # window is lookups only
         judged = {}  # spec by key, in first-seen order
@@ -443,12 +450,9 @@ class EngineConfig(_Record):
             if comp.key not in self.specs:
                 raise ConfigError(f"no discretization spec for {comp.key}")
             judged[comp.key] = self.specs[comp.key]
-        # (key, boundaries, index of the top boundary) per judged key; a
-        # window's bucket vector has one bucket per entry, in this order,
-        # and the tables below read it by position
-        self.bucket_bounds = tuple(
-            (key, spec.boundaries, len(spec.boundaries) - 1) for key, spec in judged.items()
-        )
+        # a window's bucket tuple has one bucket per judged key, in this
+        # order, and the tables below read it by position
+        self.window_specs = tuple(judged.values())
         position = {key: i for i, key in enumerate(judged)}
         self.attribute_keys = tuple(c.key for c in self.attributes)
         self.feature_positions = tuple(position[key] for key in self.attribute_keys)
@@ -474,11 +478,17 @@ class EngineConfig(_Record):
                             f"model gives {key}={value} probability 0 under class {name!r}"
                         )
         rule = self.loop_rule
-        for key in (rule.vm_cpu, rule.host_cpu, rule.throughput):
+        for key, field in ((rule.vm_cpu, "cpu_bucket"), (rule.host_cpu, "cpu_bucket"),
+                           (rule.throughput, "throughput_bucket")):
             if key not in judged:
                 raise ConfigError(
                     f"loop rule component {key} is neither an attribute nor a severity component"
                 )
+            # a threshold outside the buckets makes its part of the rule
+            # never hold, or always
+            threshold, buckets = getattr(rule, field), judged[key].num_intervals
+            if not 0 <= threshold < buckets:
+                raise ConfigError(f"loop rule {field} {threshold} is not a bucket of {key} (0..{buckets - 1})")
         if rule.cause not in self.classes:
             raise ConfigError(f"loop rule cause {rule.cause!r} not in model classes")
         self.loop_positions = tuple(position[key] for key in (rule.vm_cpu, rule.host_cpu, rule.throughput))
@@ -498,19 +508,10 @@ class EngineConfig(_Record):
                 )
             tables.append((position[comp.key], table))
         self.severity_tables = tuple(tables)
-        # every metric a window is judged on, in first-seen order
-        components = dict.fromkeys(self.attributes + self.severity_components)
-        self.vm_metric_names = tuple(c.name for c in components if c.level == "vm")
-        self.host_metric_names = tuple(c.name for c in components if c.level == "host")
 
     @property
     def classes(self) -> tuple[str, ...]:
         return self.model.schema.classes
-
-
-def _no_bucket(window: Window, key: str):
-    """Raise for the NaN ``window`` holds at ``key``, which has no bucket."""
-    raise ValueError(f"window t={window.timestamp} {window.host_id}/{window.vm_id}: {key} is NaN")
 
 
 class Engine:
@@ -538,27 +539,6 @@ class Engine:
         self._diagnoses: dict[tuple, tuple] = {loop: (loop, config.loop_rule.cause)}
 
     # -- window processing -------------------------------------------
-
-    def _buckets(self, window: Window) -> tuple[int, ...]:
-        """Usage bucket of each judged key, in ``bucket_bounds`` order; a
-        missing metric or a NaN value raises."""
-        values = window.values
-        try:
-            # discretize() of the value clamped to the bounds: searching
-            # the inner boundaries only puts a value past either end in
-            # the edge bucket.  preprocess enforces the range of percent
-            # metrics only, so a non-percent metric past the bounds
-            # (throughput at 250 tx/s) lands in the edge bucket here, as
-            # does any value from a caller that skips preprocess.  NaN,
-            # which no reader or simulator yields, has no bucket and raises.
-            return tuple([
-                bisect_right(bounds, v, 1, top) - 1 if (v := values[key]) == v else _no_bucket(window, key)
-                for key, bounds, top in self.config.bucket_bounds
-            ])
-        except KeyError as exc:
-            raise IncompleteWindowError(
-                f"window t={window.timestamp} {window.host_id}/{window.vm_id}: missing {exc.args[0]}"
-            ) from None
 
     def _judge(self, buckets: tuple[int, ...]) -> tuple:
         """What a window with these buckets is judged, kept for the next
@@ -588,8 +568,7 @@ class Engine:
         unchecked from the window, the config and the model: the
         windows of read or simulated samples make only valid ones.
         """
-        timestamp, host, vm, _ = window
-        buckets = self._buckets(window)
+        timestamp, host, vm, buckets = window
         judged = self._judged.get(buckets)
         if judged is None:
             judged = self._judge(buckets)
@@ -619,9 +598,7 @@ class Engine:
     def process_stream(self, samples: Iterable[MetricSample]) -> list[Alarm]:
         """Preprocess, window, and step an entire stream in time order."""
         cleaned = preprocess(samples, self.config.preprocess)
-        windows = collect_windows(
-            cleaned, self.config.vm_metric_names, self.config.host_metric_names
-        )
+        windows = collect_windows(cleaned, self.config.window_specs)
         alarms = []
         for window in windows:
             alarms += self.step(window)
@@ -650,7 +627,7 @@ _SECTION_KINDS = {
         "throughput_bucket": "integer",
         "cause": "string",
     },
-    "preprocess": {"window": "integer", "z_cutoff": "number", "clamp": "boolean"},
+    "preprocess": {"window": "integer", "z_cutoff": "number"},
 }
 
 
@@ -689,24 +666,20 @@ def load_config(path) -> EngineConfig:
         key: check_kind(bounds, "array of numbers", f"discretization of {where}: {key}", ConfigError)
         for key, bounds in doc["discretization"].items()
     }
+    # the cross-checks of EngineConfig, and of the severity diagram it
+    # builds, judge the document too, so each of their errors names it
     try:
-        specs = {
-            key: DiscretizationSpec(ComponentId.parse(key), tuple(bounds))
-            for key, bounds in discretization.items()
-        }
-        attributes = tuple(ComponentId.parse(k) for k in doc["attributes"])
-        severity_components = tuple(ComponentId.parse(k) for k in doc["severity_components"])
-        loop_rule = LoopRule(**sections["loop_rule"])
-        policy = PreprocessPolicy(**sections["preprocess"])
+        return EngineConfig(
+            specs={
+                key: DiscretizationSpec(ComponentId.parse(key), tuple(bounds))
+                for key, bounds in discretization.items()
+            },
+            attributes=tuple(ComponentId.parse(k) for k in doc["attributes"]),
+            severity_components=tuple(ComponentId.parse(k) for k in doc["severity_components"]),
+            model=model,
+            severity_mapping=tuple(doc.get("severity_mapping", _SEVERITY_MAPPING)),
+            loop_rule=LoopRule(**sections["loop_rule"]),
+            preprocess=PreprocessPolicy(**sections["preprocess"]),
+        )
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-
-    return EngineConfig(
-        specs=specs,
-        attributes=attributes,
-        severity_components=severity_components,
-        model=model,
-        severity_mapping=tuple(doc.get("severity_mapping", _SEVERITY_MAPPING)),
-        loop_rule=loop_rule,
-        preprocess=policy,
-    )

@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .engine import collect_windows
 from .nbc import LabeledExample
-from .states import ComponentId, DiscretizationSpec, MetricSample, discretize
+from .states import ComponentId, DiscretizationSpec, MetricSample
 from .states import check_entries, index_cell, read_document, read_table, write_table
 
 __all__ = [
@@ -312,11 +312,10 @@ def to_training_set(
     classes: Sequence[str],
     window_ms: int = 1000,
 ) -> list[LabeledExample]:
-    """One labeled example per window/scope, features in bucket space;
-    labels become classes through ``DEFAULT_KIND_TO_CLASS``."""
-    vm_names = sorted({c.name for c in attributes if c.level == "vm"})
-    host_names = sorted({c.name for c in attributes if c.level == "host"})
-    windows = collect_windows(samples, vm_names, host_names)
+    """One labeled example per window/scope, its features the window's
+    usage buckets of ``attributes`` as the engine buckets them; labels
+    become classes through ``DEFAULT_KIND_TO_CLASS``."""
+    windows = collect_windows(samples, [specs[c.key] for c in attributes])
     by_key = {(w.timestamp // window_ms, w.host_id, w.vm_id): w for w in windows}
     if len(by_key) != len(windows):
         raise AlignmentError("duplicate windows for the same scope and time")
@@ -338,10 +337,7 @@ def to_training_set(
             label_idx = list(classes).index(class_name)
         except ValueError:
             raise AlignmentError(f"class {class_name!r} not in schema classes") from None
-        features = tuple(
-            discretize(window.values[c.key], specs[c.key]) for c in attributes
-        )
-        out.append(LabeledExample(features=features, label=label_idx))
+        out.append(LabeledExample(features=window.buckets, label=label_idx))
     if len(seen) != len(by_key):
         raise AlignmentError(f"{len(by_key) - len(seen)} windows have no label")
     return out

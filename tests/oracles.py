@@ -323,11 +323,11 @@ def oracle_diagnose(lines, config):
     """The alarm records ``afdi diagnose`` writes for a JSON Lines stream,
     as dicts, derived stage by stage the plain way.
 
-    Lines are read by ``json.loads`` each; every series is clamped (or
-    dropped) and run through ``median_mad_filter``; windows are dicts
-    keyed by component key; severity is ``Mdd.evaluate`` over a
-    ``StateVector`` of mapped levels; a minor window's diagnosis takes
-    every log on each call.
+    Lines are read by ``json.loads`` each; every series is clamped and
+    run through ``median_mad_filter``; windows are dicts keyed by
+    component key; severity is ``Mdd.evaluate`` over a ``StateVector`` of
+    mapped levels; a minor window's diagnosis takes every log on each
+    call.
     """
     policy = config.preprocess
     series = {}
@@ -343,8 +343,6 @@ def oracle_diagnose(lines, config):
         for s in samples:
             value = s.value
             if metric.name in PERCENT_METRICS and not 0.0 <= value <= 100.0:
-                if not policy.clamp:
-                    continue
                 value = min(100.0, max(0.0, value))
             kept.append((s.timestamp, value))
         values, _ = median_mad_filter([v for _, v in kept], policy.window, policy.z_cutoff)

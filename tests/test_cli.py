@@ -1,6 +1,8 @@
 """End-to-end checks of the command-line interface via subprocess."""
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -12,14 +14,18 @@ from conftest import fixture_path
 
 BOUNDS = (0.0, 25.0, 50.0, 75.0, 100.0)
 ATTR_KEYS = ("vm.cpu", "vm.memory", "vm.network", "vm.throughput", "host.cpu", "host.storage_io")
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*argv, **kw):
+    # the child imports the package from src, installed or not
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     return subprocess.run(
         [sys.executable, "-m", "afdi", *argv],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
         **kw,
     )
 

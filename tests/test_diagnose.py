@@ -137,7 +137,7 @@ def test_diagnose_leaves_the_collector_as_it_found_it(tmp_path, enabled, stream)
 # -- against the oracle ------------------------------------------------
 
 # base value of each metric per regime; "edge" holds percent values the
-# preprocessor clamps (or drops) and a throughput past its bounds
+# preprocessor clamps and a throughput past its bounds
 VM_REGIMES = {
     "idle": {"cpu": 12.0, "memory": 30.0, "network": 10.0, "throughput": 60.0},
     "minor": {"cpu": 15.0, "memory": 62.0, "network": 12.0, "throughput": 55.0},
@@ -209,13 +209,12 @@ def streams(draw):
     lines=streams(),
     window=st.sampled_from([3, 5, 11]),
     z_cutoff=st.sampled_from([1.0, 3.0]),
-    clamp=st.sampled_from([True, True, True, False]),
 )
-def test_diagnose_matches_the_oracle_alarm_for_alarm(lines, window, z_cutoff, clamp):
+def test_diagnose_matches_the_oracle_alarm_for_alarm(lines, window, z_cutoff):
     with open(fixture_path("engine_config.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
     doc["model"]["path"] = fixture_path(doc["model"]["path"])
-    doc["preprocess"] = {"window": window, "z_cutoff": z_cutoff, "clamp": clamp}
+    doc["preprocess"] = {"window": window, "z_cutoff": z_cutoff}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
         config_path, metrics, alarms = tmp / "config.json", tmp / "metrics.jsonl", tmp / "alarms.jsonl"
@@ -257,12 +256,12 @@ def test_engine_alarms_of_the_fixtures_pass_the_checked_constructor(scenario):
 
 
 @settings(max_examples=100)
-@given(lines=streams(), window=st.sampled_from([3, 5, 11]), clamp=st.sampled_from([True, False]))
-def test_engine_alarms_of_random_streams_pass_the_checked_constructor(lines, window, clamp):
+@given(lines=streams(), window=st.sampled_from([3, 5, 11]))
+def test_engine_alarms_of_random_streams_pass_the_checked_constructor(lines, window):
     with open(fixture_path("engine_config.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
     doc["model"]["path"] = fixture_path(doc["model"]["path"])
-    doc["preprocess"] = {"window": window, "clamp": clamp}
+    doc["preprocess"] = {"window": window}
     with tempfile.TemporaryDirectory() as tmp:
         config_path, metrics = pathlib.Path(tmp) / "config.json", pathlib.Path(tmp) / "metrics.jsonl"
         config_path.write_text(json.dumps(doc))

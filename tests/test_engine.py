@@ -74,7 +74,16 @@ def remade(config: EngineConfig, **changes) -> EngineConfig:
 
 
 def window_at(w: int, values: dict, host="h0", vm="vm0") -> Window:
-    return Window(w * 1000, host, vm, dict(values))
+    """The window ``collect_windows`` makes at time ``w`` of one sample per
+    entry of ``values``; the samples are built unchecked, so a value may
+    be infinite."""
+    comps = [ComponentId.parse(key) for key in values]
+    samples = [
+        tuple.__new__(MetricSample, (w * 1000, host, vm if comp.level == "vm" else None, comp, value))
+        for comp, value in zip(comps, values.values())
+    ]
+    (window,) = collect_windows(samples, _load_fixture_config().window_specs)
+    return window
 
 
 def variant(**overrides) -> dict:
@@ -85,7 +94,7 @@ def variant(**overrides) -> dict:
 
 def judgment(engine: Engine, window: Window) -> tuple:
     """(severity, loop rule matched, NBC features) of ``window``."""
-    return engine._judge(engine._buckets(window))
+    return engine._judge(window.buckets)
 
 
 def severity_of(engine: Engine, window: Window) -> int:
@@ -94,15 +103,15 @@ def severity_of(engine: Engine, window: Window) -> int:
 
 def usage_of(engine: Engine, window: Window) -> dict:
     """Usage bucket of ``window`` per judged key."""
-    return {key: b for (key, _, _), b in zip(engine.config.bucket_bounds, engine._buckets(window))}
+    return {spec.component.key: b for spec, b in zip(engine.config.window_specs, window.buckets)}
 
 
 LOOP_VALUES = variant(**{"vm.cpu": 90.0, "host.cpu": 90.0, "vm.throughput": 10.0})
 
 
-def samples_for(window_dicts, host="h0", vm="vm0", window_ms=1000):
+def samples_for(window_dicts, host="h0", vm="vm0", window_ms=1000, first=0):
     out = []
-    for w, values in enumerate(window_dicts):
+    for w, values in enumerate(window_dicts, first):
         ts = w * window_ms
         for key, value in values.items():
             comp = ComponentId.parse(key)
@@ -148,13 +157,6 @@ def test_preprocess_clamp_happens_before_outlier_filter():
     # against its neighbours, so the median filter finishes the job
     cleaned = preprocess(sample_series([150.0] + [50.0] * 10))
     assert cleaned[0].value == 50.0
-
-
-def test_preprocess_drop_policy_removes_out_of_range():
-    policy = PreprocessPolicy(clamp=False)
-    cleaned = preprocess(sample_series([150.0] + [50.0] * 10), policy)
-    assert len(cleaned) == 10
-    assert all(s.value == 50.0 for s in cleaned)
 
 
 def test_preprocess_empty():
@@ -205,8 +207,6 @@ def _preprocess_against_oracle(values, metric, policy) -> int:
     expected = []
     for v in values:
         if metric in engine_mod.PERCENT_METRIC_NAMES and not 0.0 <= v <= 100.0:
-            if not policy.clamp:
-                continue
             v = min(100.0, max(0.0, v))
         expected.append(v)
     expected, passes = oracles.median_mad_filter(expected, policy.window, policy.z_cutoff, engine_mod._MAX_PASSES)
@@ -241,11 +241,10 @@ def test_preprocess_matches_oracle_on_many_pass_series(values, window, cutoff):
     metric=st.sampled_from(["cpu", "throughput"]),
     window=st.sampled_from([3, 5, 11, 21]),
     cutoff=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
-    clamp=st.booleans(),
 )
-@example(values=_MANY_PASS_SERIES[0][0], metric="cpu", window=5, cutoff=3.0, clamp=True)
-def test_preprocess_matches_oracle(values, metric, window, cutoff, clamp):
-    policy = PreprocessPolicy(window=window, z_cutoff=cutoff, clamp=clamp)
+@example(values=_MANY_PASS_SERIES[0][0], metric="cpu", window=5, cutoff=3.0)
+def test_preprocess_matches_oracle(values, metric, window, cutoff):
+    policy = PreprocessPolicy(window=window, z_cutoff=cutoff)
     _preprocess_against_oracle(values, metric, policy)
 
 
@@ -300,14 +299,13 @@ def _config_with(tmp_path, section: str, entries: dict):
          r"config .*: z_cutoff must be a finite number, got nan"),
         ({"z_cutoff": math.inf}, r"z_cutoff must be a finite number, got inf",
          r"config .*: z_cutoff must be a finite number, got inf"),
-        ({"clamp": "no"}, r"clamp must be a bool, got 'no'", r"clamp must be a JSON boolean, got \"no\""),
     ],
-    ids=["window-float", "z-cutoff-nan", "z-cutoff-inf", "clamp-string"],
+    ids=["window-float", "z-cutoff-nan", "z-cutoff-inf"],
 )
 def test_preprocess_policy_takes_only_what_a_config_can_mean(tmp_path, entries, direct, through_config):
     # before, window 11.0 ended the run in a bare TypeError inside
-    # preprocess, a NaN z_cutoff (which json reads) switched the outlier
-    # filter off, and clamp "no" meant clamp
+    # preprocess, and a NaN z_cutoff (which json reads) switched the
+    # outlier filter off
     with pytest.raises(ValueError, match=f"^{direct}$"):
         PreprocessPolicy(**entries)
     with pytest.raises(ConfigError, match=through_config):
@@ -329,27 +327,104 @@ def test_default_filter_removes_a_fault_of_five_windows_or_fewer(kind, windows, 
 # -- windowing -------------------------------------------------------
 
 
-def test_collect_windows_groups_and_sorts():
-    stream = samples_for([HEALTHY, variant(**{"vm.cpu": 33.0})])
-    windows = collect_windows(stream, ("cpu", "memory", "network", "throughput"), ("cpu", "storage_io"))
+def buckets_of(values: dict, specs) -> tuple:
+    """The bucket of each of ``specs``' metrics in ``values``, one discretize each."""
+    return tuple(discretize(values[spec.component.key], spec) for spec in specs)
+
+
+def test_collect_windows_groups_and_sorts(config):
+    stream = samples_for([variant(**{"vm.cpu": 60.0}), HEALTHY])[::-1]
+    windows = collect_windows(stream, config.window_specs)
     assert [w.timestamp for w in windows] == [0, 1000]
-    assert windows[0].values == HEALTHY
-    assert windows[1].values["vm.cpu"] == 33.0
+    assert windows[0].buckets == buckets_of(variant(**{"vm.cpu": 60.0}), config.window_specs)
+    assert windows[1].buckets == buckets_of(HEALTHY, config.window_specs)
 
 
-def test_collect_windows_shares_host_metrics_across_vms():
-    stream = samples_for([HEALTHY], vm="vm0") + [
+def test_collect_windows_shares_host_metrics_across_vms(config):
+    stream = samples_for([variant(**{"host.cpu": 60.0})], vm="vm0") + [
         s for s in samples_for([variant(**{"vm.cpu": 44.0})], vm="vm1") if s.metric.level == "vm"
     ]
-    windows = collect_windows(stream, ("cpu", "memory", "network", "throughput"), ("cpu", "storage_io"))
-    assert len(windows) == 2
-    assert all(w.values["host.cpu"] == 40.0 for w in windows)
+    windows = collect_windows(stream, config.window_specs)
+    assert [w.vm_id for w in windows] == ["vm0", "vm1"]
+    host_cpu = config.window_specs.index(config.specs["host.cpu"])
+    assert [w.buckets[host_cpu] for w in windows] == [2, 2]
 
 
-def test_collect_windows_missing_metric():
+def test_collect_windows_missing_metric(config):
     stream = [s for s in samples_for([HEALTHY]) if s.metric.key != "vm.memory"]
-    with pytest.raises(IncompleteWindowError, match="memory"):
-        collect_windows(stream, ("cpu", "memory", "network", "throughput"), ("cpu", "storage_io"))
+    with pytest.raises(IncompleteWindowError, match=r"^window t=0 h0/vm0: missing vm metric 'memory'$"):
+        collect_windows(stream, config.window_specs)
+
+
+def test_collect_windows_buckets_only_the_metrics_of_its_specs(config):
+    # a window is the bucket tuple of its specs, in their order; other
+    # metrics of the stream are not bucketed, but still open a window
+    specs = (config.specs["host.cpu"], config.specs["vm.cpu"])
+    stream = samples_for([dict(HEALTHY, **{"vm.extra": 500.0})])
+    (window,) = collect_windows(stream, specs)
+    assert window == (0, "h0", "vm0", buckets_of(HEALTHY, specs))
+    extra = ComponentId("extra")
+    stray = MetricSample(1000, "h0", "vm0", extra, 5.0)
+    with pytest.raises(IncompleteWindowError, match=r"^window t=1000 h0/vm0: missing host metric 'cpu'$"):
+        collect_windows(stream + [stray], specs)
+
+
+@pytest.mark.parametrize("key", ["vm.cpu", "host.storage_io"])
+def test_a_nan_in_a_window_raises_naming_the_window_and_the_key(config, key):
+    # a NaN has no bucket; no reader or simulator yields one, so only an
+    # unchecked sample carries it
+    comp = ComponentId.parse(key)
+    nan = tuple.__new__(MetricSample, (3000, "h1", "vm2" if comp.level == "vm" else None, comp, math.nan))
+    stream = samples_for([HEALTHY], host="h1", vm="vm2", first=3) + [nan]
+    scope = "h1/vm2" if comp.level == "vm" else "h1"
+    with pytest.raises(ValueError, match=rf"^window t=3000 {scope}: {re.escape(key)} is NaN$"):
+        collect_windows(stream, config.window_specs)
+
+
+# -- training features -----------------------------------------------
+
+
+def _hot_scenario() -> Scenario:
+    """Two hosts of three VMs with memory in the minor bucket and a fault
+    on every VM, the hot benchmark fleet in small (without the crash,
+    which has no class in the fixture model)."""
+    kinds = ("cpu_hog", "memory_leak", "network_overhead", "endless_loop", "memory_leak", "cpu_hog")
+    injections = tuple(
+        FaultInjection(kind, f"h{i // 3}", 10 + 15 * (i % 3), 30 + 15 * (i % 3), vm=f"vm{i % 3}")
+        for i, kind in enumerate(kinds)
+    )
+    baseline = dict(Scenario(seed=0, duration=1).baseline, **{"vm.memory": (56.0, 8.0)})
+    return Scenario(seed=3, duration=80, hosts=2, vms_per_host=3, baseline=baseline, injections=injections)
+
+
+@pytest.mark.parametrize("scenario", ["scenario_800", "hot"])
+def test_training_features_are_the_engine_window_buckets(config, scenario):
+    # one bucket rule for training and serving: each example is the
+    # engine's window of its scope and time, read at the NBC's positions
+    scenario = _hot_scenario() if scenario == "hot" else load_scenario(fixture_path(f"{scenario}.json"))
+    samples, labels = generate(scenario)
+    dataset = to_training_set(samples, labels, config.specs, config.attributes, config.classes)
+    windows = {(w.timestamp, w.host_id, w.vm_id): w for w in collect_windows(samples, config.window_specs)}
+    assert len(dataset) == len(labels) == len(windows)
+    for example, label in zip(dataset, labels):
+        buckets = windows[label.window * scenario.window_ms, label.host, label.vm].buckets
+        assert example.features == tuple(buckets[i] for i in config.feature_positions)
+
+
+def test_a_value_past_a_narrow_spec_trains_into_the_edge_bucket():
+    # at 30 +/- 2 and 75 and above under a cpu hog, vm.cpu lies on both
+    # sides of [40, 60]: each value trains into the bucket of the value
+    # clamped to the bounds, as the engine judges it; before, the first
+    # raised OutOfRangeError
+    cpu = ComponentId("cpu")
+    spec = DiscretizationSpec(cpu, (40.0, 50.0, 60.0))
+    hog = FaultInjection("cpu_hog", "h0", 5, 10, vm="vm0")
+    samples, labels = generate(Scenario(seed=1, duration=15, injections=(hog,)))
+    dataset = to_training_set(samples, labels, {cpu.key: spec}, (cpu,), ("normal", "high-cpu-usage"))
+    values = [s.value for s in samples if s.metric == cpu]
+    assert min(values) < 40.0 and max(values) > 60.0
+    assert [e.features for e in dataset] == [(discretize(min(60.0, max(40.0, v)), spec),) for v in values]
+    assert {e.features for e in dataset} == {(0,), (1,)}
 
 
 # -- single-window behaviour -----------------------------------------
@@ -410,7 +485,7 @@ def test_throughput_alone_never_alarms(config):
 
 def test_throughput_past_its_bounds_is_clamped_to_the_top_bucket(config, monkeypatch):
     # throughput is not a percent metric, so a steady 250 tx/s series
-    # survives preprocess; only the clamp in Engine._buckets buckets it
+    # survives preprocess; collect_windows puts it in the edge bucket
     stream = samples_for([variant(**{"vm.memory": 60.0, "vm.throughput": 250.0})] * 15)
     cleaned = preprocess(stream)
     assert {s.value for s in cleaned if s.metric.name == "throughput"} == {250.0}
@@ -436,29 +511,17 @@ _BUCKET_PROBES = [-math.inf, -5.0, 250.0, math.inf, math.nan] + [
 
 @pytest.mark.parametrize("value", _BUCKET_PROBES, ids=[repr(v) for v in _BUCKET_PROBES])
 def test_usage_bucket_is_the_bucket_of_the_clamped_value(config, value):
-    # the engine looks buckets up inline; this is the clamp-then-discretize
-    # it stands for, while NaN, which has no bucket, raises
+    # collect_windows looks buckets up inline; this is the
+    # clamp-then-discretize it stands for, while NaN, which has no
+    # bucket, raises
     spec = config.specs["vm.throughput"]
     low, high = spec.boundaries[0], spec.boundaries[-1]
-    window = window_at(0, variant(**{"vm.throughput": value}))
     if math.isnan(value):
         with pytest.raises(ValueError, match="vm.throughput is NaN"):
-            usage_of(Engine(config), window)
+            window_at(0, variant(**{"vm.throughput": value}))
         return
-    usage = usage_of(Engine(config), window)
+    usage = usage_of(Engine(config), window_at(0, variant(**{"vm.throughput": value})))
     assert usage["vm.throughput"] == discretize(min(high, max(low, value)), spec)
-
-
-@pytest.mark.parametrize("key", ["vm.cpu", "host.storage_io"])
-def test_a_nan_in_a_window_raises_naming_the_window_and_the_key(config, key):
-    window = window_at(3, variant(**{key: math.nan}), host="h1", vm="vm2")
-    message = rf"window t=3000 h1/vm2: {re.escape(key)} is NaN"
-    engine = Engine(config)
-    with pytest.raises(ValueError, match=message):
-        severity_of(engine, window)
-    with pytest.raises(ValueError, match=message):
-        engine.step(window)
-    assert engine.nbc_invocations == 0
 
 
 def test_severity_uses_mapped_buckets(config):
@@ -518,7 +581,7 @@ def test_incomplete_window_rejected(config):
     engine = Engine(config)
     values = dict(HEALTHY)
     del values["host.storage_io"]
-    with pytest.raises(IncompleteWindowError, match="host.storage_io"):
+    with pytest.raises(IncompleteWindowError, match="missing host metric 'storage_io'"):
         engine.step(window_at(0, values))
 
 
@@ -861,7 +924,7 @@ def test_each_bucket_vector_is_judged_once(config, monkeypatch):
     for w, v in enumerate(values):
         engine.step(window_at(w, v))
         engine.step(window_at(w, v, vm="vm1"))
-    assert judged == [engine._buckets(window_at(0, HEALTHY)), engine._buckets(window_at(0, values[2]))]
+    assert judged == [window_at(0, HEALTHY).buckets, window_at(0, values[2]).buckets]
 
 
 def test_equal_diagnoses_of_one_engine_are_one_object(config):
@@ -889,9 +952,7 @@ def test_deliveries_equal_the_stateful_routine_on_fixture_streams(config, name):
     # the reference moves its clock to every window and dispatches the
     # window's alarms, as the engine's run loop once did
     engine = Engine(config)
-    windows = collect_windows(
-        preprocess(samples, config.preprocess), config.vm_metric_names, config.host_metric_names
-    )
+    windows = collect_windows(preprocess(samples, config.preprocess), config.window_specs)
     ticks = [(w.timestamp, engine.step(w)) for w in windows]
     for period in SENSOR_PERIODS:
         expected = oracles.sensor_deliveries("s", True, period, ticks)
@@ -1028,8 +1089,10 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     [
         ("preprocess", {"z_cutof": 0.5}, r"\['z_cutof'\]"),
         ("loop_rule", {"kk": 9, "k": 2}, r"\['kk'\]"),
+        # the retired key: every out-of-range percent reading is clamped
+        ("preprocess", {"clamp": True}, r"\['clamp'\]"),
     ],
-    ids=["preprocess", "loop_rule"],
+    ids=["preprocess", "loop_rule", "preprocess-clamp"],
 )
 def test_load_config_rejects_unknown_keys_inside_a_section(tmp_path, section, entry, named):
     # a misspelt key would otherwise leave its default in force unnoticed
@@ -1045,9 +1108,6 @@ def test_load_config_rejects_unknown_keys_inside_a_section(tmp_path, section, en
 @pytest.mark.parametrize(
     "section, key, value, named",
     [
-        ("preprocess", "clamp", "false",
-         r"preprocess of config .*: clamp must be a JSON boolean, got \"false\""),
-        ("preprocess", "clamp", 0, r"preprocess of config .*: clamp must be a JSON boolean, got 0"),
         ("preprocess", "window", 11.9,
          r"preprocess of config .*: window must be a JSON integer, got 11\.9"),
         ("preprocess", "window", True,
@@ -1090,7 +1150,7 @@ def test_load_config_rejects_unknown_keys_inside_a_section(tmp_path, section, en
         ("loop_rule", "cause", 4, r"loop_rule of config .*: cause must be a JSON string, got 4"),
     ],
     ids=[
-        "clamp-string", "clamp-number", "window-fraction", "window-true", "z-cutoff-string",
+        "window-fraction", "window-true", "z-cutoff-string",
         "z-cutoff-false", "k-fraction", "cpu-bucket-true", "throughput-bucket-fraction",
         "mapping-float", "mapping-true", "mapping-string", "bounds-false-and-string",
         "bounds-number", "discretization-list", "attributes-number", "severity-components-true",
@@ -1099,8 +1159,8 @@ def test_load_config_rejects_unknown_keys_inside_a_section(tmp_path, section, en
     ],
 )
 def test_load_config_rejects_entries_of_the_wrong_json_type(tmp_path, section, key, value, named):
-    # before, int(), float() and bool() took these: "false" loaded as
-    # clamp=True, 11.9 as window 11, a float in the mapping aborted the
+    # before, int(), float() and bool() took these: 11.9 loaded as
+    # window 11, a float in the mapping aborted the
     # run at the first window in that bucket, false and "25" loaded as
     # boundaries, and a non-object section or a non-string key ended in
     # a traceback
@@ -1228,6 +1288,59 @@ def test_loop_rule_component_must_be_judged(config):
         remade(config, loop_rule=LoopRule(throughput="vm.tput"))
 
 
+@pytest.mark.parametrize(
+    "entries, named",
+    [
+        ({"cpu_bucket": 9}, r"loop rule cpu_bucket 9 is not a bucket of vm\.cpu \(0\.\.3\)"),
+        ({"cpu_bucket": -1}, r"loop rule cpu_bucket -1 is not a bucket of vm\.cpu \(0\.\.3\)"),
+        ({"throughput_bucket": 5}, r"loop rule throughput_bucket 5 is not a bucket of vm\.throughput \(0\.\.3\)"),
+        ({"throughput_bucket": -1}, r"loop rule throughput_bucket -1 is not a bucket of vm\.throughput \(0\.\.3\)"),
+    ],
+    ids=["cpu-9", "cpu-minus-1", "throughput-5", "throughput-minus-1"],
+)
+def test_loop_rule_thresholds_must_be_buckets(config, tmp_path, entries, named):
+    # before, cpu_bucket 9 never matched, so an endless loop raised no
+    # loop alarm, and -1 (or throughput_bucket 5) made the rule ignore
+    # that metric
+    with pytest.raises(ConfigError, match=f"^{named}$"):
+        remade(config, loop_rule=LoopRule(**entries))
+    path = _config_with(tmp_path, "loop_rule", dict(config.loop_rule._asdict(), **entries))
+    with pytest.raises(ConfigError, match=rf"^config {re.escape(str(path))}: {named}$"):
+        load_config(path)
+
+
+def test_loop_rule_thresholds_at_the_edge_buckets_are_accepted(config):
+    cfg = remade(config, loop_rule=LoopRule(cpu_bucket=0, throughput_bucket=3))
+    assert judgment(Engine(cfg), window_at(0, HEALTHY))[1] is True
+
+
+def test_a_spec_is_filed_under_the_key_of_its_component(config):
+    # the spec's component routes samples into windows, so a spec filed
+    # under another key would bucket the wrong metric
+    specs = dict(config.specs, **{"vm.memory": config.specs["vm.cpu"]})
+    with pytest.raises(ConfigError, match=r"^discretization spec for vm\.cpu is filed under vm\.memory$"):
+        remade(config, specs=specs)
+
+
+@pytest.mark.parametrize(
+    "key, value, named",
+    [
+        ("discretization", {"vm.cpu": [0, 50, 100]}, r"vm\.cpu: spec yields 2 buckets, model expects 4"),
+        ("severity_components", ["vm.cpu", "vm.cpu"], r"duplicate component vm\.cpu"),
+        ("severity_components", [], r"max-severity model needs at least one component"),
+    ],
+    ids=["spec-buckets", "duplicate-severity-component", "no-severity-component"],
+)
+def test_load_config_names_the_file_in_each_cross_check_error(tmp_path, key, value, named):
+    # before, these left the path out, and the last two escaped as
+    # mdd.InvalidModelError rather than ConfigError
+    cfg_doc = json.loads(open(fixture_path("engine_config.json")).read())
+    entry = dict(cfg_doc[key], **value) if isinstance(value, dict) else value
+    path = _config_with(tmp_path, key, entry)
+    with pytest.raises(ConfigError, match=rf"^config {re.escape(str(path))}: {named}$"):
+        load_config(path)
+
+
 def test_severity_component_outside_attributes_is_collected(config):
     # a severity component the classifier does not use must still be
     # windowed, so it can open the gate on its own
@@ -1237,8 +1350,7 @@ def test_severity_component_outside_attributes_is_collected(config):
         specs={**config.specs, extra.key: DiscretizationSpec(extra, (0.0, 25.0, 50.0, 75.0, 100.0))},
         severity_components=config.severity_components + (extra,),
     )
-    assert cfg.host_metric_names == config.host_metric_names + ("extra",)
-    assert cfg.vm_metric_names == config.vm_metric_names
+    assert cfg.window_specs == config.window_specs + (cfg.specs[extra.key],)
     stream = samples_for(
         [dict(HEALTHY, **{"host.extra": 10.0})] * 20
         + [dict(HEALTHY, **{"host.extra": 90.0})] * 20
@@ -1249,8 +1361,8 @@ def test_severity_component_outside_attributes_is_collected(config):
 
 
 def test_windows_are_immutable_tuple_records():
-    window = Window(0, "h0", "vm0", {"vm.cpu": 1.0})
+    window = Window(0, "h0", "vm0", (1, 3))
     assert isinstance(window, tuple) and not hasattr(window, "__dict__")
     with pytest.raises(AttributeError):
         window.timestamp = 1
-    assert window == Window(timestamp=0, host_id="h0", vm_id="vm0", values={"vm.cpu": 1.0})
+    assert window == Window(timestamp=0, host_id="h0", vm_id="vm0", buckets=(1, 3))

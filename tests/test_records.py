@@ -43,7 +43,7 @@ RECORDS = [
     (AttributeSchema, dict(attributes=(("x", 2),), classes=("a", "b")), {}, True),
     (LabeledExample, dict(features=(1, None), label=0), {}, True),
     (NbcModel, dict(schema=SCHEMA, priors=(0.5, 0.5), cond=UNIFORM, alpha=1.0), {}, True),
-    (PreprocessPolicy, {}, dict(window=11, z_cutoff=3.0, clamp=True), True),
+    (PreprocessPolicy, {}, dict(window=11, z_cutoff=3.0), True),
     (LoopRule, {}, dict(k=3, vm_cpu="vm.cpu", host_cpu="host.cpu", throughput="vm.throughput",
                         cpu_bucket=3, throughput_bucket=0, cause="endless-loop"), True),
     (VirtualSensor, dict(sensor_id="s"), dict(active=True, frequency_ms=1000), True),
@@ -83,6 +83,6 @@ def test_a_virtual_sensor_takes_no_counter_at_construction():
 
 def test_engine_config_names_its_windowed_metrics_once():
     config = EngineConfig(**_CONFIG_ARGS)
-    assert config.vm_metric_names == ("cpu", "throughput")
-    assert config.host_metric_names == ("cpu",)
-    assert config.vm_metric_names is config.vm_metric_names
+    specs = _CONFIG_ARGS["specs"]
+    assert config.window_specs == (specs["vm.cpu"], specs["host.cpu"], specs["vm.throughput"])
+    assert config.window_specs is config.window_specs
