@@ -93,6 +93,10 @@ class PreprocessPolicy(namedtuple("PreprocessPolicy", "window z_cutoff")):
         return tuple.__new__(cls, (window, z_cutoff))
 
 
+def _nan_error(key: tuple, timestamp: int) -> ValueError:
+    return ValueError(f"series {key}: value at timestamp {timestamp} is NaN")
+
+
 def preprocess(samples: Iterable[MetricSample], policy: PreprocessPolicy | None = None) -> list[MetricSample]:
     """Robust per-series cleanup preserving order and timestamps.
 
@@ -105,7 +109,9 @@ def preprocess(samples: Iterable[MetricSample], policy: PreprocessPolicy | None 
     cap: with ``window=5, z_cutoff=0.5``, ``[1, 20, 50, 100.5, 91]``
     still moves after 64 passes.  After the first pass only the positions
     whose window holds a sample the previous pass replaced are
-    recomputed; the others would give the same result again.
+    recomputed; the others would give the same result again.  A NaN
+    value, which only a sample built unchecked can hold, raises
+    ``ValueError`` naming its series and timestamp.
     """
     policy = policy or PreprocessPolicy()
     ordered = list(samples)
@@ -120,6 +126,8 @@ def preprocess(samples: Iterable[MetricSample], policy: PreprocessPolicy | None 
             raise SequencingError(f"series {key}: timestamp {ts} after {entry[0]}")
         entry[0] = ts
         if metric.name in PERCENT_METRIC_NAMES and not 0.0 <= v <= 100.0:
+            if v != v:  # clamping would turn it into 0.0
+                raise _nan_error(key, ts)
             v = min(100.0, max(0.0, v))
         entry[1].append(idx)
         entry[2].append(v)
@@ -129,7 +137,10 @@ def preprocess(samples: Iterable[MetricSample], policy: PreprocessPolicy | None 
     j = (half + 1) // 2  # ceil(half / 2), for the MAD lower bound below
     cutoff = policy.z_cutoff
     cleaned = [0.0] * len(ordered)  # every position belongs to a series
-    for _, indices, vals in series.values():
+    for key, (_, indices, vals) in series.items():
+        if any(map(math.isnan, vals)):
+            i = next(i for i, v in enumerate(vals) if v != v)
+            raise _nan_error(key, ordered[indices[i]].timestamp)
         n = len(vals)
         todo = range(n)
         for _ in range(_MAX_PASSES):

@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import operator
+import re
 from collections import namedtuple
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -303,6 +304,18 @@ _wire_values = operator.itemgetter("timestamp", "host_id", "vm_id", "metric", "l
 _first_char, _last_char = operator.itemgetter(0), operator.itemgetter(-1)
 # the level a record's vm_id calls for: vm for a string, host for null
 _LEVEL_OF_VM_ID = {str: "vm", type(None): "host"}.get
+# a line as write_metric_samples writes it: the six keys sorted, the
+# default separators, and strings that json.dumps leaves unescaped; the
+# groups are host_id, level, metric, timestamp, value and the vm_id
+# token.  re compiles it on the first read, so importing costs nothing.
+_CHARS = r'[^"\\\x00-\x1f]*'
+_INTEGER = r"-?(?:0|[1-9][0-9]*)"
+_CANONICAL_LINE = (
+    rf'^\{{"host_id": "({_CHARS})", "level": "({_CHARS})", "metric": "({_CHARS})", '
+    rf'"timestamp": ({_INTEGER}), '
+    rf'"value": ({_INTEGER}(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)), '
+    rf'"vm_id": (null|"{_CHARS}")\}}$'
+)
 
 
 def _component(name: str, level: str, shared: dict) -> ComponentId:
@@ -313,10 +326,10 @@ def _component(name: str, level: str, shared: dict) -> ComponentId:
     return metric
 
 
-def _column_samples(objs: list, shared: dict) -> list[MetricSample]:
-    """The samples of decoded records, checked a column at a time as
-    ``read_metric_samples`` documents; a failed check raises its reason,
-    for a lone record the reason of the first check it fails."""
+def _record_columns(objs: list) -> tuple:
+    """The six columns of decoded records, in ``MetricSample`` order with
+    ``names`` and ``levels`` for the metric, after checking each record's
+    keys and the types of its ids; a failed check raises its reason."""
     # six entries, and all six wire keys read below: no other key
     if set(map(type, objs)) != {dict} or set(map(len, objs)) != {6}:
         raise ValueError(_NOT_A_RECORD)
@@ -328,6 +341,46 @@ def _column_samples(objs: list, shared: dict) -> list[MetricSample]:
         raise ValueError("host_id must be a string and vm_id a string or null")
     if set(map(type, names)) != {str} or set(map(type, levels)) != {str}:
         raise ValueError("metric and level must be strings")
+    return timestamps, hosts, vms, names, levels, values
+
+
+def _canonical_columns(lines: list[str]) -> tuple | None:
+    """The columns ``_record_columns`` gives for stripped, non-blank lines
+    if each is a canonical line, as ``write_metric_samples`` writes one;
+    else None.
+
+    The anchored pattern matches only within one line, as no group holds
+    a newline, and at most once per line, so one match per line means
+    every line matched whole.  A string token without ``"``, ``\\`` or a
+    control character is its own text, and ``int`` and ``float`` are the
+    calls the JSON decoder makes on an integer and a float token, so the
+    columns are those the decoded records give.  A value token always has
+    a fraction or an exponent: the decoder reads an integer literal as an
+    int, and ``float`` of the int is not ``float`` of the text for ``-0``
+    or for a literal too large for a float.  The first line is matched
+    alone, so that a stream in another form does not pay a failed scan of
+    every chunk.
+    """
+    if re.match(_CANONICAL_LINE, lines[0], re.MULTILINE) is None:
+        return None
+    rows = re.findall(_CANONICAL_LINE, "\n".join(lines), re.MULTILINE)
+    if len(rows) != len(lines):
+        return None
+    hosts, levels, names, timestamps, values, vm_tokens = zip(*rows)
+    vm_of = {token: None if token == "null" else token[1:-1] for token in set(vm_tokens)}
+    # a chunk holds few distinct timestamps: each token is parsed once
+    # (over 4300 digits raises, as it does in the decoder)
+    timestamp_of = {token: int(token) for token in set(timestamps)}
+    timestamps, vms = tuple(map(timestamp_of.__getitem__, timestamps)), tuple(map(vm_of.__getitem__, vm_tokens))
+    return timestamps, hosts, vms, names, levels, tuple(map(float, values))
+
+
+def _column_samples(columns: tuple, shared: dict) -> list[MetricSample]:
+    """The samples of columns, scanned or from ``_record_columns``,
+    checked a column at a time as ``read_metric_samples`` documents; a
+    failed check raises its reason, for a lone record the reason of the
+    first check it fails."""
+    timestamps, hosts, vms, names, levels, values = columns
     for name, level in set(zip(names, levels)):
         _component(name, level, shared)
     # bool is a subclass of int, so the types are compared exactly
@@ -357,23 +410,29 @@ def _column_samples(objs: list, shared: dict) -> list[MetricSample]:
 
 
 def _chunk_samples(lines: list[str], shared: dict) -> list[MetricSample] | None:
-    """The samples of stripped, non-blank lines from one decode call, or
-    None when the lines must be decoded one by one.
+    """The samples of stripped, non-blank lines from one scan or decode
+    call, or None when the lines must be decoded one by one.
 
-    This equals decoding each line: no JSON token holds a raw newline and
-    a valid record holds only scalars, so when every line starts with
-    ``{`` and ends with ``}``, and the array has one element per line,
-    each a valid record, the i-th element is the i-th line's object.
+    Canonical lines are scanned; any other chunk is decoded as one JSON
+    array.  This equals decoding each line: no JSON token holds a raw
+    newline and a valid record holds only scalars, so when every line
+    starts with ``{`` and ends with ``}``, and the array has one element
+    per line, each a valid record, the i-th element is the i-th line's
+    object.  Scanned columns equal the decoded ones, so a scanned chunk
+    that fails a check would fail it decoded too, and goes line by line.
     """
-    if set(map(_first_char, lines)) != {"{"} or set(map(_last_char, lines)) != {"}"}:
-        return None
     try:
-        objs = json.loads("[" + "\n,".join(lines) + "]")
-        if len(objs) == len(lines):
-            return _column_samples(objs, shared)
+        columns = _canonical_columns(lines)
+        if columns is None:
+            if set(map(_first_char, lines)) != {"{"} or set(map(_last_char, lines)) != {"}"}:
+                return None
+            objs = json.loads("[" + "\n,".join(lines) + "]")
+            if len(objs) != len(lines):
+                return None
+            columns = _record_columns(objs)
+        return _column_samples(columns, shared)
     except (ValueError, OverflowError, RecursionError):
-        pass
-    return None
+        return None
 
 
 def _line_sample(path, line_no: int, line: str, shared: dict) -> MetricSample:
@@ -384,7 +443,7 @@ def _line_sample(path, line_no: int, line: str, shared: dict) -> MetricSample:
         obj, end = _decode(line)
         if end != len(line):
             raise json.JSONDecodeError("Extra data", line, end)
-        return _column_samples([obj], shared)[0]
+        return _column_samples(_record_columns([obj]), shared)[0]
     except (ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: line {line_no}: {exc}") from exc
     except RecursionError:
@@ -403,8 +462,10 @@ def read_metric_samples(path) -> list[MetricSample]:
     share one object per distinct timestamp, ``host_id`` and ``vm_id``,
     and one ``ComponentId`` per component.
 
-    Lines are decoded ``_CHUNK_LINES`` at a time with one ``json.loads``
-    call and checked a column at a time; a chunk that does not decode to
+    Lines are taken ``_CHUNK_LINES`` at a time: a chunk of canonical
+    lines, as ``write_metric_samples`` writes them, is scanned with one
+    regular expression, any other decoded with one ``json.loads`` call,
+    and either is checked a column at a time; a chunk that does not give
     one valid record per line is decoded again line by line, each line
     checked as a one-record column, which names the first bad line and
     its reason.  JSON nested too deeply to decode is a bad record too.

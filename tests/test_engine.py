@@ -184,6 +184,21 @@ def test_preprocess_rejects_time_travel():
         preprocess(samples)
 
 
+@pytest.mark.parametrize(
+    "metric, level", [("cpu", "vm"), ("throughput", "vm"), ("storage_io", "host")],
+    ids=["percent", "other", "host-percent"],
+)
+def test_preprocess_rejects_an_unchecked_nan_naming_its_series_and_time(metric, level):
+    # only a sample built with tuple.__new__ can hold NaN; clamping would
+    # turn a percent one into 0.0, and a replaced one has no time to name
+    good = sample_series([0.0, 10.0, 20.0, 30.0, 40.0, 50.0], metric=metric, level=level)
+    ts, host, vm, comp, _ = good[3]
+    samples = good[:3] + [tuple.__new__(MetricSample, (ts, host, vm, comp, math.nan))] + good[4:]
+    key = (host, vm, comp.key)
+    with pytest.raises(ValueError, match=rf"^series {re.escape(str(key))}: value at timestamp 3000 is NaN$"):
+        preprocess(samples)
+
+
 def test_preprocess_allows_equal_timestamps_and_parallel_series():
     comp = ComponentId("cpu", "vm")
     samples = [

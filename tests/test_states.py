@@ -3,7 +3,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from afdi import states
 from afdi.states import (
@@ -434,3 +434,97 @@ def test_reader_rejects_each_malformed_record_inside_a_full_chunk(tmp_path, bad,
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: line 701: .*{message}"):
         read_metric_samples(path)
+
+
+# -- canonical scan ---------------------------------------------------
+
+_SCAN, _DECODE = "scan", "decode"
+
+# lines near the canonical form, and how the reader must take each:
+# scanned, decoded by the JSON path, or rejected with today's message
+_NEAR_CANONICAL = {
+    "reordered-keys": (json.dumps(dict(reversed(json.loads(_GOOD).items()))), _DECODE),
+    "compact-separators": (json.dumps(json.loads(_GOOD), sort_keys=True, separators=(",", ":")), _DECODE),
+    "escaped-nul-in-id": (_good_with('"vm0"', '"vm\\u0000"'), _DECODE),
+    "escaped-quote-in-id": (_good_with('"vm0"', '"vm\\"0"'), _DECODE),
+    "escaped-non-ascii-id": (_good_with('"vm0"', '"vm\\u00e9"'), _DECODE),
+    "raw-non-ascii-id": (_good_with('"vm0"', '"vmé"'), _SCAN),
+    "raw-control-character": (_good_with('"vm0"', '"vm\x010"'), "Invalid control character at"),
+    "value-42": (_good_with("42.5", "42"), _DECODE),
+    "value-minus-0": (_good_with("42.5", "-0"), _DECODE),
+    "value-minus-0.0": (_good_with("42.5", "-0.0"), _SCAN),
+    "value-1E5": (_good_with("42.5", "1E5"), _SCAN),
+    "value-5e-324": (_good_with("42.5", "5e-324"), _SCAN),
+    "value-1e400": (_good_with("42.5", "1e400"), "vm.cpu: non-finite value inf"),
+    "value-NaN": (_good_with("42.5", "NaN"), "vm.cpu: non-finite value nan"),
+    "value-Infinity": (_good_with("42.5", "Infinity"), "vm.cpu: non-finite value inf"),
+    "timestamp-leading-zero": (_good_with('"timestamp": 0', '"timestamp": 0700'), "Expecting ',' delimiter"),
+    "timestamp-400-digits": (_good_with('"timestamp": 0', '"timestamp": ' + "9" * 400), _SCAN),
+    "vm-id-empty": (_good_with('"vm0"', '""'), _SCAN),
+    "duplicated-key": (_good_with('{"host_id": "h0"', '{"host_id": "hx", "host_id": "h0"'), _DECODE),
+    "trailing-spaces": (_GOOD + "   ", _SCAN),
+    "crlf": (_GOOD + "\r", _SCAN),
+}
+
+
+# line 1 is the line the scan tries alone before the whole chunk
+@pytest.mark.parametrize("line_no", [1, 701])
+@pytest.mark.parametrize("line, outcome", list(_NEAR_CANONICAL.values()), ids=list(_NEAR_CANONICAL))
+def test_scan_reads_a_near_canonical_line_as_the_per_line_reader_does(tmp_path, monkeypatch, line, outcome, line_no):
+    lines = [_GOOD if i % 3 else _GOOD_HOST for i in range(CHUNK + 200)]
+    lines[line_no - 1] = line
+    path = tmp_path / "stream.jsonl"
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    decoded = []
+    record_columns = states._record_columns
+    monkeypatch.setattr(states, "_record_columns", lambda objs: decoded.append(objs) or record_columns(objs))
+    if outcome in (_SCAN, _DECODE):
+        # repr tells -0.0 from 0.0, which == does not
+        assert list(map(repr, read_metric_samples(path))) == list(map(repr, oracles.read_metric_samples_per_line(path)))
+        assert bool(decoded) == (outcome == _DECODE)
+    else:
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line {line_no}: {re.escape(outcome)}"):
+            read_metric_samples(path)
+        assert _outcome(oracles.read_metric_samples_per_line, path) == line_no
+
+
+def _never_decoded(objs):
+    raise AssertionError("a line the writer wrote was not scanned")
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    ["scenario_800.json", "scenario_endless_loop.json", "scenario_healthy.json", "scenario_serious_crash.json"],
+)
+def test_the_writers_fixture_streams_are_read_by_the_scan_alone(tmp_path, monkeypatch, scenario):
+    samples, _ = generate(load_scenario(fixture_path(scenario)))
+    path = tmp_path / "stream.jsonl"
+    write_metric_samples(samples, path)
+    monkeypatch.setattr(states, "_record_columns", _never_decoded)
+    assert repr(read_metric_samples(path)) == repr(samples)
+
+
+# ids the writer leaves unescaped: printable ASCII but " and \
+_ASCII_ID = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E, exclude_characters='"\\'), max_size=6)
+
+
+@st.composite
+def _written_samples(draw):
+    host_level = draw(st.booleans())
+    return MetricSample(
+        draw(st.integers(min_value=-(10**30), max_value=10**30)),
+        draw(_ASCII_ID),
+        None if host_level else draw(_ASCII_ID),
+        ComponentId(draw(_ASCII_ID.filter(bool)), "host" if host_level else "vm"),
+        draw(st.floats(allow_nan=False, allow_infinity=False)),
+    )
+
+
+@given(st.lists(_written_samples(), min_size=1, max_size=40))
+@example([MetricSample(7, "h 0", "vm0", CPU, v) for v in (-0.0, 5e-324, 2.5e-310, 1e22, 1e-7, 1e16, 0.1)])
+def test_the_writers_random_samples_are_read_by_the_scan_alone(tmp_path_factory, samples):
+    path = tmp_path_factory.mktemp("scan") / "stream.jsonl"
+    write_metric_samples(samples, path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(states, "_record_columns", _never_decoded)
+        assert repr(read_metric_samples(path)) == repr(samples)
