@@ -20,8 +20,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
 from collections import namedtuple
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 from . import mdd as mdd_mod
@@ -109,7 +110,12 @@ def preprocess(samples: Iterable[MetricSample], policy: PreprocessPolicy | None 
     cap: with ``window=5, z_cutoff=0.5``, ``[1, 20, 50, 100.5, 91]``
     still moves after 64 passes.  After the first pass only the positions
     whose window holds a sample the previous pass replaced are
-    recomputed; the others would give the same result again.  A NaN
+    recomputed; the others would give the same result again.  A pass
+    walks its positions as contiguous runs, the whole series first: one
+    sorted window slides along the full windows of a run, and only the at
+    most ``window // 2`` positions at each end of the series, whose window
+    is shrunken, slice and sort their own.  The result equals slicing and
+    sorting every window, down to the sign of a zero median.  A NaN
     value, which only a sample built unchecked can hold, raises
     ``ValueError`` naming its series and timestamp.
     """
@@ -135,6 +141,7 @@ def preprocess(samples: Iterable[MetricSample], policy: PreprocessPolicy | None 
     window = policy.window
     half = window // 2
     j = (half + 1) // 2  # ceil(half / 2), for the MAD lower bound below
+    above, below = half + j, half - j
     cutoff = policy.z_cutoff
     cleaned = [0.0] * len(ordered)  # every position belongs to a series
     for key, (_, indices, vals) in series.items():
@@ -142,46 +149,71 @@ def preprocess(samples: Iterable[MetricSample], policy: PreprocessPolicy | None 
             i = next(i for i, v in enumerate(vals) if v != v)
             raise _nan_error(key, ordered[indices[i]].timestamp)
         n = len(vals)
-        todo = range(n)
+        runs = [(0, n)]
         for _ in range(_MAX_PASSES):
             # synchronous update: every position of a pass reads the same
             # vals, and the replacements land only after the pass
             replaced = []
-            for i in todo:
-                w = vals[i - half if i > half else 0 : i + half + 1]
+            for a, b in runs:
+                # positions p .. q-1 have a full window; the at most half
+                # at each end have a window that end shrinks
+                p, q = max(a, half), min(b, n - half)
+                for i in chain(range(a, min(b, half)), range(max(p, n - half), b)):
+                    w = vals[max(0, i - half) : i + half + 1]
+                    w.sort()
+                    # the median of an even window is the mean of the
+                    # middle pair, as statistics.median computes it
+                    k, odd = divmod(len(w), 2)
+                    med = w[k] if odd else (w[k - 1] + w[k]) / 2
+                    dev = sorted([abs(v - med) for v in w])
+                    mad = dev[k] if odd else (dev[k - 1] + dev[k]) / 2
+                    if abs(vals[i] - med) / (mad * _MAD_SCALE + _EPS) > cutoff:
+                        replaced.append((i, med))
+                if p >= q:
+                    continue
+                # one sorted list slides over the full windows: each step
+                # inserts the entering value right of its equals and, once
+                # the position is judged, deletes the leftmost value equal
+                # to the leaving one, so equal values keep their order in
+                # the slice and w is sorted(vals[i - half : i + half + 1])
+                # down to which zero the median takes
+                w = vals[p - half : p + half]
                 w.sort()
-                # the median of an even (shrunken edge) window is the
-                # mean of the middle pair, as statistics.median computes it
-                k, odd = divmod(len(w), 2)
-                med = w[k] if odd else (w[k - 1] + w[k]) / 2
-                dist = abs(vals[i] - med)
-                if len(w) == window:
-                    # w[k - j] and below, and w[k + j] and above, lie at
-                    # least `low` from the median, so at most 2j - 1 < k + 1
-                    # deviations are under `low` and the MAD is at least
-                    # `low`, itself one of the deviations; rounding is
+                steps = zip(range(p, q), vals[p:q], vals[p - half : q - half], vals[p + half : q + half])
+                for i, x, leaving, entering in steps:
+                    insort(w, entering)
+                    med = w[half]
+                    dist = abs(x - med)
+                    # w[half - j] and below, and w[half + j] and above, lie
+                    # at least `low` from the median, so at most 2j - 1 <
+                    # half + 1 deviations are under `low` and the MAD is at
+                    # least `low`, itself one of the deviations; rounding is
                     # monotone, so a z within the cutoff under `low` is
                     # within it under the MAD, and the sample stays
-                    low = min(w[k + j] - med, med - w[k - j])
-                    if dist / (low * _MAD_SCALE + _EPS) <= cutoff:
-                        continue
-                dev = sorted([abs(v - med) for v in w])
-                mad = dev[k] if odd else (dev[k - 1] + dev[k]) / 2
-                if dist / (mad * _MAD_SCALE + _EPS) > cutoff:
-                    replaced.append((i, med))
+                    up, down = w[above] - med, med - w[below]
+                    low = down if down < up else up  # min(up, down), without a call
+                    if not dist / (low * _MAD_SCALE + _EPS) <= cutoff:
+                        dev = sorted([abs(v - med) for v in w])
+                        if dist / (dev[half] * _MAD_SCALE + _EPS) > cutoff:
+                            replaced.append((i, med))
+                    del w[bisect_left(w, leaving)]
             # z > cutoff > 0 needs vals[i] != med, so every replacement
             # changes a value and an empty pass is the fixed point
             if not replaced:
                 break
-            # the output at i reads only its own window, so only windows
-            # that hold a replaced sample can change on the next pass
-            todo = []
-            end = 0
+            # the output at i reads only its own window, so the next pass
+            # judges the windows that hold a replaced sample: the merged
+            # runs of positions within half of one, in order (a run's
+            # edges were judged before its middle)
+            replaced.sort()
+            runs = []
             for i, med in replaced:
                 vals[i] = med
-                start = max(i - half, end)
-                end = min(n, i + half + 1)
-                todo.extend(range(start, end))
+                start, stop = max(0, i - half), min(n, i + half + 1)
+                if runs and start <= runs[-1][1]:
+                    runs[-1][1] = stop
+                else:
+                    runs.append([start, stop])
         for i, v in zip(indices, vals):
             cleaned[i] = v
 

@@ -289,6 +289,40 @@ def test_preprocess_matches_slice_and_sort_to_the_sign_of_zero(values, window, c
     assert [repr(s.value) for s in got] == [repr(v) for v in want]
 
 
+@st.composite
+def _long_series(draw):
+    """150-400 values: a jittered baseline on a coarse grain, so equal
+    values recur (and -0.0 beside 0.0 on a zero baseline), with plateaus
+    of 1-12 samples anywhere and spikes near both ends."""
+    rnd = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(min_value=150, max_value=400))
+    level = draw(st.sampled_from([0.0, 20.0, 50.0]))
+    grain = draw(st.sampled_from([0.5, 1.0, 4.0]))
+    values = [level + rnd.randint(-4, 4) * grain if level else rnd.choice([0.0, -0.0, grain, -grain]) for _ in range(n)]
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        start = rnd.randrange(n)
+        length = min(rnd.randint(1, 12), n - start)
+        values[start : start + length] = [level + rnd.choice([-30.0, 15.0, 40.0, 250.0])] * length
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        spike = level + rnd.choice([-60.0, 35.0, 90.0, 1e3])
+        values[rnd.randrange(12) if rnd.random() < 0.5 else n - 1 - rnd.randrange(12)] = spike
+    return values
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=_long_series(), window=st.sampled_from([3, 5, 11, 21]), cutoff=st.sampled_from([0.5, 3.0, 1, 3]))
+def test_preprocess_matches_slice_and_sort_on_long_series(values, window, cutoff):
+    # long enough that a later pass judges several runs, merged where
+    # they overlap or touch, and runs that reach either end of the series
+    policy = PreprocessPolicy(window=window, z_cutoff=cutoff)
+    want, _ = oracles.median_mad_filter(values, window, cutoff, engine_mod._MAX_PASSES)
+    samples = sample_series(values, metric="throughput")
+    got = preprocess(samples, policy)
+    assert [repr(s.value) for s in got] == [repr(v if w == v else w) for v, w in zip(values, want)]
+    # a sample the filter keeps is passed through as it was
+    assert all(g is s for s, g, w in zip(samples, got, want) if w == s.value)
+
+
 @pytest.mark.parametrize("window", [2, 1, -3, 4])
 def test_preprocess_policy_rejects_bad_window(window):
     with pytest.raises(ValueError):
