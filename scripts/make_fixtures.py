@@ -10,7 +10,6 @@ document notes so tests can tell data-backed rows from filler.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import os
@@ -19,7 +18,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from afdi import nbc, simulator  # noqa: E402
-from afdi.states import ComponentId, DiscretizationSpec  # noqa: E402
+from afdi.states import ComponentId, DiscretizationSpec, sha256  # noqa: E402
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -185,7 +184,7 @@ def make_model_and_config() -> None:
     nbc.save_model(model, model_path)
 
     with open(model_path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
+        digest = sha256(fh.read()).hexdigest()
     dump(
         "engine_config.json",
         {

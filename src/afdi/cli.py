@@ -122,9 +122,8 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    import hashlib
-
     from . import evaluation, nbc
+    from .states import sha256
 
     model = nbc.load_model(_require_file(args.model))
     dataset = nbc.read_training_csv(_require_file(args.data), model.schema)
@@ -142,7 +141,7 @@ def cmd_evaluate(args) -> int:
             return None
 
     with open(args.model, "rb") as fh:
-        model_hash = hashlib.sha256(fh.read()).hexdigest()
+        model_hash = sha256(fh.read()).hexdigest()
     report = {
         "accuracy": metric_or_none(evaluation.accuracy),
         "recall": metric_or_none(evaluation.recall),

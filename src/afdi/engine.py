@@ -17,7 +17,6 @@ log.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from bisect import bisect_left, bisect_right, insort
@@ -28,7 +27,7 @@ from typing import Iterable, NamedTuple, Sequence
 from . import mdd as mdd_mod
 from . import nbc as nbc_mod
 from .states import ComponentId, DiscretizationSpec, MetricSample, _Record
-from .states import check_entries, check_kind, check_origin, read_document
+from .states import check_entries, check_kind, check_origin, read_document, sha256
 
 __all__ = [
     "PreprocessPolicy",
@@ -246,9 +245,10 @@ def collect_windows(samples: Iterable[MetricSample], specs: Sequence[Discretizat
     A value is bucketed as ``discretize`` buckets it clamped to its
     spec's bounds, so a value past either end lands in the edge bucket;
     NaN has no bucket and raises.  Host-level metrics are shared by every
-    VM on that host.  A window missing any windowed metric raises;
-    windows come back sorted by (timestamp, host, vm) so downstream
-    processing is deterministic.
+    VM on that host.  A window missing any windowed metric, or given one
+    twice, raises; windows come back sorted by (timestamp, host, vm) so
+    downstream processing is deterministic.  Windows with equal buckets
+    share one tuple.
     """
     # position, boundaries and index of the top boundary per metric key:
     # searching the inner boundaries only puts a value past either end
@@ -268,12 +268,15 @@ def collect_windows(samples: Iterable[MetricSample], specs: Sequence[Discretizat
         route = routes.get(metric.key)
         if route is not None:
             i, bounds, top = route
-            if value != value:
+            if value != value or row[i] is not None:
                 scope = host if vm is None else f"{host}/{vm}"
-                raise ValueError(f"window t={ts} {scope}: {metric.key} is NaN")
+                fault = f"{metric.key} is NaN" if value != value else f"second sample of {metric.key}"
+                raise ValueError(f"window t={ts} {scope}: {fault}")
             row[i] = bisect_right(bounds, value, 1, top) - 1
 
     windows = []
+    # one tuple per distinct bucket vector: a stream repeats few of them
+    interned: dict[tuple, tuple] = {}
     no_host_row = [None] * width
     for ts, host, vm in sorted(vm_rows):
         row = vm_rows[ts, host, vm]
@@ -285,7 +288,8 @@ def collect_windows(samples: Iterable[MetricSample], specs: Sequence[Discretizat
             raise IncompleteWindowError(
                 f"window t={ts} {host}/{vm}: missing {missing.level} metric {missing.name!r}"
             )
-        windows.append(Window(ts, host, vm, tuple(row)))
+        buckets = tuple(row)
+        windows.append(Window(ts, host, vm, interned.setdefault(buckets, buckets)))
     return windows
 
 
@@ -572,7 +576,8 @@ class Engine:
         # matching windows in a row per scope; the loop alarm fires when
         # the streak reaches k, so once per span
         self._streaks: dict[tuple, int] = {}
-        # (severity, loop rule matched, NBC features) per bucket vector
+        # (severity, loop rule matched, NBC features) per bucket vector,
+        # keyed by the tuple collect_windows shares among its equal windows
         self._judged: dict[tuple, tuple] = {}
         # (diagnosis, top cause) per distinct diagnosis, the loop rule's
         # one-hot among them, so equal diagnoses are one object.  Keying
@@ -698,7 +703,7 @@ def load_config(path) -> EngineConfig:
     if not os.path.exists(model_path):
         raise ConfigError(f"model file not found: {model_path}")
     with open(model_path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
+        digest = sha256(fh.read()).hexdigest()
     if digest != model_ref["sha256"]:
         raise ConfigError(
             f"model hash mismatch for {model_path}: expected {model_ref['sha256']!r}, got {digest!r}"

@@ -11,14 +11,13 @@ distinct feature vector once and answers it again from a memo.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import warnings
 from collections import namedtuple
 from typing import Sequence
 
-from .states import _Frozen, check_entries, check_kind, index_cell, read_document, read_table, write_table
+from .states import _Frozen, check_entries, check_kind, index_cell, read_document, read_table, sha256, write_table
 
 __all__ = [
     "AttributeSchema",
@@ -117,7 +116,7 @@ class AttributeSchema(namedtuple("AttributeSchema", "attributes classes")):
 
     def content_hash(self) -> str:
         blob = json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return sha256(blob.encode("utf-8")).hexdigest()
 
 
 class LabeledExample(namedtuple("LabeledExample", "features label")):

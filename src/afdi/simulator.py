@@ -22,7 +22,6 @@ over the injection span:
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from dataclasses import dataclass, field
@@ -31,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 from .engine import collect_windows
 from .nbc import LabeledExample
 from .states import ComponentId, DiscretizationSpec, MetricSample
-from .states import check_entries, index_cell, read_document, read_table, write_table
+from .states import check_entries, index_cell, read_document, read_table, sha256, write_table
 
 __all__ = [
     "Scenario",
@@ -217,7 +216,7 @@ class WindowLabel:
 
 def _subseed(seed: int, host: str, vm: str | None) -> int:
     blob = f"{seed}/{host}/{vm or ''}".encode("utf-8")
-    return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
+    return int.from_bytes(sha256(blob).digest()[:8], "big")
 
 
 def _clamp(v: float) -> float:

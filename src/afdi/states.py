@@ -19,6 +19,15 @@ import re
 from collections import namedtuple
 from typing import Iterable, Iterator, Mapping, Sequence
 
+try:
+    # the one SHA-256 of the package: the built-in module, as random.py
+    # takes _sha512, since hashlib loads OpenSSL, which costs more
+    # start-up than afdi's few small digests; CPython 3.12 renamed the
+    # module _sha2, and there hashlib stands in
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
+
 __all__ = [
     "ComponentId",
     "StateVector",
@@ -34,6 +43,7 @@ __all__ = [
     "read_document",
     "read_metric_samples",
     "read_table",
+    "sha256",
     "write_metric_samples",
     "write_table",
 ]

@@ -430,6 +430,31 @@ def test_a_nan_in_a_window_raises_naming_the_window_and_the_key(config, key):
         collect_windows(stream, config.window_specs)
 
 
+@pytest.mark.parametrize("key", ["vm.cpu", "host.storage_io"])
+@pytest.mark.parametrize("order", [(10.0, 90.0), (90.0, 10.0)])
+def test_a_second_sample_of_a_windowed_metric_raises_in_either_order(config, key, order):
+    # before, the later sample decided the window in silence: vm.cpu at
+    # 10 then 90 gave one bucket vector, 90 then 10 another
+    comp = ComponentId.parse(key)
+    vm = "vm0" if comp.level == "vm" else None
+    stream = samples_for([HEALTHY], first=1) + [MetricSample(1000, "h0", vm, comp, v) for v in order]
+    scope = "h0/vm0" if vm else "h0"
+    with pytest.raises(ValueError, match=rf"^window t=1000 {scope}: second sample of {re.escape(key)}$"):
+        collect_windows(stream, config.window_specs)
+    with pytest.raises(ValueError, match="second sample of"):
+        Engine(config).process_stream(stream)
+
+
+def test_windows_with_equal_buckets_share_one_tuple(config):
+    # a stream repeats few bucket vectors; each is one object, so the
+    # windows hold no copies and the engine judges each vector once
+    samples, _ = generate(load_scenario(fixture_path("scenario_800.json")))
+    windows = collect_windows(samples, config.window_specs)
+    vectors = {w.buckets for w in windows}
+    assert len(windows) > len(vectors) > 1
+    assert len({id(w.buckets) for w in windows}) == len(vectors)
+
+
 # -- training features -----------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import re
 
 from afdi import engine
 from afdi.simulator import generate, load_scenario
@@ -24,7 +25,8 @@ def test_stage_times_prints_one_row_per_stage_and_a_column_per_stream(tmp_path, 
         write_metric_samples(samples, streams[-1])
     stage_times = _stage_times()
     assert stage_times.main(["--config", fixture_path("engine_config.json"), "--repeat", "2", *streams]) == 0
-    first, header, rule, *rows = capsys.readouterr().out.splitlines()
+    times, heaps = capsys.readouterr().out.split("\n\n")
+    first, header, rule, *rows = times.splitlines()
     assert first.endswith(", best of 2, GC off")
     assert header == "| stage | a | b |" and rule == "|---|---|---|"
     assert [row.split(" | ")[0] for row in rows] == ["| " + stage for stage in stage_times.STAGES] + ["| sum"]
@@ -32,6 +34,15 @@ def test_stage_times_prints_one_row_per_stage_and_a_column_per_stream(tmp_path, 
     for column in (1, 2):
         shares = [int(row.split(" | ")[column].split("(")[1].split(" %")[0]) for row in rows[:-1]]
         assert 100 - len(shares) <= sum(shares) <= 100 + len(shares)
+    # then the traced heap peak of each stage, one row per stage
+    first, header, rule, *rows = heaps.splitlines()
+    assert first == "traced heap peak per stage, one more run, GC off"
+    assert header == "| stage | a | b |" and rule == "|---|---|---|"
+    assert [row.split(" | ")[0] for row in rows] == ["| " + stage for stage in stage_times.STAGES]
+    cells = [row.removesuffix(" |").split(" | ")[1:] for row in rows]
+    assert all(len(row) == 2 and all(re.fullmatch(r"\d+\.\d MB", cell) for cell in row) for row in cells)
+    # the whole stream is read into memory
+    assert all(float(cell.split()[0]) > 0 for cell in cells[0])
 
 
 def test_stage_times_runs_the_pipeline_afdi_diagnose_runs(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -528,3 +529,24 @@ def test_the_writers_random_samples_are_read_by_the_scan_alone(tmp_path_factory,
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(states, "_record_columns", _never_decoded)
         assert repr(read_metric_samples(path)) == repr(samples)
+
+
+# -- hashing -----------------------------------------------------------
+
+
+@given(st.binary(max_size=2048))
+@example(b"")
+@example(b"\x00" * 64)
+def test_the_one_sha256_digests_as_hashlib_does(data):
+    # states.sha256 is the built-in module where there is one; every
+    # digest afdi takes or pins must stay hashlib's
+    assert states.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+    assert states.sha256(data).digest() == hashlib.sha256(data).digest()
+
+
+def test_the_one_sha256_digests_the_fixture_model_as_the_config_pins_it():
+    with open(fixture_path("nbc_model.json"), "rb") as fh:
+        blob = fh.read()
+    with open(fixture_path("engine_config.json"), encoding="utf-8") as fh:
+        pinned = json.load(fh)["model"]["sha256"]
+    assert states.sha256(blob).hexdigest() == hashlib.sha256(blob).hexdigest() == pinned

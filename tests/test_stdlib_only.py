@@ -27,10 +27,19 @@ def test_runtime_imports_only_the_standard_library():
     assert foreign == []
 
 
+def _importers(module: str) -> list[str]:
+    return [
+        path.name for path in sorted(SRC.glob("*.py"))
+        if module in _absolute_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    ]
+
+
 def test_only_the_states_module_imports_csv():
     # one reader and one writer for every CSV table, in states
-    importers = [
-        path.name for path in sorted(SRC.glob("*.py"))
-        if "csv" in _absolute_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
-    ]
-    assert importers == ["states.py"]
+    assert _importers("csv") == ["states.py"]
+
+
+def test_only_the_states_module_imports_hashlib():
+    # one SHA-256 for every digest, in states, which imports hashlib
+    # only where the built-in module is missing
+    assert _importers("hashlib") == ["states.py"]
