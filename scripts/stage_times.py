@@ -5,12 +5,13 @@
         [--repeat 3] STREAM.jsonl [STREAM.jsonl ...]
 
 Runs the stages of ``afdi diagnose`` one after the other on each stream:
-the read (``read_metric_samples``), ``preprocess``, ``collect_windows``,
-the ``Engine.step`` loop and the alarm-log write.  The middle three are
-timed inside the ``Engine.process_stream`` call that ``afdi diagnose``
-makes.  Each stage is timed by ``perf_counter`` with the cycle collector
-off, as ``afdi diagnose`` runs them, and the best of ``--repeat`` runs is
-kept per stage.  The Markdown table has one column per stream, each stage
+the read (``read_sample_columns``, the reader ``afdi diagnose`` calls),
+``preprocess``, ``collect_windows``, the ``Engine.step`` loop and the
+alarm-log write.  The middle three are timed inside the
+``Engine.process_stream`` call that ``afdi diagnose`` makes.  Each stage
+is timed by ``perf_counter`` with the cycle collector off, as ``afdi
+diagnose`` runs them, and the best of ``--repeat`` runs is kept per
+stage.  The Markdown table has one column per stream, each stage
 with its share of the stages' sum; times are not normalized for the speed
 of the host, so compare shares, or runs interleaved on one host.  The config is loaded once per
 run and not timed.
@@ -37,7 +38,7 @@ import tracemalloc
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from afdi import engine  # noqa: E402
-from afdi.states import read_metric_samples  # noqa: E402
+from afdi.states import read_sample_columns  # noqa: E402
 
 STAGES = ("read", "preprocess", "`collect_windows`", "`step` loop", "write")
 
@@ -62,7 +63,7 @@ def _run(config: engine.EngineConfig, metrics: str, out: str, heap: bool = False
     mark = _heap_peak if heap else time.perf_counter
     eng = engine.Engine(config)
     marks = [mark()]
-    samples = read_metric_samples(metrics)
+    samples = read_sample_columns(metrics)
     marks.append(mark())
     stages = {name: getattr(engine, name) for name in ("preprocess", "collect_windows")}
 

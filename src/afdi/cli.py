@@ -23,7 +23,7 @@ import os
 import sys
 
 from .states import ComponentId, StateVector, check_entries, index_cell, read_document
-from .states import read_metric_samples, read_table, write_metric_samples
+from .states import read_sample_columns, read_table, write_metric_samples
 
 _LOG_LEVELS = {
     "error": logging.ERROR,
@@ -99,12 +99,12 @@ def cmd_diagnose(args) -> int:
     config = engine.load_config(_require_file(args.config))
     eng = engine.Engine(config)
     # read, process_stream and write build no reference cycles, so the
-    # cycle collector would only rescan the growing heap of samples and
+    # cycle collector would only rescan the growing heap of columns and
     # windows; it is off for them and back as it was afterwards
     collecting = gc.isenabled()
     gc.disable()
     try:
-        samples = read_metric_samples(_require_file(args.metrics))
+        samples = read_sample_columns(_require_file(args.metrics))
         alarms = eng.process_stream(samples)
         engine.write_alarm_log(alarms, args.out_alarms)
     finally:

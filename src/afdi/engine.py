@@ -21,12 +21,13 @@ import json
 import math
 from bisect import bisect_left, bisect_right, insort
 from collections import namedtuple
-from itertools import chain
+from itertools import chain, islice, repeat
+from operator import itemgetter, le, lt
 from typing import Iterable, NamedTuple, Sequence
 
 from . import mdd as mdd_mod
 from . import nbc as nbc_mod
-from .states import ComponentId, DiscretizationSpec, MetricSample, _Record
+from .states import ComponentId, DiscretizationSpec, MetricSample, SampleColumns, _Record
 from .states import check_entries, check_kind, check_origin, read_document, sha256
 
 __all__ = [
@@ -97,7 +98,43 @@ def _nan_error(key: tuple, timestamp: int) -> ValueError:
     return ValueError(f"series {key}: value at timestamp {timestamp} is NaN")
 
 
-def preprocess(samples: Iterable[MetricSample], policy: PreprocessPolicy | None = None) -> list[MetricSample]:
+def _raise_first(columns: SampleColumns, errors: dict) -> None:
+    """Raise, of ``errors``, each ``(index of a sample within its series,
+    error)`` keyed by the series, the error of the sample that comes
+    first in the stream, if there is one."""
+    if errors:
+        raise errors[columns.first({s: i for s, (i, _) in errors.items()})][1]
+
+
+def _check_series(columns: SampleColumns) -> None:
+    """Raise the error ``preprocess`` finds first, as a pass over the
+    stream would: the first sample, in stream order, that is earlier than
+    the one before it in its series or a NaN of a percent metric (which
+    clamping would turn into 0.0); then the first NaN of the first
+    series, in first-seen order, that holds one."""
+    early, late = {}, None
+    series = zip(columns.series, columns.timestamps, columns.values)
+    for s, ((host, vm, metric), stamps, vals) in enumerate(series):
+        # a NaN makes the sum NaN, and so does inf beside -inf, which
+        # only a sample built unchecked holds and the search below clears
+        total = sum(vals)
+        if all(map(le, stamps, islice(stamps, 1, None))) and total == total:
+            continue
+        key, n = (host, vm, metric.key), len(stamps)
+        back = next((i for i in range(1, n) if stamps[i] < stamps[i - 1]), n)
+        nan = next((i for i, v in enumerate(vals) if v != v), n)
+        if nan < back and metric.name in PERCENT_METRIC_NAMES:
+            early[s] = (nan, _nan_error(key, stamps[nan]))
+        elif back < n:
+            early[s] = (back, SequencingError(f"series {key}: timestamp {stamps[back]} after {stamps[back - 1]}"))
+        elif nan < n and late is None:
+            late = _nan_error(key, stamps[nan])
+    _raise_first(columns, early)
+    if late is not None:
+        raise late
+
+
+def preprocess(samples: Iterable[MetricSample] | SampleColumns, policy: PreprocessPolicy | None = None):
     """Robust per-series cleanup preserving order and timestamps.
 
     Each (host, vm, metric) series is handled independently: percent
@@ -114,39 +151,37 @@ def preprocess(samples: Iterable[MetricSample], policy: PreprocessPolicy | None 
     sorted window slides along the full windows of a run, and only the at
     most ``window // 2`` positions at each end of the series, whose window
     is shrunken, slice and sort their own.  The result equals slicing and
-    sorting every window, down to the sign of a zero median.  A NaN
-    value, which only a sample built unchecked can hold, raises
-    ``ValueError`` naming its series and timestamp.
-    """
-    policy = policy or PreprocessPolicy()
-    ordered = list(samples)
-    # per series: [last timestamp, positions in ordered, values]
-    series: dict[tuple, list] = {}
-    for idx, (ts, host, vm, metric, v) in enumerate(ordered):
-        key = (host, vm, metric.key)
-        entry = series.get(key)
-        if entry is None:
-            entry = series[key] = [ts, [], []]
-        elif ts < entry[0]:
-            raise SequencingError(f"series {key}: timestamp {ts} after {entry[0]}")
-        entry[0] = ts
-        if metric.name in PERCENT_METRIC_NAMES and not 0.0 <= v <= 100.0:
-            if v != v:  # clamping would turn it into 0.0
-                raise _nan_error(key, ts)
-            v = min(100.0, max(0.0, v))
-        entry[1].append(idx)
-        entry[2].append(v)
+    sorting every window, down to the sign of a zero median.
 
+    The filter runs on the value column of each series of a
+    ``SampleColumns``, and the result is a ``SampleColumns`` with new
+    value columns where a value changed.  Given any other iterable of
+    samples, preprocess takes it through ``SampleColumns.of`` and gives a
+    list, in which a sample whose value stayed is the sample given.
+
+    A sample earlier than the one before it in its series raises
+    ``SequencingError``, and a NaN value, which only a sample built
+    unchecked can hold, ``ValueError`` naming its series and timestamp;
+    a changed value that is not finite raises the error ``MetricSample``
+    gives it.  Of several such samples, the one a pass over the stream
+    would meet first raises.
+    """
+    listed = None
+    if not isinstance(samples, SampleColumns):
+        listed = list(samples)
+        samples = SampleColumns.of(listed)
+    policy = policy or PreprocessPolicy()
+    _check_series(samples)
     window = policy.window
     half = window // 2
     j = (half + 1) // 2  # ceil(half / 2), for the MAD lower bound below
     above, below = half + j, half - j
     cutoff = policy.z_cutoff
-    cleaned = [0.0] * len(ordered)  # every position belongs to a series
-    for key, (_, indices, vals) in series.items():
-        if any(map(math.isnan, vals)):
-            i = next(i for i, v in enumerate(vals) if v != v)
-            raise _nan_error(key, ordered[indices[i]].timestamp)
+    cleaned, infinite = [], {}
+    for s, ((_, _, metric), given) in enumerate(zip(samples.series, samples.values)):
+        vals = given
+        if metric.name in PERCENT_METRIC_NAMES and not 0.0 <= min(vals) <= max(vals) <= 100.0:
+            vals = [v if 0.0 <= v <= 100.0 else min(100.0, max(0.0, v)) for v in vals]
         n = len(vals)
         runs = [(0, n)]
         for _ in range(_MAX_PASSES):
@@ -205,6 +240,8 @@ def preprocess(samples: Iterable[MetricSample], policy: PreprocessPolicy | None 
             # runs of positions within half of one, in order (a run's
             # edges were judged before its middle)
             replaced.sort()
+            if vals is given:
+                vals = given.copy()  # the columns given stay as they were
             runs = []
             for i, med in replaced:
                 vals[i] = med
@@ -213,18 +250,18 @@ def preprocess(samples: Iterable[MetricSample], policy: PreprocessPolicy | None 
                     runs[-1][1] = stop
                 else:
                     runs.append([start, stop])
-        for i, v in zip(indices, vals):
-            cleaned[i] = v
-
-    out = []
-    for s, v in zip(ordered, cleaned):
-        if v == s.value:
-            out.append(s)
-        else:
-            ts, host, vm, metric, _ = s
-            # checked again: the mean of two huge values can overflow to inf
-            out.append(MetricSample(ts, host, vm, metric, v))
-    return out
+        if vals is not given and not all(map(math.isfinite, vals)):
+            # a value the filter changed is checked as a new sample's is
+            changed = (i for i, (v, w) in enumerate(zip(given, vals)) if v != w and not math.isfinite(w))
+            i = next(changed, None)
+            if i is not None:
+                infinite[s] = (i, ValueError(f"{metric.key}: non-finite value {vals[i]}"))
+        cleaned.append(vals)
+    _raise_first(samples, infinite)
+    cleaned = samples.with_values(cleaned)
+    if listed is None:
+        return cleaned
+    return [s if s.value == c.value else MetricSample(*c) for s, c in zip(listed, cleaned)]
 
 
 class Window(NamedTuple):
@@ -237,7 +274,9 @@ class Window(NamedTuple):
     buckets: tuple[int, ...]
 
 
-def collect_windows(samples: Iterable[MetricSample], specs: Sequence[DiscretizationSpec]) -> list[Window]:
+def collect_windows(
+    samples: Iterable[MetricSample] | SampleColumns, specs: Sequence[DiscretizationSpec]
+) -> list[Window]:
     """Group a sample stream into per-scope windows by exact timestamp,
     putting each sample of a windowed metric in its usage bucket once.
 
@@ -249,47 +288,76 @@ def collect_windows(samples: Iterable[MetricSample], specs: Sequence[Discretizat
     twice, raises; windows come back sorted by (timestamp, host, vm) so
     downstream processing is deterministic.  Windows with equal buckets
     share one tuple.
-    """
-    # position, boundaries and index of the top boundary per metric key:
-    # searching the inner boundaries only puts a value past either end
-    # in the edge bucket
-    routes = {spec.component.key: (i, spec.boundaries, len(spec.boundaries) - 1) for i, spec in enumerate(specs)}
-    width = len(specs)
-    host_positions = [i for i, spec in enumerate(specs) if spec.component.level == "host"]
-    # one bucket list per scope and time, None where no sample came; any
-    # sample opens its row, so a scope short of a windowed metric raises
-    vm_rows: dict[tuple, list] = {}
-    host_rows: dict[tuple, list] = {}
-    for ts, host, vm, metric, value in samples:
-        if metric.level == "host":
-            row = host_rows.get((ts, host)) or host_rows.setdefault((ts, host), [None] * width)
-        else:
-            row = vm_rows.get((ts, host, vm)) or vm_rows.setdefault((ts, host, vm), [None] * width)
-        route = routes.get(metric.key)
-        if route is not None:
-            i, bounds, top = route
-            if value != value or row[i] is not None:
-                scope = host if vm is None else f"{host}/{vm}"
-                fault = f"{metric.key} is NaN" if value != value else f"second sample of {metric.key}"
-                raise ValueError(f"window t={ts} {scope}: {fault}")
-            row[i] = bisect_right(bounds, value, 1, top) - 1
 
-    windows = []
+    Samples come as a ``SampleColumns`` or any iterable of samples, which
+    is taken through ``SampleColumns.of``.  Each windowed series is
+    bucketed a column at a time, and a VM's windows are the times of the
+    samples of its scope: every windowed column of the scope, and its
+    host's, must have one sample at each of them.  Of several NaNs or
+    second samples, the one first in the stream raises, before any
+    missing metric, and of several missing metrics the one of the first
+    window, first in spec order.
+    """
+    columns = samples if isinstance(samples, SampleColumns) else SampleColumns.of(samples)
+    # position and inner boundaries per windowed key: searching the inner
+    # boundaries only puts a value past either end in the edge bucket
+    routes = {spec.component.key: (i, spec.boundaries[1:-1]) for i, spec in enumerate(specs)}
+    scopes: dict[tuple, list] = {}  # timestamp column of each vm-level series, per (host, vm)
+    windowed: dict[tuple, tuple] = {}  # (timestamps, buckets) by (host, vm or None, position)
+    faults = {}
+    series = zip(columns.series, columns.timestamps, columns.values)
+    for s, ((host, vm, metric), stamps, vals) in enumerate(series):
+        if metric.level != "host":
+            scopes.setdefault((host, vm), []).append(stamps)
+        route = routes.get(metric.key)
+        if route is None:
+            continue
+        i, inner = route
+        total = sum(vals)  # NaN if a value is
+        if not all(map(lt, stamps, islice(stamps, 1, None))) or total != total:
+            # in time order, a sample at the time of the one before it is a
+            # second sample; the earliest in the stream of those and the
+            # NaNs raises
+            ranks = sorted(range(len(stamps)), key=stamps.__getitem__)
+            stamps, vals = [stamps[r] for r in ranks], [vals[r] for r in ranks]
+            bad = [(r, k) for k, r in enumerate(ranks) if vals[k] != vals[k] or k and stamps[k] == stamps[k - 1]]
+            if bad:
+                r, k = min(bad)
+                scope = host if metric.level == "host" else f"{host}/{vm}"
+                fault = f"{metric.key} is NaN" if vals[k] != vals[k] else f"second sample of {metric.key}"
+                faults[s] = (r, ValueError(f"window t={stamps[k]} {scope}: {fault}"))
+                continue
+        buckets = list(map(bisect_right, repeat(inner), vals))
+        windowed[host, None if metric.level == "host" else vm, i] = (stamps, buckets)
+    _raise_first(columns, faults)
+
+    windows, missing = [], []
     # one tuple per distinct bucket vector: a stream repeats few of them
     interned: dict[tuple, tuple] = {}
-    no_host_row = [None] * width
-    for ts, host, vm in sorted(vm_rows):
-        row = vm_rows[ts, host, vm]
-        host_row = host_rows.get((ts, host), no_host_row)
-        for i in host_positions:
-            row[i] = host_row[i]
-        if None in row:
-            missing = specs[row.index(None)].component
-            raise IncompleteWindowError(
-                f"window t={ts} {host}/{vm}: missing {missing.level} metric {missing.name!r}"
-            )
-        buckets = tuple(row)
-        windows.append(Window(ts, host, vm, interned.setdefault(buckets, buckets)))
+    for (host, vm), scope in sorted(scopes.items()):
+        times = scope[0]
+        if not (all(map(times.__eq__, scope)) and all(map(lt, times, islice(times, 1, None)))):
+            times = sorted(set().union(*scope))
+        per_spec = []
+        for i, spec in enumerate(specs):
+            stamps, buckets = windowed.get((host, vm if spec.component.level == "vm" else None, i), ((), ()))
+            if stamps != times:
+                at = dict(zip(stamps, buckets))
+                buckets = list(map(at.get, times))
+                if None in buckets:
+                    missing.append((times[buckets.index(None)], host, vm, i))
+            per_spec.append(buckets)
+        if not missing:
+            vectors = list(zip(*per_spec))
+            vectors = map(interned.setdefault, vectors, vectors)
+            windows += map(tuple.__new__, repeat(Window), zip(times, repeat(host), repeat(vm), vectors))
+    if missing:
+        ts, host, vm, i = min(missing)
+        comp = specs[i].component
+        raise IncompleteWindowError(f"window t={ts} {host}/{vm}: missing {comp.level} metric {comp.name!r}")
+    # each scope's windows are in time order and the scopes in (host, vm)
+    # order, so a stable sort by time gives (timestamp, host, vm) order
+    windows.sort(key=itemgetter(0))
     return windows
 
 
@@ -643,9 +711,12 @@ class Engine:
             return [tuple.__new__(Alarm, (timestamp, host, vm, 1, TRIGGER_NBC) + diagnosis)]
         return []
 
-    def process_stream(self, samples: Iterable[MetricSample]) -> list[Alarm]:
-        """Preprocess, window, and step an entire stream in time order."""
-        cleaned = preprocess(samples, self.config.preprocess)
+    def process_stream(self, samples: Iterable[MetricSample] | SampleColumns) -> list[Alarm]:
+        """Preprocess, window, and step an entire stream in time order.
+        The stream comes as ``SampleColumns``, as ``read_sample_columns``
+        gives it, or as samples, which are put in columns first."""
+        columns = samples if isinstance(samples, SampleColumns) else SampleColumns.of(samples)
+        cleaned = preprocess(columns, self.config.preprocess)
         windows = collect_windows(cleaned, self.config.window_specs)
         alarms = []
         for window in windows:

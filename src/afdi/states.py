@@ -35,6 +35,7 @@ __all__ = [
     "DiscretizationSpec",
     "MetricSample",
     "OutOfRangeError",
+    "SampleColumns",
     "check_entries",
     "check_kind",
     "check_origin",
@@ -42,6 +43,7 @@ __all__ = [
     "index_cell",
     "read_document",
     "read_metric_samples",
+    "read_sample_columns",
     "read_table",
     "sha256",
     "write_metric_samples",
@@ -288,6 +290,105 @@ class MetricSample(namedtuple("MetricSample", "timestamp host_id vm_id metric va
         }
 
 
+class SampleColumns:
+    """A sample stream as per-series columns, and its stream order.
+
+    A series is the samples of one ``(host_id, vm_id, metric)``: it holds
+    a column of their timestamps and one of their values, each in stream
+    order.  ``series`` names each series, in the order the stream first
+    gave one of its samples, and ``order`` holds the index of the series
+    of each sample of the stream in turn.  ``len`` is the number of
+    samples, and iterating yields the ``MetricSample``s in stream order,
+    each built as it is taken.  Equal host and VM ids of the series are
+    one object.
+
+    ``extend`` is the one routine that fills the columns, for every
+    producer: the reader's scan, its ``json.loads`` chunks and its
+    per-line fallback, and ``of`` for a list of samples.
+    """
+
+    __slots__ = ("series", "timestamps", "values", "order", "_index", "_ids")
+
+    def __init__(self) -> None:
+        self.series: list[tuple] = []  # (host_id, vm_id, metric) per series
+        self.timestamps: list[list] = []  # one column per series
+        self.values: list[list] = []
+        self.order: list[int] = []  # the series of each sample, in stream order
+        self._index: dict[tuple, int] = {}  # (host_id, vm_id, name, level) -> series
+        self._ids: dict = {}  # one object per distinct id
+
+    @classmethod
+    def of(cls, samples: Iterable[MetricSample]) -> "SampleColumns":
+        """The columns of ``samples``, as they are (nothing is checked)."""
+        columns = cls()
+        samples = list(samples)
+        if samples:
+            timestamps, hosts, vms, metrics, values = zip(*samples)
+            names = tuple(map(operator.attrgetter("name"), metrics))
+            levels = tuple(map(operator.attrgetter("level"), metrics))
+            metric_of = dict(zip(zip(names, levels), metrics))
+            columns.extend(zip(hosts, vms, names, levels), timestamps, values, metric_of)
+        return columns
+
+    def extend(self, keys: Iterable[tuple], timestamps, values, metrics: Mapping) -> None:
+        """Append each record to the columns of its series.  ``keys`` are
+        the records' ``(host_id, vm_id, metric name, level)``; a key not
+        seen before opens a series, whose metric is ``metrics[name,
+        level]``."""
+        keys = list(keys)
+        index = self._index
+        try:
+            ids = list(map(index.__getitem__, keys))
+        except KeyError:
+            for key in keys:  # in stream order
+                if key not in index:
+                    host, vm, name, level = key
+                    index[key] = len(self.series)
+                    self.series.append((self._ids.setdefault(host, host), self._ids.setdefault(vm, vm),
+                                        metrics[name, level]))
+                    self.timestamps.append([])
+                    self.values.append([])
+            ids = list(map(index.__getitem__, keys))
+        self.order += ids
+        add_timestamp = [column.append for column in self.timestamps]
+        add_value = [column.append for column in self.values]
+        for i, timestamp, value in zip(ids, timestamps, values):
+            add_timestamp[i](timestamp)
+            add_value[i](value)
+
+    def with_values(self, values: list[list]) -> "SampleColumns":
+        """These columns with other value columns, one per series.  The
+        new object shares its series, timestamps and order with this one,
+        and has no routing index: it cannot be extended."""
+        columns = SampleColumns.__new__(SampleColumns)
+        columns.series, columns.timestamps, columns.order = self.series, self.timestamps, self.order
+        columns.values = values
+        return columns
+
+    def first(self, samples: Mapping[int, int]) -> int:
+        """Of ``samples``, each the index of a sample within its series
+        keyed by the series, the series whose sample the stream gives
+        first."""
+        seen = dict.fromkeys(samples, 0)
+        for s in self.order:
+            if s in seen:
+                if seen[s] == samples[s]:
+                    return s
+                seen[s] += 1
+        raise IndexError("no such sample")
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def __iter__(self) -> Iterator[MetricSample]:
+        rows = [
+            map(tuple.__new__, itertools.repeat(MetricSample),
+                zip(timestamps, itertools.repeat(host), itertools.repeat(vm), itertools.repeat(metric), values))
+            for (host, vm, metric), timestamps, values in zip(self.series, self.timestamps, self.values)
+        ]
+        return map(next, map(rows.__getitem__, self.order))
+
+
 def write_metric_samples(samples: Iterable[MetricSample], path) -> int:
     """Write samples as JSON Lines; returns the number written."""
     n = 0
@@ -385,11 +486,11 @@ def _canonical_columns(lines: list[str]) -> tuple | None:
     return timestamps, hosts, vms, names, levels, tuple(map(float, values))
 
 
-def _column_samples(columns: tuple, shared: dict) -> list[MetricSample]:
-    """The samples of columns, scanned or from ``_record_columns``,
-    checked a column at a time as ``read_metric_samples`` documents; a
-    failed check raises its reason, for a lone record the reason of the
-    first check it fails."""
+def _checked_records(columns: tuple, shared: dict) -> tuple:
+    """The arguments of ``SampleColumns.extend`` for columns, scanned or
+    from ``_record_columns``, checked a column at a time as
+    ``read_metric_samples`` documents; a failed check raises its reason,
+    for a lone record the reason of the first check it fails."""
     timestamps, hosts, vms, names, levels, values = columns
     for name, level in set(zip(names, levels)):
         _component(name, level, shared)
@@ -403,25 +504,18 @@ def _column_samples(columns: tuple, shared: dict) -> list[MetricSample]:
         raise ValueError(f"value must be a JSON int or float, got {json.dumps(bad)}")
     if int in value_types:
         values = tuple(map(float, values))
-    metrics = tuple(map(shared.__getitem__, zip(names, levels)))
     if tuple(map(_LEVEL_OF_VM_ID, map(type, vms))) != levels or not all(map(math.isfinite, values)):
         # some record's vm_id does not fit its level, or its value is not
         # finite: the sample's own check names which
-        for fields in zip(timestamps, hosts, vms, metrics, values):
+        for fields in zip(timestamps, hosts, vms, map(shared.__getitem__, zip(names, levels)), values):
             _check_sample(*fields)
-    fields = zip(
-        map(shared.setdefault, timestamps, timestamps),
-        map(shared.setdefault, hosts, hosts),
-        map(shared.setdefault, vms, vms),
-        metrics,
-        values,
-    )
-    return list(map(tuple.__new__, itertools.repeat(MetricSample), fields))
+    return zip(hosts, vms, names, levels), map(shared.setdefault, timestamps, timestamps), values, shared
 
 
-def _chunk_samples(lines: list[str], shared: dict) -> list[MetricSample] | None:
-    """The samples of stripped, non-blank lines from one scan or decode
-    call, or None when the lines must be decoded one by one.
+def _chunk_records(lines: list[str], shared: dict) -> tuple | None:
+    """The checked records of stripped, non-blank lines from one scan or
+    decode call, as ``_checked_records`` gives them, or None when the
+    lines must be decoded one by one.
 
     Canonical lines are scanned; any other chunk is decoded as one JSON
     array.  This equals decoding each line: no JSON token holds a raw
@@ -440,68 +534,76 @@ def _chunk_samples(lines: list[str], shared: dict) -> list[MetricSample] | None:
             if len(objs) != len(lines):
                 return None
             columns = _record_columns(objs)
-        return _column_samples(columns, shared)
+        return _checked_records(columns, shared)
     except (ValueError, OverflowError, RecursionError):
         return None
 
 
-def _line_sample(path, line_no: int, line: str, shared: dict) -> MetricSample:
-    """The sample of one stripped line, checked as a one-record column; a
+def _line_record(path, line_no: int, line: str, shared: dict) -> tuple:
+    """The checked record of one stripped line, as a one-record column; a
     bad record raises naming the line."""
     try:
         # the line is stripped, so this accepts exactly what json.loads accepts
         obj, end = _decode(line)
         if end != len(line):
             raise json.JSONDecodeError("Extra data", line, end)
-        return _column_samples(_record_columns([obj]), shared)[0]
+        return _checked_records(_record_columns([obj]), shared)
     except (ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: line {line_no}: {exc}") from exc
     except RecursionError:
         raise ValueError(f"{path}: line {line_no}: {_TOO_DEEP}") from None
 
 
-def read_metric_samples(path) -> list[MetricSample]:
-    """Read a JSON Lines stream; a bad record raises naming its line.
+def read_sample_columns(path) -> SampleColumns:
+    """Read a JSON Lines stream into per-series columns; a bad record
+    raises naming its line.
 
     Blank lines are skipped.  Every other line must hold one JSON object
     with exactly the six wire keys: ``host_id``, ``metric`` and ``level``
     strings, ``vm_id`` a string or null, ``timestamp`` a JSON integer and
     ``value`` a JSON integer or float (``true`` and ``"42.5"`` are
     neither).  Anything else, and any sample ``MetricSample`` rejects,
-    raises ``ValueError`` naming the path and the 1-based line.  Samples
-    share one object per distinct timestamp, ``host_id`` and ``vm_id``,
-    and one ``ComponentId`` per component.
+    raises ``ValueError`` naming the path and the 1-based line.  The
+    columns share one object per distinct timestamp, ``host_id`` and
+    ``vm_id``, and one ``ComponentId`` per component.
 
     Lines are taken ``_CHUNK_LINES`` at a time: a chunk of canonical
     lines, as ``write_metric_samples`` writes them, is scanned with one
     regular expression, any other decoded with one ``json.loads`` call,
-    and either is checked a column at a time; a chunk that does not give
-    one valid record per line is decoded again line by line, each line
-    checked as a one-record column, which names the first bad line and
-    its reason.  JSON nested too deeply to decode is a bad record too.
-    Bytes that are not UTF-8 raise ``ValueError`` naming the path.
+    and either is checked a column at a time and then appended to the
+    columns; a chunk that does not give one valid record per line is
+    decoded again line by line, each line checked as a one-record column,
+    which names the first bad line and its reason.  JSON nested too
+    deeply to decode is a bad record too.  Bytes that are not UTF-8 raise
+    ``ValueError`` naming the path.
     """
-    samples = []
-    # one object per distinct timestamp and id, and a ComponentId per
-    # valid (name, level) pair
+    columns = SampleColumns()
+    # one object per distinct timestamp, and a ComponentId per valid
+    # (name, level) pair
     shared: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         first_line = 1
         try:
             while chunk := list(itertools.islice(fh, _CHUNK_LINES)):
                 lines = list(filter(None, map(str.strip, chunk)))
-                fast = _chunk_samples(lines, shared) if lines else []
-                if fast is not None:
-                    samples += fast
+                records = _chunk_records(lines, shared) if lines else None
+                if records is not None:
+                    columns.extend(*records)
                 else:
                     for line_no, line in enumerate(chunk, start=first_line):
                         line = line.strip()
                         if line:
-                            samples.append(_line_sample(path, line_no, line, shared))
+                            columns.extend(*_line_record(path, line_no, line, shared))
                 first_line += len(chunk)
         except UnicodeDecodeError as exc:  # text is decoded a block ahead of the lines
             raise ValueError(f"{path}: {exc}") from None
-    return samples
+    return columns
+
+
+def read_metric_samples(path) -> list[MetricSample]:
+    """The samples of the JSON Lines stream at ``path``, in stream order:
+    the list form of ``read_sample_columns``, which reads and checks it."""
+    return list(read_sample_columns(path))
 
 
 # Python types of each JSON kind a loaded document may hold; compared

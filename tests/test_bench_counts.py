@@ -66,7 +66,7 @@ def _checks():
 )
 def test_traced_counts_match_the_alarm_log(tmp_path, scenario):
     metrics, alarms_path = tmp_path / "metrics.jsonl", tmp_path / "alarms.jsonl"
-    samples, _ = generate(load_scenario(fixture_path(scenario)))
+    samples, labels = generate(load_scenario(fixture_path(scenario)))
     write_metric_samples(samples, metrics)
     config_path = fixture_path("engine_config.json")
     out = _child("diagnose", "--config", config_path, "--metrics", metrics,
@@ -77,6 +77,11 @@ def test_traced_counts_match_the_alarm_log(tmp_path, scenario):
     alarms = [json.loads(line) for line in alarms_path.read_text().splitlines()]
     assert facts["alarms"] == _checks().alarm_branches(alarms, config.classes, config.loop_rule.cause)
     assert facts["nbc_invocations"] == out["layers"]["engine.windows.sev1"][0]
+    # the tracer counts samples from what engine.preprocess is handed and
+    # windows from what engine.collect_windows returns, so a run that goes
+    # round either stage reads 0 here; run.py --trace 1 checks the same
+    assert facts["samples"] == len(samples)
+    assert facts["windows"] == facts["steps"] == len(labels)
 
 
 def test_traced_reference_slice_runs_and_agrees(tmp_path):

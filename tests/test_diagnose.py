@@ -13,9 +13,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from afdi import cli
-from afdi.engine import Alarm, Engine, IncompleteWindowError, SequencingError, load_config, write_alarm_log
+from afdi.engine import (
+    Alarm,
+    Engine,
+    IncompleteWindowError,
+    PreprocessPolicy,
+    SequencingError,
+    load_config,
+    preprocess,
+    write_alarm_log,
+)
 from afdi.simulator import generate, load_scenario, write_labels
-from afdi.states import read_metric_samples, write_metric_samples
+from afdi.states import ComponentId, MetricSample, read_metric_samples, write_metric_samples
 from conftest import fixture_path
 
 import oracles
@@ -86,7 +95,7 @@ def _cycles_left(config_path, metrics_path, alarms_path) -> int:
     gc.disable()
     try:
         eng = Engine(config)
-        alarms = eng.process_stream(read_metric_samples(metrics_path))
+        alarms = eng.process_stream(cli.read_sample_columns(metrics_path))
         write_alarm_log(alarms, alarms_path)
         del eng, alarms
         return gc.collect()
@@ -272,3 +281,106 @@ def test_engine_alarms_of_random_streams_pass_the_checked_constructor(lines, win
     except (SequencingError, IncompleteWindowError):
         return
     _assert_alarms_pass_the_checked_constructor(alarms)
+
+
+# -- errors on the file route --------------------------------------------
+
+_HEALTHY = {"vm.cpu": 30.0, "vm.memory": 30.0, "vm.network": 30.0, "vm.throughput": 60.0,
+            "host.cpu": 40.0, "host.storage_io": 10.0}
+
+
+def _windows(count, vms=("vm0",), values=_HEALTHY):
+    """Samples of ``count`` windows of host h0 and ``vms``, in wire order."""
+    out = []
+    for w in range(count):
+        for key, value in values.items():
+            comp = ComponentId.parse(key)
+            if comp.level == "host":
+                out.append(MetricSample(1000 * w, "h0", None, comp, value))
+        for vm in vms:
+            for key, value in values.items():
+                comp = ComponentId.parse(key)
+                if comp.level == "vm":
+                    out.append(MetricSample(1000 * w, "h0", vm, comp, value))
+    return out
+
+
+def _without(samples, ts, key, vm="vm0"):
+    """``samples`` less the ``key`` sample at ``ts`` of ``vm``, or of its host."""
+    return [s for s in samples if (s.timestamp, s.metric.key, s.vm_id or vm) != (ts, key, vm)]
+
+
+_EXTRA = ComponentId("extra")
+
+# streams afdi diagnose rejects after reading them, the error class and
+# the message; each names the sample or the window at fault, and the
+# first of two faults in the stream when there are two
+_REJECTED = {
+    "decreasing-timestamp": (
+        _windows(3)[:12] + [MetricSample(0, "h0", "vm0", ComponentId("cpu"), 30.0)] + _windows(3)[12:],
+        SequencingError, "series ('h0', 'vm0', 'vm.cpu'): timestamp 0 after 1000",
+    ),
+    # vm.memory runs backwards from window 1, host.cpu only at window 3
+    "decreasing-timestamp-of-two": (
+        [s._replace(timestamp=4000 - s.timestamp) if s.metric.key == "vm.memory"
+         else s._replace(timestamp=1500) if (s.metric.key, s.timestamp) == ("host.cpu", 3000) else s
+         for s in _windows(5)],
+        SequencingError, "series ('h0', 'vm0', 'vm.memory'): timestamp 3000 after 4000",
+    ),
+    "second-sample": (
+        _windows(3)[:11] + [MetricSample(1000, "h0", "vm0", ComponentId("network"), 31.0)] + _windows(3)[11:],
+        ValueError, "window t=1000 h0/vm0: second sample of vm.network",
+    ),
+    # host.cpu is the first series of the stream, but its second sample
+    # comes later
+    "second-sample-of-two": (
+        _windows(3)[:11] + [MetricSample(1000, "h0", "vm0", ComponentId("network"), 31.0)] + _windows(3)[11:13]
+        + [MetricSample(2000, "h0", None, ComponentId("cpu", "host"), 41.0)] + _windows(3)[13:],
+        ValueError, "window t=1000 h0/vm0: second sample of vm.network",
+    ),
+    "missing-vm-metric": (
+        _without(_windows(3, vms=("vm0", "vm1")), 2000, "vm.memory", vm="vm1"),
+        IncompleteWindowError, "window t=2000 h0/vm1: missing vm metric 'memory'",
+    ),
+    "missing-host-metric": (
+        _without(_without(_windows(3), 1000, "host.storage_io"), 2000, "vm.cpu"),
+        IncompleteWindowError, "window t=1000 h0/vm0: missing host metric 'storage_io'",
+    ),
+    "scope-opened-by-a-non-windowed-metric": (
+        _windows(3) + [MetricSample(1000, "h0", "vm7", _EXTRA, 1.0)],
+        IncompleteWindowError, "window t=1000 h0/vm7: missing vm metric 'cpu'",
+    ),
+}
+
+
+@pytest.mark.parametrize("samples, error, message", list(_REJECTED.values()), ids=list(_REJECTED))
+def test_diagnose_rejects_a_written_stream_as_process_stream_rejects_its_samples(tmp_path, capsys, samples,
+                                                                                  error, message):
+    config_path = fixture_path("engine_config.json")
+    with pytest.raises(error) as raised:
+        Engine(load_config(config_path)).process_stream(samples)
+    assert str(raised.value) == message
+    metrics = tmp_path / "metrics.jsonl"
+    write_metric_samples(samples, metrics)
+    assert _diagnose(config_path, metrics, tmp_path / "alarms.jsonl") == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_median_that_overflows_replaces_no_sample_on_either_route(tmp_path):
+    # the mean of the middle pair of an even edge window of huge values
+    # overflows to inf; a median of inf leaves every deviation inf (or
+    # NaN), so no sample is replaced by it, and a changed value that is
+    # not finite cannot come out of a finite stream
+    samples = [
+        s._replace(value=1.7e308 if s.timestamp < 2000 else -1.7e308) if s.metric.key == "vm.throughput" else s
+        for s in _windows(12)
+    ]
+    config = load_config(fixture_path("engine_config.json"))
+    cleaned = preprocess(samples, PreprocessPolicy(window=3))
+    assert [s.value for s in cleaned] == [s.value for s in samples]
+    metrics, alarms = tmp_path / "metrics.jsonl", tmp_path / "alarms.jsonl"
+    write_metric_samples(samples, metrics)
+    assert _diagnose(fixture_path("engine_config.json"), metrics, alarms) == 0
+    expected = tmp_path / "expected.jsonl"
+    write_alarm_log(Engine(config).process_stream(samples), expected)
+    assert alarms.read_bytes() == expected.read_bytes()

@@ -27,7 +27,7 @@ from afdi.engine import (
     write_alarm_log,
 )
 from afdi.simulator import FaultInjection, Scenario, generate, load_scenario, to_training_set
-from afdi.states import ComponentId, DiscretizationSpec, MetricSample, StateVector, discretize
+from afdi.states import ComponentId, DiscretizationSpec, MetricSample, SampleColumns, StateVector, discretize
 from conftest import fixture_path
 
 import oracles
@@ -197,6 +197,44 @@ def test_preprocess_rejects_an_unchecked_nan_naming_its_series_and_time(metric, 
     key = (host, vm, comp.key)
     with pytest.raises(ValueError, match=rf"^series {re.escape(str(key))}: value at timestamp 3000 is NaN$"):
         preprocess(samples)
+
+
+def _unchecked_nan(key: str, at: int) -> list:
+    """Healthy windows 0-5 of h0/vm0 whose ``key`` sample at window ``at``
+    is a NaN built unchecked."""
+    stream = samples_for([HEALTHY] * 6)
+    return [
+        tuple.__new__(MetricSample, (*s[:4], math.nan)) if (s.metric.key, s.timestamp) == (key, 1000 * at) else s
+        for s in stream
+    ]
+
+
+@pytest.mark.parametrize(
+    "stage, samples",
+    [
+        ("preprocess", _unchecked_nan("vm.cpu", 3)),
+        ("preprocess", _unchecked_nan("vm.throughput", 2)),
+        ("preprocess", _unchecked_nan("host.storage_io", 4)),
+        # a percent NaN raises where a pass over the stream meets it,
+        # before a non-percent NaN of a series seen first
+        ("preprocess", _unchecked_nan("vm.throughput", 1)[:-6] + _unchecked_nan("vm.memory", 5)[-6:]),
+        ("collect_windows", _unchecked_nan("vm.network", 3)),
+        ("collect_windows", _unchecked_nan("host.cpu", 1)),
+        ("process_stream", _unchecked_nan("vm.memory", 2)),
+    ],
+    ids=["percent", "other", "host-percent", "percent-after-other", "window", "window-host", "process-stream"],
+)
+def test_columns_of_an_unchecked_nan_raise_as_its_samples_do(config, stage, samples):
+    # a NaN reaches no written stream (the reader rejects it, naming its
+    # line), so the column path is driven with SampleColumns.of
+    run = Engine(config).process_stream if stage == "process_stream" else getattr(engine_mod, stage)
+    args = (config.window_specs,) if stage == "collect_windows" else ()
+    with pytest.raises(ValueError, match="NaN") as from_list:
+        run(samples, *args)
+    with pytest.raises(ValueError, match="NaN") as from_columns:
+        run(SampleColumns.of(samples), *args)
+    assert type(from_columns.value) is type(from_list.value)
+    assert str(from_columns.value) == str(from_list.value)
 
 
 def test_preprocess_allows_equal_timestamps_and_parallel_series():

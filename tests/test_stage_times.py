@@ -2,9 +2,9 @@ import importlib.util
 import os
 import re
 
-from afdi import engine
+from afdi import cli, engine
 from afdi.simulator import generate, load_scenario
-from afdi.states import read_metric_samples, write_metric_samples
+from afdi.states import write_metric_samples
 from conftest import fixture_path
 
 _SCRIPT = os.path.join(os.path.dirname(__file__), "..", "scripts", "stage_times.py")
@@ -46,18 +46,20 @@ def test_stage_times_prints_one_row_per_stage_and_a_column_per_stream(tmp_path, 
 
 
 def test_stage_times_runs_the_pipeline_afdi_diagnose_runs(tmp_path):
-    # the script times the stages inside Engine.process_stream; what it
-    # writes must be the alarm log afdi diagnose writes
+    # the script reads with the reader afdi diagnose calls and times the
+    # stages inside Engine.process_stream; what it writes must be the
+    # alarm log afdi diagnose writes
     samples, _ = generate(load_scenario(fixture_path("scenario_endless_loop.json")))
     stream = str(tmp_path / "metrics.jsonl")
     write_metric_samples(samples, stream)
     config_path = fixture_path("engine_config.json")
     stage_times = _stage_times()
+    assert stage_times.read_sample_columns is cli.read_sample_columns
     stages = engine.preprocess, engine.collect_windows
     times = stage_times._run(engine.load_config(config_path), stream, str(tmp_path / "timed.jsonl"))
     assert len(times) == len(stage_times.STAGES)
     assert (engine.preprocess, engine.collect_windows) == stages  # unwrapped again
-    alarms = engine.Engine(engine.load_config(config_path)).process_stream(read_metric_samples(stream))
-    assert alarms
-    engine.write_alarm_log(alarms, tmp_path / "expected.jsonl")
-    assert (tmp_path / "timed.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
+    expected = tmp_path / "expected.jsonl"
+    assert cli.main(["diagnose", "--config", config_path, "--metrics", stream, "--out-alarms", str(expected)]) == 0
+    assert expected.read_text()
+    assert (tmp_path / "timed.jsonl").read_bytes() == expected.read_bytes()
