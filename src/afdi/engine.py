@@ -94,10 +94,6 @@ class PreprocessPolicy(namedtuple("PreprocessPolicy", "window z_cutoff")):
         return tuple.__new__(cls, (window, z_cutoff))
 
 
-def _nan_error(key: tuple, timestamp: int) -> ValueError:
-    return ValueError(f"series {key}: value at timestamp {timestamp} is NaN")
-
-
 def _raise_first(columns: SampleColumns, errors: dict) -> None:
     """Raise, of ``errors``, each ``(index of a sample within its series,
     error)`` keyed by the series, the error of the sample that comes
@@ -107,31 +103,15 @@ def _raise_first(columns: SampleColumns, errors: dict) -> None:
 
 
 def _check_series(columns: SampleColumns) -> None:
-    """Raise the error ``preprocess`` finds first, as a pass over the
-    stream would: the first sample, in stream order, that is earlier than
-    the one before it in its series or a NaN of a percent metric (which
-    clamping would turn into 0.0); then the first NaN of the first
-    series, in first-seen order, that holds one."""
-    early, late = {}, None
-    series = zip(columns.series, columns.timestamps, columns.values)
-    for s, ((host, vm, metric), stamps, vals) in enumerate(series):
-        # a NaN makes the sum NaN, and so does inf beside -inf, which
-        # only a sample built unchecked holds and the search below clears
-        total = sum(vals)
-        if all(map(le, stamps, islice(stamps, 1, None))) and total == total:
-            continue
-        key, n = (host, vm, metric.key), len(stamps)
-        back = next((i for i in range(1, n) if stamps[i] < stamps[i - 1]), n)
-        nan = next((i for i, v in enumerate(vals) if v != v), n)
-        if nan < back and metric.name in PERCENT_METRIC_NAMES:
-            early[s] = (nan, _nan_error(key, stamps[nan]))
-        elif back < n:
+    """Raise ``SequencingError`` for the first sample, in stream order,
+    that is earlier than the one before it in its series."""
+    early = {}
+    for s, ((host, vm, metric), stamps) in enumerate(zip(columns.series, columns.timestamps)):
+        if not all(map(le, stamps, islice(stamps, 1, None))):
+            back = next(i for i in range(1, len(stamps)) if stamps[i] < stamps[i - 1])
+            key = (host, vm, metric.key)
             early[s] = (back, SequencingError(f"series {key}: timestamp {stamps[back]} after {stamps[back - 1]}"))
-        elif nan < n and late is None:
-            late = _nan_error(key, stamps[nan])
     _raise_first(columns, early)
-    if late is not None:
-        raise late
 
 
 def preprocess(samples: Iterable[MetricSample] | SampleColumns, policy: PreprocessPolicy | None = None):
@@ -156,15 +136,13 @@ def preprocess(samples: Iterable[MetricSample] | SampleColumns, policy: Preproce
     The filter runs on the value column of each series of a
     ``SampleColumns``, and the result is a ``SampleColumns`` with new
     value columns where a value changed.  Given any other iterable of
-    samples, preprocess takes it through ``SampleColumns.of`` and gives a
-    list, in which a sample whose value stayed is the sample given.
+    samples, preprocess takes it through ``SampleColumns.of``, which
+    refuses NaN and infinite values, and gives a list, in which a sample
+    whose value stayed is the sample given.  A median that overflows to
+    an infinity makes its z-score NaN, so every replacement is finite.
 
-    A sample earlier than the one before it in its series raises
-    ``SequencingError``, and a NaN value, which only a sample built
-    unchecked can hold, ``ValueError`` naming its series and timestamp;
-    a changed value that is not finite raises the error ``MetricSample``
-    gives it.  Of several such samples, the one a pass over the stream
-    would meet first raises.
+    Of the samples earlier than the one before them in their series, the
+    one a pass over the stream would meet first raises ``SequencingError``.
     """
     listed = None
     if not isinstance(samples, SampleColumns):
@@ -177,8 +155,8 @@ def preprocess(samples: Iterable[MetricSample] | SampleColumns, policy: Preproce
     j = (half + 1) // 2  # ceil(half / 2), for the MAD lower bound below
     above, below = half + j, half - j
     cutoff = policy.z_cutoff
-    cleaned, infinite = [], {}
-    for s, ((_, _, metric), given) in enumerate(zip(samples.series, samples.values)):
+    cleaned = []
+    for (_, _, metric), given in zip(samples.series, samples.values):
         vals = given
         if metric.name in PERCENT_METRIC_NAMES and not 0.0 <= min(vals) <= max(vals) <= 100.0:
             vals = [v if 0.0 <= v <= 100.0 else min(100.0, max(0.0, v)) for v in vals]
@@ -250,18 +228,11 @@ def preprocess(samples: Iterable[MetricSample] | SampleColumns, policy: Preproce
                     runs[-1][1] = stop
                 else:
                     runs.append([start, stop])
-        if vals is not given and not all(map(math.isfinite, vals)):
-            # a value the filter changed is checked as a new sample's is
-            changed = (i for i, (v, w) in enumerate(zip(given, vals)) if v != w and not math.isfinite(w))
-            i = next(changed, None)
-            if i is not None:
-                infinite[s] = (i, ValueError(f"{metric.key}: non-finite value {vals[i]}"))
         cleaned.append(vals)
-    _raise_first(samples, infinite)
     cleaned = samples.with_values(cleaned)
     if listed is None:
         return cleaned
-    return [s if s.value == c.value else MetricSample(*c) for s, c in zip(listed, cleaned)]
+    return [s if s.value == c.value else c for s, c in zip(listed, cleaned)]
 
 
 class Window(NamedTuple):
@@ -282,21 +253,20 @@ def collect_windows(
 
     ``specs`` name the windowed metrics, one spec each, in bucket order.
     A value is bucketed as ``discretize`` buckets it clamped to its
-    spec's bounds, so a value past either end lands in the edge bucket;
-    NaN has no bucket and raises.  Host-level metrics are shared by every
-    VM on that host.  A window missing any windowed metric, or given one
-    twice, raises; windows come back sorted by (timestamp, host, vm) so
-    downstream processing is deterministic.  Windows with equal buckets
-    share one tuple.
+    spec's bounds, so a value past either end lands in the edge bucket.
+    Host-level metrics are shared by every VM on that host.  A window
+    missing any windowed metric, or given one twice, raises; windows come
+    back sorted by (timestamp, host, vm) so downstream processing is
+    deterministic.  Windows with equal buckets share one tuple.
 
     Samples come as a ``SampleColumns`` or any iterable of samples, which
-    is taken through ``SampleColumns.of``.  Each windowed series is
-    bucketed a column at a time, and a VM's windows are the times of the
-    samples of its scope: every windowed column of the scope, and its
-    host's, must have one sample at each of them.  Of several NaNs or
-    second samples, the one first in the stream raises, before any
-    missing metric, and of several missing metrics the one of the first
-    window, first in spec order.
+    is taken through ``SampleColumns.of`` (so no value is NaN or
+    infinite).  Each windowed series is bucketed a column at a time, and
+    a VM's windows are the times of the samples of its scope: every
+    windowed column of the scope, and its host's, must have one sample at
+    each of them.  Of several second samples, the one first in the stream
+    raises, before any missing metric, and of several missing metrics the
+    one of the first window, first in spec order.
     """
     columns = samples if isinstance(samples, SampleColumns) else SampleColumns.of(samples)
     # position and inner boundaries per windowed key: searching the inner
@@ -313,19 +283,16 @@ def collect_windows(
         if route is None:
             continue
         i, inner = route
-        total = sum(vals)  # NaN if a value is
-        if not all(map(lt, stamps, islice(stamps, 1, None))) or total != total:
+        if not all(map(lt, stamps, islice(stamps, 1, None))):
             # in time order, a sample at the time of the one before it is a
-            # second sample; the earliest in the stream of those and the
-            # NaNs raises
+            # second sample; the earliest of those in the stream raises
             ranks = sorted(range(len(stamps)), key=stamps.__getitem__)
             stamps, vals = [stamps[r] for r in ranks], [vals[r] for r in ranks]
-            bad = [(r, k) for k, r in enumerate(ranks) if vals[k] != vals[k] or k and stamps[k] == stamps[k - 1]]
-            if bad:
-                r, k = min(bad)
+            second = [(r, k) for k, r in enumerate(ranks) if k and stamps[k] == stamps[k - 1]]
+            if second:
+                r, k = min(second)
                 scope = host if metric.level == "host" else f"{host}/{vm}"
-                fault = f"{metric.key} is NaN" if vals[k] != vals[k] else f"second sample of {metric.key}"
-                faults[s] = (r, ValueError(f"window t={stamps[k]} {scope}: {fault}"))
+                faults[s] = (r, ValueError(f"window t={stamps[k]} {scope}: second sample of {metric.key}"))
                 continue
         buckets = list(map(bisect_right, repeat(inner), vals))
         windowed[host, None if metric.level == "host" else vm, i] = (stamps, buckets)

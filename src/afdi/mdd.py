@@ -211,7 +211,9 @@ def build_from_structure_function(
 
     ``f`` must be total over the full state product; it is called once
     per product point during construction (the diagram itself never
-    re-enumerates).  Product spaces larger than ``limit`` are refused.
+    re-enumerates).  A result that is not a non-negative ``int`` (a bool
+    or a float is not one) raises ``InvalidModelError``.  Product spaces
+    larger than ``limit`` are refused.
     """
     mdd = Mdd(components, arities)
     product = math.prod(mdd.arities)
@@ -223,7 +225,11 @@ def build_from_structure_function(
 
     def build(i: int, partial: list[int]) -> int:
         if i == n:
-            level = int(f(StateVector.from_levels(comps, partial)))
+            sv = StateVector.from_levels(comps, partial)
+            level = f(sv)
+            if type(level) is not int:
+                at = ", ".join(f"{c.key}={lvl}" for c, lvl in sv.assignments)
+                raise InvalidModelError(f"structure function returned {level!r} at ({at}), not an integer level")
             if level < 0:
                 raise InvalidModelError(f"structure function returned negative level {level}")
             return mdd._mk_sink(level)

@@ -127,7 +127,8 @@ class ComponentId(_Frozen):
 
 
 class StateVector(_Frozen):
-    """One state level per component, in the model's declared order."""
+    """One state level per component, in the model's declared order.  A
+    level is a non-negative integer; a bool or a float is not one."""
 
     __slots__ = _fields = ("assignments",)
 
@@ -137,6 +138,8 @@ class StateVector(_Frozen):
             if comp.key in seen:
                 raise ValueError(f"duplicate component {comp.key} in state vector")
             seen.add(comp.key)
+            if type(lvl) is not int:
+                raise ValueError(f"state level of {comp.key} must be an integer, got {lvl!r}")
             if lvl < 0:
                 raise ValueError(f"negative state level {lvl} for {comp.key}")
         object.__setattr__(self, "assignments", assignments)
@@ -147,7 +150,7 @@ class StateVector(_Frozen):
             raise ValueError(
                 f"expected {len(components)} levels, got {len(levels)}"
             )
-        return cls(tuple(zip(components, (int(v) for v in levels))))
+        return cls(tuple(zip(components, levels)))
 
     @property
     def components(self) -> tuple[ComponentId, ...]:
@@ -270,7 +273,8 @@ class MetricSample(namedtuple("MetricSample", "timestamp host_id vm_id metric va
     A sample is an immutable tuple with no instance dict.  The
     constructor checks it; code that has already made those checks
     builds one with ``tuple.__new__(MetricSample, fields)``, and the
-    inherited ``_make`` and ``_replace`` check nothing either.
+    inherited ``_make`` and ``_replace`` check nothing either; the
+    engine's stages take a list through ``SampleColumns.of``, which does.
     """
 
     __slots__ = ()
@@ -302,9 +306,12 @@ class SampleColumns:
     each built as it is taken.  Equal host and VM ids of the series are
     one object.
 
-    ``extend`` is the one routine that fills the columns, for every
+    ``_extend`` is the one routine that fills the columns, for every
     producer: the reader's scan, its ``json.loads`` chunks and its
-    per-line fallback, and ``of`` for a list of samples.
+    per-line fallback, and ``of`` for a list of samples; both check each
+    sample as ``MetricSample`` does, so every value is finite.  The only
+    other way in is ``with_values``, by which ``preprocess`` gives back
+    the values it computed from checked ones.
     """
 
     __slots__ = ("series", "timestamps", "values", "order", "_index", "_ids")
@@ -319,18 +326,25 @@ class SampleColumns:
 
     @classmethod
     def of(cls, samples: Iterable[MetricSample]) -> "SampleColumns":
-        """The columns of ``samples``, as they are (nothing is checked)."""
+        """The columns of ``samples``, each checked as ``MetricSample``
+        checks it; the first in list order that it would refuse raises
+        ``ValueError("sample <i>: <reason>")``."""
         columns = cls()
         samples = list(samples)
+        for i, sample in enumerate(samples):
+            try:
+                _check_sample(*sample)
+            except (TypeError, ValueError, OverflowError) as exc:  # isfinite("1"), isfinite(10**400)
+                raise ValueError(f"sample {i}: {exc}") from None
         if samples:
             timestamps, hosts, vms, metrics, values = zip(*samples)
             names = tuple(map(operator.attrgetter("name"), metrics))
             levels = tuple(map(operator.attrgetter("level"), metrics))
             metric_of = dict(zip(zip(names, levels), metrics))
-            columns.extend(zip(hosts, vms, names, levels), timestamps, values, metric_of)
+            columns._extend(zip(hosts, vms, names, levels), timestamps, values, metric_of)
         return columns
 
-    def extend(self, keys: Iterable[tuple], timestamps, values, metrics: Mapping) -> None:
+    def _extend(self, keys: Iterable[tuple], timestamps, values, metrics: Mapping) -> None:
         """Append each record to the columns of its series.  ``keys`` are
         the records' ``(host_id, vm_id, metric name, level)``; a key not
         seen before opens a series, whose metric is ``metrics[name,
@@ -357,9 +371,11 @@ class SampleColumns:
             add_value[i](value)
 
     def with_values(self, values: list[list]) -> "SampleColumns":
-        """These columns with other value columns, one per series.  The
-        new object shares its series, timestamps and order with this one,
-        and has no routing index: it cannot be extended."""
+        """These columns with other value columns, one per series: the
+        route by which ``preprocess`` gives back the values it computed
+        from checked ones.  The new object shares its series, timestamps
+        and order with this one, and has no routing index: it cannot be
+        extended."""
         columns = SampleColumns.__new__(SampleColumns)
         columns.series, columns.timestamps, columns.order = self.series, self.timestamps, self.order
         columns.values = values
@@ -487,7 +503,7 @@ def _canonical_columns(lines: list[str]) -> tuple | None:
 
 
 def _checked_records(columns: tuple, shared: dict) -> tuple:
-    """The arguments of ``SampleColumns.extend`` for columns, scanned or
+    """The arguments of ``SampleColumns._extend`` for columns, scanned or
     from ``_record_columns``, checked a column at a time as
     ``read_metric_samples`` documents; a failed check raises its reason,
     for a lone record the reason of the first check it fails."""
@@ -588,12 +604,12 @@ def read_sample_columns(path) -> SampleColumns:
                 lines = list(filter(None, map(str.strip, chunk)))
                 records = _chunk_records(lines, shared) if lines else None
                 if records is not None:
-                    columns.extend(*records)
+                    columns._extend(*records)
                 else:
                     for line_no, line in enumerate(chunk, start=first_line):
                         line = line.strip()
                         if line:
-                            columns.extend(*_line_record(path, line_no, line, shared))
+                            columns._extend(*_line_record(path, line_no, line, shared))
                 first_line += len(chunk)
         except UnicodeDecodeError as exc:  # text is decoded a block ahead of the lines
             raise ValueError(f"{path}: {exc}") from None

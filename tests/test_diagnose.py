@@ -5,6 +5,7 @@ import gc
 import hashlib
 import importlib.util
 import json
+import math
 import pathlib
 import random
 import tempfile
@@ -364,6 +365,23 @@ def test_diagnose_rejects_a_written_stream_as_process_stream_rejects_its_samples
     write_metric_samples(samples, metrics)
     assert _diagnose(config_path, metrics, tmp_path / "alarms.jsonl") == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_value_is_refused_for_one_reason_on_either_route(tmp_path, capsys, value):
+    # the reader names the line of a written stream, SampleColumns.of the
+    # index of a sample in a list, and both give MetricSample's reason
+    cpu = ComponentId("cpu")
+    healthy = [s for s in _windows(2) if (s.timestamp, s.metric) != (0, cpu)]
+    samples = healthy[:1] + [tuple.__new__(MetricSample, (0, "h0", "vm0", cpu, value))] + healthy[1:]
+    reason = f"vm.cpu: non-finite value {value}"
+    metrics = tmp_path / "metrics.jsonl"
+    write_metric_samples(samples, metrics)
+    assert _diagnose(fixture_path("engine_config.json"), metrics, tmp_path / "alarms.jsonl") == 1
+    assert capsys.readouterr().err == f"error: {metrics}: line 2: {reason}\n"
+    with pytest.raises(ValueError) as raised:
+        Engine(load_config(fixture_path("engine_config.json"))).process_stream(samples)
+    assert type(raised.value) is ValueError and str(raised.value) == f"sample 1: {reason}"
 
 
 def test_a_median_that_overflows_replaces_no_sample_on_either_route(tmp_path):

@@ -73,16 +73,19 @@ def remade(config: EngineConfig, **changes) -> EngineConfig:
     return EngineConfig(**{**args, **changes})
 
 
-def window_at(w: int, values: dict, host="h0", vm="vm0") -> Window:
-    """The window ``collect_windows`` makes at time ``w`` of one sample per
-    entry of ``values``; the samples are built unchecked, so a value may
-    be infinite."""
+def window_samples(w: int, values: dict, host="h0", vm="vm0") -> list:
+    """One sample at time ``w`` per entry of ``values``, built unchecked,
+    so the checks are ``SampleColumns.of``'s."""
     comps = [ComponentId.parse(key) for key in values]
-    samples = [
+    return [
         tuple.__new__(MetricSample, (w * 1000, host, vm if comp.level == "vm" else None, comp, value))
         for comp, value in zip(comps, values.values())
     ]
-    (window,) = collect_windows(samples, _load_fixture_config().window_specs)
+
+
+def window_at(w: int, values: dict, host="h0", vm="vm0") -> Window:
+    """The window ``collect_windows`` makes of ``window_samples``."""
+    (window,) = collect_windows(window_samples(w, values, host, vm), _load_fixture_config().window_specs)
     return window
 
 
@@ -184,24 +187,45 @@ def test_preprocess_rejects_time_travel():
         preprocess(samples)
 
 
+def assert_refused_at_the_door(samples: list, message: str, *runs) -> None:
+    """``SampleColumns.of`` refuses ``samples`` with ``ValueError(message)``,
+    and each of ``runs`` given the list raises that same type and message."""
+    with pytest.raises(ValueError) as door:
+        SampleColumns.of(samples)
+    assert type(door.value) is ValueError and str(door.value) == message
+    for run in runs:
+        with pytest.raises(ValueError) as stage:
+            run(samples)
+        assert type(stage.value) is ValueError and str(stage.value) == message
+
+
 @pytest.mark.parametrize(
     "metric, level", [("cpu", "vm"), ("throughput", "vm"), ("storage_io", "host")],
     ids=["percent", "other", "host-percent"],
 )
 def test_preprocess_rejects_an_unchecked_nan_naming_its_series_and_time(metric, level):
-    # only a sample built with tuple.__new__ can hold NaN; clamping would
-    # turn a percent one into 0.0, and a replaced one has no time to name
+    # only a sample built with tuple.__new__ can hold NaN; SampleColumns.of
+    # refuses it as the constructor would, naming its place in the list,
+    # before clamping could turn a percent one into 0.0
     good = sample_series([0.0, 10.0, 20.0, 30.0, 40.0, 50.0], metric=metric, level=level)
     ts, host, vm, comp, _ = good[3]
     samples = good[:3] + [tuple.__new__(MetricSample, (ts, host, vm, comp, math.nan))] + good[4:]
-    key = (host, vm, comp.key)
-    with pytest.raises(ValueError, match=rf"^series {re.escape(str(key))}: value at timestamp 3000 is NaN$"):
-        preprocess(samples)
+    assert_refused_at_the_door(samples, f"sample 3: {comp.key}: non-finite value nan", preprocess)
+
+
+def _stages(config: EngineConfig) -> dict:
+    """Each stage that takes a list of samples, as a one-argument call."""
+    return {
+        "preprocess": preprocess,
+        "collect_windows": lambda samples: collect_windows(samples, config.window_specs),
+        "process_stream": Engine(config).process_stream,
+    }
 
 
 def _unchecked_nan(key: str, at: int) -> list:
     """Healthy windows 0-5 of h0/vm0 whose ``key`` sample at window ``at``
-    is a NaN built unchecked."""
+    is a NaN built unchecked; it is sample ``6 * at`` plus the position of
+    ``key`` in ``HEALTHY``."""
     stream = samples_for([HEALTHY] * 6)
     return [
         tuple.__new__(MetricSample, (*s[:4], math.nan)) if (s.metric.key, s.timestamp) == (key, 1000 * at) else s
@@ -210,31 +234,60 @@ def _unchecked_nan(key: str, at: int) -> list:
 
 
 @pytest.mark.parametrize(
-    "stage, samples",
+    "stage, samples, first",
     [
-        ("preprocess", _unchecked_nan("vm.cpu", 3)),
-        ("preprocess", _unchecked_nan("vm.throughput", 2)),
-        ("preprocess", _unchecked_nan("host.storage_io", 4)),
-        # a percent NaN raises where a pass over the stream meets it,
-        # before a non-percent NaN of a series seen first
-        ("preprocess", _unchecked_nan("vm.throughput", 1)[:-6] + _unchecked_nan("vm.memory", 5)[-6:]),
-        ("collect_windows", _unchecked_nan("vm.network", 3)),
-        ("collect_windows", _unchecked_nan("host.cpu", 1)),
-        ("process_stream", _unchecked_nan("vm.memory", 2)),
+        ("preprocess", _unchecked_nan("vm.cpu", 3), "sample 18: vm.cpu"),
+        ("preprocess", _unchecked_nan("vm.throughput", 2), "sample 15: vm.throughput"),
+        ("preprocess", _unchecked_nan("host.storage_io", 4), "sample 29: host.storage_io"),
+        # the first NaN in list order raises, a non-percent one before a
+        # percent one as much as the other way round
+        ("preprocess", _unchecked_nan("vm.throughput", 1)[:-6] + _unchecked_nan("vm.memory", 5)[-6:],
+         "sample 9: vm.throughput"),
+        ("collect_windows", _unchecked_nan("vm.network", 3), "sample 20: vm.network"),
+        ("collect_windows", _unchecked_nan("host.cpu", 1), "sample 10: host.cpu"),
+        ("process_stream", _unchecked_nan("vm.memory", 2), "sample 13: vm.memory"),
     ],
     ids=["percent", "other", "host-percent", "percent-after-other", "window", "window-host", "process-stream"],
 )
-def test_columns_of_an_unchecked_nan_raise_as_its_samples_do(config, stage, samples):
+def test_columns_of_an_unchecked_nan_raise_as_its_samples_do(config, stage, samples, first):
     # a NaN reaches no written stream (the reader rejects it, naming its
-    # line), so the column path is driven with SampleColumns.of
-    run = Engine(config).process_stream if stage == "process_stream" else getattr(engine_mod, stage)
-    args = (config.window_specs,) if stage == "collect_windows" else ()
-    with pytest.raises(ValueError, match="NaN") as from_list:
-        run(samples, *args)
-    with pytest.raises(ValueError, match="NaN") as from_columns:
-        run(SampleColumns.of(samples), *args)
-    assert type(from_columns.value) is type(from_list.value)
-    assert str(from_columns.value) == str(from_list.value)
+    # line), nor any stage: SampleColumns.of refuses it, naming its index
+    run = _stages(config)[stage]
+    assert_refused_at_the_door(samples, f"{first}: non-finite value nan", run)
+
+
+_CPU = ComponentId("cpu")
+
+
+@pytest.mark.parametrize(
+    "samples, message",
+    [
+        ([MetricSample(0, "h0", "vm0", _CPU, 30.0), tuple.__new__(MetricSample, (0, "h0", None, _CPU, 30.0))],
+         "sample 1: vm-level metric vm.cpu requires vm_id"),
+        ([MetricSample(0, "h0", "vm0", _CPU, 30.0), MetricSample(0, "h0", "vm0", _CPU, 30.0)._replace(timestamp=1.5)],
+         "sample 1: timestamp must be an integer, got 1.5"),
+        # sample 1 runs backwards in its series, which preprocess would
+        # raise as a SequencingError, but the NaN after it is met first
+        # at the door, as the reader meets a NaN line before preprocess runs
+        ([MetricSample(1000, "h0", "vm0", _CPU, 30.0), MetricSample(0, "h0", "vm0", _CPU, 30.0),
+          MetricSample(2000, "h0", "vm0", _CPU, 30.0)._replace(value=math.nan)],
+         "sample 2: vm.cpu: non-finite value nan"),
+    ],
+    ids=["vm-id-none-on-a-vm-metric", "timestamp-1.5", "decreasing-timestamp-then-nan"],
+)
+def test_the_door_refuses_what_the_sample_constructor_refuses(config, samples, message):
+    assert_refused_at_the_door(samples, message, *_stages(config).values())
+
+
+def test_the_door_lets_through_what_the_sample_constructor_takes():
+    # the door runs the constructor's own check, so it refuses no more:
+    # an int value and a str-subclass host id pass
+    class Host(str):
+        pass
+
+    samples = [MetricSample(0, Host("h0"), "vm0", _CPU, 30), MetricSample(1000, "h0", "vm0", _CPU, True)]
+    assert list(SampleColumns.of(samples)) == samples
+    assert [s.value for s in preprocess(samples)] == [30, True]
 
 
 def test_preprocess_allows_equal_timestamps_and_parallel_series():
@@ -459,13 +512,12 @@ def test_collect_windows_buckets_only_the_metrics_of_its_specs(config):
 @pytest.mark.parametrize("key", ["vm.cpu", "host.storage_io"])
 def test_a_nan_in_a_window_raises_naming_the_window_and_the_key(config, key):
     # a NaN has no bucket; no reader or simulator yields one, so only an
-    # unchecked sample carries it
+    # unchecked sample carries it, and SampleColumns.of refuses it before
+    # any window is collected
     comp = ComponentId.parse(key)
     nan = tuple.__new__(MetricSample, (3000, "h1", "vm2" if comp.level == "vm" else None, comp, math.nan))
     stream = samples_for([HEALTHY], host="h1", vm="vm2", first=3) + [nan]
-    scope = "h1/vm2" if comp.level == "vm" else "h1"
-    with pytest.raises(ValueError, match=rf"^window t=3000 {scope}: {re.escape(key)} is NaN$"):
-        collect_windows(stream, config.window_specs)
+    assert_refused_at_the_door(stream, f"sample 6: {key}: non-finite value nan", _stages(config)["collect_windows"])
 
 
 @pytest.mark.parametrize("key", ["vm.cpu", "host.storage_io"])
@@ -624,13 +676,15 @@ _BUCKET_PROBES = [-math.inf, -5.0, 250.0, math.inf, math.nan] + [
 @pytest.mark.parametrize("value", _BUCKET_PROBES, ids=[repr(v) for v in _BUCKET_PROBES])
 def test_usage_bucket_is_the_bucket_of_the_clamped_value(config, value):
     # collect_windows looks buckets up inline; this is the
-    # clamp-then-discretize it stands for, while NaN, which has no
-    # bucket, raises
+    # clamp-then-discretize it stands for on a finite value, while a NaN
+    # or an infinity, which the sample constructor refuses, is refused
+    # before any window is collected instead of put in an edge bucket
     spec = config.specs["vm.throughput"]
     low, high = spec.boundaries[0], spec.boundaries[-1]
-    if math.isnan(value):
-        with pytest.raises(ValueError, match="vm.throughput is NaN"):
-            window_at(0, variant(**{"vm.throughput": value}))
+    if not math.isfinite(value):
+        samples = window_samples(0, variant(**{"vm.throughput": value}))
+        message = f"sample 3: vm.throughput: non-finite value {value}"
+        assert_refused_at_the_door(samples, message, _stages(config)["collect_windows"])
         return
     usage = usage_of(Engine(config), window_at(0, variant(**{"vm.throughput": value})))
     assert usage["vm.throughput"] == discretize(min(high, max(low, value)), spec)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -108,6 +109,22 @@ def test_random_structure_functions_evaluate_exactly(data):
     for levels, want in table.items():
         assert m.evaluate(StateVector.from_levels(comps, levels)) == want
     assert m.node_count() == oracles.canonical_node_count(arities, lambda lv: table[lv])
+
+
+@pytest.mark.parametrize("result", [1.9, 1.0, True, None], ids=["float", "whole-float", "bool", "none"])
+def test_structure_function_result_must_be_an_integer_naming_the_vector(result):
+    # before, a result of 1.9 built a sink at level 1 in silence
+    comps = (ComponentId("cpu"), ComponentId("storage_io", "host"))
+    want = rf"^structure function returned {re.escape(repr(result))} at \(vm.cpu=0, host.storage_io=0\), not an integer level$"
+    with pytest.raises(InvalidModelError, match=want):
+        build_from_structure_function(comps, [2, 2], lambda sv: result)
+
+
+def test_structure_function_result_is_checked_at_each_vector():
+    # the first vector whose result is not an integer is the one named
+    comps = (ComponentId("cpu"),)
+    with pytest.raises(InvalidModelError, match=r"returned 1\.5 at \(vm\.cpu=1\)"):
+        build_from_structure_function(comps, [3], lambda sv: 1.5 if sv.levels == (1,) else sv.levels[0])
 
 
 def test_capacity_limit():

@@ -4,6 +4,10 @@ is cut or ordered that must leave its alarms as they are.
 - Interleaving: the series merged at random, each keeping its own order.
 - Sharding by host: each host's samples run alone, and the alarms merged
   by ``(timestamp, host, vm)``.
+- Time shift: every timestamp moved by 50 whole windows, and the alarms
+  moved back.
+- Renaming: hosts and VMs renamed so that the sort order of each
+  reverses, and the alarms mapped back and sorted.
 
 Each case runs twice: through a stream written by ``write_metric_samples``
 and read with the reader ``afdi diagnose`` calls, and through
@@ -23,7 +27,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from afdi import cli
 from afdi.engine import Engine, load_config
 from afdi.simulator import KINDS, FaultInjection, Scenario, ScenarioError, generate, load_scenario
-from afdi.states import write_metric_samples
+from afdi.states import MetricSample, write_metric_samples
 from conftest import fixture_path
 
 CONFIG = load_config(fixture_path("engine_config.json"))
@@ -70,9 +74,19 @@ def _merged(alarm_lists) -> list:
     return sorted(chain.from_iterable(alarm_lists), key=lambda a: (a.timestamp, a.host_id, a.vm_id))
 
 
+def _shifted(samples, by: int) -> list:
+    return [MetricSample(s.timestamp + by, *s[1:]) for s in samples]
+
+
+def _reversed_names(names) -> dict:
+    """A new name for each of ``names``, the sort order reversed."""
+    ordered = sorted(names)
+    return {name: f"r{len(ordered) - i:04d}" for i, name in enumerate(ordered)}
+
+
 def _check_invariances(samples, seed: int) -> list:
-    """Assert both properties on both routes, and that the routes agree;
-    returns the alarms."""
+    """Assert interleaving and sharding on both routes, and that the
+    routes agree; returns the alarms."""
     results = []
     with tempfile.TemporaryDirectory() as tmp:
         for route in ROUTES:
@@ -84,11 +98,38 @@ def _check_invariances(samples, seed: int) -> list:
     return results[0]
 
 
+def _check_shift_and_renaming(samples, window_ms: int) -> list:
+    """Assert the time shift and the renaming on both routes, and that
+    the routes agree; returns the alarms."""
+    shift = 50 * window_ms
+    hosts = _reversed_names({s.host_id for s in samples})
+    vms = _reversed_names({s.vm_id for s in samples} - {None})
+    renamed = [MetricSample(s.timestamp, hosts[s.host_id], vms.get(s.vm_id), *s[3:]) for s in samples]
+    host_of, vm_of = ({new: old for old, new in names.items()} for names in (hosts, vms))
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for route in ROUTES:
+            alarms = route(samples, tmp)
+            assert [a._replace(timestamp=a.timestamp - shift) for a in route(_shifted(samples, shift), tmp)] == alarms
+            back = [a._replace(host_id=host_of[a.host_id], vm_id=vm_of[a.vm_id]) for a in route(renamed, tmp)]
+            assert _merged([back]) == alarms
+            results.append(alarms)
+    assert results[0] == results[1]
+    return results[0]
+
+
 @pytest.mark.parametrize("scenario", FIXTURES)
 def test_fixture_alarms_do_not_depend_on_interleaving_or_sharding(scenario):
     samples, _ = generate(load_scenario(fixture_path(scenario)))
     alarms = _check_invariances(samples, seed=len(samples))
     assert bool(alarms) == (scenario != "scenario_healthy.json")
+
+
+@pytest.mark.parametrize("scenario", FIXTURES)
+def test_fixture_alarms_do_not_depend_on_a_time_shift_or_renaming(scenario):
+    scenario = load_scenario(fixture_path(scenario))
+    samples, _ = generate(scenario)
+    assert bool(_check_shift_and_renaming(samples, scenario.window_ms)) == bool(scenario.injections)
 
 
 @st.composite
@@ -121,3 +162,10 @@ def fleets(draw):
 def test_fleet_alarms_do_not_depend_on_interleaving_or_sharding(scenario, seed):
     samples, _ = generate(scenario)
     _check_invariances(samples, seed)
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(scenario=fleets())
+def test_fleet_alarms_do_not_depend_on_a_time_shift_or_renaming(scenario):
+    samples, _ = generate(scenario)
+    _check_shift_and_renaming(samples, scenario.window_ms)

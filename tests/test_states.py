@@ -1,6 +1,8 @@
+import ast
 import hashlib
 import json
 import math
+import pathlib
 import re
 
 import pytest
@@ -114,6 +116,41 @@ def test_state_vector():
         StateVector.from_levels(comps, [1])
     with pytest.raises(ValueError):
         StateVector.from_levels([comps[0], comps[0]], [1, 1])
+
+
+@pytest.mark.parametrize("level", [1.7, 1.0, True, "1", None], ids=["float", "whole-float", "bool", "str", "none"])
+def test_state_vector_rejects_a_level_that_is_not_an_integer(level):
+    # before, from_levels took int(1.7) and int(True), both level 1, in silence
+    comps = [ComponentId("cpu"), ComponentId("memory")]
+    message = f"state level of vm.memory must be an integer, got {level!r}"
+    with pytest.raises(ValueError) as raised:
+        StateVector.from_levels(comps, [0, level])
+    assert str(raised.value) == message
+    with pytest.raises(ValueError, match=re.escape(message)):
+        StateVector(((comps[0], 0), (comps[1], level)))
+
+
+def test_only_the_states_module_builds_or_extends_sample_columns():
+    # SampleColumns.of and the reader are the only ways into the columns,
+    # and both check every sample as MetricSample does; preprocess alone
+    # gives back the values it computed from checked ones by with_values
+    src = pathlib.Path(states.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "states.py":
+            continue
+        for top in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+            owner = f"{path.stem}.{getattr(top, 'name', '')}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "SampleColumns":
+                    found.append(f"{path.name}:{node.lineno}: SampleColumns()")
+                elif isinstance(node, ast.Attribute) and (
+                    node.attr == "_extend"
+                    or node.attr == "with_values" and owner != "engine.preprocess"
+                    or isinstance(node.value, ast.Name) and node.value.id == "SampleColumns" and node.attr != "of"
+                ):
+                    found.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    assert found == []
 
 
 def test_state_distribution_validation():
