@@ -6,7 +6,7 @@ declared component order with a unique-node table, so the result is
 canonical for a given order: no node has all-identical children and no
 two nodes share (component, children).  Queries never enumerate the
 state product; evaluation follows one root-to-sink path and the
-probability query is a single memoized pass over the DAG.
+probability query is one pass over the node store, children first.
 """
 
 from __future__ import annotations
@@ -75,26 +75,22 @@ class Mdd:
 
     # -- construction internals -------------------------------------
 
-    def _mk_sink(self, level: int) -> int:
-        key = (_SINK, level)
+    def _intern(self, key: tuple) -> int:
+        """Index of the stored node ``key``, appended if new."""
         idx = self._id_by_key.get(key)
         if idx is None:
-            idx = len(self._nodes)
+            idx = self._id_by_key[key] = len(self._nodes)
             self._nodes.append(key)
-            self._id_by_key[key] = idx
         return idx
+
+    def _mk_sink(self, level: int) -> int:
+        return self._intern((_SINK, level))
 
     def _mk_node(self, comp_index: int, children: tuple[int, ...]) -> int:
         first = children[0]
         if all(c == first for c in children):
             return first  # redundant test, reduce away
-        key = (_NODE, comp_index, children)
-        idx = self._id_by_key.get(key)
-        if idx is None:
-            idx = len(self._nodes)
-            self._nodes.append(key)
-            self._id_by_key[key] = idx
-        return idx
+        return self._intern((_NODE, comp_index, children))
 
     # -- queries ------------------------------------------------------
 
@@ -135,10 +131,12 @@ class Mdd:
         """Exact distribution over system levels under component independence.
 
         ``dists`` gives one normalized per-state distribution per
-        component, in component order.  One memoized DAG pass: at an
-        internal node the child distributions are mixed by the
-        component's state probabilities; no enumeration of the product
-        space happens.
+        component, in component order; an entry that is not an ``int``
+        or a ``float`` (a bool is neither) raises ``MddInputError``
+        naming the component.  One pass over the node store, children
+        first: at an internal node the child distributions are mixed by
+        the component's state probabilities; no enumeration of the
+        product space happens.
         """
         if len(dists) != len(self.components):
             raise MddInputError(
@@ -146,42 +144,35 @@ class Mdd:
             )
         checked: list[tuple[float, ...]] = []
         for comp, arity, d in zip(self.components, self.arities, dists):
-            probs = tuple(float(p) for p in d)
+            probs = tuple(d)
+            for p in probs:
+                if type(p) is not float and type(p) is not int:
+                    raise MddInputError(f"distribution for {comp.key} has {p!r}, not a number")
             if len(probs) != arity:
                 raise MddInputError(f"distribution for {comp.key} has {len(probs)} states, arity is {arity}")
             # NaN fails the range test too, so it cannot pass the sum below
             if not all(0.0 <= p <= 1.0 for p in probs):
                 raise MddInputError(f"distribution for {comp.key} has probabilities outside [0, 1]")
+            probs = tuple(map(float, probs))
             if abs(sum(probs) - 1.0) > 1e-12:
                 raise MddInputError(f"distribution for {comp.key} sums to {sum(probs)}, not 1")
             checked.append(probs)
 
         num_levels = max(n[1] for n in self._nodes if n[0] == _SINK) + 1
-        memo: dict[int, tuple[float, ...]] = {}
-
-        def dist_at(idx: int) -> tuple[float, ...]:
-            cached = memo.get(idx)
-            if cached is not None:
-                return cached
-            node = self._nodes[idx]
+        # every node is stored after its children (Bryant 1986's bottom-up
+        # order), so each child's distribution is finished before its parent's
+        done: list[tuple[float, ...]] = []
+        for node in self._nodes:
             if node[0] == _SINK:
-                out = tuple(1.0 if m == node[1] else 0.0 for m in range(num_levels))
-            else:
-                _, comp_index, children = node
-                weights = checked[comp_index]
-                acc = [0.0] * num_levels
-                for state, child in enumerate(children):
-                    p = weights[state]
-                    if p == 0.0:
-                        continue
-                    child_dist = dist_at(child)
-                    for m in range(num_levels):
-                        acc[m] += p * child_dist[m]
-                out = tuple(acc)
-            memo[idx] = out
-            return out
-
-        return StateDistribution(dist_at(self.root))
+                done.append(tuple(1.0 if m == node[1] else 0.0 for m in range(num_levels)))
+                continue
+            _, comp_index, children = node
+            acc = [0.0] * num_levels
+            for p, child in zip(checked[comp_index], children):
+                if p != 0.0:  # a state that cannot occur adds nothing
+                    acc = [a + p * c for a, c in zip(acc, done[child])]
+            done.append(tuple(acc))
+        return StateDistribution(done[self.root])
 
     def to_dot(self) -> str:
         """Graph-description text: internal nodes by component name, sinks by level."""

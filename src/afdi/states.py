@@ -153,19 +153,14 @@ class StateVector(_Frozen):
         return cls(tuple(zip(components, levels)))
 
     @property
-    def components(self) -> tuple[ComponentId, ...]:
-        return tuple(c for c, _ in self.assignments)
-
-    @property
     def levels(self) -> tuple[int, ...]:
         return tuple(v for _, v in self.assignments)
 
-    def __len__(self) -> int:
-        return len(self.assignments)
-
 
 class StateDistribution(_Frozen):
-    """Probability per state for one component (or for system levels)."""
+    """Probability per state for one component (or for system levels),
+    read through ``probs``.  A probability is an ``int`` or a ``float``;
+    a bool is neither."""
 
     __slots__ = _fields = ("probs",)
 
@@ -173,21 +168,15 @@ class StateDistribution(_Frozen):
         if not probs:
             raise ValueError("distribution must have at least one state")
         for p in probs:
+            # float is tested first: every distribution afdi computes holds floats
+            if type(p) is not float and type(p) is not int:
+                raise ValueError(f"probability {p!r} is not a number")
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"probability {p} outside [0, 1]")
         total = sum(probs)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"distribution sums to {total}, not 1")
         object.__setattr__(self, "probs", probs)
-
-    def __len__(self) -> int:
-        return len(self.probs)
-
-    def __getitem__(self, state: int) -> float:
-        return self.probs[state]
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.probs)
 
 
 class DiscretizationSpec(namedtuple("DiscretizationSpec", "component boundaries")):
@@ -307,7 +296,7 @@ class SampleColumns:
     one object.
 
     ``_extend`` is the one routine that fills the columns, for every
-    producer: the reader's scan, its ``json.loads`` chunks and its
+    producer: the reader's scan, its decoded chunks and its
     per-line fallback, and ``of`` for a list of samples; both check each
     sample as ``MetricSample`` does, so every value is finite.  The only
     other way in is ``with_values``, by which ``preprocess`` gives back
@@ -420,10 +409,26 @@ _NOT_A_RECORD = (
     "a record must be a JSON object with exactly the keys "
     "host_id, level, metric, timestamp, value and vm_id"
 )
-_decode = json.JSONDecoder().raw_decode
+
+
+def _unique_keys(pairs: list) -> dict:
+    """The JSON object of ``pairs``, its keys in order; a key given twice
+    raises ``ValueError``, where ``json`` would keep its last value."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"repeated key {key!r}")
+            seen.add(key)
+    return obj
+
+
+# the decoder of stream records; every object it builds has distinct keys
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 # the reason given for JSON nested deeper than the decoder recurses
 _TOO_DEEP = "JSON nested too deeply to decode"
-# lines decoded by one json.loads call; a chunk's joined text stays far
+# lines decoded by one decode call; a chunk's joined text stays far
 # below the size of the samples it yields
 _CHUNK_LINES = 1024
 # the values of a record's six wire keys
@@ -546,7 +551,7 @@ def _chunk_records(lines: list[str], shared: dict) -> tuple | None:
         if columns is None:
             if set(map(_first_char, lines)) != {"{"} or set(map(_last_char, lines)) != {"}"}:
                 return None
-            objs = json.loads("[" + "\n,".join(lines) + "]")
+            objs = _DECODER.decode("[" + "\n,".join(lines) + "]")
             if len(objs) != len(lines):
                 return None
             columns = _record_columns(objs)
@@ -559,8 +564,8 @@ def _line_record(path, line_no: int, line: str, shared: dict) -> tuple:
     """The checked record of one stripped line, as a one-record column; a
     bad record raises naming the line."""
     try:
-        # the line is stripped, so this accepts exactly what json.loads accepts
-        obj, end = _decode(line)
+        # the line is stripped, so this accepts what json.loads accepts, but a repeated key
+        obj, end = _DECODER.raw_decode(line)
         if end != len(line):
             raise json.JSONDecodeError("Extra data", line, end)
         return _checked_records(_record_columns([obj]), shared)
@@ -575,17 +580,17 @@ def read_sample_columns(path) -> SampleColumns:
     raises naming its line.
 
     Blank lines are skipped.  Every other line must hold one JSON object
-    with exactly the six wire keys: ``host_id``, ``metric`` and ``level``
-    strings, ``vm_id`` a string or null, ``timestamp`` a JSON integer and
-    ``value`` a JSON integer or float (``true`` and ``"42.5"`` are
-    neither).  Anything else, and any sample ``MetricSample`` rejects,
+    with exactly the six wire keys, each once: ``host_id``, ``metric``
+    and ``level`` strings, ``vm_id`` a string or null, ``timestamp`` a
+    JSON integer and ``value`` a JSON integer or float (``true`` and
+    ``"42.5"`` are neither).  Anything else, and any sample ``MetricSample`` rejects,
     raises ``ValueError`` naming the path and the 1-based line.  The
     columns share one object per distinct timestamp, ``host_id`` and
     ``vm_id``, and one ``ComponentId`` per component.
 
     Lines are taken ``_CHUNK_LINES`` at a time: a chunk of canonical
     lines, as ``write_metric_samples`` writes them, is scanned with one
-    regular expression, any other decoded with one ``json.loads`` call,
+    regular expression, any other decoded with one ``_DECODER`` call,
     and either is checked a column at a time and then appended to the
     columns; a chunk that does not give one valid record per line is
     decoded again line by line, each line checked as a one-record column,
@@ -637,13 +642,14 @@ _JSON_KINDS = {
 
 def read_document(source):
     """``source`` itself if it is a dict, else the JSON document at path
-    ``source``; bytes that are not UTF-8, text that is not JSON and JSON
-    nested too deeply to decode raise ``ValueError`` naming the path."""
+    ``source``; bytes that are not UTF-8, text that is not JSON, an object
+    that repeats a key and JSON nested too deeply to decode raise
+    ``ValueError`` naming the path."""
     if isinstance(source, dict):
         return source
     with open(source, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
         except RecursionError:
             raise ValueError(f"{source}: {_TOO_DEEP}") from None
         except ValueError as exc:  # a UnicodeDecodeError or a JSONDecodeError

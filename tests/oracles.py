@@ -280,13 +280,23 @@ def median_mad_filter(values, window, cutoff, max_passes=64):
 # -- metric streams ---------------------------------------------------
 
 
+def _no_repeated_key(pairs):
+    """A JSON object's dict; a key that appears twice is refused, not
+    overwritten."""
+    keys = [key for key, _ in pairs]
+    for key in keys:
+        if keys.count(key) > 1:
+            raise ValueError(f"repeated key {key!r}")
+    return dict(pairs)
+
+
 def _samples_per_line(lines, name):
     samples = []
     for line_no, line in enumerate(lines, start=1):
         line = line.strip()
         if line:
             try:
-                obj = json.loads(line)
+                obj = json.loads(line, object_pairs_hook=_no_repeated_key)
                 samples.append(
                     MetricSample(
                         timestamp=int(obj["timestamp"]),
@@ -304,7 +314,7 @@ def _samples_per_line(lines, name):
 def read_metric_samples_per_line(path):
     """Reference stream reader: ``json.loads`` per line and a new
     ``ComponentId`` per sample, with no check of the record's shape
-    beyond what building the sample does."""
+    beyond a repeated key and what building the sample does."""
     with open(path, "r", encoding="utf-8") as fh:
         return _samples_per_line(fh, path)
 

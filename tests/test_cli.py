@@ -562,6 +562,19 @@ def test_a_document_that_cannot_be_decoded_is_an_error_naming_the_path(tmp_path,
     assert res.stderr.startswith(f"error: {path}: {named}")
 
 
+@pytest.mark.parametrize("command, flag, extra", DOCUMENT_FLAGS, ids=["diagnose-config", "bn-query-net"])
+def test_a_document_that_repeats_a_key_is_an_error_naming_the_path(tmp_path, command, flag, extra):
+    # before, the last value of the key was kept without a word
+    path = tmp_path / "doc.json"
+    source = fixture_path("engine_config.json" if command == "diagnose" else "subsystem_net.json")
+    text = pathlib.Path(source).read_text()
+    path.write_text(text.replace('{\n', '{\n  "notes": "one",\n  "notes": "two",\n', 1))
+    extra = [arg.replace("TMP", str(tmp_path)) for arg in extra]
+    res = run_cli(command, flag, str(path), *extra)
+    assert res.returncode == 1
+    assert res.stderr == f"error: {path}: repeated key 'notes'\n"
+
+
 # -- parser behaviour ------------------------------------------------
 
 

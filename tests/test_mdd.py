@@ -109,6 +109,23 @@ def test_random_structure_functions_evaluate_exactly(data):
     for levels, want in table.items():
         assert m.evaluate(StateVector.from_levels(comps, levels)) == want
     assert m.node_count() == oracles.canonical_node_count(arities, lambda lv: table[lv])
+    # level_probabilities walks the store once, in order: it rests on
+    # each node being stored after its children
+    for idx, node in enumerate(m._nodes):
+        if node[0] == "node":
+            assert all(child < idx for child in node[2])
+    # each distribution holds a zero, so the skip of a zero weight runs
+    dists = []
+    for arity in arities:
+        weights = data.draw(st.lists(st.integers(0, 3), min_size=arity, max_size=arity))
+        zero = data.draw(st.integers(0, arity - 1))
+        weights[zero] = 0
+        weights[(zero + 1) % arity] = weights[(zero + 1) % arity] or 1
+        dists.append(tuple(w / sum(weights) for w in weights))
+    got = m.level_probabilities(dists).probs
+    want = oracles.weighted_level_distribution(arities, lambda lv: table[lv], dists, max(table.values()) + 1)
+    assert len(got) == len(want)
+    assert all(abs(g - w) <= 1e-12 for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize("result", [1.9, 1.0, True, None], ids=["float", "whole-float", "bool", "none"])
@@ -154,8 +171,8 @@ def test_level_probabilities_uniform_thirds():
     m = _max_mdd()
     u = (1 / 3, 1 / 3, 1 / 3)
     dist = m.level_probabilities([u] * 4)
-    assert abs(dist[0] - 1 / 81) <= 1e-12
-    assert abs(dist[2] - 65 / 81) <= 1e-12
+    assert abs(dist.probs[0] - 1 / 81) <= 1e-12
+    assert abs(dist.probs[2] - 65 / 81) <= 1e-12
     assert abs(sum(dist.probs) - 1.0) <= 1e-12
 
 
@@ -203,7 +220,7 @@ def test_level_probabilities_one_hot_is_deterministic():
         dists = [tuple(1.0 if s == lv else 0.0 for s in range(3)) for lv in levels]
         got = m.level_probabilities(dists)
         expected_level = max(levels)
-        assert got[expected_level] == 1.0
+        assert got.probs[expected_level] == 1.0
         assert sum(got.probs) == 1.0
 
 
@@ -227,6 +244,23 @@ def test_level_probabilities_rejects_nan_naming_the_component(depends_on_memory)
     dists = [(1.0, 0.0, 0.0), (math.nan, 0.5, 0.5), (1.0, 0.0, 0.0), (1.0, 0.0, 0.0)]
     with pytest.raises(MddInputError, match=r"^distribution for vm\.memory has probabilities outside \[0, 1\]$"):
         m.level_probabilities(dists)
+
+
+@pytest.mark.parametrize("entry", ["1", True, None, "x"], ids=["numeric-string", "bool", "none", "string"])
+def test_level_probabilities_refuses_an_entry_that_is_not_a_number_naming_the_component(entry):
+    # before, ("1", "0", "0") and (True, False, False) were read as
+    # (1.0, 0.0, 0.0), and "x" raised a ValueError naming no component
+    m = _max_mdd()
+    dists = [(1.0, 0.0, 0.0), (entry, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 0.0, 0.0)]
+    want = rf"^distribution for vm\.memory has {re.escape(repr(entry))}, not a number$"
+    with pytest.raises(MddInputError, match=want):
+        m.level_probabilities(dists)
+
+
+def test_level_probabilities_takes_integer_entries_as_floats():
+    got = _max_mdd().level_probabilities([(1, 0, 0), (0, 1, 0), (1, 0, 0), (1.0, 0.0, 0)])
+    assert got.probs == (0.0, 1.0, 0.0)
+    assert all(type(p) is float for p in got.probs)
 
 
 def test_to_dot_mentions_components_and_sinks():

@@ -8,24 +8,32 @@ is cut or ordered that must leave its alarms as they are.
   moved back.
 - Renaming: hosts and VMs renamed so that the sort order of each
   reverses, and the alarms mapped back and sorted.
+- Prefix cuts: a run on the windows before a cut raises the full run's
+  alarms on every window more than ``L = 64 * (window // 2)`` windows
+  before the cut, the latency the 64-pass cap of the filter declares.  At
+  one sample per series per window, ``L`` windows are ``L`` samples.
 
 Each case runs twice: through a stream written by ``write_metric_samples``
 and read with the reader ``afdi diagnose`` calls, and through
 ``Engine.process_stream`` on a list of samples.  The reader puts the
 samples of each series in one column, so these are the properties that
 routing records into columns must keep.
+
+The prefix cuts run on lists alone: the two routes already agree on every
+case above.
 """
 
+import dataclasses
 import pathlib
 import random
 import tempfile
 from itertools import chain
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, event, given, settings, strategies as st
 
 from afdi import cli
-from afdi.engine import Engine, load_config
+from afdi.engine import Engine, EngineConfig, PreprocessPolicy, load_config
 from afdi.simulator import KINDS, FaultInjection, Scenario, ScenarioError, generate, load_scenario
 from afdi.states import MetricSample, write_metric_samples
 from conftest import fixture_path
@@ -169,3 +177,68 @@ def test_fleet_alarms_do_not_depend_on_interleaving_or_sharding(scenario, seed):
 def test_fleet_alarms_do_not_depend_on_a_time_shift_or_renaming(scenario):
     samples, _ = generate(scenario)
     _check_shift_and_renaming(samples, scenario.window_ms)
+
+
+# -- prefix cuts -------------------------------------------------------
+
+# the fixture config with the narrowest filter, so that L is 64 windows
+NARROW = EngineConfig(*CONFIG._values()[:-1], PreprocessPolicy(window=3, z_cutoff=CONFIG.preprocess.z_cutoff))
+
+
+def _check_prefix_cuts(samples, config, window_ms: int, cuts) -> tuple[int, int]:
+    """Assert that the run on the windows before each of ``cuts`` raises
+    the full run's alarms on every window more than ``L`` windows before
+    the cut; returns how many full-run alarms were compared, and the
+    largest lag, in windows before its cut, of an alarm that changed."""
+    latency = 64 * (config.preprocess.window // 2)
+    full = {(a.timestamp, a.host_id, a.vm_id): a for a in Engine(config).process_stream(samples)}
+    compared = lag = 0
+    for cut in cuts:
+        end = cut * window_ms
+        prefix = Engine(config).process_stream([s for s in samples if s.timestamp < end])
+        before = {key: a for key, a in full.items() if key[0] < end}
+        got = {(a.timestamp, a.host_id, a.vm_id): a for a in prefix}
+        changed = [key for key in before.keys() | got.keys() if before.get(key) != got.get(key)]
+        lag = max([lag, *(cut - key[0] // window_ms for key in changed)])
+        assert all(cut - key[0] // window_ms <= latency for key in changed), (cut, sorted(changed))
+        compared += sum(cut - key[0] // window_ms > latency for key in before)
+    return compared, lag
+
+
+def test_scenario_800_alarms_before_the_latency_do_not_depend_on_a_prefix_cut():
+    # under the fixture config L is 320 windows, and only scenario_800 has
+    # alarms that far before a cut
+    scenario = load_scenario(fixture_path("scenario_800.json"))
+    samples, _ = generate(scenario)
+    compared, _ = _check_prefix_cuts(samples, CONFIG, scenario.window_ms, range(325, scenario.duration, 25))
+    assert compared > 0
+
+
+@st.composite
+def long_fleets(draw):
+    """A fleet of ``fleets`` stretched to 150-250 windows, each fault
+    where it was in proportion."""
+    short = draw(fleets())
+    duration = draw(st.integers(150, 250))
+
+    def at(window):
+        return window * duration // short.duration
+
+    injections = []
+    for inj in short.injections:
+        start = at(inj.start)
+        injections.append(dataclasses.replace(inj, start=start, end=max(start + 1, at(inj.end))))
+    try:
+        return dataclasses.replace(short, duration=duration, injections=tuple(injections))
+    except ScenarioError:  # two loops on one host at once
+        assume(False)
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(scenario=long_fleets())
+def test_fleet_alarms_before_the_latency_do_not_depend_on_a_prefix_cut(scenario):
+    samples, _ = generate(scenario)
+    compared, lag = _check_prefix_cuts(samples, NARROW, scenario.window_ms, range(25, scenario.duration, 25))
+    # shown by --hypothesis-show-statistics
+    event(f"largest lag of a changed alarm: {lag} windows (L = 64)")
+    event("alarms compared" if compared else "no alarm before the latency")

@@ -111,7 +111,7 @@ def test_state_vector():
     comps = [ComponentId("cpu"), ComponentId("memory")]
     sv = StateVector.from_levels(comps, [1, 2])
     assert sv.levels == (1, 2)
-    assert len(sv) == 2
+    assert len(sv.assignments) == 2
     with pytest.raises(ValueError):
         StateVector.from_levels(comps, [1])
     with pytest.raises(ValueError):
@@ -153,9 +153,21 @@ def test_only_the_states_module_builds_or_extends_sample_columns():
     assert found == []
 
 
+@pytest.mark.parametrize("probs", [(True, False), (0.5, "0.5"), (None, 1.0)], ids=["bools", "string", "none"])
+def test_state_distribution_refuses_an_entry_that_is_not_a_number(probs):
+    # before, (True, False) was stored as it was
+    bad = next(p for p in probs if type(p) not in (int, float))
+    with pytest.raises(ValueError, match=rf"^probability {re.escape(repr(bad))} is not a number$"):
+        StateDistribution(probs)
+
+
+def test_state_distribution_takes_integer_probabilities():
+    assert StateDistribution((1, 0)).probs == (1, 0)
+
+
 def test_state_distribution_validation():
     d = StateDistribution((0.5, 0.25, 0.25))
-    assert d[0] == 0.5 and len(d) == 3
+    assert d.probs[0] == 0.5 and len(d.probs) == 3
     with pytest.raises(ValueError):
         StateDistribution((0.5, 0.6))
     with pytest.raises(ValueError):
@@ -499,7 +511,8 @@ _NEAR_CANONICAL = {
     "timestamp-leading-zero": (_good_with('"timestamp": 0', '"timestamp": 0700'), "Expecting ',' delimiter"),
     "timestamp-400-digits": (_good_with('"timestamp": 0', '"timestamp": ' + "9" * 400), _SCAN),
     "vm-id-empty": (_good_with('"vm0"', '""'), _SCAN),
-    "duplicated-key": (_good_with('{"host_id": "h0"', '{"host_id": "hx", "host_id": "h0"'), _DECODE),
+    "duplicated-key": (_good_with('{"host_id": "h0"', '{"host_id": "hx", "host_id": "h0"'), "repeated key 'host_id'"),
+    "repeated-value": (_GOOD[:-1] + ', "value": 99.0}', "repeated key 'value'"),
     "trailing-spaces": (_GOOD + "   ", _SCAN),
     "crlf": (_GOOD + "\r", _SCAN),
 }
@@ -524,6 +537,18 @@ def test_scan_reads_a_near_canonical_line_as_the_per_line_reader_does(tmp_path, 
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line {line_no}: {re.escape(outcome)}"):
             read_metric_samples(path)
         assert _outcome(oracles.read_metric_samples_per_line, path) == line_no
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [('{"a": 1, "a": 1}', "a"), ('{"nodes": [{"name": "S", "b": 1, "name": "T"}]}', "name")],
+    ids=["top-level", "nested"],
+)
+def test_read_document_refuses_a_repeated_key_naming_the_path(tmp_path, text, key):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: repeated key '{key}'$"):
+        states.read_document(path)
 
 
 def _never_decoded(objs):
