@@ -437,16 +437,19 @@ _first_char, _last_char = operator.itemgetter(0), operator.itemgetter(-1)
 # the level a record's vm_id calls for: vm for a string, host for null
 _LEVEL_OF_VM_ID = {str: "vm", type(None): "host"}.get
 # a line as write_metric_samples writes it: the six keys sorted, the
-# default separators, and strings that json.dumps leaves unescaped; the
-# groups are host_id, level, metric, timestamp, value and the vm_id
-# token.  re compiles it on the first read, so importing costs nothing.
+# default separators, and strings that json.dumps leaves unescaped,
+# padded by any whitespace str.strip takes off but a newline.  The
+# groups are the series head (the host_id, level and metric entries, as
+# one string), the timestamp token, the value token and the vm_id token.
+# re compiles it on the first read, so importing costs nothing.
+_PAD = r"[^\S\n]*"
 _CHARS = r'[^"\\\x00-\x1f]*'
 _INTEGER = r"-?(?:0|[1-9][0-9]*)"
 _CANONICAL_LINE = (
-    rf'^\{{"host_id": "({_CHARS})", "level": "({_CHARS})", "metric": "({_CHARS})", '
+    rf'^{_PAD}\{{("host_id": "{_CHARS}", "level": "{_CHARS}", "metric": "{_CHARS}"), '
     rf'"timestamp": ({_INTEGER}), '
     rf'"value": ({_INTEGER}(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)), '
-    rf'"vm_id": (null|"{_CHARS}")\}}$'
+    rf'"vm_id": (null|"{_CHARS}")\}}{_PAD}$'
 )
 
 
@@ -476,40 +479,68 @@ def _record_columns(objs: list) -> tuple:
     return timestamps, hosts, vms, names, levels, values
 
 
-def _canonical_columns(lines: list[str]) -> tuple | None:
-    """The columns ``_record_columns`` gives for stripped, non-blank lines
-    if each is a canonical line, as ``write_metric_samples`` writes one;
-    else None.
+def _route(head: str, vm_token: str, shared: dict) -> tuple:
+    """The record key ``(host_id, vm_id, name, level)`` of the canonical
+    lines with series head ``head`` and vm_id token ``vm_token``, after
+    the sample checks that depend only on the series.  The head's strings
+    hold no ``"``, so they sit between its quotes."""
+    host, level, name = head.split('"')[3::4]
+    vm = None if vm_token == "null" else vm_token[1:-1]
+    _check_sample(0, host, vm, _component(name, level, shared), 0.0)
+    return host, vm, name, level
 
-    The anchored pattern matches only within one line, as no group holds
-    a newline, and at most once per line, so one match per line means
-    every line matched whole.  A string token without ``"``, ``\\`` or a
+
+def _scanned_records(chunk: list[str], routes: dict, shared: dict) -> tuple | None:
+    """The arguments of ``SampleColumns._extend`` for a chunk of lines as
+    read, if each line is blank or canonical, padded or not; else None.
+    A failed check raises its reason.
+
+    The anchored pattern matches only within one line, at most once, and
+    never a blank one, so one match per line that is not blank means
+    every such line matched whole.  A string token without ``"``, ``\\`` or a
     control character is its own text, and ``int`` and ``float`` are the
     calls the JSON decoder makes on an integer and a float token, so the
-    columns are those the decoded records give.  A value token always has
+    records are those the decoded lines give.  A value token always has
     a fraction or an exponent: the decoder reads an integer literal as an
     int, and ``float`` of the int is not ``float`` of the text for ``-0``
-    or for a literal too large for a float.  The first line is matched
-    alone, so that a stream in another form does not pay a failed scan of
-    every chunk.
+    or for a literal too large for a float.
+
+    A line is routed to its record key by its series head, then its vm_id
+    token, through the stream's ``routes``, which checks a series when it
+    first routes it.  Each distinct timestamp token of the chunk is
+    parsed once, and only the values are checked per line.  The first
+    line that is not blank is matched alone, so that a stream in another
+    form does not pay a failed scan of every chunk.
     """
-    if re.match(_CANONICAL_LINE, lines[0], re.MULTILINE) is None:
+    first = next(filter(str.strip, chunk), None)
+    if first is None or re.match(_CANONICAL_LINE, first, re.MULTILINE) is None:
         return None
-    rows = re.findall(_CANONICAL_LINE, "\n".join(lines), re.MULTILINE)
-    if len(rows) != len(lines):
+    rows = re.findall(_CANONICAL_LINE, "".join(chunk), re.MULTILINE)
+    if len(rows) != len(chunk) and len(rows) != len(list(filter(str.strip, chunk))):
         return None
-    hosts, levels, names, timestamps, values, vm_tokens = zip(*rows)
-    vm_of = {token: None if token == "null" else token[1:-1] for token in set(vm_tokens)}
-    # a chunk holds few distinct timestamps: each token is parsed once
-    # (over 4300 digits raises, as it does in the decoder)
-    timestamp_of = {token: int(token) for token in set(timestamps)}
-    timestamps, vms = tuple(map(timestamp_of.__getitem__, timestamps)), tuple(map(vm_of.__getitem__, vm_tokens))
-    return timestamps, hosts, vms, names, levels, tuple(map(float, values))
+    heads, timestamps, values, vm_tokens = zip(*rows)
+    try:
+        keys = list(map(dict.__getitem__, map(routes.__getitem__, heads), vm_tokens))
+    except KeyError:
+        for head, vm_token in set(zip(heads, vm_tokens)):
+            series = routes.setdefault(head, {})
+            if vm_token not in series:
+                series[vm_token] = _route(head, vm_token, shared)
+        keys = list(map(dict.__getitem__, map(routes.__getitem__, heads), vm_tokens))
+    timestamp_of = {}
+    for token in set(timestamps):
+        timestamp = int(token)  # over 4300 digits raises, as it does in the decoder
+        timestamp_of[token] = shared.setdefault(timestamp, timestamp)
+    timestamps = list(map(timestamp_of.__getitem__, timestamps))
+    values = list(map(float, values))
+    if not all(map(math.isfinite, values)):
+        raise ValueError("non-finite value")
+    return keys, timestamps, values, shared
 
 
 def _checked_records(columns: tuple, shared: dict) -> tuple:
-    """The arguments of ``SampleColumns._extend`` for columns, scanned or
-    from ``_record_columns``, checked a column at a time as
+    """The arguments of ``SampleColumns._extend`` for the columns
+    ``_record_columns`` gives, checked a column at a time as
     ``read_metric_samples`` documents; a failed check raises its reason,
     for a lone record the reason of the first check it fails."""
     timestamps, hosts, vms, names, levels, values = columns
@@ -533,29 +564,30 @@ def _checked_records(columns: tuple, shared: dict) -> tuple:
     return zip(hosts, vms, names, levels), map(shared.setdefault, timestamps, timestamps), values, shared
 
 
-def _chunk_records(lines: list[str], shared: dict) -> tuple | None:
-    """The checked records of stripped, non-blank lines from one scan or
-    decode call, as ``_checked_records`` gives them, or None when the
-    lines must be decoded one by one.
+def _chunk_records(chunk: list[str], routes: dict, shared: dict) -> tuple | None:
+    """The checked records of one chunk of lines as read, from one scan or
+    decode call, or None when its lines must be decoded one by one.
 
     Canonical lines are scanned; any other chunk is decoded as one JSON
-    array.  This equals decoding each line: no JSON token holds a raw
-    newline and a valid record holds only scalars, so when every line
-    starts with ``{`` and ends with ``}``, and the array has one element
-    per line, each a valid record, the i-th element is the i-th line's
-    object.  Scanned columns equal the decoded ones, so a scanned chunk
-    that fails a check would fail it decoded too, and goes line by line.
+    array of its stripped lines that are not blank.  This equals decoding
+    each line: no JSON token holds a raw newline and a valid record holds
+    only scalars, so when every line starts with ``{`` and ends with
+    ``}``, and the array has one element per line, each a valid record,
+    the i-th element is the i-th line's object.  Scanned records equal
+    the decoded ones, so a scanned chunk that fails a check would fail it
+    decoded too, and goes line by line.
     """
     try:
-        columns = _canonical_columns(lines)
-        if columns is None:
-            if set(map(_first_char, lines)) != {"{"} or set(map(_last_char, lines)) != {"}"}:
-                return None
-            objs = _DECODER.decode("[" + "\n,".join(lines) + "]")
-            if len(objs) != len(lines):
-                return None
-            columns = _record_columns(objs)
-        return _checked_records(columns, shared)
+        records = _scanned_records(chunk, routes, shared)
+        if records is not None:
+            return records
+        lines = list(filter(None, map(str.strip, chunk)))
+        if not lines or set(map(_first_char, lines)) != {"{"} or set(map(_last_char, lines)) != {"}"}:
+            return None
+        objs = _DECODER.decode("[" + "\n,".join(lines) + "]")
+        if len(objs) != len(lines):
+            return None
+        return _checked_records(_record_columns(objs), shared)
     except (ValueError, OverflowError, RecursionError):
         return None
 
@@ -590,24 +622,26 @@ def read_sample_columns(path) -> SampleColumns:
 
     Lines are taken ``_CHUNK_LINES`` at a time: a chunk of canonical
     lines, as ``write_metric_samples`` writes them, is scanned with one
-    regular expression, any other decoded with one ``_DECODER`` call,
-    and either is checked a column at a time and then appended to the
-    columns; a chunk that does not give one valid record per line is
-    decoded again line by line, each line checked as a one-record column,
-    which names the first bad line and its reason.  JSON nested too
-    deeply to decode is a bad record too.  Bytes that are not UTF-8 raise
-    ``ValueError`` naming the path.
+    regular expression, each series checked once, any other decoded with
+    one ``_DECODER`` call and checked a column at a time, and either is
+    appended to the columns once all of it has passed; a chunk that does
+    not give one valid record per line is decoded again line by line,
+    each line checked as a one-record column, which names the first bad
+    line and its reason.  JSON nested too deeply to decode is a bad
+    record too.  Bytes that are not UTF-8 raise ``ValueError`` naming the
+    path.
     """
     columns = SampleColumns()
     # one object per distinct timestamp, and a ComponentId per valid
     # (name, level) pair
     shared: dict = {}
+    # the scan's routes: series head -> vm_id token -> record key
+    routes: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         first_line = 1
         try:
             while chunk := list(itertools.islice(fh, _CHUNK_LINES)):
-                lines = list(filter(None, map(str.strip, chunk)))
-                records = _chunk_records(lines, shared) if lines else None
+                records = _chunk_records(chunk, routes, shared)
                 if records is not None:
                     columns._extend(*records)
                 else:

@@ -515,6 +515,14 @@ _NEAR_CANONICAL = {
     "repeated-value": (_GOOD[:-1] + ', "value": 99.0}', "repeated key 'value'"),
     "trailing-spaces": (_GOOD + "   ", _SCAN),
     "crlf": (_GOOD + "\r", _SCAN),
+    # a series head first seen here, which fails the check the scan makes
+    # once per series: the chunk goes line by line, as the per-line reader does
+    "level-rack": (_good_with('"level": "vm"', '"level": "rack"'),
+                   "component level must be one of ('vm', 'host'), got 'rack'"),
+    "metric-empty": (_good_with('"metric": "cpu"', '"metric": ""'), "component name must be non-empty"),
+    "host-level-with-vm-id": (_GOOD_HOST.replace('"vm_id": null', '"vm_id": "vm7"'),
+                              "host-level metric host.cpu must not carry vm_id"),
+    "vm-level-with-null": (_good_with('"vm_id": "vm0"', '"vm_id": null'), "vm-level metric vm.cpu requires vm_id"),
 }
 
 
@@ -567,6 +575,53 @@ def test_the_writers_fixture_streams_are_read_by_the_scan_alone(tmp_path, monkey
     assert repr(read_metric_samples(path)) == repr(samples)
 
 
+def test_blank_lines_and_a_last_line_without_a_newline_are_read_by_the_scan_alone(tmp_path, monkeypatch):
+    lines = [_GOOD if i % 3 else _GOOD_HOST for i in range(CHUNK + 200)]
+    for i in (0, 5, 700, CHUNK - 1, CHUNK):
+        lines.insert(i, " \t" if i % 2 else "")
+    path = tmp_path / "stream.jsonl"
+    path.write_text("\n".join(lines))  # no newline after the last line
+    monkeypatch.setattr(states, "_record_columns", _never_decoded)
+    got = read_metric_samples(path)
+    assert len(got) == CHUNK + 200
+    assert list(map(repr, got)) == list(map(repr, oracles.read_metric_samples_per_line(path)))
+
+
+@pytest.mark.parametrize("decoded_first", [True, False], ids=["decoded-then-scanned", "scanned-then-decoded"])
+def test_a_series_read_by_both_paths_is_one_series_of_shared_objects(tmp_path, monkeypatch, decoded_first):
+    # one chunk with compact separators, which the JSON path decodes, and
+    # two canonical chunks, which the scan reads, all of the same series;
+    # timestamps beyond the small ints CPython caches, so that sharing shows
+    host_cpu = ComponentId("cpu", "host")
+    samples = [
+        MetricSample(10**12 + 1000 * (i % 50), "h0", None if i % 3 == 0 else f"vm{i % 2}",
+                     host_cpu if i % 3 == 0 else CPU, i + 0.5)
+        for i in range(3 * CHUNK)
+    ]
+    compact = range(CHUNK) if decoded_first else range(2 * CHUNK, 3 * CHUNK)
+    path = tmp_path / "stream.jsonl"
+    path.write_text("".join(
+        json.dumps(s.to_json_obj(), sort_keys=True, separators=(",", ":") if i in compact else None) + "\n"
+        for i, s in enumerate(samples)
+    ))
+    decoded = []
+    record_columns = states._record_columns
+    monkeypatch.setattr(states, "_record_columns", lambda objs: decoded.append(len(objs)) or record_columns(objs))
+    columns = states.read_sample_columns(path)
+    assert decoded == [CHUNK]
+    assert list(map(repr, columns)) == list(map(repr, oracles.read_metric_samples_per_line(path)))
+    assert [(host, vm, metric.key) for host, vm, metric in columns.series] == [
+        ("h0", None, "host.cpu"), ("h0", "vm1", "vm.cpu"), ("h0", "vm0", "vm.cpu")
+    ]
+    got = list(columns)
+    for field in ("timestamp", "host_id", "vm_id", "metric"):
+        first = {}
+        for i, sample in enumerate(got):
+            value = getattr(sample, field)
+            assert first.setdefault(value, value) is value, (field, i)
+    assert len({s.timestamp for s in got}) == 50
+
+
 # ids the writer leaves unescaped: printable ASCII but " and \
 _ASCII_ID = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E, exclude_characters='"\\'), max_size=6)
 
@@ -591,6 +646,25 @@ def test_the_writers_random_samples_are_read_by_the_scan_alone(tmp_path_factory,
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(states, "_record_columns", _never_decoded)
         assert repr(read_metric_samples(path)) == repr(samples)
+
+
+def _opcodes(node, parser):
+    """The names of the opcodes in a parsed pattern, at every depth."""
+    if isinstance(node, parser.SubPattern):
+        for op, av in node:
+            yield str(op)
+            yield from _opcodes(av, parser)
+    elif isinstance(node, (tuple, list)):
+        for item in node:
+            yield from _opcodes(item, parser)
+
+
+def test_the_scan_pattern_holds_nothing_python_3_10_cannot_compile():
+    # pyproject.toml takes Python 3.10, whose re has neither possessive
+    # quantifiers nor atomic groups; it raises re.error on either, which
+    # no reader path catches
+    parser = getattr(re, "_parser", None) or __import__("sre_parse")
+    assert {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}.isdisjoint(_opcodes(parser.parse(states._CANONICAL_LINE), parser))
 
 
 # -- hashing -----------------------------------------------------------
