@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from bisect import bisect_left, bisect_right, insort
 from collections import namedtuple
 from itertools import chain, islice, repeat
@@ -104,11 +105,18 @@ def _raise_first(columns: SampleColumns, errors: dict) -> None:
 
 def _check_series(columns: SampleColumns) -> None:
     """Raise ``SequencingError`` for the first sample, in stream order,
-    that is earlier than the one before it in its series."""
+    that is earlier than the one before it in its series.  A timestamp
+    column that series share is judged once."""
     early = {}
+    backs = {}  # the first fall of each distinct column, keyed by identity; 0 for none
     for s, ((host, vm, metric), stamps) in enumerate(zip(columns.series, columns.timestamps)):
-        if not all(map(le, stamps, islice(stamps, 1, None))):
-            back = next(i for i in range(1, len(stamps)) if stamps[i] < stamps[i - 1])
+        back = backs.get(id(stamps))
+        if back is None:
+            back = 0
+            if not all(map(le, stamps, islice(stamps, 1, None))):
+                back = next(i for i in range(1, len(stamps)) if stamps[i] < stamps[i - 1])
+            backs[id(stamps)] = back
+        if back:
             key = (host, vm, metric.key)
             early[s] = (back, SequencingError(f"series {key}: timestamp {stamps[back]} after {stamps[back - 1]}"))
     _raise_first(columns, early)
@@ -134,12 +142,14 @@ def preprocess(samples: Iterable[MetricSample] | SampleColumns, policy: Preproce
     sorting every window, down to the sign of a zero median.
 
     The filter runs on the value column of each series of a
-    ``SampleColumns``, and the result is a ``SampleColumns`` with new
-    value columns where a value changed.  Given any other iterable of
-    samples, preprocess takes it through ``SampleColumns.of``, which
-    refuses NaN and infinite values, and gives a list, in which a sample
-    whose value stayed is the sample given.  A median that overflows to
-    an infinity makes its z-score NaN, so every replacement is finite.
+    ``SampleColumns``, an ``array('d')``, and the result is a
+    ``SampleColumns`` with new value arrays where a value changed.
+    Given any other iterable of samples, preprocess takes it through
+    ``SampleColumns.of``, which refuses NaN and infinite values, and
+    gives a list, in which a sample whose value stayed is the sample
+    given; an int value that no float equals does not stay, since the
+    columns hold floats.  A median that overflows to an infinity makes
+    its z-score NaN, so every replacement is finite.
 
     Of the samples earlier than the one before them in their series, the
     one a pass over the stream would meet first raises ``SequencingError``.
@@ -159,7 +169,7 @@ def preprocess(samples: Iterable[MetricSample] | SampleColumns, policy: Preproce
     for (_, _, metric), given in zip(samples.series, samples.values):
         vals = given
         if metric.name in PERCENT_METRIC_NAMES and not 0.0 <= min(vals) <= max(vals) <= 100.0:
-            vals = [v if 0.0 <= v <= 100.0 else min(100.0, max(0.0, v)) for v in vals]
+            vals = array("d", [v if 0.0 <= v <= 100.0 else min(100.0, max(0.0, v)) for v in vals])
         n = len(vals)
         runs = [(0, n)]
         for _ in range(_MAX_PASSES):
@@ -171,8 +181,7 @@ def preprocess(samples: Iterable[MetricSample] | SampleColumns, policy: Preproce
                 # at each end have a window that end shrinks
                 p, q = max(a, half), min(b, n - half)
                 for i in chain(range(a, min(b, half)), range(max(p, n - half), b)):
-                    w = vals[max(0, i - half) : i + half + 1]
-                    w.sort()
+                    w = sorted(vals[max(0, i - half) : i + half + 1])
                     # the median of an even window is the mean of the
                     # middle pair, as statistics.median computes it
                     k, odd = divmod(len(w), 2)
@@ -189,8 +198,7 @@ def preprocess(samples: Iterable[MetricSample] | SampleColumns, policy: Preproce
                 # to the leaving one, so equal values keep their order in
                 # the slice and w is sorted(vals[i - half : i + half + 1])
                 # down to which zero the median takes
-                w = vals[p - half : p + half]
-                w.sort()
+                w = sorted(vals[p - half : p + half])
                 steps = zip(range(p, q), vals[p:q], vals[p - half : q - half], vals[p + half : q + half])
                 for i, x, leaving, entering in steps:
                     insort(w, entering)
@@ -219,7 +227,7 @@ def preprocess(samples: Iterable[MetricSample] | SampleColumns, policy: Preproce
             # edges were judged before its middle)
             replaced.sort()
             if vals is given:
-                vals = given.copy()  # the columns given stay as they were
+                vals = given[:]  # the columns given stay as they were
             runs = []
             for i, med in replaced:
                 vals[i] = med
@@ -275,6 +283,7 @@ def collect_windows(
     scopes: dict[tuple, list] = {}  # timestamp column of each vm-level series, per (host, vm)
     windowed: dict[tuple, tuple] = {}  # (timestamps, buckets) by (host, vm or None, position)
     faults = {}
+    rising = {}  # whether each distinct timestamp column rises strictly, keyed by identity
     series = zip(columns.series, columns.timestamps, columns.values)
     for s, ((host, vm, metric), stamps, vals) in enumerate(series):
         if metric.level != "host":
@@ -283,7 +292,9 @@ def collect_windows(
         if route is None:
             continue
         i, inner = route
-        if not all(map(lt, stamps, islice(stamps, 1, None))):
+        if id(stamps) not in rising:
+            rising[id(stamps)] = all(map(lt, stamps, islice(stamps, 1, None)))
+        if not rising[id(stamps)]:
             # in time order, a sample at the time of the one before it is a
             # second sample; the earliest of those in the stream raises
             ranks = sorted(range(len(stamps)), key=stamps.__getitem__)

@@ -16,6 +16,7 @@ import json
 import math
 import operator
 import re
+from array import array
 from collections import namedtuple
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -288,12 +289,15 @@ class SampleColumns:
 
     A series is the samples of one ``(host_id, vm_id, metric)``: it holds
     a column of their timestamps and one of their values, each in stream
-    order.  ``series`` names each series, in the order the stream first
-    gave one of its samples, and ``order`` holds the index of the series
-    of each sample of the stream in turn.  ``len`` is the number of
-    samples, and iterating yields the ``MetricSample``s in stream order,
-    each built as it is taken.  Equal host and VM ids of the series are
-    one object.
+    order.  A value column is an ``array('d')``, so a value is held as a
+    float, an int or a bool value too, with the sign of a zero kept.
+    ``series`` names each series, in the order the stream first gave one
+    of its samples, and ``order``, an ``array('I')``, holds the index of
+    the series of each sample of the stream in turn.  ``len`` is the
+    number of samples, and iterating yields the ``MetricSample``s in
+    stream order, each built as it is taken.  Equal host and VM ids of
+    the series are one object, and so are equal timestamp columns once
+    the columns are complete.
 
     ``_extend`` is the one routine that fills the columns, for every
     producer: the reader's scan, its decoded chunks and its
@@ -308,8 +312,8 @@ class SampleColumns:
     def __init__(self) -> None:
         self.series: list[tuple] = []  # (host_id, vm_id, metric) per series
         self.timestamps: list[list] = []  # one column per series
-        self.values: list[list] = []
-        self.order: list[int] = []  # the series of each sample, in stream order
+        self.values: list[array] = []  # one array('d') column per series
+        self.order = array("I")  # the series of each sample, in stream order
         self._index: dict[tuple, int] = {}  # (host_id, vm_id, name, level) -> series
         self._ids: dict = {}  # one object per distinct id
 
@@ -330,36 +334,45 @@ class SampleColumns:
             names = tuple(map(operator.attrgetter("name"), metrics))
             levels = tuple(map(operator.attrgetter("level"), metrics))
             metric_of = dict(zip(zip(names, levels), metrics))
-            columns._extend(zip(hosts, vms, names, levels), timestamps, values, metric_of)
+            columns._extend(columns._series_of(list(zip(hosts, vms, names, levels)), metric_of), timestamps, values)
+        columns._complete()
         return columns
 
-    def _extend(self, keys: Iterable[tuple], timestamps, values, metrics: Mapping) -> None:
-        """Append each record to the columns of its series.  ``keys`` are
-        the records' ``(host_id, vm_id, metric name, level)``; a key not
-        seen before opens a series, whose metric is ``metrics[name,
-        level]``."""
-        keys = list(keys)
+    def _series_of(self, keys: list[tuple], metrics: Mapping) -> list[int]:
+        """The series of each record key ``(host_id, vm_id, metric name,
+        level)`` of ``keys``; a key not seen before opens a series, in the
+        order of ``keys``, whose metric is ``metrics[name, level]``."""
         index = self._index
         try:
-            ids = list(map(index.__getitem__, keys))
+            return list(map(index.__getitem__, keys))
         except KeyError:
-            for key in keys:  # in stream order
+            for key in keys:
                 if key not in index:
                     host, vm, name, level = key
                     index[key] = len(self.series)
                     self.series.append((self._ids.setdefault(host, host), self._ids.setdefault(vm, vm),
                                         metrics[name, level]))
                     self.timestamps.append([])
-                    self.values.append([])
-            ids = list(map(index.__getitem__, keys))
-        self.order += ids
+                    self.values.append(array("d"))
+            return list(map(index.__getitem__, keys))
+
+    def _extend(self, series: list[int], timestamps, values) -> None:
+        """Append each record to the columns of its series, whose index
+        ``series`` holds."""
+        self.order.fromlist(series)
         add_timestamp = [column.append for column in self.timestamps]
         add_value = [column.append for column in self.values]
-        for i, timestamp, value in zip(ids, timestamps, values):
+        for i, timestamp, value in zip(series, timestamps, values):
             add_timestamp[i](timestamp)
             add_value[i](value)
 
-    def with_values(self, values: list[list]) -> "SampleColumns":
+    def _complete(self) -> None:
+        """Make each timestamp column equal to an earlier one that list,
+        once no record is left to append."""
+        distinct: dict[tuple, list] = {}
+        self.timestamps = [distinct.setdefault(tuple(column), column) for column in self.timestamps]
+
+    def with_values(self, values: list[array]) -> "SampleColumns":
         """These columns with other value columns, one per series: the
         route by which ``preprocess`` gives back the values it computed
         from checked ones.  The new object shares its series, timestamps
@@ -490,10 +503,10 @@ def _route(head: str, vm_token: str, shared: dict) -> tuple:
     return host, vm, name, level
 
 
-def _scanned_records(chunk: list[str], routes: dict, shared: dict) -> tuple | None:
-    """The arguments of ``SampleColumns._extend`` for a chunk of lines as
-    read, if each line is blank or canonical, padded or not; else None.
-    A failed check raises its reason.
+def _scanned_records(chunk: list[str], columns: SampleColumns, routes: dict, shared: dict) -> tuple | None:
+    """The arguments of ``columns._extend`` for a chunk of lines as read,
+    if each line is blank or canonical, padded or not; else None.  A
+    failed check raises its reason.
 
     The anchored pattern matches only within one line, at most once, and
     never a blank one, so one match per line that is not blank means
@@ -505,10 +518,13 @@ def _scanned_records(chunk: list[str], routes: dict, shared: dict) -> tuple | No
     int, and ``float`` of the int is not ``float`` of the text for ``-0``
     or for a literal too large for a float.
 
-    A line is routed to its record key by its series head, then its vm_id
-    token, through the stream's ``routes``, which checks a series when it
-    first routes it.  Each distinct timestamp token of the chunk is
-    parsed once, and only the values are checked per line.  The first
+    A line is routed to the index of its series by its series head, then
+    its vm_id token, through the stream's ``routes``.  The routes a chunk
+    holds for the first time are checked, then open their series in
+    the order of their first lines.  A chunk that fails a check after
+    that fails it line by line too, so the read raises.  Each distinct
+    timestamp token of the chunk is parsed once, and only the values are
+    checked per line.  The first
     line that is not blank is matched alone, so that a stream in another
     form does not pay a failed scan of every chunk.
     """
@@ -520,13 +536,13 @@ def _scanned_records(chunk: list[str], routes: dict, shared: dict) -> tuple | No
         return None
     heads, timestamps, values, vm_tokens = zip(*rows)
     try:
-        keys = list(map(dict.__getitem__, map(routes.__getitem__, heads), vm_tokens))
+        series = list(map(dict.__getitem__, map(routes.__getitem__, heads), vm_tokens))
     except KeyError:
-        for head, vm_token in set(zip(heads, vm_tokens)):
-            series = routes.setdefault(head, {})
-            if vm_token not in series:
-                series[vm_token] = _route(head, vm_token, shared)
-        keys = list(map(dict.__getitem__, map(routes.__getitem__, heads), vm_tokens))
+        new = [route for route in dict.fromkeys(zip(heads, vm_tokens)) if route[1] not in routes.get(route[0], ())]
+        keys = [_route(head, vm_token, shared) for head, vm_token in new]
+        for (head, vm_token), s in zip(new, columns._series_of(keys, shared)):
+            routes.setdefault(head, {})[vm_token] = s
+        series = list(map(dict.__getitem__, map(routes.__getitem__, heads), vm_tokens))
     timestamp_of = {}
     for token in set(timestamps):
         timestamp = int(token)  # over 4300 digits raises, as it does in the decoder
@@ -535,15 +551,16 @@ def _scanned_records(chunk: list[str], routes: dict, shared: dict) -> tuple | No
     values = list(map(float, values))
     if not all(map(math.isfinite, values)):
         raise ValueError("non-finite value")
-    return keys, timestamps, values, shared
+    return series, timestamps, values
 
 
-def _checked_records(columns: tuple, shared: dict) -> tuple:
-    """The arguments of ``SampleColumns._extend`` for the columns
+def _checked_records(records: tuple, columns: SampleColumns, shared: dict) -> tuple:
+    """The arguments of ``columns._extend`` for the columns
     ``_record_columns`` gives, checked a column at a time as
     ``read_metric_samples`` documents; a failed check raises its reason,
-    for a lone record the reason of the first check it fails."""
-    timestamps, hosts, vms, names, levels, values = columns
+    for a lone record the reason of the first check it fails.  The
+    series of records that pass are opened if new."""
+    timestamps, hosts, vms, names, levels, values = records
     for name, level in set(zip(names, levels)):
         _component(name, level, shared)
     # bool is a subclass of int, so the types are compared exactly
@@ -561,10 +578,11 @@ def _checked_records(columns: tuple, shared: dict) -> tuple:
         # finite: the sample's own check names which
         for fields in zip(timestamps, hosts, vms, map(shared.__getitem__, zip(names, levels)), values):
             _check_sample(*fields)
-    return zip(hosts, vms, names, levels), map(shared.setdefault, timestamps, timestamps), values, shared
+    series = columns._series_of(list(zip(hosts, vms, names, levels)), shared)
+    return series, map(shared.setdefault, timestamps, timestamps), values
 
 
-def _chunk_records(chunk: list[str], routes: dict, shared: dict) -> tuple | None:
+def _chunk_records(chunk: list[str], columns: SampleColumns, routes: dict, shared: dict) -> tuple | None:
     """The checked records of one chunk of lines as read, from one scan or
     decode call, or None when its lines must be decoded one by one.
 
@@ -578,7 +596,7 @@ def _chunk_records(chunk: list[str], routes: dict, shared: dict) -> tuple | None
     decoded too, and goes line by line.
     """
     try:
-        records = _scanned_records(chunk, routes, shared)
+        records = _scanned_records(chunk, columns, routes, shared)
         if records is not None:
             return records
         lines = list(filter(None, map(str.strip, chunk)))
@@ -587,12 +605,12 @@ def _chunk_records(chunk: list[str], routes: dict, shared: dict) -> tuple | None
         objs = _DECODER.decode("[" + "\n,".join(lines) + "]")
         if len(objs) != len(lines):
             return None
-        return _checked_records(_record_columns(objs), shared)
+        return _checked_records(_record_columns(objs), columns, shared)
     except (ValueError, OverflowError, RecursionError):
         return None
 
 
-def _line_record(path, line_no: int, line: str, shared: dict) -> tuple:
+def _line_record(path, line_no: int, line: str, columns: SampleColumns, shared: dict) -> tuple:
     """The checked record of one stripped line, as a one-record column; a
     bad record raises naming the line."""
     try:
@@ -600,7 +618,7 @@ def _line_record(path, line_no: int, line: str, shared: dict) -> tuple:
         obj, end = _DECODER.raw_decode(line)
         if end != len(line):
             raise json.JSONDecodeError("Extra data", line, end)
-        return _checked_records(_record_columns([obj]), shared)
+        return _checked_records(_record_columns([obj]), columns, shared)
     except (ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: line {line_no}: {exc}") from exc
     except RecursionError:
@@ -618,7 +636,8 @@ def read_sample_columns(path) -> SampleColumns:
     ``"42.5"`` are neither).  Anything else, and any sample ``MetricSample`` rejects,
     raises ``ValueError`` naming the path and the 1-based line.  The
     columns share one object per distinct timestamp, ``host_id`` and
-    ``vm_id``, and one ``ComponentId`` per component.
+    ``vm_id``, one ``ComponentId`` per component and one list per
+    distinct timestamp column.
 
     Lines are taken ``_CHUNK_LINES`` at a time: a chunk of canonical
     lines, as ``write_metric_samples`` writes them, is scanned with one
@@ -635,23 +654,24 @@ def read_sample_columns(path) -> SampleColumns:
     # one object per distinct timestamp, and a ComponentId per valid
     # (name, level) pair
     shared: dict = {}
-    # the scan's routes: series head -> vm_id token -> record key
+    # the scan's routes: series head -> vm_id token -> series
     routes: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         first_line = 1
         try:
             while chunk := list(itertools.islice(fh, _CHUNK_LINES)):
-                records = _chunk_records(chunk, routes, shared)
+                records = _chunk_records(chunk, columns, routes, shared)
                 if records is not None:
                     columns._extend(*records)
                 else:
                     for line_no, line in enumerate(chunk, start=first_line):
                         line = line.strip()
                         if line:
-                            columns._extend(*_line_record(path, line_no, line, shared))
+                            columns._extend(*_line_record(path, line_no, line, columns, shared))
                 first_line += len(chunk)
         except UnicodeDecodeError as exc:  # text is decoded a block ahead of the lines
             raise ValueError(f"{path}: {exc}") from None
+    columns._complete()
     return columns
 
 

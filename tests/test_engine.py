@@ -138,6 +138,15 @@ def test_preprocess_constant_series_unchanged():
     assert preprocess(samples) == samples
 
 
+def test_preprocess_gives_back_each_sample_whose_int_value_stayed():
+    # the columns hold 50 as 50.0; the list route compares values, so a
+    # sample whose value stayed is the sample given, with its int value
+    samples = sample_series([50] * 10 + [99] + [50] * 10, metric="throughput")
+    got = preprocess(samples)
+    assert [g is s for g, s in zip(got, samples)] == [True] * 10 + [False] + [True] * 10
+    assert repr(got[10].value) == "50.0"
+
+
 def test_preprocess_replaces_spike_with_window_median():
     values = [50.0] * 21
     values[10] = 500.0
@@ -185,6 +194,20 @@ def test_preprocess_rejects_time_travel():
     ]
     with pytest.raises(SequencingError):
         preprocess(samples)
+
+
+@pytest.mark.parametrize("first", ["vm0", "vm1"])
+def test_series_sharing_a_falling_timestamp_column_each_name_their_own_sample(first):
+    # both series have the timestamps 0, 2000, 1000, so they share one
+    # column, judged once; the series whose fall the stream meets first raises
+    comp = ComponentId("cpu", "vm")
+    second = "vm1" if first == "vm0" else "vm0"
+    samples = [MetricSample(t, "h0", vm, comp, 50.0) for t in (0, 2000) for vm in ("vm0", "vm1")]
+    samples += [MetricSample(1000, "h0", first, comp, 50.0), MetricSample(1000, "h0", second, comp, 50.0)]
+    columns = SampleColumns.of(samples)
+    assert columns.timestamps[0] is columns.timestamps[1]
+    with pytest.raises(SequencingError, match=rf"^series \('h0', '{first}', 'vm.cpu'\): timestamp 1000 after 2000$"):
+        preprocess(columns)
 
 
 def assert_refused_at_the_door(samples: list, message: str, *runs) -> None:
@@ -533,6 +556,20 @@ def test_a_second_sample_of_a_windowed_metric_raises_in_either_order(config, key
         collect_windows(stream, config.window_specs)
     with pytest.raises(ValueError, match="second sample of"):
         Engine(config).process_stream(stream)
+
+
+@pytest.mark.parametrize("key", ["vm.cpu", "vm.memory"])
+def test_windowed_series_sharing_a_timestamp_column_each_name_their_own_second_sample(config, key):
+    # vm.cpu and vm.memory both come twice at t=1000, so they share one
+    # column, judged once; the second sample the stream gives first raises
+    other = "vm.memory" if key == "vm.cpu" else "vm.cpu"
+    stream = samples_for([HEALTHY, HEALTHY], first=0)
+    stream += [MetricSample(1000, "h0", "vm0", ComponentId.parse(k), 30.0) for k in (key, other)]
+    columns = SampleColumns.of(stream)
+    stamps = {metric.key: column for (_, _, metric), column in zip(columns.series, columns.timestamps)}
+    assert stamps["vm.cpu"] is stamps["vm.memory"]
+    with pytest.raises(ValueError, match=rf"^window t=1000 h0/vm0: second sample of {re.escape(key)}$"):
+        collect_windows(columns, config.window_specs)
 
 
 def test_windows_with_equal_buckets_share_one_tuple(config):

@@ -4,6 +4,8 @@ import json
 import math
 import pathlib
 import re
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -264,6 +266,108 @@ def test_reader_matches_per_line_reader_on_scenario_800(tmp_path):
     for s in got:
         assert shared.setdefault(s.metric, s.metric) is s.metric
     assert len(shared) == 6
+
+
+def _scenario_800_columns(tmp_path, route):
+    """The columns of the scenario_800 stream, read back or through ``of``,
+    and its samples."""
+    samples, _ = generate(load_scenario(fixture_path("scenario_800.json")))
+    if route == "of":
+        return states.SampleColumns.of(samples), samples
+    path = tmp_path / "stream.jsonl"
+    write_metric_samples(samples, path)
+    return states.read_sample_columns(path), samples
+
+
+@pytest.mark.parametrize("route", ["reader", "of"])
+def test_columns_hold_unboxed_values_a_packed_order_and_one_list_per_distinct_timestamp_column(tmp_path, route):
+    columns, samples = _scenario_800_columns(tmp_path, route)
+    assert {(type(column), column.typecode) for column in columns.values} == {(array, "d")}
+    assert (type(columns.order), columns.order.typecode) == (array, "I")
+    assert list(map(repr, columns)) == list(map(repr, samples))
+    # every series samples each of the 800 times, so all six columns are one list
+    assert len(columns.timestamps) == 6
+    assert {id(column) for column in columns.timestamps} == {id(columns.timestamps[0])}
+
+
+def test_equal_timestamp_columns_are_one_list_and_unequal_ones_stay_apart():
+    samples = [MetricSample(t, "h0", vm, CPU, 1.0) for t in (1, 2, 3) for vm in ("vm0", "vm1", "vm2")]
+    samples.append(MetricSample(4, "h0", "vm1", CPU, 1.0))
+    columns = states.SampleColumns.of(samples)
+    first, second, third = columns.timestamps
+    assert first is third and first == [1, 2, 3]
+    assert second == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("route", ["reader", "of"])
+def test_columns_hold_at_most_24_bytes_per_sample(tmp_path, route):
+    # a boxed float and the pointers to it, its timestamp and its series
+    # came to about 52 bytes a sample; the bytes that go when the columns
+    # go are what they hold, and a warm-up call leaves caches out of it
+    columns, samples = _scenario_800_columns(tmp_path, route)
+    make = (lambda: states.SampleColumns.of(samples)) if route == "of" else (
+        lambda: states.read_sample_columns(tmp_path / "stream.jsonl")
+    )
+    tracemalloc.start()
+    try:
+        columns = make()
+        with_columns = tracemalloc.get_traced_memory()[0]
+        n = len(columns)
+        del columns
+        held = with_columns - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert n == 4800
+    assert held <= 24 * n
+
+
+@pytest.mark.parametrize(
+    "value", [3, True, -7, 2.5, 2**60 + 1], ids=["int", "bool", "negative-int", "float", "int-past-2**53"]
+)
+def test_sample_columns_hold_an_int_or_a_bool_value_as_its_float(value):
+    # an int no float equals comes back as the nearest float
+    columns = states.SampleColumns.of([MetricSample(0, "h0", "vm0", CPU, value)])
+    assert columns.values == [array("d", [float(value)])]
+    (got,) = columns
+    assert type(got.value) is float and got.value == float(value)
+
+
+def test_a_negative_zero_keeps_its_sign_through_the_columns(tmp_path):
+    samples = [MetricSample(t, "h0", "vm0", CPU, v) for t, v in enumerate([0.0, -0.0, 5.0, -0.0])]
+    path = tmp_path / "stream.jsonl"
+    write_metric_samples(samples, path)
+    for columns in (states.SampleColumns.of(samples), states.read_sample_columns(path)):
+        assert [math.copysign(1.0, v) for v in columns.values[0]] == [1.0, -1.0, 1.0, -1.0]
+        assert [repr(s.value) for s in columns] == ["0.0", "-0.0", "5.0", "-0.0"]
+
+
+def test_the_scan_opens_a_chunks_series_in_the_order_of_their_first_lines(tmp_path):
+    # 60 series in an order that no hash gives, 20 samples each
+    keys = [
+        (f"h{i % 3}", None if i % 4 == 0 else f"vm{i % 5}", ComponentId(f"m{i % 7}", "host" if i % 4 == 0 else "vm"))
+        for i in range(60)
+    ]
+    samples = [MetricSample(1000 * (i // 60), h, vm, metric, i / 8) for i, (h, vm, metric) in enumerate(keys * 20)]
+    path = tmp_path / "stream.jsonl"
+    write_metric_samples(samples, path)
+    columns = states.read_sample_columns(path)
+    assert columns.series == list(dict.fromkeys((s.host_id, s.vm_id, s.metric) for s in samples))
+    assert list(map(repr, columns)) == list(map(repr, samples))
+
+
+@pytest.mark.parametrize("bad_line", [2, 700], ids=["route-opened-line-before", "route-opened-many-lines-before"])
+def test_a_scanned_chunk_failing_after_it_opened_its_series_raises_naming_the_line(tmp_path, bad_line):
+    # every series of the chunk is new, so it is routed and opened before
+    # the value check fails; the line-by-line pass names the same line
+    samples = [MetricSample(i, "h0", f"vm{i % 9}", CPU, 1.5) for i in range(CHUNK)]
+    lines = [json.dumps(s.to_json_obj(), sort_keys=True) for s in samples]
+    lines[bad_line - 1] = lines[bad_line - 1].replace('"value": 1.5', '"value": 1e999')
+    path = tmp_path / "stream.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as raised:
+        states.read_sample_columns(path)
+    assert str(raised.value) == f"{path}: line {bad_line}: vm.cpu: non-finite value inf"
+    assert _outcome(oracles.read_metric_samples_per_line, path) == bad_line
 
 
 _GOOD = json.dumps(MetricSample(0, "h0", "vm0", CPU, 42.5).to_json_obj(), sort_keys=True)
