@@ -4,17 +4,19 @@
     python3 scripts/stage_times.py --config fixtures/engine_config.json \\
         [--repeat 3] STREAM.jsonl [STREAM.jsonl ...]
 
-Runs the stages of ``afdi diagnose`` one after the other on each stream:
-the read (``read_sample_columns``, the reader ``afdi diagnose`` calls),
-``preprocess``, ``collect_windows``, the ``Engine.step`` loop and the
-alarm-log write.  The middle three are timed inside the
-``Engine.process_stream`` call that ``afdi diagnose`` makes.  Each stage
-is timed by ``perf_counter`` with the cycle collector off, as ``afdi
+Runs ``afdi diagnose`` itself, ``cli.main(["diagnose", ...])``, on each
+stream and times its stages from inside: the read
+(``read_sample_columns``), ``preprocess``, ``collect_windows``, the
+``Engine.step`` loop and the alarm-log write.  For a run, the read and the
+write are wrapped so that each marks when it starts and when it returns,
+and ``preprocess`` and ``collect_windows`` so that each marks when it
+returns; the ``step`` loop is the rest of ``Engine.process_stream``, up to
+the write.  The config load before the read is not timed.  Each stage is
+timed by ``perf_counter`` with the cycle collector off, as ``afdi
 diagnose`` runs them, and the best of ``--repeat`` runs is kept per
 stage.  The Markdown table has one column per stream, each stage
 with its share of the stages' sum; times are not normalized for the speed
-of the host, so compare shares, or runs interleaved on one host.  The config is loaded once per
-run and not timed.
+of the host, so compare shares, or runs interleaved on one host.
 
 A second table gives, per stage, the most heap ``tracemalloc`` traced at
 any point of the stage: what is still live from the stages before it and
@@ -27,7 +29,9 @@ package under ``src/`` of the checkout the script sits in.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
+import io
 import os
 import platform
 import sys
@@ -37,10 +41,18 @@ import tracemalloc
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from afdi import engine  # noqa: E402
-from afdi.states import read_sample_columns  # noqa: E402
+from afdi import cli, engine  # noqa: E402
 
 STAGES = ("read", "preprocess", "`collect_windows`", "`step` loop", "write")
+
+# the calls afdi diagnose makes that bound the stages, each with the
+# module it is looked up in and whether it marks its start too
+_BOUNDS = (
+    (cli, "read_sample_columns", True),
+    (engine, "preprocess", False),
+    (engine, "collect_windows", False),
+    (engine, "write_alarm_log", True),
+)
 
 
 def _heap_peak() -> int:
@@ -51,62 +63,54 @@ def _heap_peak() -> int:
     return peak
 
 
-def _run(config: engine.EngineConfig, metrics: str, out: str, heap: bool = False) -> list:
-    """The seconds each stage took on one run over ``metrics``, or with
-    ``heap`` (under ``tracemalloc``) the bytes of its traced heap peak.
-
-    The middle three stages run inside ``Engine.process_stream`` itself:
-    for the run, ``preprocess`` and ``collect_windows`` are wrapped in the
-    ``engine`` module so that each marks when it returns, and the
-    ``step`` loop is the rest of ``process_stream``.
-    """
+def _run(config_path: str, metrics: str, out: str, heap: bool = False) -> list:
+    """The seconds each stage took on one ``afdi diagnose`` run over
+    ``metrics``, or with ``heap`` (under ``tracemalloc``) the bytes of its
+    traced heap peak.  The calls of ``_BOUNDS`` are wrapped for the run
+    only; what the run prints to stderr is kept, and raised if it fails."""
     mark = _heap_peak if heap else time.perf_counter
-    eng = engine.Engine(config)
-    marks = [mark()]
-    samples = read_sample_columns(metrics)
-    marks.append(mark())
-    stages = {name: getattr(engine, name) for name in ("preprocess", "collect_windows")}
+    marks = []
 
-    def marked(stage):
+    def marked(stage, at_start):
         def call(*args):
+            if at_start:
+                marks.append(mark())
             result = stage(*args)
             marks.append(mark())
             return result
 
         return call
 
-    for name, stage in stages.items():
-        setattr(engine, name, marked(stage))
+    stages = []
+    for module, name, at_start in _BOUNDS:
+        stages.append((module, name, getattr(module, name)))
+        setattr(module, name, marked(stages[-1][2], at_start))
+    stderr = io.StringIO()
     try:
-        alarms = eng.process_stream(samples)
+        with contextlib.redirect_stderr(stderr):
+            status = cli.main(["diagnose", "--config", config_path, "--metrics", metrics, "--out-alarms", out])
     finally:
-        for name, stage in stages.items():
-            setattr(engine, name, stage)
-    marks.append(mark())
-    engine.write_alarm_log(alarms, out)
-    marks.append(mark())
+        for module, name, stage in stages:
+            setattr(module, name, stage)
+    if status != 0:
+        raise RuntimeError(f"afdi diagnose failed on {metrics}: {stderr.getvalue().strip()}")
     if len(marks) != len(STAGES) + 1:
-        raise RuntimeError("Engine.process_stream no longer calls preprocess and collect_windows once each")
+        raise RuntimeError("afdi diagnose no longer calls each bound of its stages once")
     if heap:
         return marks[1:]
     return [b - a for a, b in zip(marks, marks[1:])]
 
 
 def _measured(config_path: str, metrics: str, out: str, heap: bool) -> list:
-    """One run of ``_run`` with the cycle collector off, on a fresh config,
-    as each afdi diagnose has: the classifier's posterior memo would
-    carry over otherwise."""
-    config = engine.load_config(config_path)
+    """One run of ``_run``, after collecting what the run before left."""
     gc.collect()
-    gc.disable()
     if heap:
         tracemalloc.start()
     try:
-        return _run(config, metrics, out, heap)
+        return _run(config_path, metrics, out, heap)
     finally:
         if heap:
             tracemalloc.stop()
-        gc.enable()
 
 
 def stage_times(config_path: str, streams: list[str], repeat: int) -> tuple[dict, dict]:

@@ -302,7 +302,10 @@ def posterior(model: NbcModel, features: Sequence) -> tuple[float, ...]:
     if top == float("-inf"):
         raise AllZeroLikelihoodError("all classes have zero likelihood for these features")
     weights = [math.exp(s - top) for s in scores]
-    total = sum(weights)
+    # left to right, as sum() of floats is compensated from CPython 3.12
+    total = 0.0
+    for w in weights:
+        total += w
     post = tuple(w / total for w in weights)
     model._memo[features] = (features, post)
     return post

@@ -24,10 +24,13 @@ try:
     # the one SHA-256 of the package: the built-in module, as random.py
     # takes _sha512, since hashlib loads OpenSSL, which costs more
     # start-up than afdi's few small digests; CPython 3.12 renamed the
-    # module _sha2, and there hashlib stands in
+    # module _sha2, and hashlib stands in where neither is built
     from _sha256 import sha256
 except ImportError:
-    from hashlib import sha256
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 __all__ = [
     "ComponentId",
@@ -237,14 +240,19 @@ def check_origin(timestamp, host_id, vm_id) -> None:
         raise ValueError(f"vm_id must be a string or None, got {vm_id!r}")
 
 
-def _check_sample(timestamp, host_id, vm_id, metric: ComponentId, value) -> None:
-    """Raise unless the fields make a sample: ``check_origin``, and a
-    ``vm_id`` and finite ``value`` that ``metric``'s level allows."""
-    check_origin(timestamp, host_id, vm_id)
+def _check_fit(vm_id, metric: ComponentId) -> None:
+    """Raise unless ``metric``'s level allows ``vm_id``: an id for vm, None for host."""
     if metric.level == "host" and vm_id is not None:
         raise ValueError(f"host-level metric {metric.key} must not carry vm_id")
     if metric.level == "vm" and vm_id is None:
         raise ValueError(f"vm-level metric {metric.key} requires vm_id")
+
+
+def _check_sample(timestamp, host_id, vm_id, metric: ComponentId, value) -> None:
+    """Raise unless the fields make a sample: ``check_origin``, ``_check_fit``
+    and a finite ``value``."""
+    check_origin(timestamp, host_id, vm_id)
+    _check_fit(vm_id, metric)
     if not math.isfinite(value):
         raise ValueError(f"{metric.key}: non-finite value {value}")
 
@@ -299,15 +307,16 @@ class SampleColumns:
     the series are one object, and so are equal timestamp columns once
     the columns are complete.
 
-    ``_extend`` is the one routine that fills the columns, for every
-    producer: the reader's scan, its decoded chunks and its
-    per-line fallback, and ``of`` for a list of samples; both check each
-    sample as ``MetricSample`` does, so every value is finite.  The only
-    other way in is ``with_values``, by which ``preprocess`` gives back
-    the values it computed from checked ones.
+    ``_series_of`` opens each series once its component is valid and fits
+    its vm_id, and ``_extend`` fills the columns, for every producer: the
+    reader's scan, its decoded chunks and its per-line fallback, and
+    ``of`` for a list of samples; both check each sample as
+    ``MetricSample`` does, so every value is finite.  The only other way
+    in is ``with_values``, by which ``preprocess`` gives back the values
+    it computed from checked ones.
     """
 
-    __slots__ = ("series", "timestamps", "values", "order", "_index", "_ids")
+    __slots__ = ("series", "timestamps", "values", "order", "_index")
 
     def __init__(self) -> None:
         self.series: list[tuple] = []  # (host_id, vm_id, metric) per series
@@ -315,7 +324,6 @@ class SampleColumns:
         self.values: list[array] = []  # one array('d') column per series
         self.order = array("I")  # the series of each sample, in stream order
         self._index: dict[tuple, int] = {}  # (host_id, vm_id, name, level) -> series
-        self._ids: dict = {}  # one object per distinct id
 
     @classmethod
     def of(cls, samples: Iterable[MetricSample]) -> "SampleColumns":
@@ -333,15 +341,16 @@ class SampleColumns:
             timestamps, hosts, vms, metrics, values = zip(*samples)
             names = tuple(map(operator.attrgetter("name"), metrics))
             levels = tuple(map(operator.attrgetter("level"), metrics))
-            metric_of = dict(zip(zip(names, levels), metrics))
-            columns._extend(columns._series_of(list(zip(hosts, vms, names, levels)), metric_of), timestamps, values)
+            shared = dict(zip(zip(names, levels), metrics))
+            columns._extend(columns._series_of(list(zip(hosts, vms, names, levels)), shared), timestamps, values)
         columns._complete()
         return columns
 
-    def _series_of(self, keys: list[tuple], metrics: Mapping) -> list[int]:
+    def _series_of(self, keys: list[tuple], shared: dict) -> list[int]:
         """The series of each record key ``(host_id, vm_id, metric name,
-        level)`` of ``keys``; a key not seen before opens a series, in the
-        order of ``keys``, whose metric is ``metrics[name, level]``."""
+        level)`` of ``keys``.  A key not seen before opens a series, in the
+        order of ``keys``, once its ``_component`` in ``shared`` passes
+        ``_check_fit``, and its ids are interned in ``shared``."""
         index = self._index
         try:
             return list(map(index.__getitem__, keys))
@@ -349,9 +358,10 @@ class SampleColumns:
             for key in keys:
                 if key not in index:
                     host, vm, name, level = key
+                    metric = _component(name, level, shared)
+                    _check_fit(vm, metric)
                     index[key] = len(self.series)
-                    self.series.append((self._ids.setdefault(host, host), self._ids.setdefault(vm, vm),
-                                        metrics[name, level]))
+                    self.series.append((shared.setdefault(host, host), shared.setdefault(vm, vm), metric))
                     self.timestamps.append([])
                     self.values.append(array("d"))
             return list(map(index.__getitem__, keys))
@@ -447,8 +457,6 @@ _CHUNK_LINES = 1024
 # the values of a record's six wire keys
 _wire_values = operator.itemgetter("timestamp", "host_id", "vm_id", "metric", "level", "value")
 _first_char, _last_char = operator.itemgetter(0), operator.itemgetter(-1)
-# the level a record's vm_id calls for: vm for a string, host for null
-_LEVEL_OF_VM_ID = {str: "vm", type(None): "host"}.get
 # a line as write_metric_samples writes it: the six keys sorted, the
 # default separators, and strings that json.dumps leaves unescaped,
 # padded by any whitespace str.strip takes off but a newline.  The
@@ -474,33 +482,12 @@ def _component(name: str, level: str, shared: dict) -> ComponentId:
     return metric
 
 
-def _record_columns(objs: list) -> tuple:
-    """The six columns of decoded records, in ``MetricSample`` order with
-    ``names`` and ``levels`` for the metric, after checking each record's
-    keys and the types of its ids; a failed check raises its reason."""
-    # six entries, and all six wire keys read below: no other key
-    if set(map(type, objs)) != {dict} or set(map(len, objs)) != {6}:
-        raise ValueError(_NOT_A_RECORD)
-    try:
-        timestamps, hosts, vms, names, levels, values = zip(*map(_wire_values, objs))
-    except KeyError:
-        raise ValueError(_NOT_A_RECORD) from None
-    if set(map(type, hosts)) != {str} or not set(map(type, vms)) <= {str, type(None)}:
-        raise ValueError("host_id must be a string and vm_id a string or null")
-    if set(map(type, names)) != {str} or set(map(type, levels)) != {str}:
-        raise ValueError("metric and level must be strings")
-    return timestamps, hosts, vms, names, levels, values
-
-
-def _route(head: str, vm_token: str, shared: dict) -> tuple:
+def _route(head: str, vm_token: str) -> tuple:
     """The record key ``(host_id, vm_id, name, level)`` of the canonical
-    lines with series head ``head`` and vm_id token ``vm_token``, after
-    the sample checks that depend only on the series.  The head's strings
-    hold no ``"``, so they sit between its quotes."""
+    lines with series head ``head`` and vm_id token ``vm_token``.  The
+    head's strings hold no ``"``, so they sit between its quotes."""
     host, level, name = head.split('"')[3::4]
-    vm = None if vm_token == "null" else vm_token[1:-1]
-    _check_sample(0, host, vm, _component(name, level, shared), 0.0)
-    return host, vm, name, level
+    return host, None if vm_token == "null" else vm_token[1:-1], name, level
 
 
 def _scanned_records(chunk: list[str], columns: SampleColumns, routes: dict, shared: dict) -> tuple | None:
@@ -520,13 +507,13 @@ def _scanned_records(chunk: list[str], columns: SampleColumns, routes: dict, sha
 
     A line is routed to the index of its series by its series head, then
     its vm_id token, through the stream's ``routes``.  The routes a chunk
-    holds for the first time are checked, then open their series in
-    the order of their first lines.  A chunk that fails a check after
-    that fails it line by line too, so the read raises.  Each distinct
-    timestamp token of the chunk is parsed once, and only the values are
-    checked per line.  The first
-    line that is not blank is matched alone, so that a stream in another
-    form does not pay a failed scan of every chunk.
+    holds for the first time go through ``_series_of`` in the order of
+    their first lines, which checks each new series once.  A chunk that
+    fails a check fails it line by line too, so the read raises.  Each
+    distinct timestamp token of the chunk is parsed once, and only the
+    values are checked per line.  The first line that is not blank is
+    matched alone, so that a stream in another form does not pay a failed
+    scan of every chunk.
     """
     first = next(filter(str.strip, chunk), None)
     if first is None or re.match(_CANONICAL_LINE, first, re.MULTILINE) is None:
@@ -539,7 +526,7 @@ def _scanned_records(chunk: list[str], columns: SampleColumns, routes: dict, sha
         series = list(map(dict.__getitem__, map(routes.__getitem__, heads), vm_tokens))
     except KeyError:
         new = [route for route in dict.fromkeys(zip(heads, vm_tokens)) if route[1] not in routes.get(route[0], ())]
-        keys = [_route(head, vm_token, shared) for head, vm_token in new]
+        keys = [_route(head, vm_token) for head, vm_token in new]
         for (head, vm_token), s in zip(new, columns._series_of(keys, shared)):
             routes.setdefault(head, {})[vm_token] = s
         series = list(map(dict.__getitem__, map(routes.__getitem__, heads), vm_tokens))
@@ -554,13 +541,22 @@ def _scanned_records(chunk: list[str], columns: SampleColumns, routes: dict, sha
     return series, timestamps, values
 
 
-def _checked_records(records: tuple, columns: SampleColumns, shared: dict) -> tuple:
-    """The arguments of ``columns._extend`` for the columns
-    ``_record_columns`` gives, checked a column at a time as
-    ``read_metric_samples`` documents; a failed check raises its reason,
-    for a lone record the reason of the first check it fails.  The
-    series of records that pass are opened if new."""
-    timestamps, hosts, vms, names, levels, values = records
+def _checked_records(objs: list, columns: SampleColumns, shared: dict) -> tuple:
+    """The arguments of ``columns._extend`` for decoded records, checked a
+    column at a time as ``read_sample_columns`` documents; a failed check
+    raises its reason, for a lone record the reason of the first check it
+    fails.  New series open through ``_series_of``."""
+    # six entries, and all six wire keys read below: no other key
+    if set(map(type, objs)) != {dict} or set(map(len, objs)) != {6}:
+        raise ValueError(_NOT_A_RECORD)
+    try:
+        timestamps, hosts, vms, names, levels, values = zip(*map(_wire_values, objs))
+    except KeyError:
+        raise ValueError(_NOT_A_RECORD) from None
+    if set(map(type, hosts)) != {str} or not set(map(type, vms)) <= {str, type(None)}:
+        raise ValueError("host_id must be a string and vm_id a string or null")
+    if set(map(type, names)) != {str} or set(map(type, levels)) != {str}:
+        raise ValueError("metric and level must be strings")
     for name, level in set(zip(names, levels)):
         _component(name, level, shared)
     # bool is a subclass of int, so the types are compared exactly
@@ -573,12 +569,10 @@ def _checked_records(records: tuple, columns: SampleColumns, shared: dict) -> tu
         raise ValueError(f"value must be a JSON int or float, got {json.dumps(bad)}")
     if int in value_types:
         values = tuple(map(float, values))
-    if tuple(map(_LEVEL_OF_VM_ID, map(type, vms))) != levels or not all(map(math.isfinite, values)):
-        # some record's vm_id does not fit its level, or its value is not
-        # finite: the sample's own check names which
-        for fields in zip(timestamps, hosts, vms, map(shared.__getitem__, zip(names, levels)), values):
-            _check_sample(*fields)
     series = columns._series_of(list(zip(hosts, vms, names, levels)), shared)
+    if not all(map(math.isfinite, values)):
+        value, name, level = next(record for record in zip(values, names, levels) if not math.isfinite(record[0]))
+        raise ValueError(f"{level}.{name}: non-finite value {value}")
     return series, map(shared.setdefault, timestamps, timestamps), values
 
 
@@ -605,7 +599,7 @@ def _chunk_records(chunk: list[str], columns: SampleColumns, routes: dict, share
         objs = _DECODER.decode("[" + "\n,".join(lines) + "]")
         if len(objs) != len(lines):
             return None
-        return _checked_records(_record_columns(objs), columns, shared)
+        return _checked_records(objs, columns, shared)
     except (ValueError, OverflowError, RecursionError):
         return None
 
@@ -618,7 +612,7 @@ def _line_record(path, line_no: int, line: str, columns: SampleColumns, shared: 
         obj, end = _DECODER.raw_decode(line)
         if end != len(line):
             raise json.JSONDecodeError("Extra data", line, end)
-        return _checked_records(_record_columns([obj]), columns, shared)
+        return _checked_records([obj], columns, shared)
     except (ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: line {line_no}: {exc}") from exc
     except RecursionError:
@@ -651,8 +645,8 @@ def read_sample_columns(path) -> SampleColumns:
     path.
     """
     columns = SampleColumns()
-    # one object per distinct timestamp, and a ComponentId per valid
-    # (name, level) pair
+    # one object per distinct timestamp, host_id and vm_id, and a
+    # ComponentId per valid (name, level) pair
     shared: dict = {}
     # the scan's routes: series head -> vm_id token -> series
     routes: dict = {}

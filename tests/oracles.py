@@ -105,7 +105,9 @@ def nb_posterior_log_per_call(priors, cond, features):
         scores.append(s)
     top = max(scores)
     weights = [math.exp(s - top) for s in scores]
-    total = sum(weights)
+    total = 0.0
+    for w in weights:  # left to right, as the classifier adds on every CPython
+        total += w
     return tuple(w / total for w in weights)
 
 

@@ -19,8 +19,11 @@ from conftest import fixture_path
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 # modules the engine path must not load; OpenSSL's digests among them
-# where the built-in SHA-256 module stands in for hashlib's
-FORBIDDEN = {"csv", "dataclasses", "inspect"} | ({"hashlib", "_hashlib"} if importlib.util.find_spec("_sha256") else set())
+# where a built-in SHA-256 module, _sha256 or (from 3.12) _sha2, stands
+# in for hashlib's
+FORBIDDEN = {"csv", "dataclasses", "inspect"}
+if importlib.util.find_spec("_sha256") or importlib.util.find_spec("_sha2"):
+    FORBIDDEN |= {"hashlib", "_hashlib"}
 
 
 def _fresh(code: str) -> dict:

@@ -2,6 +2,8 @@ import importlib.util
 import os
 import re
 
+import pytest
+
 from afdi import cli, engine
 from afdi.simulator import generate, load_scenario
 from afdi.states import write_metric_samples
@@ -46,20 +48,26 @@ def test_stage_times_prints_one_row_per_stage_and_a_column_per_stream(tmp_path, 
 
 
 def test_stage_times_runs_the_pipeline_afdi_diagnose_runs(tmp_path):
-    # the script reads with the reader afdi diagnose calls and times the
-    # stages inside Engine.process_stream; what it writes must be the
-    # alarm log afdi diagnose writes
+    # the script runs afdi diagnose itself and times the stages from
+    # inside; what it writes must be the alarm log afdi diagnose writes
     samples, _ = generate(load_scenario(fixture_path("scenario_endless_loop.json")))
     stream = str(tmp_path / "metrics.jsonl")
     write_metric_samples(samples, stream)
     config_path = fixture_path("engine_config.json")
     stage_times = _stage_times()
-    assert stage_times.read_sample_columns is cli.read_sample_columns
-    stages = engine.preprocess, engine.collect_windows
-    times = stage_times._run(engine.load_config(config_path), stream, str(tmp_path / "timed.jsonl"))
+    bounds = cli.read_sample_columns, engine.preprocess, engine.collect_windows, engine.write_alarm_log
+    times = stage_times._run(config_path, stream, str(tmp_path / "timed.jsonl"))
     assert len(times) == len(stage_times.STAGES)
-    assert (engine.preprocess, engine.collect_windows) == stages  # unwrapped again
+    assert (cli.read_sample_columns, engine.preprocess, engine.collect_windows, engine.write_alarm_log) == bounds
     expected = tmp_path / "expected.jsonl"
     assert cli.main(["diagnose", "--config", config_path, "--metrics", stream, "--out-alarms", str(expected)]) == 0
     assert expected.read_text()
     assert (tmp_path / "timed.jsonl").read_bytes() == expected.read_bytes()
+
+
+def test_stage_times_raises_what_a_failed_diagnose_printed(tmp_path):
+    stream = tmp_path / "metrics.jsonl"
+    stream.write_text("not json\n")
+    stage_times = _stage_times()
+    with pytest.raises(RuntimeError, match=r"afdi diagnose failed on .*: error: .*line 1"):
+        stage_times._run(fixture_path("engine_config.json"), str(stream), str(tmp_path / "alarms.jsonl"))

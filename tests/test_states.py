@@ -565,15 +565,21 @@ def test_reader_shares_one_object_per_distinct_timestamp_and_id(tmp_path):
     ],
     ids=["timestamp-true", "host-metric-with-vm", "value-400-digits", "value-nan"],
 )
-def test_reader_names_the_line_of_one_bad_entry_in_a_column(tmp_path, bad, message):
-    # the bad entry sits inside a full chunk of good records of both scopes
-    lines = [_GOOD if i % 3 else _GOOD_HOST for i in range(CHUNK + 200)]
-    lines[700] = bad
+@pytest.mark.parametrize("separators", [None, (",", ":")], ids=["scanned", "decoded"])
+def test_reader_names_the_line_of_one_bad_entry_in_a_column(tmp_path, bad, message, separators):
+    # the bad entry sits inside a full chunk of good records of both
+    # scopes, written as the writer writes them, which the scan reads, or
+    # with compact separators, which the JSON path decodes
+    def written(line):
+        return json.dumps(json.loads(line), sort_keys=True, separators=separators)
+
+    lines = [written(_GOOD if i % 3 else _GOOD_HOST) for i in range(CHUNK + 200)]
+    lines[700] = written(bad)
     path = tmp_path / "stream.jsonl"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: line 701: {re.escape(message)}$"):
         read_metric_samples(path)
-    lines[700] = _GOOD
+    lines[700] = written(_GOOD)
     path.write_text("\n".join(lines) + "\n")
     assert len(read_metric_samples(path)) == CHUNK + 200
 
@@ -639,8 +645,10 @@ def test_scan_reads_a_near_canonical_line_as_the_per_line_reader_does(tmp_path, 
     path = tmp_path / "stream.jsonl"
     path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
     decoded = []
-    record_columns = states._record_columns
-    monkeypatch.setattr(states, "_record_columns", lambda objs: decoded.append(objs) or record_columns(objs))
+    checked_records = states._checked_records
+    monkeypatch.setattr(
+        states, "_checked_records", lambda objs, *rest: decoded.append(objs) or checked_records(objs, *rest)
+    )
     if outcome in (_SCAN, _DECODE):
         # repr tells -0.0 from 0.0, which == does not
         assert list(map(repr, read_metric_samples(path))) == list(map(repr, oracles.read_metric_samples_per_line(path)))
@@ -663,7 +671,7 @@ def test_read_document_refuses_a_repeated_key_naming_the_path(tmp_path, text, ke
         states.read_document(path)
 
 
-def _never_decoded(objs):
+def _never_decoded(objs, *rest):
     raise AssertionError("a line the writer wrote was not scanned")
 
 
@@ -675,7 +683,7 @@ def test_the_writers_fixture_streams_are_read_by_the_scan_alone(tmp_path, monkey
     samples, _ = generate(load_scenario(fixture_path(scenario)))
     path = tmp_path / "stream.jsonl"
     write_metric_samples(samples, path)
-    monkeypatch.setattr(states, "_record_columns", _never_decoded)
+    monkeypatch.setattr(states, "_checked_records", _never_decoded)
     assert repr(read_metric_samples(path)) == repr(samples)
 
 
@@ -685,7 +693,7 @@ def test_blank_lines_and_a_last_line_without_a_newline_are_read_by_the_scan_alon
         lines.insert(i, " \t" if i % 2 else "")
     path = tmp_path / "stream.jsonl"
     path.write_text("\n".join(lines))  # no newline after the last line
-    monkeypatch.setattr(states, "_record_columns", _never_decoded)
+    monkeypatch.setattr(states, "_checked_records", _never_decoded)
     got = read_metric_samples(path)
     assert len(got) == CHUNK + 200
     assert list(map(repr, got)) == list(map(repr, oracles.read_metric_samples_per_line(path)))
@@ -709,8 +717,10 @@ def test_a_series_read_by_both_paths_is_one_series_of_shared_objects(tmp_path, m
         for i, s in enumerate(samples)
     ))
     decoded = []
-    record_columns = states._record_columns
-    monkeypatch.setattr(states, "_record_columns", lambda objs: decoded.append(len(objs)) or record_columns(objs))
+    checked_records = states._checked_records
+    monkeypatch.setattr(
+        states, "_checked_records", lambda objs, *rest: decoded.append(len(objs)) or checked_records(objs, *rest)
+    )
     columns = states.read_sample_columns(path)
     assert decoded == [CHUNK]
     assert list(map(repr, columns)) == list(map(repr, oracles.read_metric_samples_per_line(path)))
@@ -748,7 +758,7 @@ def test_the_writers_random_samples_are_read_by_the_scan_alone(tmp_path_factory,
     path = tmp_path_factory.mktemp("scan") / "stream.jsonl"
     write_metric_samples(samples, path)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(states, "_record_columns", _never_decoded)
+        patch.setattr(states, "_checked_records", _never_decoded)
         assert repr(read_metric_samples(path)) == repr(samples)
 
 
