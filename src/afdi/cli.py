@@ -98,20 +98,22 @@ def cmd_diagnose(args) -> int:
 
     config = engine.load_config(_require_file(args.config))
     eng = engine.Engine(config)
-    # read, process_stream and write build no reference cycles, so the
-    # cycle collector would only rescan the growing heap of columns and
-    # windows; it is off for them and back as it was afterwards
+    # the read, the engine and the write build no reference cycles, so the
+    # cycle collector would only rescan the growing heap of columns; it is
+    # off for them and back as it was afterwards.  The engine preprocesses
+    # and windows the stream before the log is opened, so a stream it
+    # refuses leaves the log as it was; then each window is stepped as the
+    # write takes its alarms
     collecting = gc.isenabled()
     gc.disable()
     try:
         samples = read_sample_columns(_require_file(args.metrics))
-        alarms = eng.process_stream(samples)
-        engine.write_alarm_log(alarms, args.out_alarms)
+        raised = engine.write_alarm_log(eng.alarms(samples), args.out_alarms)
     finally:
         if collecting:
             gc.enable()
     print(
-        f"processed {len(samples)} samples, raised {len(alarms)} alarms "
+        f"processed {len(samples)} samples, raised {raised} alarms "
         f"({eng.nbc_invocations} classifier calls)",
         file=sys.stderr,
     )

@@ -24,7 +24,7 @@ from bisect import bisect_left, bisect_right, insort
 from collections import namedtuple
 from itertools import chain, islice, repeat
 from operator import itemgetter, le, lt
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import mdd as mdd_mod
 from . import nbc as nbc_mod
@@ -253,9 +253,57 @@ class Window(NamedTuple):
     buckets: tuple[int, ...]
 
 
+# distinct timestamps per block of the windows of collect_windows: a
+# block holds about this many windows per scope, few enough that no
+# stream-sized list is held and enough that the Python work done per
+# block and scope is spread over many windows
+_BLOCK_TIMES = 32
+
+
+class _Windows:
+    """The windows of ``collect_windows``, in ``(timestamp, host, vm)``
+    order, built a block at a time as they are taken: ``len`` is their
+    number, and each iteration builds them anew.
+
+    A scope is held as its host, its VM, its strictly rising times and
+    the interned bucket vector at each.  A block is the windows of the
+    next ``_BLOCK_TIMES`` distinct times of the union of the scopes'
+    clocks: each scope's run of them is sliced and zipped into windows,
+    and the scopes are in (host, vm) order, so a stable sort by time puts
+    the block in window order."""
+
+    __slots__ = ("_scopes", "_clock", "_count")
+
+    def __init__(self, scopes: list[tuple]) -> None:
+        self._scopes = scopes  # (host, vm, times, vectors) per scope
+        clocks = list({id(times): times for _, _, times, _ in scopes}.values())
+        self._clock = clocks[0] if len(clocks) == 1 else sorted(set().union(*clocks))
+        self._count = sum(len(times) for _, _, times, _ in scopes)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[Window]:
+        return chain.from_iterable(map(self._block, range(0, len(self._clock), _BLOCK_TIMES)))
+
+    def _block(self, start: int) -> list[Window]:
+        """The windows at the ``_BLOCK_TIMES`` distinct times of the clock
+        from its position ``start``, in window order."""
+        clock = self._clock
+        first = clock[start]
+        end = start + _BLOCK_TIMES
+        block = []
+        for host, vm, times, vectors in self._scopes:
+            a = bisect_left(times, first)
+            z = bisect_left(times, clock[end], a) if end < len(clock) else len(times)
+            block += map(tuple.__new__, repeat(Window), zip(times[a:z], repeat(host), repeat(vm), vectors[a:z]))
+        block.sort(key=itemgetter(0))
+        return block
+
+
 def collect_windows(
     samples: Iterable[MetricSample] | SampleColumns, specs: Sequence[DiscretizationSpec]
-) -> list[Window]:
+) -> _Windows:
     """Group a sample stream into per-scope windows by exact timestamp,
     putting each sample of a windowed metric in its usage bucket once.
 
@@ -263,9 +311,11 @@ def collect_windows(
     A value is bucketed as ``discretize`` buckets it clamped to its
     spec's bounds, so a value past either end lands in the edge bucket.
     Host-level metrics are shared by every VM on that host.  A window
-    missing any windowed metric, or given one twice, raises; windows come
-    back sorted by (timestamp, host, vm) so downstream processing is
-    deterministic.  Windows with equal buckets share one tuple.
+    missing any windowed metric, or given one twice, raises before this
+    returns.  The windows come back as a sized view that builds them in
+    (timestamp, host, vm) order each time it is iterated, a block of
+    times at a time, so no list of every window is held.  Windows with
+    equal buckets share one tuple.
 
     Samples come as a ``SampleColumns`` or any iterable of samples, which
     is taken through ``SampleColumns.of`` (so no value is NaN or
@@ -278,8 +328,12 @@ def collect_windows(
     """
     columns = samples if isinstance(samples, SampleColumns) else SampleColumns.of(samples)
     # position and inner boundaries per windowed key: searching the inner
-    # boundaries only puts a value past either end in the edge bucket
-    routes = {spec.component.key: (i, spec.boundaries[1:-1]) for i, spec in enumerate(specs)}
+    # boundaries only puts a value past either end in the edge bucket.
+    # The buckets of a column are held as bytes, one each, where they fit
+    routes = {
+        spec.component.key: (i, spec.boundaries[1:-1], bytes if spec.num_intervals <= 256 else list)
+        for i, spec in enumerate(specs)
+    }
     scopes: dict[tuple, list] = {}  # timestamp column of each vm-level series, per (host, vm)
     windowed: dict[tuple, tuple] = {}  # (timestamps, buckets) by (host, vm or None, position)
     faults = {}
@@ -291,7 +345,7 @@ def collect_windows(
         route = routes.get(metric.key)
         if route is None:
             continue
-        i, inner = route
+        i, inner, held = route
         if id(stamps) not in rising:
             rising[id(stamps)] = all(map(lt, stamps, islice(stamps, 1, None)))
         if not rising[id(stamps)]:
@@ -305,11 +359,11 @@ def collect_windows(
                 scope = host if metric.level == "host" else f"{host}/{vm}"
                 faults[s] = (r, ValueError(f"window t={stamps[k]} {scope}: second sample of {metric.key}"))
                 continue
-        buckets = list(map(bisect_right, repeat(inner), vals))
+        buckets = held(map(bisect_right, repeat(inner), vals))
         windowed[host, None if metric.level == "host" else vm, i] = (stamps, buckets)
     _raise_first(columns, faults)
 
-    windows, missing = [], []
+    kept, missing = [], []
     # one tuple per distinct bucket vector: a stream repeats few of them
     interned: dict[tuple, tuple] = {}
     for (host, vm), scope in sorted(scopes.items()):
@@ -327,16 +381,12 @@ def collect_windows(
             per_spec.append(buckets)
         if not missing:
             vectors = list(zip(*per_spec))
-            vectors = map(interned.setdefault, vectors, vectors)
-            windows += map(tuple.__new__, repeat(Window), zip(times, repeat(host), repeat(vm), vectors))
+            kept.append((host, vm, times, list(map(interned.setdefault, vectors, vectors))))
     if missing:
         ts, host, vm, i = min(missing)
         comp = specs[i].component
         raise IncompleteWindowError(f"window t={ts} {host}/{vm}: missing {comp.level} metric {comp.name!r}")
-    # each scope's windows are in time order and the scopes in (host, vm)
-    # order, so a stable sort by time gives (timestamp, host, vm) order
-    windows.sort(key=itemgetter(0))
-    return windows
+    return _Windows(kept)
 
 
 def _check_alarm(timestamp, host_id, vm_id, severity, trigger, diagnosis, top_cause) -> None:
@@ -689,17 +739,21 @@ class Engine:
             return [tuple.__new__(Alarm, (timestamp, host, vm, 1, TRIGGER_NBC) + diagnosis)]
         return []
 
-    def process_stream(self, samples: Iterable[MetricSample] | SampleColumns) -> list[Alarm]:
-        """Preprocess, window, and step an entire stream in time order.
-        The stream comes as ``SampleColumns``, as ``read_sample_columns``
-        gives it, or as samples, which are put in columns first."""
+    def alarms(self, samples: Iterable[MetricSample] | SampleColumns) -> Iterator[Alarm]:
+        """The alarms of an entire stream, stepped window by window in
+        time order as they are taken.  The stream is preprocessed and
+        windowed before this returns, so a stream those stages refuse
+        raises here, before any alarm is taken.  The stream comes as
+        ``SampleColumns``, as ``read_sample_columns`` gives it, or as
+        samples, which are put in columns first."""
         columns = samples if isinstance(samples, SampleColumns) else SampleColumns.of(samples)
         cleaned = preprocess(columns, self.config.preprocess)
         windows = collect_windows(cleaned, self.config.window_specs)
-        alarms = []
-        for window in windows:
-            alarms += self.step(window)
-        return alarms
+        return chain.from_iterable(map(self.step, windows))
+
+    def process_stream(self, samples: Iterable[MetricSample] | SampleColumns) -> list[Alarm]:
+        """The list of ``alarms(samples)``."""
+        return list(self.alarms(samples))
 
 
 # the JSON kind of each key of a config document and of its sections;

@@ -279,6 +279,34 @@ def median_mad_filter(values, window, cutoff, max_passes=64):
     return values, passes
 
 
+# -- windows ------------------------------------------------------------
+
+
+def windows_built_all(samples, specs):
+    """The windows ``collect_windows`` gives for a complete stream, all
+    built before any is given: per (host, vm) scope in that order, one
+    ``(timestamp, host, vm, buckets)`` at each time of the scope's
+    samples, each bucket the ``discretize`` of its spec's value clamped
+    to the spec's bounds (a host metric shared by the host's VMs); then
+    one stable sort of the whole list by timestamp."""
+    vm_rows, host_rows = {}, {}
+    for s in samples:
+        if s.metric.level == "host":
+            host_rows.setdefault((s.timestamp, s.host_id), {})[s.metric.key] = s.value
+        else:
+            vm_rows.setdefault((s.host_id, s.vm_id), {}).setdefault(s.timestamp, {})[s.metric.key] = s.value
+    windows = []
+    for host, vm in sorted(vm_rows):
+        for ts, row in sorted(vm_rows[host, vm].items()):
+            row = {**row, **host_rows.get((ts, host), {})}
+            buckets = []
+            for spec in specs:
+                low, high = spec.boundaries[0], spec.boundaries[-1]
+                buckets.append(discretize(min(high, max(low, row[spec.component.key])), spec))
+            windows.append((ts, host, vm, tuple(buckets)))
+    return sorted(windows, key=lambda w: w[0])
+
+
 # -- metric streams ---------------------------------------------------
 
 

@@ -9,11 +9,12 @@ import math
 import pathlib
 import random
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from afdi import cli
+from afdi import cli, engine
 from afdi.engine import (
     Alarm,
     Engine,
@@ -26,7 +27,7 @@ from afdi.engine import (
 )
 from afdi.simulator import generate, load_scenario, write_labels
 from afdi.states import ComponentId, MetricSample, read_metric_samples, write_metric_samples
-from conftest import fixture_path
+from conftest import fixture_path, hot_scenario
 
 import oracles
 
@@ -88,8 +89,11 @@ def test_fleet_alarm_log_through_the_reader_pinned(tmp_path, name):
 
 
 def _cycles_left(config_path, metrics_path, alarms_path) -> int:
-    """Objects ``gc.collect`` finds unreachable once read, process_stream
-    and write ran with the collector off and their results were dropped."""
+    """Objects ``gc.collect`` finds unreachable once the stages ran with
+    the collector off and their results were dropped: the read,
+    ``process_stream`` and the write of its list, then the read and the
+    write taking the alarms of ``Engine.alarms`` as ``afdi diagnose``
+    runs them."""
     config = load_config(config_path)
     gc.collect()
     enabled = gc.isenabled()
@@ -99,7 +103,11 @@ def _cycles_left(config_path, metrics_path, alarms_path) -> int:
         alarms = eng.process_stream(cli.read_sample_columns(metrics_path))
         write_alarm_log(alarms, alarms_path)
         del eng, alarms
-        return gc.collect()
+        left = gc.collect()
+        eng = Engine(config)
+        write_alarm_log(eng.alarms(cli.read_sample_columns(metrics_path)), alarms_path)
+        del eng
+        return left + gc.collect()
     finally:
         if enabled:
             gc.enable()
@@ -120,6 +128,42 @@ def test_diagnose_stages_build_no_reference_cycles(tmp_path, scenario):
     if pinned:
         assert _sha256(metrics) == pinned[0]
     assert _cycles_left(fixture_path("engine_config.json"), metrics, tmp_path / "alarms.jsonl") == 0
+
+
+# -- memory -----------------------------------------------------------
+
+
+def test_stepping_and_writing_hold_no_window_or_alarm_per_window(tmp_path, monkeypatch):
+    # afdi diagnose steps each window as the write takes its alarms, so
+    # past what collect_windows left, the stage holds a block of windows
+    # and the engine's and the writer's tables, not a list of every window
+    # or alarm: held, the alarms alone would take about 100 bytes each
+    metrics = tmp_path / "metrics.jsonl"
+    write_metric_samples(generate(hot_scenario(800))[0], metrics)
+    marks = {}
+    collect, write = engine.collect_windows, engine.write_alarm_log
+
+    def collected(*args):
+        windows = collect(*args)
+        marks["windows"], marks["left"] = len(windows), tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        return windows
+
+    def written(*args):
+        marks["alarms"] = write(*args)
+        marks["peak"] = tracemalloc.get_traced_memory()[1]
+        return marks["alarms"]
+
+    monkeypatch.setattr(engine, "collect_windows", collected)
+    monkeypatch.setattr(engine, "write_alarm_log", written)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert _diagnose(fixture_path("engine_config.json"), metrics, tmp_path / "alarms.jsonl") == 0
+    finally:
+        tracemalloc.stop()
+    assert marks["windows"] == 6 * 800 and marks["alarms"] > 4000
+    assert marks["peak"] - marks["left"] < 64 * 1024
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
@@ -365,6 +409,25 @@ def test_diagnose_rejects_a_written_stream_as_process_stream_rejects_its_samples
     write_metric_samples(samples, metrics)
     assert _diagnose(config_path, metrics, tmp_path / "alarms.jsonl") == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("before", [None, b'{"from": "an earlier run"}\n'], ids=["absent", "existing"])
+@pytest.mark.parametrize("name", ["decreasing-timestamp", "missing-vm-metric", "second-sample"])
+def test_a_refused_stream_leaves_the_alarm_log_as_it_was(tmp_path, capsys, name, before):
+    # the stream is preprocessed and windowed before the log is opened, so
+    # a stream those stages refuse writes no line: an absent log stays
+    # absent, and the log of an earlier run keeps its bytes
+    samples, _, message = _REJECTED[name]
+    metrics, alarms = tmp_path / "metrics.jsonl", tmp_path / "alarms.jsonl"
+    write_metric_samples(samples, metrics)
+    if before is not None:
+        alarms.write_bytes(before)
+    assert _diagnose(fixture_path("engine_config.json"), metrics, alarms) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    if before is None:
+        assert not alarms.exists()
+    else:
+        assert alarms.read_bytes() == before
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 import re
 
 import pytest
@@ -28,7 +29,7 @@ from afdi.engine import (
 )
 from afdi.simulator import FaultInjection, Scenario, generate, load_scenario, to_training_set
 from afdi.states import ComponentId, DiscretizationSpec, MetricSample, SampleColumns, StateVector, discretize
-from conftest import fixture_path
+from conftest import fixture_path, hot_scenario
 
 import oracles
 
@@ -497,7 +498,7 @@ def buckets_of(values: dict, specs) -> tuple:
 
 def test_collect_windows_groups_and_sorts(config):
     stream = samples_for([variant(**{"vm.cpu": 60.0}), HEALTHY])[::-1]
-    windows = collect_windows(stream, config.window_specs)
+    windows = list(collect_windows(stream, config.window_specs))
     assert [w.timestamp for w in windows] == [0, 1000]
     assert windows[0].buckets == buckets_of(variant(**{"vm.cpu": 60.0}), config.window_specs)
     assert windows[1].buckets == buckets_of(HEALTHY, config.window_specs)
@@ -530,6 +531,18 @@ def test_collect_windows_buckets_only_the_metrics_of_its_specs(config):
     stray = MetricSample(1000, "h0", "vm0", extra, 5.0)
     with pytest.raises(IncompleteWindowError, match=r"^window t=1000 h0/vm0: missing host metric 'cpu'$"):
         collect_windows(stream + [stray], specs)
+
+
+@pytest.mark.parametrize("intervals", [4, 256, 257, 300])
+def test_a_spec_of_more_buckets_than_a_byte_holds_gives_each_value_its_bucket(intervals):
+    # collect_windows holds a column's buckets a byte each while they fit
+    comp = ComponentId("cpu")
+    spec = DiscretizationSpec(comp, tuple(100 * k / intervals for k in range(intervals + 1)))
+    values = [-1.0, 0.0, 50.0, 99.99, 100.0, 120.0]
+    stream = [MetricSample(1000 * t, "h0", "vm0", comp, v) for t, v in enumerate(values)]
+    buckets = [w.buckets for w in collect_windows(stream, [spec])]
+    assert buckets == [(discretize(min(100.0, max(0.0, v)), spec),) for v in values]
+    assert buckets[-1] == (intervals - 1,)
 
 
 @pytest.mark.parametrize("key", ["vm.cpu", "host.storage_io"])
@@ -582,27 +595,91 @@ def test_windows_with_equal_buckets_share_one_tuple(config):
     assert len({id(w.buckets) for w in windows}) == len(vectors)
 
 
+def _fleet_samples(config, clocks: dict, seed: int, shuffled: bool = False) -> list:
+    """A complete stream of the windowed metrics of ``config``: each host
+    of ``clocks`` gives its metrics at each of its times, and each of its
+    VMs gives theirs from its start on, with values drawn from ``seed``
+    (some past the bucket bounds).  ``clocks`` maps a host to ``(times,
+    {vm: index of the VM's first time})``."""
+    rng = random.Random(seed)
+    samples = []
+    for host, (times, starts) in clocks.items():
+        for i, ts in enumerate(times):
+            for spec in config.window_specs:
+                comp = spec.component
+                for vm in [None] if comp.level == "host" else [vm for vm, first in starts.items() if first <= i]:
+                    samples.append(MetricSample(ts, host, vm, comp, rng.uniform(-5.0, 120.0)))
+    if shuffled:
+        rng.shuffle(samples)
+    else:
+        samples.sort(key=lambda s: s.timestamp)
+    return samples
+
+
+def assert_windows_equal_the_windows_built_all(config, samples) -> None:
+    windows = collect_windows(samples, config.window_specs)
+    expected = oracles.windows_built_all(samples, config.window_specs)
+    assert len(windows) == len(expected)
+    first = list(windows)
+    assert first == expected
+    assert all(type(w) is Window for w in first)
+    # the view builds its windows again on each iteration
+    assert list(windows) == first
+
+
+@st.composite
+def _clocked_fleets(draw):
+    """Hosts on their own clocks: each has an offset, may skip a run of
+    its ticks, and has VMs that may start late."""
+    clocks = {}
+    for h in range(draw(st.integers(1, 3))):
+        ticks = list(range(draw(st.integers(1, 70))))
+        gap = draw(st.integers(0, 40))
+        if gap:
+            cut = draw(st.integers(0, len(ticks)))
+            ticks = ticks[:cut] + [t + gap for t in ticks[cut:]]
+        offset = draw(st.integers(0, 999))
+        times = [offset + 1000 * t for t in ticks]
+        starts = {f"vm{v}": draw(st.integers(0, len(times) - 1)) for v in range(draw(st.integers(1, 3)))}
+        clocks[f"h{h}"] = (times, starts)
+    return clocks
+
+
+@settings(max_examples=150)
+@given(clocks=_clocked_fleets(), seed=st.integers(0, 2**32 - 1), shuffled=st.booleans())
+def test_windows_equal_the_windows_built_all_on_hosts_with_their_own_clocks(config, clocks, seed, shuffled):
+    # the view builds a block of times at a time; what it gives must be
+    # every window, in the order one stable sort of all of them gives
+    assert_windows_equal_the_windows_built_all(config, _fleet_samples(config, clocks, seed, shuffled))
+
+
+@pytest.mark.parametrize("extra", [0, 500], ids=["one-clock", "offset-clocks"])
+@pytest.mark.parametrize("count", [1, 5, 31, 32, 33, 64, 65])
+def test_windows_at_the_edges_of_a_block_equal_the_windows_built_all(config, count, extra):
+    # count distinct times per host: one time, less than a block, a
+    # block, a block and one more; a second host off by 500 ms doubles the
+    # clock's distinct times
+    assert engine_mod._BLOCK_TIMES == 32
+    times = [1000 * t for t in range(count)]
+    clocks = {"h0": (times, {"vm0": 0, "vm1": 0})}
+    if extra:
+        clocks["h1"] = ([t + extra for t in times], {"vm0": 0})
+    assert_windows_equal_the_windows_built_all(config, _fleet_samples(config, clocks, seed=count))
+
+
+def test_no_windows_of_an_empty_stream(config):
+    windows = collect_windows([], config.window_specs)
+    assert len(windows) == 0 and list(windows) == []
+
+
 # -- training features -----------------------------------------------
-
-
-def _hot_scenario() -> Scenario:
-    """Two hosts of three VMs with memory in the minor bucket and a fault
-    on every VM, the hot benchmark fleet in small (without the crash,
-    which has no class in the fixture model)."""
-    kinds = ("cpu_hog", "memory_leak", "network_overhead", "endless_loop", "memory_leak", "cpu_hog")
-    injections = tuple(
-        FaultInjection(kind, f"h{i // 3}", 10 + 15 * (i % 3), 30 + 15 * (i % 3), vm=f"vm{i % 3}")
-        for i, kind in enumerate(kinds)
-    )
-    baseline = dict(Scenario(seed=0, duration=1).baseline, **{"vm.memory": (56.0, 8.0)})
-    return Scenario(seed=3, duration=80, hosts=2, vms_per_host=3, baseline=baseline, injections=injections)
 
 
 @pytest.mark.parametrize("scenario", ["scenario_800", "hot"])
 def test_training_features_are_the_engine_window_buckets(config, scenario):
     # one bucket rule for training and serving: each example is the
     # engine's window of its scope and time, read at the NBC's positions
-    scenario = _hot_scenario() if scenario == "hot" else load_scenario(fixture_path(f"{scenario}.json"))
+    scenario = hot_scenario() if scenario == "hot" else load_scenario(fixture_path(f"{scenario}.json"))
     samples, labels = generate(scenario)
     dataset = to_training_set(samples, labels, config.specs, config.attributes, config.classes)
     windows = {(w.timestamp, w.host_id, w.vm_id): w for w in collect_windows(samples, config.window_specs)}

@@ -57,6 +57,9 @@ def test_stage_times_runs_the_pipeline_afdi_diagnose_runs(tmp_path):
     stage_times = _stage_times()
     bounds = cli.read_sample_columns, engine.preprocess, engine.collect_windows, engine.write_alarm_log
     times = stage_times._run(config_path, stream, str(tmp_path / "timed.jsonl"))
+    # the write takes each window's alarms as it is stepped, so the step
+    # calls and the write are one stage
+    assert stage_times.STAGES == ("read", "preprocess", "`collect_windows`", "`step` + write")
     assert len(times) == len(stage_times.STAGES)
     assert (cli.read_sample_columns, engine.preprocess, engine.collect_windows, engine.write_alarm_log) == bounds
     expected = tmp_path / "expected.jsonl"
