@@ -29,7 +29,7 @@ from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from operator import mul
 
-from .states import StateDistribution, check_entries, read_document
+from .states import StateDistribution, check_entries, left_sum, read_document
 
 __all__ = [
     "NetNode",
@@ -285,7 +285,7 @@ def load_net(source) -> DiscreteBayesNet:
                 )
             if any(v < 0.0 for v in row):
                 raise NetLoadError(f"node {node.name!r} row {r}: negative probability")
-            total = sum(row)
+            total = left_sum(row)
             dev = abs(total - 1.0)
             if dev <= KEEP_TOL:
                 pass
@@ -424,7 +424,7 @@ def _eliminate(net: DiscreteBayesNet, query: str, evidence: dict[str, int], orde
 def _normalized(values: Sequence[float], zero_mass: Callable[[], Exception]) -> StateDistribution:
     """``values`` divided by their sum, or kept bit-for-bit when the sum
     is within ``KEEP_TOL`` of 1; raises ``zero_mass()`` when it is 0."""
-    total = sum(values)
+    total = left_sum(values)
     if total <= 0.0:
         raise zero_mass()
     if abs(total - 1.0) > KEEP_TOL:

@@ -23,12 +23,12 @@ from array import array
 from bisect import bisect_left, bisect_right, insort
 from collections import namedtuple
 from itertools import chain, islice, repeat
-from operator import itemgetter, le, lt
+from operator import itemgetter, lt
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import mdd as mdd_mod
 from . import nbc as nbc_mod
-from .states import ComponentId, DiscretizationSpec, MetricSample, SampleColumns, _Record
+from .states import ComponentId, DiscretizationSpec, MetricSample, SampleColumns, SequencingError, _Record
 from .states import check_entries, check_kind, check_origin, read_document, sha256
 
 __all__ = [
@@ -63,10 +63,6 @@ _EPS = 1e-9
 _MAX_PASSES = 64
 
 
-class SequencingError(ValueError):
-    """A series delivered samples with decreasing timestamps."""
-
-
 class IncompleteWindowError(ValueError):
     """A window is missing one of the configured metrics."""
 
@@ -93,33 +89,6 @@ class PreprocessPolicy(namedtuple("PreprocessPolicy", "window z_cutoff")):
         if z_cutoff <= 0:
             raise ValueError(f"z_cutoff must be > 0, got {z_cutoff}")
         return tuple.__new__(cls, (window, z_cutoff))
-
-
-def _raise_first(columns: SampleColumns, errors: dict) -> None:
-    """Raise, of ``errors``, each ``(index of a sample within its series,
-    error)`` keyed by the series, the error of the sample that comes
-    first in the stream, if there is one."""
-    if errors:
-        raise errors[columns.first({s: i for s, (i, _) in errors.items()})][1]
-
-
-def _check_series(columns: SampleColumns) -> None:
-    """Raise ``SequencingError`` for the first sample, in stream order,
-    that is earlier than the one before it in its series.  A timestamp
-    column that series share is judged once."""
-    early = {}
-    backs = {}  # the first fall of each distinct column, keyed by identity; 0 for none
-    for s, ((host, vm, metric), stamps) in enumerate(zip(columns.series, columns.timestamps)):
-        back = backs.get(id(stamps))
-        if back is None:
-            back = 0
-            if not all(map(le, stamps, islice(stamps, 1, None))):
-                back = next(i for i in range(1, len(stamps)) if stamps[i] < stamps[i - 1])
-            backs[id(stamps)] = back
-        if back:
-            key = (host, vm, metric.key)
-            early[s] = (back, SequencingError(f"series {key}: timestamp {stamps[back]} after {stamps[back - 1]}"))
-    _raise_first(columns, early)
 
 
 def preprocess(samples: Iterable[MetricSample] | SampleColumns, policy: PreprocessPolicy | None = None):
@@ -149,17 +118,15 @@ def preprocess(samples: Iterable[MetricSample] | SampleColumns, policy: Preproce
     gives a list, in which a sample whose value stayed is the sample
     given; an int value that no float equals does not stay, since the
     columns hold floats.  A median that overflows to an infinity makes
-    its z-score NaN, so every replacement is finite.
-
-    Of the samples earlier than the one before them in their series, the
-    one a pass over the stream would meet first raises ``SequencingError``.
+    its z-score NaN, so every replacement is finite.  The columns hold
+    each series in time order, so ``SampleColumns.of`` refuses a list in
+    which a series falls.
     """
     listed = None
     if not isinstance(samples, SampleColumns):
         listed = list(samples)
         samples = SampleColumns.of(listed)
     policy = policy or PreprocessPolicy()
-    _check_series(samples)
     window = policy.window
     half = window // 2
     j = (half + 1) // 2  # ceil(half / 2), for the MAD lower bound below
@@ -318,13 +285,13 @@ def collect_windows(
     equal buckets share one tuple.
 
     Samples come as a ``SampleColumns`` or any iterable of samples, which
-    is taken through ``SampleColumns.of`` (so no value is NaN or
-    infinite).  Each windowed series is bucketed a column at a time, and
-    a VM's windows are the times of the samples of its scope: every
-    windowed column of the scope, and its host's, must have one sample at
-    each of them.  Of several second samples, the one first in the stream
-    raises, before any missing metric, and of several missing metrics the
-    one of the first window, first in spec order.
+    is taken through ``SampleColumns.of`` (so no value is NaN or infinite,
+    and no series falls).  Each windowed series is bucketed a column at a
+    time, and a VM's windows are the times of the samples of its scope:
+    every windowed column of the scope, and its host's, must have one
+    sample at each of them.  Of several second samples, the one first in
+    the stream raises, before any missing metric, and of several missing
+    metrics the one of the first window, first in spec order.
     """
     columns = samples if isinstance(samples, SampleColumns) else SampleColumns.of(samples)
     # position and inner boundaries per windowed key: searching the inner
@@ -349,19 +316,15 @@ def collect_windows(
         if id(stamps) not in rising:
             rising[id(stamps)] = all(map(lt, stamps, islice(stamps, 1, None)))
         if not rising[id(stamps)]:
-            # in time order, a sample at the time of the one before it is a
-            # second sample; the earliest of those in the stream raises
-            ranks = sorted(range(len(stamps)), key=stamps.__getitem__)
-            stamps, vals = [stamps[r] for r in ranks], [vals[r] for r in ranks]
-            second = [(r, k) for k, r in enumerate(ranks) if k and stamps[k] == stamps[k - 1]]
-            if second:
-                r, k = min(second)
-                scope = host if metric.level == "host" else f"{host}/{vm}"
-                faults[s] = (r, ValueError(f"window t={stamps[k]} {scope}: second sample of {metric.key}"))
-                continue
+            # no column falls, so one that does not rise holds a sample at
+            # the time of the one before it, a second sample
+            k = next(k for k in range(1, len(stamps)) if stamps[k] == stamps[k - 1])
+            scope = host if metric.level == "host" else f"{host}/{vm}"
+            faults[s] = (k, ValueError(f"window t={stamps[k]} {scope}: second sample of {metric.key}"))
+            continue
         buckets = held(map(bisect_right, repeat(inner), vals))
         windowed[host, None if metric.level == "host" else vm, i] = (stamps, buckets)
-    _raise_first(columns, faults)
+    columns.raise_first(faults)
 
     kept, missing = [], []
     # one tuple per distinct bucket vector: a stream repeats few of them

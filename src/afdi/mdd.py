@@ -196,7 +196,6 @@ def build_from_structure_function(
     components: Sequence[ComponentId],
     arities: Sequence[int],
     f: Callable[[StateVector], int],
-    limit: int = DEFAULT_PRODUCT_LIMIT,
 ) -> Mdd:
     """Build the canonical reduced ordered diagram computing ``f``.
 
@@ -204,12 +203,12 @@ def build_from_structure_function(
     per product point during construction (the diagram itself never
     re-enumerates).  A result that is not a non-negative ``int`` (a bool
     or a float is not one) raises ``InvalidModelError``.  Product spaces
-    larger than ``limit`` are refused.
+    larger than ``DEFAULT_PRODUCT_LIMIT`` are refused.
     """
     mdd = Mdd(components, arities)
     product = math.prod(mdd.arities)
-    if product > limit:
-        raise CapacityError(f"state product {product} exceeds limit {limit}")
+    if product > DEFAULT_PRODUCT_LIMIT:
+        raise CapacityError(f"state product {product} exceeds limit {DEFAULT_PRODUCT_LIMIT}")
 
     comps = mdd.components
     n = len(comps)

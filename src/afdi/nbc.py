@@ -17,7 +17,8 @@ import warnings
 from collections import namedtuple
 from typing import Sequence
 
-from .states import _Frozen, check_entries, check_kind, index_cell, read_document, read_table, sha256, write_table
+from .states import _Frozen, check_entries, check_kind, index_cell, left_sum, read_document, read_table
+from .states import sha256, write_table
 
 __all__ = [
     "AttributeSchema",
@@ -302,10 +303,7 @@ def posterior(model: NbcModel, features: Sequence) -> tuple[float, ...]:
     if top == float("-inf"):
         raise AllZeroLikelihoodError("all classes have zero likelihood for these features")
     weights = [math.exp(s - top) for s in scores]
-    # left to right, as sum() of floats is compensated from CPython 3.12
-    total = 0.0
-    for w in weights:
-        total += w
+    total = left_sum(weights)
     post = tuple(w / total for w in weights)
     model._memo[features] = (features, post)
     return post

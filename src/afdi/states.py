@@ -11,6 +11,7 @@ engine collapses the four buckets of the default boundaries (0-25,
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import json
 import math
@@ -40,11 +41,13 @@ __all__ = [
     "MetricSample",
     "OutOfRangeError",
     "SampleColumns",
+    "SequencingError",
     "check_entries",
     "check_kind",
     "check_origin",
     "discretize",
     "index_cell",
+    "left_sum",
     "read_document",
     "read_metric_samples",
     "read_sample_columns",
@@ -59,6 +62,17 @@ SCOPE_LEVELS = ("vm", "host")
 
 class OutOfRangeError(ValueError):
     """Raised when a value falls outside the discretization range."""
+
+
+class SequencingError(ValueError):
+    """A series delivered samples with decreasing timestamps."""
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """The total of ``values`` added left to right from 0.0, as ``sum()``
+    adds floats before CPython 3.12; from 3.12 ``sum()`` compensates, so
+    its last bits depend on the build."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 class _Record:
@@ -308,12 +322,14 @@ class SampleColumns:
     the columns are complete.
 
     ``_series_of`` opens each series once its component is valid and fits
-    its vm_id, and ``_extend`` fills the columns, for every producer: the
-    reader's scan, its decoded chunks and its per-line fallback, and
-    ``of`` for a list of samples; both check each sample as
-    ``MetricSample`` does, so every value is finite.  The only other way
-    in is ``with_values``, by which ``preprocess`` gives back the values
-    it computed from checked ones.
+    its vm_id, ``_extend`` fills the columns and ``_complete`` ends them,
+    for every producer: the reader's scan, its decoded chunks and its
+    per-line fallback, and ``of`` for a list of samples; both check each
+    sample as ``MetricSample`` does, so every value is finite, and
+    ``_complete`` refuses a series whose timestamps fall, so every
+    timestamp column is in time order.  The only other way in is
+    ``with_values``, by which ``preprocess`` gives back the values it
+    computed from checked ones.
     """
 
     __slots__ = ("series", "timestamps", "values", "order", "_index")
@@ -329,7 +345,8 @@ class SampleColumns:
     def of(cls, samples: Iterable[MetricSample]) -> "SampleColumns":
         """The columns of ``samples``, each checked as ``MetricSample``
         checks it; the first in list order that it would refuse raises
-        ``ValueError("sample <i>: <reason>")``."""
+        ``ValueError("sample <i>: <reason>")``, and then a series whose
+        timestamps fall raises as ``_complete`` documents."""
         columns = cls()
         samples = list(samples)
         for i, sample in enumerate(samples):
@@ -378,9 +395,23 @@ class SampleColumns:
 
     def _complete(self) -> None:
         """Make each timestamp column equal to an earlier one that list,
-        once no record is left to append."""
+        once no record is left to append.  Then raise ``SequencingError``
+        for the first sample, in stream order, that is earlier than the
+        one before it in its series; a column that series share is judged
+        once."""
         distinct: dict[tuple, list] = {}
         self.timestamps = [distinct.setdefault(tuple(column), column) for column in self.timestamps]
+        falls = {}  # the first fall of each distinct column that falls, keyed by identity
+        for column in distinct.values():
+            if not all(map(operator.le, column, itertools.islice(column, 1, None))):
+                falls[id(column)] = next(i for i in range(1, len(column)) if column[i] < column[i - 1])
+        errors = {}
+        for s, ((host, vm, metric), stamps) in enumerate(zip(self.series, self.timestamps)):
+            i = falls.get(id(stamps))
+            if i is not None:
+                key = (host, vm, metric.key)
+                errors[s] = (i, SequencingError(f"series {key}: timestamp {stamps[i]} after {stamps[i - 1]}"))
+        self.raise_first(errors)
 
     def with_values(self, values: list[array]) -> "SampleColumns":
         """These columns with other value columns, one per series: the
@@ -393,17 +424,18 @@ class SampleColumns:
         columns.values = values
         return columns
 
-    def first(self, samples: Mapping[int, int]) -> int:
-        """Of ``samples``, each the index of a sample within its series
-        keyed by the series, the series whose sample the stream gives
-        first."""
-        seen = dict.fromkeys(samples, 0)
+    def raise_first(self, errors: Mapping[int, tuple]) -> None:
+        """Raise, of ``errors``, each ``(index of a sample within its
+        series, error)`` keyed by the series, the error of the sample that
+        the stream gives first, if there is one."""
+        if not errors:
+            return
+        ahead = {s: i for s, (i, _) in errors.items()}  # samples of each series before its bad one
         for s in self.order:
-            if s in seen:
-                if seen[s] == samples[s]:
-                    return s
-                seen[s] += 1
-        raise IndexError("no such sample")
+            if s in ahead:
+                if not ahead[s]:
+                    raise errors[s][1]
+                ahead[s] -= 1
 
     def __len__(self) -> int:
         return len(self.order)

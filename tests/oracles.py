@@ -279,6 +279,22 @@ def median_mad_filter(values, window, cutoff, max_passes=64):
     return values, passes
 
 
+# -- time order -------------------------------------------------------
+
+
+def first_fall(samples):
+    """The ``SequencingError`` afdi raises for ``samples``, or None: a walk
+    of the list that keeps the last timestamp of each series and names the
+    first sample earlier than it."""
+    last = {}
+    for s in samples:
+        key = (s.host_id, s.vm_id, s.metric.key)
+        if key in last and s.timestamp < last[key]:
+            return SequencingError(f"series {key}: timestamp {s.timestamp} after {last[key]}")
+        last[key] = s.timestamp
+    return None
+
+
 # -- windows ------------------------------------------------------------
 
 

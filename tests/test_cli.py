@@ -1,5 +1,9 @@
 """End-to-end checks of the command-line interface via subprocess."""
 
+import contextlib
+import hashlib
+import io
+import itertools
 import json
 import os
 import pathlib
@@ -8,7 +12,7 @@ import sys
 
 import pytest
 
-from afdi import nbc, simulator
+from afdi import bayesnet, cli, nbc, simulator
 from afdi.states import ComponentId, DiscretizationSpec
 from conftest import fixture_path
 
@@ -428,6 +432,40 @@ def test_bn_query_reports_load_warnings():
     assert doc["load_warnings"], "the deliberately off-by-0.001 prior must be reported"
     assert any("CPU" in w for w in doc["load_warnings"])
     assert abs(sum(doc["distribution"]) - 1.0) < 1e-12
+
+
+def bn_query_transcript() -> str:
+    """What ``afdi bn-query`` prints, and its exit status, for every
+    marginal of the two fixture networks and every posterior given one
+    state of each node of any set of the other nodes, impossible
+    evidence included."""
+    out = io.StringIO()
+    for name in ("case_study_net.json", "subsystem_net.json"):
+        path = fixture_path(name)
+        nodes = bayesnet.load_net(path).nodes
+        for query in nodes:
+            others = [node for node in nodes if node is not query]
+            for size in range(len(others) + 1):
+                for observed in itertools.combinations(others, size):
+                    for states in itertools.product(*(range(node.card) for node in observed)):
+                        argv = ["bn-query", "--net", path, "--query", query.name]
+                        for node, state in zip(observed, states):
+                            argv += ["--evidence", f"{node.name}={state}"]
+                        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                            status = cli.main(argv)
+                        out.write(f"exit {status}\n")
+    return out.getvalue()
+
+
+# the SHA-256 of bn_query_transcript(), the same on CPython 3.10 to 3.13:
+# every total that normalizes a distribution is added left to right
+BN_QUERY_SHA256 = "c929251a92022b7d03eb68146230cac0800822b34e5554ca4fffab3d9e70c377"
+
+
+def test_bn_query_prints_the_same_bytes_on_every_python_build():
+    transcript = bn_query_transcript()
+    assert transcript.count("exit 0\n") > 200
+    assert hashlib.sha256(transcript.encode("utf-8")).hexdigest() == BN_QUERY_SHA256
 
 
 def test_bn_query_malformed_evidence():

@@ -29,6 +29,7 @@ from afdi.engine import (
 )
 from afdi.simulator import FaultInjection, Scenario, generate, load_scenario, to_training_set
 from afdi.states import ComponentId, DiscretizationSpec, MetricSample, SampleColumns, StateVector, discretize
+from afdi.states import read_sample_columns, write_metric_samples
 from conftest import fixture_path, hot_scenario
 
 import oracles
@@ -200,15 +201,14 @@ def test_preprocess_rejects_time_travel():
 @pytest.mark.parametrize("first", ["vm0", "vm1"])
 def test_series_sharing_a_falling_timestamp_column_each_name_their_own_sample(first):
     # both series have the timestamps 0, 2000, 1000, so they share one
-    # column, judged once; the series whose fall the stream meets first raises
+    # column, judged once as the columns are completed; the series whose
+    # fall the stream meets first raises
     comp = ComponentId("cpu", "vm")
     second = "vm1" if first == "vm0" else "vm0"
     samples = [MetricSample(t, "h0", vm, comp, 50.0) for t in (0, 2000) for vm in ("vm0", "vm1")]
     samples += [MetricSample(1000, "h0", first, comp, 50.0), MetricSample(1000, "h0", second, comp, 50.0)]
-    columns = SampleColumns.of(samples)
-    assert columns.timestamps[0] is columns.timestamps[1]
     with pytest.raises(SequencingError, match=rf"^series \('h0', '{first}', 'vm.cpu'\): timestamp 1000 after 2000$"):
-        preprocess(columns)
+        SampleColumns.of(samples)
 
 
 def assert_refused_at_the_door(samples: list, message: str, *runs) -> None:
@@ -301,6 +301,57 @@ _CPU = ComponentId("cpu")
 )
 def test_the_door_refuses_what_the_sample_constructor_refuses(config, samples, message):
     assert_refused_at_the_door(samples, message, *_stages(config).values())
+
+
+_DOOR_SERIES = [
+    (host, vm, ComponentId.parse(key))
+    for host in ("h0", "h1")
+    for vm, key in (("vm0", "vm.cpu"), ("vm1", "vm.cpu"), ("vm0", "vm.memory"), (None, "host.cpu"))
+]
+
+
+@st.composite
+def _door_streams(draw):
+    """Small streams in any order: a few series, each given one of a few
+    timestamp columns, so that series often share a column that falls,
+    and interleaved at random."""
+    times = st.lists(st.integers(0, 4).map(lambda t: 1000 * t), min_size=1, max_size=5)
+    columns = draw(st.lists(times, min_size=1, max_size=3))
+    series = {key: draw(st.sampled_from(columns)) for key in draw(
+        st.lists(st.sampled_from(_DOOR_SERIES), min_size=1, max_size=5, unique=True)
+    )}
+    slots = draw(st.permutations([key for key, column in series.items() for _ in column]))
+    taken = {key: iter(column) for key, column in series.items()}
+    values = draw(st.lists(st.floats(0.0, 100.0), min_size=len(slots), max_size=len(slots)))
+    return [MetricSample(next(taken[key]), *key, value) for key, value in zip(slots, values)]
+
+
+def _sequencing(run, samples):
+    """The type and message of the ``SequencingError`` that ``run(samples)``
+    raises, or None if it raises none."""
+    try:
+        run(samples)
+    except SequencingError as exc:
+        return type(exc), str(exc)
+    except ValueError as exc:
+        # a window short of a metric, or given one twice, is refused after
+        # the time order is judged
+        assert re.search(r"missing|second sample", str(exc)), exc
+    return None
+
+
+@settings(max_examples=300)
+@given(samples=_door_streams())
+def test_every_way_in_refuses_the_first_falling_sample_of_the_stream(config, tmp_path_factory, samples):
+    # the time order is judged once, as the columns are completed, so the
+    # list's columns, the columns read back from its written stream and
+    # every stage given the list raise one error: the oracle's
+    fall = oracles.first_fall(samples)
+    expected = None if fall is None else (SequencingError, str(fall))
+    path = tmp_path_factory.mktemp("door") / "stream.jsonl"
+    write_metric_samples(samples, path)
+    runs = {"of": SampleColumns.of, "read": lambda _: read_sample_columns(path), **_stages(config)}
+    assert {name: _sequencing(run, samples) for name, run in runs.items()} == dict.fromkeys(runs, expected)
 
 
 def test_the_door_lets_through_what_the_sample_constructor_takes():
@@ -497,7 +548,13 @@ def buckets_of(values: dict, specs) -> tuple:
 
 
 def test_collect_windows_groups_and_sorts(config):
-    stream = samples_for([variant(**{"vm.cpu": 60.0}), HEALTHY])[::-1]
+    stream = samples_for([variant(**{"vm.cpu": 60.0}), HEALTHY])
+    # the columns hold each series in time order, so a stream that runs
+    # backwards is refused, not sorted
+    with pytest.raises(SequencingError, match=r"^series \('h0', None, 'host.storage_io'\): timestamp 0 after 1000$"):
+        collect_windows(stream[::-1], config.window_specs)
+    # each window's samples reversed: the series interleave otherwise
+    stream = [s for w in (0, 1000) for s in reversed([s for s in stream if s.timestamp == w])]
     windows = list(collect_windows(stream, config.window_specs))
     assert [w.timestamp for w in windows] == [0, 1000]
     assert windows[0].buckets == buckets_of(variant(**{"vm.cpu": 60.0}), config.window_specs)
@@ -610,9 +667,15 @@ def _fleet_samples(config, clocks: dict, seed: int, shuffled: bool = False) -> l
                 for vm in [None] if comp.level == "host" else [vm for vm, first in starts.items() if first <= i]:
                     samples.append(MetricSample(ts, host, vm, comp, rng.uniform(-5.0, 120.0)))
     if shuffled:
-        rng.shuffle(samples)
-    else:
-        samples.sort(key=lambda s: s.timestamp)
+        # the series interleave at random, each still in time order
+        slots = [s[1:4] for s in samples]
+        rng.shuffle(slots)
+        series = {}
+        for s in samples:
+            series.setdefault(s[1:4], []).append(s)
+        taken = {key: iter(column) for key, column in series.items()}
+        return [next(taken[key]) for key in slots]
+    samples.sort(key=lambda s: s.timestamp)
     return samples
 
 

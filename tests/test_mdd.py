@@ -148,9 +148,6 @@ def test_capacity_limit():
     comps = tuple(ComponentId(f"c{i}") for i in range(13))
     with pytest.raises(CapacityError):
         build_from_structure_function(comps, [3] * 13, lambda sv: 0)
-    # a custom limit is honoured
-    with pytest.raises(CapacityError):
-        build_from_structure_function(COMPS4, [3] * 4, lambda sv: 0, limit=80)
 
 
 def test_empty_model_rejected():

@@ -19,7 +19,7 @@ imported does not.  Run this file as a script, with ``src`` on
 function reached.
 
 A function is named by its module (``afdi`` for the package itself) and
-its qualified name, such as ``states.SampleColumns.first``.  A failure
+its qualified name, such as ``states.SampleColumns.raise_first``.  A failure
 here means one of three things: a function no entry point calls, which
 should be deleted, made reachable or allowed with its reason; an allowed
 function that a run now calls, whose entry should go; or an allowed name
@@ -81,8 +81,6 @@ ALLOWED = {
     # -- error paths, each reached by a test
     "states._line_record": "decodes a chunk with a bad record line by line; test_states.py::"
     "test_reader_accepts_and_rejects_the_lines_the_per_line_reader_does",
-    "states.SampleColumns.first": "picks the earliest bad sample in the stream; test_engine.py::"
-    "test_preprocess_rejects_time_travel",
     "evaluation.UndefinedMetricError.__init__": "a ratio with a zero denominator; test_evaluation.py::"
     "test_undefined_metrics",
     # -- methods Python calls on demand
