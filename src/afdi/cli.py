@@ -4,12 +4,13 @@ One binary, six subcommands: simulate, train, diagnose, evaluate, mdd,
 bn-query.  Machine-readable JSON goes to stdout or the requested output
 file; human summaries and diagnostics go to stderr.  The AFDI_LOG
 environment variable (error, warn, info, debug) sets the level of the
-log records printed to stderr.  Every run is deterministic given its
-inputs: timestamps come from the input data, randomness only from
-recorded seeds.
+log records ``bn-query`` prints to stderr; no other command logs.  Every
+run is deterministic given its inputs: timestamps come from the input
+data, randomness only from recorded seeds.
 
 Each subcommand imports the afdi modules it runs when it runs, so
-``afdi diagnose`` loads neither the network engine nor the simulator.
+``afdi diagnose`` loads neither the network engine nor the simulator,
+and only ``bn-query`` loads ``logging``.
 """
 
 from __future__ import annotations
@@ -17,21 +18,12 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import logging
 import math
 import os
 import sys
 
 from .states import ComponentId, StateVector, check_entries, index_cell, read_document
 from .states import read_sample_columns, read_table, write_metric_samples
-
-_LOG_LEVELS = {
-    "error": logging.ERROR,
-    "warn": logging.WARNING,
-    "info": logging.INFO,
-    "debug": logging.DEBUG,
-}
-
 
 class CliError(Exception):
     """User-facing failure; message printed to stderr, exit code 1."""
@@ -236,8 +228,13 @@ def cmd_mdd(args) -> int:
 
 
 def cmd_bn_query(args) -> int:
+    import logging
+
     from . import bayesnet
 
+    levels = {"error": logging.ERROR, "warn": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
+    level = os.environ.get("AFDI_LOG", "warn").lower()
+    logging.basicConfig(stream=sys.stderr, level=levels.get(level, logging.WARNING))
     net = bayesnet.load_net(_require_file(args.net))
     evidence = {}
     for item in args.evidence or ():
@@ -324,8 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("AFDI_LOG", "warn").lower()
-    logging.basicConfig(stream=sys.stderr, level=_LOG_LEVELS.get(level, logging.WARNING))
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from . import mdd as mdd_mod
 from . import nbc as nbc_mod
 from .states import ComponentId, DiscretizationSpec, MetricSample, SampleColumns, SequencingError, _Record
-from .states import check_entries, check_kind, check_origin, read_document, sha256
+from .states import check_entries, check_kind, check_origin, left_sum, read_document, sha256
 
 __all__ = [
     "PreprocessPolicy",
@@ -372,7 +372,7 @@ def _check_alarm(timestamp, host_id, vm_id, severity, trigger, diagnosis, top_ca
     for p in diagnosis:
         if type(p) not in (int, float) or not 0 <= p <= 1:
             raise ValueError(f"diagnosis entries must be numbers in [0, 1], got {diagnosis!r}")
-    if abs(sum(diagnosis) - 1.0) > 1e-12:
+    if abs(left_sum(diagnosis) - 1.0) > 1e-12:
         raise ValueError("diagnosis distribution must be normalized")
     if not isinstance(top_cause, str):
         raise ValueError(f"nbc_diagnosis alarms name a top_cause string, got {top_cause!r}")

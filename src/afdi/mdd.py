@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-from .states import ComponentId, StateDistribution, StateVector
+from .states import ComponentId, StateDistribution, StateVector, left_sum
 
 __all__ = [
     "Mdd",
@@ -154,8 +154,9 @@ class Mdd:
             if not all(0.0 <= p <= 1.0 for p in probs):
                 raise MddInputError(f"distribution for {comp.key} has probabilities outside [0, 1]")
             probs = tuple(map(float, probs))
-            if abs(sum(probs) - 1.0) > 1e-12:
-                raise MddInputError(f"distribution for {comp.key} sums to {sum(probs)}, not 1")
+            total = left_sum(probs)
+            if abs(total - 1.0) > 1e-12:
+                raise MddInputError(f"distribution for {comp.key} sums to {total}, not 1")
             checked.append(probs)
 
         num_levels = max(n[1] for n in self._nodes if n[0] == _SINK) + 1

@@ -161,8 +161,9 @@ class NbcModel(_Frozen):
         for c, p in enumerate(priors):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"prior {c} is {p}, not a number in [0, 1]")
-        if abs(sum(priors) - 1.0) > 1e-12:
-            raise ValueError(f"priors sum to {sum(priors)}, not 1")
+        total = left_sum(priors)
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"priors sum to {total}, not 1")
         if not alpha >= 0:
             raise ValueError(f"alpha must be a number >= 0, got {alpha}")
         if len(cond) != schema.num_attributes:
@@ -178,7 +179,7 @@ class NbcModel(_Frozen):
                         raise ValueError(
                             f"table row {name!r}/class {c} entry {v} is {p}, not a number in [0, 1]"
                         )
-                total = sum(row)
+                total = left_sum(row)
                 if abs(total - 1.0) > 1e-12:
                     raise ValueError(f"table row {name!r}/class {c} sums to {total}, not 1")
                 if alpha > 0 and any(p <= 0.0 for p in row):

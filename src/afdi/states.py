@@ -11,14 +11,13 @@ engine collapses the four buckets of the default boundaries (0-25,
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import json
 import math
 import operator
 import re
 from array import array
-from collections import namedtuple
+from collections import Counter, namedtuple
 from typing import Iterable, Iterator, Mapping, Sequence
 
 try:
@@ -69,10 +68,15 @@ class SequencingError(ValueError):
 
 
 def left_sum(values: Iterable[float]) -> float:
-    """The total of ``values`` added left to right from 0.0, as ``sum()``
-    adds floats before CPython 3.12; from 3.12 ``sum()`` compensates, so
-    its last bits depend on the build."""
-    return functools.reduce(operator.add, values, 0.0)
+    """The total of ``values`` added left to right from 0, as ``sum()``
+    adds before CPython 3.12: ints exactly, floats one rounded addition at
+    a time.  From 3.12 ``sum()`` compensates float additions, so its last
+    bits, and an acceptance check at a tolerance's edge, depend on the
+    build."""
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 class _Record:
@@ -191,7 +195,7 @@ class StateDistribution(_Frozen):
                 raise ValueError(f"probability {p!r} is not a number")
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"probability {p} outside [0, 1]")
-        total = sum(probs)
+        total = left_sum(probs)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"distribution sums to {total}, not 1")
         object.__setattr__(self, "probs", probs)
@@ -306,6 +310,10 @@ class MetricSample(namedtuple("MetricSample", "timestamp host_id vm_id metric va
         }
 
 
+# records appended to ``SampleColumns`` between two folds of its tails
+_FOLD_RECORDS = 8192
+
+
 class SampleColumns:
     """A sample stream as per-series columns, and its stream order.
 
@@ -314,12 +322,13 @@ class SampleColumns:
     order.  A value column is an ``array('d')``, so a value is held as a
     float, an int or a bool value too, with the sign of a zero kept.
     ``series`` names each series, in the order the stream first gave one
-    of its samples, and ``order``, an ``array('I')``, holds the index of
-    the series of each sample of the stream in turn.  ``len`` is the
-    number of samples, and iterating yields the ``MetricSample``s in
-    stream order, each built as it is taken.  Equal host and VM ids of
-    the series are one object, and so are equal timestamp columns once
-    the columns are complete.
+    of its samples, and ``order``, an ``array`` of the narrowest unsigned
+    type that holds every series index (``'B'`` for up to 256 series,
+    then ``'H'``, then ``'I'``), holds the index of the series of each
+    sample of the stream in turn.  ``len`` is the number of samples, and
+    iterating yields the ``MetricSample``s in stream order, each built as
+    it is taken.  Equal host and VM ids of the series are one object, and
+    so are equal timestamp columns.
 
     ``_series_of`` opens each series once its component is valid and fits
     its vm_id, ``_extend`` fills the columns and ``_complete`` ends them,
@@ -327,19 +336,23 @@ class SampleColumns:
     per-line fallback, and ``of`` for a list of samples; both check each
     sample as ``MetricSample`` does, so every value is finite, and
     ``_complete`` refuses a series whose timestamps fall, so every
-    timestamp column is in time order.  The only other way in is
-    ``with_values``, by which ``preprocess`` gives back the values it
-    computed from checked ones.
+    timestamp column is in time order.  While the columns are filled, a
+    series' latest timestamps wait in its tail until ``_fold`` appends
+    them to its column.  The only other way in is ``with_values``, by
+    which ``preprocess`` gives back the values it computed from checked
+    ones.
     """
 
-    __slots__ = ("series", "timestamps", "values", "order", "_index")
+    __slots__ = ("series", "timestamps", "values", "order", "_index", "_tails", "_unfolded")
 
     def __init__(self) -> None:
         self.series: list[tuple] = []  # (host_id, vm_id, metric) per series
         self.timestamps: list[list] = []  # one column per series
         self.values: list[array] = []  # one array('d') column per series
-        self.order = array("I")  # the series of each sample, in stream order
+        self.order = array("B")  # the series of each sample, in stream order
         self._index: dict[tuple, int] = {}  # (host_id, vm_id, name, level) -> series
+        self._tails: list[list] = []  # per series, the timestamps appended since the last fold
+        self._unfolded = 0  # the records appended since the last fold
 
     @classmethod
     def of(cls, samples: Iterable[MetricSample]) -> "SampleColumns":
@@ -367,7 +380,8 @@ class SampleColumns:
         """The series of each record key ``(host_id, vm_id, metric name,
         level)`` of ``keys``.  A key not seen before opens a series, in the
         order of ``keys``, once its ``_component`` in ``shared`` passes
-        ``_check_fit``, and its ids are interned in ``shared``."""
+        ``_check_fit``, and its ids are interned in ``shared``; ``order``
+        is widened when an index no longer fits it."""
         index = self._index
         try:
             return list(map(index.__getitem__, keys))
@@ -380,29 +394,81 @@ class SampleColumns:
                     index[key] = len(self.series)
                     self.series.append((shared.setdefault(host, host), shared.setdefault(vm, vm), metric))
                     self.timestamps.append([])
+                    self._tails.append([])
                     self.values.append(array("d"))
+            width = next(code for code in "BHI" if len(self.series) <= 1 << 8 * array(code).itemsize)
+            if width != self.order.typecode:
+                self.order = array(width, self.order)
             return list(map(index.__getitem__, keys))
 
     def _extend(self, series: list[int], timestamps, values) -> None:
         """Append each record to the columns of its series, whose index
-        ``series`` holds."""
+        ``series`` holds, its timestamp to the series' tail.  Once
+        ``_FOLD_RECORDS`` records have been appended since the last fold,
+        the tails are folded."""
         self.order.fromlist(series)
-        add_timestamp = [column.append for column in self.timestamps]
+        add_timestamp = [tail.append for tail in self._tails]
         add_value = [column.append for column in self.values]
         for i, timestamp, value in zip(series, timestamps, values):
             add_timestamp[i](timestamp)
             add_value[i](value)
+        self._unfolded += len(series)
+        if self._unfolded >= _FOLD_RECORDS:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Append each series' tail to its timestamp column and empty the
+        tails; afterwards equal columns are one list.
+
+        Series that held one column and have equal tails hold one column
+        again: the held column itself, extended in place, when every series
+        that holds it took that tail, else a copy per distinct tail, so a
+        series' column grows in place unless its holders part.  Then the
+        distinct columns are compared by value, each only with those of
+        its length and last timestamp, and equal ones become the first of
+        them."""
+        held = self.timestamps  # keeps every held column alive, so no two share an id
+        holders = Counter(map(id, held))
+        groups: dict[int, list] = {}  # per held column's id: [tail, series...] for each distinct tail
+        for s, (column, tail) in enumerate(zip(held, self._tails)):
+            if tail:
+                made = groups.setdefault(id(column), [])
+                for group in made:
+                    if group[0] == tail:
+                        group.append(s)
+                        break
+                else:
+                    made.append([tail, s])
+        grown = list(held)
+        for key, made in groups.items():
+            column = held[made[0][1]]
+            if len(made) == 1 and len(made[0]) - 1 == holders[key]:
+                column += made[0][0]
+                continue
+            for tail, *members in made:
+                new = column + tail
+                for s in members:
+                    grown[s] = new
+        for tail in self._tails:
+            tail.clear()
+        self._unfolded = 0
+        ends: dict[tuple, list] = {}  # the distinct columns kept, by (length, last timestamp)
+        one = {}
+        for key, column in {id(column): column for column in grown}.items():
+            kept = ends.setdefault((len(column), column[-1] if column else None), [])
+            one[key] = next(filter(column.__eq__, kept), column)
+            if one[key] is column:
+                kept.append(column)
+        self.timestamps = [one[id(column)] for column in grown]
 
     def _complete(self) -> None:
-        """Make each timestamp column equal to an earlier one that list,
-        once no record is left to append.  Then raise ``SequencingError``
-        for the first sample, in stream order, that is earlier than the
-        one before it in its series; a column that series share is judged
-        once."""
-        distinct: dict[tuple, list] = {}
-        self.timestamps = [distinct.setdefault(tuple(column), column) for column in self.timestamps]
+        """Fold the tails, once no record is left to append.  Then raise
+        ``SequencingError`` for the first sample, in stream order, that is
+        earlier than the one before it in its series; a column that series
+        share is judged once."""
+        self._fold()
         falls = {}  # the first fall of each distinct column that falls, keyed by identity
-        for column in distinct.values():
+        for column in {id(column): column for column in self.timestamps}.values():
             if not all(map(operator.le, column, itertools.islice(column, 1, None))):
                 falls[id(column)] = next(i for i in range(1, len(column)) if column[i] < column[i - 1])
         errors = {}

@@ -206,7 +206,9 @@ def bn_eliminate(net, query, evidence=None, order=None):
     for f in factors:
         result = result.multiply(f)
     assert result.scope == (query,), result.scope
-    total = sum(result.values)
+    total = 0.0
+    for v in result.values:  # left to right, as the library adds on every build
+        total += v
     if total <= 0.0:
         raise ZeroDivisionError("evidence has zero probability")
     if abs(total - 1.0) > KEEP_TOL:

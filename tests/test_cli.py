@@ -330,6 +330,15 @@ def test_mdd_rejects_malformed_distributions(tmp_path, doc, named):
     assert named in res.stderr
 
 
+def test_mdd_names_a_distribution_total_added_left_to_right(tmp_path):
+    # sum() prints 1.1 from CPython 3.12 on; every build adds left to right
+    dists = tmp_path / "dists.json"
+    dists.write_text(json.dumps({**dict.fromkeys(DIST_KEYS, UNIFORM), "vm.cpu": [0.7, 0.2, 0.2]}))
+    res = run_cli("mdd", "--table", fixture_path("mdd_max4.csv"), "--dists", str(dists))
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr == "error: distribution for vm.cpu sums to 1.0999999999999999, not 1\n"
+
+
 def test_mdd_incomplete_table_rejected(tmp_path):
     p = tmp_path / "partial.csv"
     p.write_text("vm.cpu,vm.memory,level\n0,0,0\n1,1,1\n")
@@ -432,6 +441,21 @@ def test_bn_query_reports_load_warnings():
     assert doc["load_warnings"], "the deliberately off-by-0.001 prior must be reported"
     assert any("CPU" in w for w in doc["load_warnings"])
     assert abs(sum(doc["distribution"]) - 1.0) < 1e-12
+
+
+_RENORMALIZED = "WARNING:afdi.bayesnet:node 'CPU' row 0: sum 0.9989999999999999 renormalized\n"
+
+
+@pytest.mark.parametrize("level, stderr", [(None, _RENORMALIZED), ("error", ""), ("info", _RENORMALIZED)],
+                         ids=["unset", "error", "info"])
+def test_bn_query_logs_at_the_level_afdi_log_sets(monkeypatch, level, stderr):
+    # bn-query configures the logging the other commands never load
+    monkeypatch.delenv("AFDI_LOG", raising=False)
+    if level is not None:
+        monkeypatch.setenv("AFDI_LOG", level)
+    res = run_cli("bn-query", "--net", fixture_path("case_study_net.json"), "--query", "S")
+    assert res.returncode == 0
+    assert res.stderr == stderr
 
 
 def bn_query_transcript() -> str:

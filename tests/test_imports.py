@@ -15,6 +15,7 @@ import textwrap
 from afdi.simulator import generate, load_scenario
 from afdi.states import write_metric_samples
 from conftest import fixture_path
+from test_cli import make_training_csv
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -73,6 +74,31 @@ def test_diagnose_loads_neither_the_network_engine_nor_the_simulator(tmp_path):
     assert (tmp_path / "alarms.jsonl").read_text()
     assert _afdi(out["loaded"]) == ["afdi", "afdi.cli", "afdi.engine", "afdi.mdd", "afdi.nbc", "afdi.states"]
     assert not FORBIDDEN & set(out["loaded"])
+    # nothing on the engine path logs, so no logging stack is loaded
+    assert "logging" not in out["loaded"]
+
+
+def test_only_bn_query_loads_logging(tmp_path):
+    make_training_csv(tmp_path / "train.csv")
+    commands = {
+        "simulate": ["--scenario", fixture_path("scenario_healthy.json"),
+                     "--out-metrics", str(tmp_path / "m.jsonl"), "--out-labels", str(tmp_path / "l.csv")],
+        "train": ["--data", str(tmp_path / "train.csv"), "--schema", fixture_path("nbc_schema.json"),
+                  "--out-model", str(tmp_path / "model.json")],
+        "evaluate": ["--model", fixture_path("nbc_model.json"), "--data", str(tmp_path / "train.csv")],
+        "mdd": ["--table", fixture_path("mdd_max4.csv"), "--query", "0,0,0,1"],
+        "bn-query": ["--net", fixture_path("case_study_net.json"), "--query", "S"],
+    }
+    for command, argv in commands.items():
+        out = _fresh(f"""
+            import contextlib, io
+            from afdi import cli
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                rc = cli.main({[command, *argv]!r})
+            print(json.dumps({{"rc": rc, "loaded": loaded()}}))
+        """)
+        assert out["rc"] == 0, command
+        assert ("logging" in out["loaded"]) == (command == "bn-query"), command
 
 
 # each public name of the package, in ``afdi.__all__`` order, and the

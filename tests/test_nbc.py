@@ -598,6 +598,22 @@ def test_posterior_rejects_what_is_not_a_feature_before_and_after_the_memo(bad, 
     assert posterior(model, (1, 2)) is valid
 
 
+@pytest.mark.parametrize(
+    "priors, row, named",
+    [
+        ((0.7, 0.2, 0.2), (0.5, 0.25, 0.25), "priors sum to 1.0999999999999999, not 1"),
+        ((0.5, 0.25, 0.25), (0.7, 0.2, 0.2), "table row 'x'/class 0 sums to 1.0999999999999999, not 1"),
+    ],
+    ids=["priors", "table-row"],
+)
+def test_model_names_a_total_added_left_to_right(priors, row, named):
+    # sum() compensates from CPython 3.12 and prints 1.1
+    schema = AttributeSchema(attributes=(("x", 3),), classes=("a", "b", "c"))
+    table = (row, (0.5, 0.25, 0.25), (0.5, 0.25, 0.25))
+    with pytest.raises(ValueError, match=rf"^{re.escape(named)}$"):
+        NbcModel(schema=schema, priors=priors, cond=(table,), alpha=1.0)
+
+
 def test_posterior_takes_a_list_as_the_equal_tuple():
     model = NbcModel(schema=TWO, priors=(0.5, 0.5), cond=TWO_COND, alpha=1.0)
     first = posterior(model, [1, None])

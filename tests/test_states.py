@@ -16,12 +16,14 @@ from afdi.states import (
     DiscretizationSpec,
     MetricSample,
     OutOfRangeError,
+    SequencingError,
     StateDistribution,
     StateVector,
     discretize,
     read_metric_samples,
     write_metric_samples,
 )
+from afdi.engine import collect_windows
 from afdi.simulator import generate, load_scenario
 
 from conftest import fixture_path
@@ -178,6 +180,16 @@ def test_state_distribution_validation():
         StateDistribution(())
 
 
+@pytest.mark.parametrize(
+    "probs, total", [((0.7, 0.2, 0.2), "1.0999999999999999"), ((1, 1), "2"), ((1, 0.5), "1.5")],
+    ids=["floats", "ints", "mixed"],
+)
+def test_state_distribution_names_its_total_added_left_to_right(probs, total):
+    # sum() compensates from CPython 3.12 and prints 1.1 for the floats
+    with pytest.raises(ValueError, match=rf"^distribution sums to {re.escape(total)}, not 1$"):
+        StateDistribution(probs)
+
+
 def test_metric_sample_scope_consistency():
     host_cpu = ComponentId("cpu", "host")
     with pytest.raises(ValueError):
@@ -283,7 +295,8 @@ def _scenario_800_columns(tmp_path, route):
 def test_columns_hold_unboxed_values_a_packed_order_and_one_list_per_distinct_timestamp_column(tmp_path, route):
     columns, samples = _scenario_800_columns(tmp_path, route)
     assert {(type(column), column.typecode) for column in columns.values} == {(array, "d")}
-    assert (type(columns.order), columns.order.typecode) == (array, "I")
+    # six series: each index fits a byte
+    assert (type(columns.order), columns.order.typecode) == (array, "B")
     assert list(map(repr, columns)) == list(map(repr, samples))
     # every series samples each of the 800 times, so all six columns are one list
     assert len(columns.timestamps) == 6
@@ -783,6 +796,130 @@ def test_the_scan_pattern_holds_nothing_python_3_10_cannot_compile():
     # no reader path catches
     parser = getattr(re, "_parser", None) or __import__("sre_parse")
     assert {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}.isdisjoint(_opcodes(parser.parse(states._CANONICAL_LINE), parser))
+
+
+# -- the fold of the timestamp tails -------------------------------------
+
+FOLD = states._FOLD_RECORDS
+# record keys (host_id, vm_id, metric name, level) of the fold streams
+_FOLD_KEYS = [("h0", f"vm{i}", "cpu", "vm") for i in range(4)] + [("h0", None, "storage_io", "host")]
+
+
+@st.composite
+def _record_streams(draw):
+    """Records ``(key, timestamp)`` in stream order: at each step the clock
+    moves on by 0 to 2 and every series, or some of them, any of them more
+    than once, take a sample, so series share, skip and repeat timestamps."""
+    records, clock = [], 0
+    keys = st.one_of(st.just(_FOLD_KEYS), st.lists(st.sampled_from(_FOLD_KEYS), max_size=8))
+    steps = st.tuples(st.integers(0, 2), keys)
+    for step, keys in draw(st.lists(steps, max_size=25)):
+        clock += step
+        records += [(key, clock) for key in keys]
+    return records
+
+
+def _filled(records, cuts):
+    """Columns filled with ``records``, one ``_extend`` call per piece
+    between the positions ``cuts``, then completed."""
+    columns, shared = states.SampleColumns(), {}
+    bounds = [0, *cuts, len(records)]
+    for piece in (records[a:z] for a, z in zip(bounds, bounds[1:])):
+        series = columns._series_of([key for key, _ in piece], shared)
+        columns._extend(series, [t for _, t in piece], [t / 2 for _, t in piece])
+    columns._complete()
+    return columns
+
+
+@given(_record_streams(), st.integers(1, 7), st.data())
+@example([(_FOLD_KEYS[i % 3], i // 3) for i in range(30)], 4, None)
+def test_any_cut_of_a_stream_into_extend_calls_gives_the_per_series_columns(records, fold, data):
+    if data is None:  # one record per call
+        cuts = list(range(1, len(records)))
+    else:
+        cuts = sorted(data.draw(st.sets(st.integers(1, max(1, len(records) - 1)))) - {len(records)})
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(states, "_FOLD_RECORDS", fold)
+        columns = _filled(records, cuts)
+    naive = {}
+    for key, t in records:
+        naive.setdefault(key, []).append(t)
+    assert [(h, vm, m.name, m.level) for h, vm, m in columns.series] == list(naive)
+    assert columns.timestamps == list(naive.values())
+    assert [list(column) for column in columns.values] == [[t / 2 for t in ts] for ts in naive.values()]
+    assert list(columns.order) == [list(naive).index(key) for key, _ in records]
+    # equal columns are one list, unequal ones apart
+    stamps = columns.timestamps
+    assert all((a is b) == (a == b) for a in stamps for b in stamps)
+
+
+def _fleet(n_series, times):
+    """``times`` rounds of one vm.cpu sample per series, round t at 1000 * t."""
+    return [MetricSample(1000 * t, "h0", f"vm{i}", CPU, 50.0) for t in range(times) for i in range(n_series)]
+
+
+def _columns_by(route, samples, tmp_path):
+    if route == "of":
+        return states.SampleColumns.of(samples)
+    path = tmp_path / "stream.jsonl"
+    write_metric_samples(samples, path)
+    return states.read_sample_columns(path)
+
+
+@pytest.mark.parametrize("route", ["reader", "of"])
+@pytest.mark.parametrize("at", [FOLD - 1, FOLD, FOLD + 1], ids=["last-before-fold", "first-after-fold", "second-after-fold"])
+def test_a_fall_by_a_fold_boundary_raises_the_first_fall_in_stream_order(tmp_path, route, at):
+    # the reader folds after the chunk that takes its FOLD-th record;
+    # a later fall in a series opened earlier is not the one raised
+    samples = _fleet(10, FOLD // 10 + 20)
+    for i in (at, at + 15):
+        samples[i] = samples[i]._replace(timestamp=samples[i].timestamp - 2000)
+    expected = oracles.first_fall(samples)
+    assert expected is not None and f"vm{at % 10}'" in str(expected)
+    with pytest.raises(SequencingError) as raised:
+        _columns_by(route, samples, tmp_path)
+    assert str(raised.value) == str(expected)
+
+
+@pytest.mark.parametrize("route", ["reader", "of"])
+@pytest.mark.parametrize("at", [FOLD - 1, FOLD, FOLD + 1], ids=["last-before-fold", "first-after-fold", "second-after-fold"])
+def test_a_second_sample_by_a_fold_boundary_raises_the_first_in_stream_order(tmp_path, route, at):
+    samples = _fleet(10, FOLD // 10 + 20)
+    for i in (at, at + 15):
+        samples[i] = samples[i]._replace(timestamp=samples[i].timestamp - 1000)
+    columns = _columns_by(route, samples, tmp_path)
+    # the two series given a second sample hold a list each, the other eight one
+    apart = {at % 10, (at + 15) % 10}
+    shared = {id(column) for s, column in enumerate(columns.timestamps) if s not in apart}
+    assert len(shared) == 1 and len({id(columns.timestamps[s]) for s in apart} | shared) == 3
+    bad = samples[at]
+    with pytest.raises(ValueError, match=rf"^window t={bad.timestamp} h0/{bad.vm_id}: second sample of vm.cpu$"):
+        collect_windows(columns, [DiscretizationSpec(CPU, (0.0, 50.0, 100.0))])
+
+
+@pytest.mark.parametrize("n_series, typecode", [(256, "B"), (257, "H"), (300, "H")])
+def test_order_takes_the_narrowest_type_that_holds_every_series_index(n_series, typecode):
+    columns = states.SampleColumns.of(_fleet(n_series, 2))
+    assert (columns.order.typecode, list(columns.order)) == (typecode, list(range(n_series)) * 2)
+
+
+@pytest.mark.parametrize("route", ["reader", "of"])
+def test_300_series_widen_order_as_they_open_and_keep_the_first_fall_first(tmp_path, route):
+    # the first chunk holds 100 series, later ones open the rest; the
+    # last round runs the series backwards, so series 290 falls first
+    samples = _fleet(100, 12) + [s._replace(timestamp=12000) for s in _fleet(300, 1)]
+    samples += [s._replace(timestamp=13000) for s in _fleet(300, 1)[::-1]]
+    at, later = len(samples) - 1 - 290, len(samples) - 1 - 5
+    for i in (at, later):
+        samples[i] = samples[i]._replace(timestamp=-1)
+    expected = oracles.first_fall(samples)
+    assert "'vm290'" in str(expected)
+    with pytest.raises(SequencingError, match=re.escape(str(expected))):
+        _columns_by(route, samples, tmp_path)
+    good = [s for i, s in enumerate(samples) if i not in (at, later)]
+    columns = _columns_by(route, good, tmp_path)
+    assert columns.order.typecode == "H"
+    assert list(map(repr, columns)) == list(map(repr, good))
 
 
 # -- hashing -----------------------------------------------------------
