@@ -22,8 +22,15 @@ A second table gives, per stage, the most heap ``tracemalloc`` traced at
 any point of the stage: what is still live from the stages before it and
 what the stage itself holds.  It comes from one more run per stream,
 untimed, so the timed runs stay untraced; MB are 2**20 bytes, as in
-``peak_rss_mb``.  Uses only the standard library and the ``afdi``
-package under ``src/`` of the checkout the script sits in.
+``peak_rss_mb``.
+
+A third table gives the peak RSS of the whole process: ``python -m afdi
+diagnose`` run on each stream in a fresh child, its ``ru_maxrss`` as
+``os.wait4`` reaps it, best of ``--repeat``.  The child inherits the
+environment as it is; its header says whether ``PYTHONDONTWRITEBYTECODE``
+was set, since a child that writes no bytecode compiles every module it
+imports.  Uses only the standard library and the ``afdi`` package under
+``src/`` of the checkout the script sits in.
 """
 
 from __future__ import annotations
@@ -34,12 +41,14 @@ import gc
 import io
 import os
 import platform
+import subprocess
 import sys
 import tempfile
 import time
 import tracemalloc
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+sys.path.insert(0, SRC)
 
 from afdi import cli, engine  # noqa: E402
 
@@ -113,22 +122,40 @@ def _measured(config_path: str, metrics: str, out: str, heap: bool) -> list:
             tracemalloc.stop()
 
 
-def stage_times(config_path: str, streams: list[str], repeat: int) -> tuple[dict, dict]:
-    """Per stream, the best time of each stage over ``repeat`` runs, and
-    the traced heap peak of each stage on one more run."""
-    best, heaps = {}, {}
+def peak_rss(config_path: str, metrics: str, out: str) -> float:
+    """The peak RSS in MB of one ``python -m afdi diagnose`` child over
+    ``metrics``, which runs the ``afdi`` under ``SRC`` in the environment
+    inherited; what it prints to stderr is raised if it fails."""
+    argv = ["diagnose", "--config", os.path.abspath(config_path), "--metrics", os.path.abspath(metrics)]
+    with tempfile.TemporaryFile("w+") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "afdi", *argv, "--out-alarms", os.path.abspath(out)],
+                                cwd=SRC, stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode != 0:
+            err.seek(0)
+            raise RuntimeError(f"afdi diagnose failed on {metrics}: {err.read().strip()}")
+    return usage.ru_maxrss / 1024
+
+
+def stage_times(config_path: str, streams: list[str], repeat: int) -> tuple[dict, dict, dict]:
+    """Per stream, the best time of each stage over ``repeat`` runs, the
+    traced heap peak of each stage on one more run, and the least peak
+    RSS of ``repeat`` child processes."""
+    best, heaps, rss = {}, {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "alarms.jsonl")
         for metrics in streams:
             runs = [_measured(config_path, metrics, out, heap=False) for _ in range(repeat)]
             best[metrics] = [min(times) for times in zip(*runs)]
             heaps[metrics] = _measured(config_path, metrics, out, heap=True)
-    return best, heaps
+            rss[metrics] = min(peak_rss(config_path, metrics, out) for _ in range(repeat))
+    return best, heaps, rss
 
 
-def _header(columns: dict) -> list[str]:
+def _header(columns: dict, first: str = "stage") -> list[str]:
     names = [os.path.splitext(os.path.basename(path))[0] for path in columns]
-    return ["| stage | " + " | ".join(names) + " |", "|---" * (len(names) + 1) + "|"]
+    return [f"| {first} | " + " | ".join(names) + " |", "|---" * (len(names) + 1) + "|"]
 
 
 def table(best: dict[str, list[float]]) -> str:
@@ -149,6 +176,12 @@ def heap_table(heaps: dict[str, list[int]]) -> str:
     return "\n".join(lines)
 
 
+def rss_table(rss: dict[str, float]) -> str:
+    """The Markdown table of ``rss``, one column per stream, in MB."""
+    row = "| `afdi diagnose` | " + " | ".join(f"{mb:.2f} MB" for mb in rss.values()) + " |"
+    return "\n".join(_header(rss, "process") + [row])
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--config", required=True, help="engine config JSON")
@@ -157,12 +190,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
-    best, heaps = stage_times(args.config, args.streams, args.repeat)
+    best, heaps, rss = stage_times(args.config, args.streams, args.repeat)
     print(f"{platform.python_implementation()} {platform.python_version()}, best of {args.repeat}, GC off")
     print(table(best))
     print()
     print("traced heap peak per stage, one more run, GC off")
     print(heap_table(heaps))
+    print()
+    written = "set" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "unset"
+    print(f"peak RSS of a fresh child, best of {args.repeat}, PYTHONDONTWRITEBYTECODE {written}")
+    print(rss_table(rss))
     return 0
 
 

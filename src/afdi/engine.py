@@ -33,6 +33,7 @@ from .states import check_entries, check_kind, check_origin, left_sum, read_docu
 
 __all__ = [
     "PreprocessPolicy",
+    "SeriesFilter",
     "Alarm",
     "VirtualSensor",
     "EngineConfig",
@@ -61,6 +62,11 @@ _SEVERITY_MAPPING = (0, 0, 1, 2)
 _MAD_SCALE = 1.4826  # makes MAD comparable to a standard deviation
 _EPS = 1e-9
 _MAX_PASSES = 64
+# values a SeriesFilter takes between two judging steps: a step costs a
+# few microseconds per pass before it judges a position, which pieces of
+# a few samples would pay each time; a value waits at most this many more
+# before pass 0 judges it
+_FEED_STRIDE = 256
 
 
 class IncompleteWindowError(ValueError):
@@ -91,82 +97,163 @@ class PreprocessPolicy(namedtuple("PreprocessPolicy", "window z_cutoff")):
         return tuple.__new__(cls, (window, z_cutoff))
 
 
-def preprocess(samples: Iterable[MetricSample] | SampleColumns, policy: PreprocessPolicy | None = None):
-    """Robust per-series cleanup preserving order and timestamps.
+def _overlay(values: array, start: int, pending: list) -> array:
+    """``values``, the buffer's from position ``start`` on, with the
+    replacements of ``pending`` that fall among them written in."""
+    for i, med in pending:
+        if 0 <= i - start < len(values):
+            values[i - start] = med
+    return values
 
-    Each (host, vm, metric) series is handled independently: percent
-    metrics are clamped to [0, 100] first, then a sliding median/MAD
-    filter replaces outliers with the window median.  The filter is
-    iterated until a pass replaces nothing, for at most ``_MAX_PASSES``
-    (64) passes.  Running preprocess on its own output
-    changes nothing only when that fixed point is reached within the
-    cap: with ``window=5, z_cutoff=0.5``, ``[1, 20, 50, 100.5, 91]``
-    still moves after 64 passes.  After the first pass only the positions
-    whose window holds a sample the previous pass replaced are
-    recomputed; the others would give the same result again.  A pass
-    walks its positions as contiguous runs, the whole series first: one
-    sorted window slides along the full windows of a run, and only the at
-    most ``window // 2`` positions at each end of the series, whose window
-    is shrunken, slice and sort their own.  The result equals slicing and
-    sorting every window, down to the sign of a zero median.
 
-    The filter runs on the value column of each series of a
-    ``SampleColumns``, an ``array('d')``, and the result is a
-    ``SampleColumns`` with new value arrays where a value changed.
-    Given any other iterable of samples, preprocess takes it through
-    ``SampleColumns.of``, which refuses NaN and infinite values, and
-    gives a list, in which a sample whose value stayed is the sample
-    given; an int value that no float equals does not stay, since the
-    columns hold floats.  A median that overflows to an infinity makes
-    its z-score NaN, so every replacement is finite.  The columns hold
-    each series in time order, so ``SampleColumns.of`` refuses a list in
-    which a series falls.
+class SeriesFilter:
+    """The ``preprocess`` filter of one series, fed in pieces: a state
+    that judges each (pass, position) pair once, whatever the cut.
+
+    ``feed(values)`` appends values to the series; once ``_FEED_STRIDE``
+    values have come since its last judging step, it clamps them, in a
+    percent series, to [0, 100] and judges every pair the values fed
+    decide.  ``close()`` ends the series: it judges the rest and returns
+    the buffer, an ``array('d')`` that holds the cleaned series.  Given a
+    ``buffer``, the filter owns it and its values count as fed in one
+    piece, so the series is cleaned in place: ``preprocess`` gives each
+    column so and closes it.  Values fed must be finite, as the columns
+    hold them.
+
+    The passes form a wavefront, the time skewing of an iterated stencil
+    (Wonnacott, IPDPS 2000): pass 0 judges a position once its window is
+    full, and pass k + 1 judges one once pass k has judged its whole
+    window, so each pass lags the one before it by ``window // 2``; at
+    ``close`` the passes run on to the end of the series in turn.  Pass k + 1 judges only the
+    positions within ``window // 2`` of a replacement pass k made, in the
+    contiguous runs they merge into, and a replacement is written to the
+    buffer once its own pass has judged every window that holds it; until
+    then the next pass reads it from the pass's pending list.  ``judged``
+    counts the pairs judged and ``replaced`` the replacements.
     """
-    listed = None
-    if not isinstance(samples, SampleColumns):
-        listed = list(samples)
-        samples = SampleColumns.of(listed)
-    policy = policy or PreprocessPolicy()
-    window = policy.window
-    half = window // 2
-    j = (half + 1) // 2  # ceil(half / 2), for the MAD lower bound below
-    above, below = half + j, half - j
-    cutoff = policy.z_cutoff
-    cleaned = []
-    for (_, _, metric), given in zip(samples.series, samples.values):
-        vals = given
-        if metric.name in PERCENT_METRIC_NAMES and not 0.0 <= min(vals) <= max(vals) <= 100.0:
-            vals = array("d", [v if 0.0 <= v <= 100.0 else min(100.0, max(0.0, v)) for v in vals])
+
+    __slots__ = ("judged", "replaced", "_buf", "_percent", "_half", "_cutoff", "_runs", "_windows", "_pending", "_seen")
+
+    def __init__(self, policy: PreprocessPolicy, percent: bool, buffer: array | None = None) -> None:
+        self.judged = self.replaced = 0
+        self._buf = array("d") if buffer is None else buffer
+        self._percent = percent
+        self._half = policy.window // 2
+        self._cutoff = policy.z_cutoff
+        # per pass: the runs [start, stop) it has left to judge, in order
+        # (pass 0 judges every position), the sorted window it stopped in
+        # when a run is cut where it has fed no further, and its
+        # replacements (position, median) not yet in the buffer
+        self._runs = [[[0, math.inf]]]
+        self._windows = [None]
+        self._pending = [[]]
+        self._seen = 0  # the values fed up to the last judging step
+
+    def feed(self, values: Iterable[float]) -> None:
+        buf = self._buf
+        buf.extend(values)
+        if len(buf) - self._seen >= _FEED_STRIDE:
+            self._advance(False)
+
+    def close(self) -> array:
+        self._advance(True)
+        return self._buf
+
+    def _clamp(self, start: int) -> None:
+        """Clamp the values from position ``start`` on to [0, 100] in a
+        percent series."""
+        if not self._percent:
+            return
+        buf = self._buf
+        piece = buf[start:] if start else buf
+        if piece and not 0.0 <= min(piece) <= max(piece) <= 100.0:
+            for i in range(start, len(buf)):
+                v = buf[i]
+                if not 0.0 <= v <= 100.0:
+                    buf[i] = min(100.0, max(0.0, v))
+
+    def _advance(self, final: bool) -> None:
+        """Move each pass as far as the values fed decide, or with
+        ``final`` to the end of the series, and write to the buffer the
+        replacements whose pass has judged every window that holds them."""
+        buf, half = self._buf, self._half
+        n = len(buf)
+        self._clamp(self._seen)
+        self._seen = n
+        limit = n if final else n - half  # pass 0 has judged the positions below
+        runs, pending = self._runs, self._pending
+        for k in range(_MAX_PASSES):
+            if k == len(runs):
+                break
+            if runs[k] and runs[k][0][0] < limit:
+                self._judge(k, limit, final)
+            if pending[k]:
+                done = pending[k] if final else pending[k][: bisect_left(pending[k], (limit - half,))]
+                for i, med in done:
+                    buf[i] = med
+                del pending[k][: len(done)]
+            if not final:
+                limit -= half
+        while len(runs) > 1 and not runs[-1] and not pending[-1]:
+            del runs[-1], self._windows[-1], pending[-1]
+
+    def _judge(self, k: int, limit: int, final: bool) -> None:
+        """Judge pass ``k``'s positions below ``limit``, whose windows the
+        pass before has judged, or every one with ``final``."""
+        vals, half, cutoff = self._buf, self._half, self._cutoff
         n = len(vals)
-        runs = [(0, n)]
-        for _ in range(_MAX_PASSES):
-            # synchronous update: every position of a pass reads the same
-            # vals, and the replacements land only after the pass
-            replaced = []
-            for a, b in runs:
-                # positions p .. q-1 have a full window; the at most half
-                # at each end have a window that end shrinks
-                p, q = max(a, half), min(b, n - half)
-                for i in chain(range(a, min(b, half)), range(max(p, n - half), b)):
-                    w = sorted(vals[max(0, i - half) : i + half + 1])
-                    # the median of an even window is the mean of the
-                    # middle pair, as statistics.median computes it
-                    k, odd = divmod(len(w), 2)
-                    med = w[k] if odd else (w[k - 1] + w[k]) / 2
-                    dev = sorted([abs(v - med) for v in w])
-                    mad = dev[k] if odd else (dev[k - 1] + dev[k]) / 2
-                    if abs(vals[i] - med) / (mad * _MAD_SCALE + _EPS) > cutoff:
-                        replaced.append((i, med))
-                if p >= q:
-                    continue
+        j = (half + 1) // 2  # ceil(half / 2), for the MAD lower bound below
+        above, below = half + j, half - j
+        # positions from `edge` on have a window the series' end shrinks
+        edge = n - half if final else limit
+        runs, w = self._runs[k], self._windows[k]
+        # the replacements of the pass before not yet in the buffer, which
+        # this pass reads where they fall in its windows
+        ahead = self._pending[k - 1] if k else ()
+        # synchronous update: every position of a pass reads the values
+        # the pass before left, and its own replacements wait in pending
+        replaced = []
+        judged = ended = 0
+        for run in runs:
+            a, b = run
+            if a >= limit:
+                break
+            stop = b if b < limit else limit
+            judged += stop - a
+            # positions p .. q-1 have a full window; the at most half at
+            # each end have a window that end shrinks
+            p, q = a if a > half else half, stop if stop < edge else edge
+            shrunk = chain(range(a, min(stop, half)), range(max(p, edge), stop)) if a < half or stop > edge else ()
+            for i in shrunk:
+                lo = max(0, i - half)
+                window = vals[lo : i + half + 1]
+                if ahead:
+                    _overlay(window, lo, ahead)
+                x = window[i - lo]
+                window = sorted(window)
+                # the median of an even window is the mean of the
+                # middle pair, as statistics.median computes it
+                m, odd = divmod(len(window), 2)
+                med = window[m] if odd else (window[m - 1] + window[m]) / 2
+                dev = sorted([abs(v - med) for v in window])
+                mad = dev[m] if odd else (dev[m - 1] + dev[m]) / 2
+                if abs(x - med) / (mad * _MAD_SCALE + _EPS) > cutoff:
+                    replaced.append((i, med))
+            if p < q:
                 # one sorted list slides over the full windows: each step
                 # inserts the entering value right of its equals and, once
                 # the position is judged, deletes the leftmost value equal
                 # to the leaving one, so equal values keep their order in
                 # the slice and w is sorted(vals[i - half : i + half + 1])
-                # down to which zero the median takes
-                w = sorted(vals[p - half : p + half])
-                steps = zip(range(p, q), vals[p:q], vals[p - half : q - half], vals[p + half : q + half])
+                # down to which zero the median takes; a run cut where the
+                # values fed end resumes in the w it stopped in
+                if w is None:
+                    w = vals[p - half : p + half]
+                    w = sorted(_overlay(w, p - half, ahead) if ahead else w)
+                entering = vals[p + half : q + half]
+                if ahead:
+                    _overlay(entering, p + half, ahead)
+                steps = zip(range(p, q), vals[p:q], vals[p - half : q - half], entering)
                 for i, x, leaving, entering in steps:
                     insort(w, entering)
                     med = w[half]
@@ -184,30 +271,82 @@ def preprocess(samples: Iterable[MetricSample] | SampleColumns, policy: Preproce
                         if dist / (dev[half] * _MAD_SCALE + _EPS) > cutoff:
                             replaced.append((i, med))
                     del w[bisect_left(w, leaving)]
-            # z > cutoff > 0 needs vals[i] != med, so every replacement
-            # changes a value and an empty pass is the fixed point
-            if not replaced:
+            if stop < b and stop < n:
+                run[0] = stop
                 break
-            # the output at i reads only its own window, so the next pass
-            # judges the windows that hold a replaced sample: the merged
-            # runs of positions within half of one, in order (a run's
-            # edges were judged before its middle)
-            replaced.sort()
-            if vals is given:
-                vals = given[:]  # the columns given stay as they were
-            runs = []
-            for i, med in replaced:
-                vals[i] = med
-                start, stop = max(0, i - half), min(n, i + half + 1)
-                if runs and start <= runs[-1][1]:
-                    runs[-1][1] = stop
-                else:
-                    runs.append([start, stop])
-        cleaned.append(vals)
-    cleaned = samples.with_values(cleaned)
+            ended += 1
+            w = None
+        del runs[:ended]
+        self._windows[k] = w
+        self.judged += judged
+        if not replaced:
+            return
+        # z > cutoff > 0 needs vals[i] != med, so every replacement
+        # changes a value, and a pass that replaces nothing leaves the
+        # next nothing to judge
+        replaced.sort()
+        self.replaced += len(replaced)
+        self._pending[k] += replaced
+        if k + 1 == _MAX_PASSES:
+            return
+        if k + 1 == len(self._runs):
+            self._runs.append([])
+            self._windows.append(None)
+            self._pending.append([])
+        # the output at i reads only its own window, so the next pass
+        # judges the windows that hold a replaced sample: the merged runs
+        # of positions within half of one, in order
+        runs = self._runs[k + 1]
+        for i, _ in replaced:
+            start, stop = max(0, i - half), i + half + 1
+            if runs and start <= runs[-1][1]:
+                runs[-1][1] = stop
+            else:
+                runs.append([start, stop])
+
+
+def preprocess(samples: Iterable[MetricSample] | SampleColumns, policy: PreprocessPolicy | None = None):
+    """Robust per-series cleanup preserving order and timestamps.
+
+    Each (host, vm, metric) series is handled independently: percent
+    metrics are clamped to [0, 100] first, then a sliding median/MAD
+    filter replaces outliers with the window median.  The filter is
+    iterated until a pass replaces nothing, for at most ``_MAX_PASSES``
+    (64) passes.  Running preprocess on its own output
+    changes nothing only when that fixed point is reached within the
+    cap: with ``window=5, z_cutoff=0.5``, ``[1, 20, 50, 100.5, 91]``
+    still moves after 64 passes.  After the first pass only the positions
+    whose window holds a sample the previous pass replaced are
+    recomputed; the others would give the same result again.  A pass
+    walks its positions as contiguous runs: one sorted window slides
+    along the full windows of a run, and only the at most ``window // 2``
+    positions at each end of the series, whose window is shrunken, slice
+    and sort their own.  The result equals slicing and sorting every
+    window, down to the sign of a zero median.  ``SeriesFilter`` is the
+    filter of one series; it takes a series in pieces as well as whole.
+
+    Given ``SampleColumns``, preprocess consumes them: the value column
+    of each series, an ``array('d')``, is fed whole to a ``SeriesFilter``
+    that owns it, so the columns are cleaned in place and returned.
+    Given any other iterable of samples, preprocess takes it through
+    ``SampleColumns.of``, which refuses NaN and infinite values, and
+    gives a list, in which a sample whose value stayed is the sample
+    given, and leaves the samples given as they were; an int value that
+    no float equals does not stay, since the columns hold floats.  A
+    median that overflows to an infinity makes its z-score NaN, so every
+    replacement is finite.  The columns hold each series in time order,
+    so ``SampleColumns.of`` refuses a list in which a series falls.
+    """
+    listed = None
+    if not isinstance(samples, SampleColumns):
+        listed = list(samples)
+        samples = SampleColumns.of(listed)
+    policy = policy or PreprocessPolicy()
+    for (_, _, metric), vals in zip(samples.series, samples.values):
+        SeriesFilter(policy, metric.name in PERCENT_METRIC_NAMES, vals).close()
     if listed is None:
-        return cleaned
-    return [s if s.value == c.value else c for s, c in zip(listed, cleaned)]
+        return samples
+    return [s if s.value == c.value else c for s, c in zip(listed, samples)]
 
 
 class Window(NamedTuple):
@@ -707,8 +846,10 @@ class Engine:
         time order as they are taken.  The stream is preprocessed and
         windowed before this returns, so a stream those stages refuse
         raises here, before any alarm is taken.  The stream comes as
-        ``SampleColumns``, as ``read_sample_columns`` gives it, or as
-        samples, which are put in columns first."""
+        ``SampleColumns``, as ``read_sample_columns`` gives it, which
+        this consumes: ``preprocess`` cleans their value columns in
+        place.  Samples given otherwise are put in columns first, and
+        stay as they were."""
         columns = samples if isinstance(samples, SampleColumns) else SampleColumns.of(samples)
         cleaned = preprocess(columns, self.config.preprocess)
         windows = collect_windows(cleaned, self.config.window_specs)

@@ -338,9 +338,8 @@ class SampleColumns:
     ``_complete`` refuses a series whose timestamps fall, so every
     timestamp column is in time order.  While the columns are filled, a
     series' latest timestamps wait in its tail until ``_fold`` appends
-    them to its column.  The only other way in is ``with_values``, by
-    which ``preprocess`` gives back the values it computed from checked
-    ones.
+    them to its column.  ``preprocess`` cleans the value columns in
+    place.
     """
 
     __slots__ = ("series", "timestamps", "values", "order", "_index", "_tails", "_unfolded")
@@ -478,17 +477,6 @@ class SampleColumns:
                 key = (host, vm, metric.key)
                 errors[s] = (i, SequencingError(f"series {key}: timestamp {stamps[i]} after {stamps[i - 1]}"))
         self.raise_first(errors)
-
-    def with_values(self, values: list[array]) -> "SampleColumns":
-        """These columns with other value columns, one per series: the
-        route by which ``preprocess`` gives back the values it computed
-        from checked ones.  The new object shares its series, timestamps
-        and order with this one, and has no routing index: it cannot be
-        extended."""
-        columns = SampleColumns.__new__(SampleColumns)
-        columns.series, columns.timestamps, columns.order = self.series, self.timestamps, self.order
-        columns.values = values
-        return columns
 
     def raise_first(self, errors: Mapping[int, tuple]) -> None:
         """Raise, of ``errors``, each ``(index of a sample within its

@@ -281,6 +281,28 @@ def median_mad_filter(values, window, cutoff, max_passes=64):
     return values, passes
 
 
+def median_mad_counts(values, window, cutoff, max_passes=64):
+    """The work of ``preprocess``'s filter on one series: the number of
+    (pass, position) pairs it judges and of replacements it makes.  Pass
+    0 judges every position, and each later pass those within
+    ``window // 2`` of a value the pass before changed, for at most
+    ``max_passes`` passes; a pass changes only values it judges."""
+    half = window // 2
+    judge = range(len(values))
+    judged = replaced = 0
+    for _ in range(max_passes):
+        if not judge:
+            break
+        judged += len(judge)
+        after = median_mad_pass(values, window, cutoff)
+        changed = [i for i in range(len(values)) if after[i] != values[i]]
+        assert set(changed) <= set(judge)
+        replaced += len(changed)
+        values = after
+        judge = sorted({j for i in changed for j in range(max(0, i - half), min(len(values), i + half + 1))})
+    return judged, replaced
+
+
 # -- time order -------------------------------------------------------
 
 

@@ -21,12 +21,13 @@ from afdi.engine import (
     IncompleteWindowError,
     PreprocessPolicy,
     SequencingError,
+    SeriesFilter,
     load_config,
     preprocess,
     write_alarm_log,
 )
 from afdi.simulator import generate, load_scenario, write_labels
-from afdi.states import ComponentId, MetricSample, read_metric_samples, write_metric_samples
+from afdi.states import ComponentId, MetricSample, read_metric_samples, read_sample_columns, write_metric_samples
 from conftest import fixture_path, hot_scenario
 
 import oracles
@@ -83,6 +84,38 @@ def test_fleet_alarm_log_through_the_reader_pinned(tmp_path, name):
     assert (_sha256(metrics), _sha256(tmp_path / "labels.csv")) == FLEET_STREAM_SHA256[name]
     assert _diagnose(fixture_path("engine_config.json"), metrics, alarms) == 0
     assert _sha256(alarms) == FLEET_ALARM_LOG_SHA256[name]
+
+
+# (pass, position) pairs the filter judges on each fleet at seed 3: a
+# work count that does not depend on the host
+FLEET_FILTER_JUDGED = {"fleet-replay": 159_815, "hot-fleet": 162_770}
+
+
+@pytest.mark.parametrize("name", sorted(FLEET_FILTER_JUDGED))
+def test_fleet_filter_fed_in_the_pieces_of_1024_line_chunks_equals_the_batch(tmp_path, name):
+    metrics = tmp_path / "metrics.jsonl"
+    write_metric_samples(generate(load_scenario(_workloads()[name](str(ROOT), 3)))[0], metrics)
+    columns = read_sample_columns(metrics)
+    # each series' samples among each 1,024 lines, about 7.5 on a fleet
+    cuts = [[] for _ in columns.series]
+    for start in range(0, len(columns), 1024):
+        chunk = columns.order[start : start + 1024]
+        for s in set(chunk):
+            cuts[s].append(chunk.count(s))
+    policy = load_config(fixture_path("engine_config.json")).preprocess
+    judged = 0
+    for ((_, _, metric), values), sizes in zip(zip(columns.series, columns.values), cuts):
+        percent = metric.name in engine.PERCENT_METRIC_NAMES
+        streamed = SeriesFilter(policy, percent)
+        start = 0
+        for size in sizes:
+            streamed.feed(values[start : start + size])
+            start += size
+        batch = SeriesFilter(policy, percent, values)
+        assert streamed.close() == batch.close()
+        assert (streamed.judged, streamed.replaced) == (batch.judged, batch.replaced)
+        judged += batch.judged
+    assert judged == FLEET_FILTER_JUDGED[name]
 
 
 # -- the cycle collector ----------------------------------------------

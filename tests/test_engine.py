@@ -1,9 +1,11 @@
+import contextlib
 import hashlib
 import itertools
 import json
 import math
 import random
 import re
+from array import array
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,6 +23,7 @@ from afdi.engine import (
     TRIGGER_GATE,
     TRIGGER_NBC,
     VirtualSensor,
+    SeriesFilter,
     Window,
     collect_windows,
     load_config,
@@ -487,6 +490,139 @@ def test_preprocess_matches_slice_and_sort_on_long_series(values, window, cutoff
     assert [repr(s.value) for s in got] == [repr(v if w == v else w) for v, w in zip(values, want)]
     # a sample the filter keeps is passed through as it was
     assert all(g is s for s, g, w in zip(samples, got, want) if w == s.value)
+
+
+def test_preprocess_stops_after_64_passes_short_of_the_fixed_point():
+    # the cap: this series still moves on its 64th pass, so a filter that
+    # dropped or moved the cap would give other values, and a second
+    # preprocess of the output moves it again
+    policy = PreprocessPolicy(window=5, z_cutoff=0.5)
+    once = preprocess(sample_series([1, 20, 50, 100.5, 91], metric="throughput"), policy)
+    assert [s.value for s in once] == [
+        49.99999998603016, 49.99999999301508, 50, 50.000000009546056, 50.000000009546056
+    ]
+    twice = preprocess(once, policy)
+    assert [s.value for s in twice] == [
+        49.99999999650754, 49.99999999650754, 50, 50.000000002386514, 50.000000002386514
+    ]
+
+
+def test_series_filter_counts_the_pairs_it_judges_and_the_samples_it_replaces():
+    # a spike: pass 0 judges all 20 positions and replaces the spike, pass
+    # 1 the 11 whose window holds it, and replaces nothing
+    spike = SeriesFilter(PreprocessPolicy(), False, array("d", [50.0] * 10 + [900.0] + [50.0] * 9))
+    assert list(spike.close()) == [50.0] * 20
+    assert (spike.judged, spike.replaced) == (31, 1)
+    # the 64-pass cap: 64 passes over all 5 positions, none of them final
+    capped = SeriesFilter(PreprocessPolicy(window=5, z_cutoff=0.5), False, array("d", [1, 20, 50, 100.5, 91]))
+    capped.close()
+    assert capped.judged == 64 * 5
+    assert (capped.judged, capped.replaced) == oracles.median_mad_counts([1, 20, 50, 100.5, 91], 5, 0.5)
+
+
+@contextlib.contextmanager
+def _feed_stride(stride: int):
+    """Judge as often as every ``stride`` values fed."""
+    kept = engine_mod._FEED_STRIDE
+    engine_mod._FEED_STRIDE = stride
+    try:
+        yield
+    finally:
+        engine_mod._FEED_STRIDE = kept
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(
+            st.floats(min_value=-50.0, max_value=150.0),
+            st.sampled_from([0.0, -0.0, 1.0, 50.0, 100.0, -1e3, 1e9]),
+        ),
+        max_size=120,
+    ),
+    percent=st.booleans(),
+    window=st.sampled_from(range(3, 24, 2)),
+    cutoff=st.sampled_from([0.1, 0.5, 1, 3.0]),
+    cuts=st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=200),
+    stride=st.sampled_from([1, 2, 7, 128]),
+)
+@example(values=[1, 20, 50, 100.5, 91], percent=False, window=5, cutoff=0.5, cuts=[1], stride=1)
+# pass 1 reads a replacement pass 0 has not yet written to the buffer
+@example(values=[1.0, 0.0, 1.0, 0.0, 0.0], percent=False, window=3, cutoff=0.1, cuts=[1], stride=1)
+def test_series_filter_fed_in_pieces_equals_the_batch(values, percent, window, cutoff, cuts, stride):
+    # any cut of a series into pieces of 1 to 50 values gives the values
+    # preprocess gives for the whole series, and judges the same pairs
+    policy = PreprocessPolicy(window=window, z_cutoff=cutoff)
+    batch = SeriesFilter(policy, percent, array("d", values))
+    want = batch.close()
+    streamed = SeriesFilter(policy, percent)
+    with _feed_stride(stride):
+        start = 0
+        for size in itertools.cycle(cuts):
+            if start >= len(values):
+                break
+            streamed.feed(values[start : start + size])
+            start += size
+        got = streamed.close()
+    assert len(got) == len(want) and all(a == b for a, b in zip(got, want))
+    assert (streamed.judged, streamed.replaced) == (batch.judged, batch.replaced)
+    # the batch is preprocess itself, and counts the pairs the oracle does
+    metric = "cpu" if percent else "throughput"
+    assert [s.value for s in preprocess(sample_series(values, metric=metric), policy)] == list(want)
+    clamped = [min(100.0, max(0.0, v)) if percent else v for v in values]
+    assert (batch.judged, batch.replaced) == oracles.median_mad_counts(clamped, window, cutoff)
+
+
+# a percent series clamped to 100.0, but for a dip that the filter replaces
+_CLAMPED_DIP = [150.0] * 10 + [3.0] + [150.0] * 9
+
+
+def test_preprocess_cleans_the_columns_given_in_place():
+    columns = SampleColumns.of(sample_series(_CLAMPED_DIP, metric="cpu"))
+    given = list(columns.values)
+    assert preprocess(columns) is columns
+    assert all(a is b for a, b in zip(columns.values, given)) and len(columns.values) == len(given) == 1
+    assert list(given[0]) == [100.0] * 20
+
+
+def test_engine_alarms_cleans_the_reader_columns_in_place(tmp_path):
+    # the read columns are fed to the filter whole: every value column
+    # afterwards is the reader's own array, holding the filtered series
+    samples, _ = generate(load_scenario(fixture_path("scenario_endless_loop.json")))
+    rng = random.Random(5)
+    spiked = [s._replace(value=s.value * 40 + 200) if rng.random() < 0.04 else s for s in samples]
+    path = tmp_path / "metrics.jsonl"
+    write_metric_samples(spiked, path)
+    config = load_config(fixture_path("engine_config.json"))
+    columns = read_sample_columns(path)
+    given = list(columns.values)
+    raw = [list(values) for values in given]
+    alarms = list(Engine(config).alarms(columns))
+    assert alarms == Engine(config).process_stream(spiked)
+    assert len(columns.values) == len(given) and all(a is b for a, b in zip(columns.values, given))
+    policy = config.preprocess
+    moved = 0
+    for (_, _, metric), values, before in zip(columns.series, columns.values, raw):
+        if metric.name in engine_mod.PERCENT_METRIC_NAMES:
+            before = [min(100.0, max(0.0, v)) for v in before]
+        want, _ = oracles.median_mad_filter(before, policy.window, policy.z_cutoff, engine_mod._MAX_PASSES)
+        assert list(values) == want
+        moved += want != before
+    assert moved  # the spikes were replaced, so the check saw the filter work
+
+
+def test_a_list_given_to_preprocess_or_process_stream_is_left_as_it_was():
+    samples = sample_series(_CLAMPED_DIP, metric="cpu")
+    kept = list(samples)
+    cleaned = preprocess(samples)
+    assert [s.value for s in cleaned] == [100.0] * 20
+    assert samples == kept and all(a is b for a, b in zip(samples, kept))
+    config = load_config(fixture_path("engine_config.json"))
+    stream, _ = generate(load_scenario(fixture_path("scenario_endless_loop.json")))
+    stream = [s._replace(value=s.value * 40 + 200) if i % 25 == 3 else s for i, s in enumerate(stream)]
+    kept = list(stream)
+    assert Engine(config).process_stream(stream)
+    assert stream == kept and all(a is b for a, b in zip(stream, kept))
 
 
 @pytest.mark.parametrize("window", [2, 1, -3, 4])

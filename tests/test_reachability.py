@@ -49,6 +49,7 @@ SCENARIOS = ("scenario_healthy", "scenario_endless_loop", "scenario_serious_cras
 
 _PERFBENCH = "patched or called by perfbench; retired with its benchmark names (ROADMAP item 8)"
 _WAITING = "made reachable by alarm scoring (ROADMAP item 6) or sensors in the run (item 9)"
+_STREAMED = "the filter fed in pieces, which `afdi diagnose` does once it feeds chunks (ROADMAP item 2 Phase B)"
 
 # qualified name -> why no entry point calls it
 ALLOWED = {
@@ -72,6 +73,9 @@ ALLOWED = {
     "evaluation.ConfusionMatrix.from_counts": "library API; the acceptance tests call it",
     "engine.Engine.process_stream": "list form for library callers and the acceptance criteria; "
     "`afdi diagnose` streams through `Engine.alarms`",
+    # -- waiting on item 2 Phase B
+    "engine.SeriesFilter.feed": _STREAMED,
+    "engine._overlay": _STREAMED + "; reads a replacement its pass has not yet written to the buffer",
     # -- waiting on items 6 and 9
     "engine._check_alarm": _WAITING,
     "engine.Alarm.__new__": _WAITING,

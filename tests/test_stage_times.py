@@ -27,7 +27,7 @@ def test_stage_times_prints_one_row_per_stage_and_a_column_per_stream(tmp_path, 
         write_metric_samples(samples, streams[-1])
     stage_times = _stage_times()
     assert stage_times.main(["--config", fixture_path("engine_config.json"), "--repeat", "2", *streams]) == 0
-    times, heaps = capsys.readouterr().out.split("\n\n")
+    times, heaps, rss = capsys.readouterr().out.split("\n\n")
     first, header, rule, *rows = times.splitlines()
     assert first.endswith(", best of 2, GC off")
     assert header == "| stage | a | b |" and rule == "|---|---|---|"
@@ -45,6 +45,35 @@ def test_stage_times_prints_one_row_per_stage_and_a_column_per_stream(tmp_path, 
     assert all(len(row) == 2 and all(re.fullmatch(r"\d+\.\d MB", cell) for cell in row) for row in cells)
     # the whole stream is read into memory
     assert all(float(cell.split()[0]) > 0 for cell in cells[0])
+    # then the peak RSS of a child process per stream, one row
+    first, header, rule, row = rss.splitlines()
+    written = "set" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "unset"
+    assert first == f"peak RSS of a fresh child, best of 2, PYTHONDONTWRITEBYTECODE {written}"
+    assert header == "| process | a | b |" and rule == "|---|---|---|"
+    assert row.startswith("| `afdi diagnose` | ")
+    cells = row.removesuffix(" |").split(" | ")[1:]
+    # at least an interpreter's worth, and not a pathological size
+    assert len(cells) == 2 and all(re.fullmatch(r"\d+\.\d\d MB", cell) for cell in cells)
+    assert all(5 < float(cell.split()[0]) < 500 for cell in cells)
+
+
+def test_stage_times_peak_rss_runs_the_checkout_and_writes_its_log(tmp_path):
+    # the child runs afdi diagnose from the checkout the script sits in and
+    # writes the log the in-process run writes
+    samples, _ = generate(load_scenario(fixture_path("scenario_endless_loop.json")))
+    stream = str(tmp_path / "metrics.jsonl")
+    write_metric_samples(samples, stream)
+    config_path = fixture_path("engine_config.json")
+    stage_times = _stage_times()
+    assert os.path.samefile(stage_times.SRC, os.path.join(os.path.dirname(engine.__file__), ".."))
+    assert stage_times.peak_rss(config_path, stream, str(tmp_path / "child.jsonl")) > 0
+    assert cli.main(["diagnose", "--config", config_path, "--metrics", stream, "--out-alarms",
+                     str(tmp_path / "expected.jsonl")]) == 0
+    assert (tmp_path / "child.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("not json\n")
+    with pytest.raises(RuntimeError, match=r"afdi diagnose failed on .*: error: .*line 1"):
+        stage_times.peak_rss(config_path, str(bad), str(tmp_path / "alarms.jsonl"))
 
 
 def test_stage_times_runs_the_pipeline_afdi_diagnose_runs(tmp_path):

@@ -134,10 +134,90 @@ def test_state_vector_rejects_a_level_that_is_not_an_integer(level):
         StateVector(((comps[0], 0), (comps[1], level)))
 
 
+# what a module may call on a value column, or on the list of them, that
+# changes it
+_COLUMN_MUTATORS = frozenset(
+    {"append", "extend", "insert", "pop", "remove", "reverse", "sort", "clear", "fromlist", "frombytes",
+     "fromfile", "fromunicode", "byteswap", "__setitem__", "__delitem__", "__iadd__", "__imul__"}
+)
+
+
+def _value_column_stores(tree: ast.AST) -> list:
+    """The nodes of ``tree`` that change a value column of some
+    ``SampleColumns``, or the list of them: an assignment or a deletion
+    of ``x.values``, of an item of it or of one of its columns, or a
+    mutating method called on one; the same through a name bound to one,
+    directly or through ``zip`` and ``enumerate``, by an assignment or a
+    ``for``."""
+    bound: set[str] = set()  # names of a column or of the list of them
+    zipped: dict[str, ast.expr] = {}  # names of a zip or enumerate call, by the call
+
+    def is_column(node) -> bool:
+        while isinstance(node, (ast.Subscript, ast.Starred)):
+            node = node.value
+        if isinstance(node, ast.Name):
+            return node.id in bound
+        return isinstance(node, ast.Attribute) and node.attr == "values"
+
+    def bind(target, value) -> None:
+        value = zipped.get(value.id, value) if isinstance(value, ast.Name) else value
+        if is_column(value):
+            bound.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+        elif isinstance(value, ast.Call) and getattr(value.func, "id", None) in ("zip", "enumerate"):
+            if isinstance(target, ast.Name):
+                zipped[target.id] = value
+            elif isinstance(target, ast.Tuple):
+                parts = value.args if value.func.id == "zip" else [None, *value.args[:1]]
+                for element, part in zip(target.elts, parts) if len(parts) == len(target.elts) else ():
+                    if part is not None:
+                        bind(element, part)
+
+    for _ in range(2):  # the second time through, a name bound after its use
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    bind(target, node.value)
+            elif isinstance(node, (ast.For, ast.comprehension)):
+                bind(node.target, node.iter)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+            targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
+            for target in targets:
+                for t in target.elts if isinstance(target, ast.Tuple) else [target]:
+                    if isinstance(t, ast.Attribute) and t.attr == "values" or (
+                        isinstance(t, ast.Subscript) or isinstance(node, ast.AugAssign)) and is_column(t):
+                        found.append(node)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in _COLUMN_MUTATORS and is_column(node.func.value):
+                found.append(node)
+    return found
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "cols.values[3][0] = 1.0",
+        "cols.values[3] = array('d')",
+        "cols.values = []",
+        "for (_, _, m), vals in zip(cols.series, cols.values):\n    vals[0] = 0.0",
+        "cleaned = cols.values\ncleaned[0].append(1.0)",
+        "del cols.values[2][1:]",
+        "cols.values[0] += array('d', [1.0])",
+        "series = zip(cols.series, cols.timestamps, cols.values)\n"
+        "for s, ((h, v, m), stamps, vals) in enumerate(series):\n    vals.extend(stamps)",
+    ],
+)
+def test_value_column_store_check_flags_each_kind_of_store(code):
+    # so the check below does not pass by finding nothing
+    assert len(_value_column_stores(ast.parse(code))) == 1
+
+
 def test_only_the_states_module_builds_or_extends_sample_columns():
     # SampleColumns.of and the reader are the only ways into the columns,
-    # and both check every sample as MetricSample does; preprocess alone
-    # gives back the values it computed from checked ones by with_values
+    # and both check every sample as MetricSample does; the only other
+    # store into a value column is the preprocess filter's, which cleans
+    # the column it owns in place
     src = pathlib.Path(states.__file__).parent
     found = []
     for path in sorted(src.glob("*.py")):
@@ -150,10 +230,11 @@ def test_only_the_states_module_builds_or_extends_sample_columns():
                     found.append(f"{path.name}:{node.lineno}: SampleColumns()")
                 elif isinstance(node, ast.Attribute) and (
                     node.attr == "_extend"
-                    or node.attr == "with_values" and owner != "engine.preprocess"
                     or isinstance(node.value, ast.Name) and node.value.id == "SampleColumns" and node.attr != "of"
                 ):
                     found.append(f"{path.name}:{node.lineno}: .{node.attr}")
+            if owner != "engine.SeriesFilter":
+                found += [f"{path.name}:{node.lineno}: store into a value column" for node in _value_column_stores(top)]
     assert found == []
 
 
