@@ -4,24 +4,23 @@
     python3 scripts/stage_times.py --config fixtures/engine_config.json \\
         [--repeat 3] STREAM.jsonl [STREAM.jsonl ...]
 
-Runs ``afdi diagnose`` itself, ``cli.main(["diagnose", ...])``, on each
-stream and times its stages from inside: the read
+Runs ``afdi diagnose`` itself, ``Engine.run``, on each stream and times
+its stages from the marks the run takes: the read
 (``read_sample_columns``), ``preprocess``, ``collect_windows``, and the
 ``Engine.step`` calls together with the alarm-log write, which takes
-each window's alarms as it is stepped.  For a run, the read is wrapped so
-that it marks when it starts and when it returns, and ``preprocess``,
-``collect_windows`` and the write so that each marks when it returns.
-The config load before the read is not timed.  Each stage is
-timed by ``perf_counter`` with the cycle collector off, as ``afdi
-diagnose`` runs them, and the best of ``--repeat`` runs is kept per
-stage.  The Markdown table has one column per stream, each stage
-with its share of the stages' sum; times are not normalized for the speed
-of the host, so compare shares, or runs interleaved on one host.
+each window's alarms as it is stepped.  The config load before the read
+is not timed.  Each stage is timed by ``perf_counter`` with the cycle
+collector off, as ``Engine.run`` runs them, and the best of ``--repeat``
+runs is kept per stage.  The Markdown table has one column per stream,
+each stage with its share of the stages' sum; times are not normalized
+for the speed of the host, so compare shares, or runs interleaved on one
+host.
 
 A second table gives, per stage, the most heap ``tracemalloc`` traced at
 any point of the stage: what is still live from the stages before it and
-what the stage itself holds.  It comes from one more run per stream,
-untimed, so the timed runs stay untraced; MB are 2**20 bytes, as in
+what the stage itself holds.  It comes from one more run per stream whose
+engine reads the traced peak at its marks instead of the time, so the
+timed runs stay untraced; MB are 2**20 bytes, as in
 ``peak_rss_mb``.
 
 A third table gives the peak RSS of the whole process: ``python -m afdi
@@ -36,32 +35,21 @@ imports.  Uses only the standard library and the ``afdi`` package under
 from __future__ import annotations
 
 import argparse
-import contextlib
 import gc
-import io
 import os
 import platform
 import subprocess
 import sys
 import tempfile
-import time
 import tracemalloc
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 sys.path.insert(0, SRC)
 
-from afdi import cli, engine  # noqa: E402
+from afdi import engine  # noqa: E402
 
+# the stages between the marks of Engine.run
 STAGES = ("read", "preprocess", "`collect_windows`", "`step` + write")
-
-# the calls afdi diagnose makes that bound the stages, each with the
-# module it is looked up in and whether it marks its start too
-_BOUNDS = (
-    (cli, "read_sample_columns", True),
-    (engine, "preprocess", False),
-    (engine, "collect_windows", False),
-    (engine, "write_alarm_log", False),
-)
 
 
 def _heap_peak() -> int:
@@ -75,39 +63,18 @@ def _heap_peak() -> int:
 def _run(config_path: str, metrics: str, out: str, heap: bool = False) -> list:
     """The seconds each stage took on one ``afdi diagnose`` run over
     ``metrics``, or with ``heap`` (under ``tracemalloc``) the bytes of its
-    traced heap peak.  The calls of ``_BOUNDS`` are wrapped for the run
-    only; what the run prints to stderr is kept, and raised if it fails."""
-    mark = _heap_peak if heap else time.perf_counter
-    marks = []
-
-    def marked(stage, at_start):
-        def call(*args):
-            if at_start:
-                marks.append(mark())
-            result = stage(*args)
-            marks.append(mark())
-            return result
-
-        return call
-
-    stages = []
-    for module, name, at_start in _BOUNDS:
-        stages.append((module, name, getattr(module, name)))
-        setattr(module, name, marked(stages[-1][2], at_start))
-    stderr = io.StringIO()
+    traced heap peak.  A run that fails raises its error as ``afdi
+    diagnose`` prints it."""
     try:
-        with contextlib.redirect_stderr(stderr):
-            status = cli.main(["diagnose", "--config", config_path, "--metrics", metrics, "--out-alarms", out])
-    finally:
-        for module, name, stage in stages:
-            setattr(module, name, stage)
-    if status != 0:
-        raise RuntimeError(f"afdi diagnose failed on {metrics}: {stderr.getvalue().strip()}")
-    if len(marks) != len(STAGES) + 1:
-        raise RuntimeError("afdi diagnose no longer calls each bound of its stages once")
+        eng = engine.Engine(engine.load_config(config_path))
+        if heap:
+            eng.clock = _heap_peak
+        eng.run(metrics, out)
+    except (OSError, ValueError, KeyError) as exc:
+        raise RuntimeError(f"afdi diagnose failed on {metrics}: error: {exc}") from exc
     if heap:
-        return marks[1:]
-    return [b - a for a, b in zip(marks, marks[1:])]
+        return eng.marks[1:]
+    return [b - a for a, b in zip(eng.marks, eng.marks[1:])]
 
 
 def _measured(config_path: str, metrics: str, out: str, heap: bool) -> list:

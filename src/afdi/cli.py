@@ -16,14 +16,13 @@ and only ``bn-query`` loads ``logging``.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import math
 import os
 import sys
 
 from .states import ComponentId, StateVector, check_entries, index_cell, read_document
-from .states import read_sample_columns, read_table, write_metric_samples
+from .states import read_table, write_metric_samples
 
 class CliError(Exception):
     """User-facing failure; message printed to stderr, exit code 1."""
@@ -90,23 +89,14 @@ def cmd_diagnose(args) -> int:
 
     config = engine.load_config(_require_file(args.config))
     eng = engine.Engine(config)
-    # the read, the engine and the write build no reference cycles, so the
-    # cycle collector would only rescan the growing heap of columns; it is
-    # off for them and back as it was afterwards.  The engine preprocesses
-    # and windows the stream before the log is opened, so a stream it
-    # refuses leaves the log as it was; then each window is stepped as the
-    # write takes its alarms
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        samples = read_sample_columns(_require_file(args.metrics))
-        raised = engine.write_alarm_log(eng.alarms(samples), args.out_alarms)
-    finally:
-        if collecting:
-            gc.enable()
+    raised = eng.run(_require_file(args.metrics), args.out_alarms)
+    stats = eng.stats
+    causes = ", ".join(f"{cause} {n}" for cause, n in sorted(stats.causes.items())) or "none"
     print(
-        f"processed {len(samples)} samples, raised {raised} alarms "
-        f"({eng.nbc_invocations} classifier calls)",
+        f"processed {stats.samples} samples, raised {raised} alarms "
+        f"({eng.nbc_invocations} classifier calls); {stats.clamped} clamped, {stats.judged} judged, "
+        f"{stats.replaced} replaced; windows by severity {'/'.join(map(str, stats.windows))}; "
+        f"{stats.gate} gate and {stats.loop} loop alarms; causes: {causes}",
         file=sys.stderr,
     )
     return 0

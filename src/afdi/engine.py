@@ -17,6 +17,7 @@ log.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from array import array
@@ -24,12 +25,13 @@ from bisect import bisect_left, bisect_right, insort
 from collections import namedtuple
 from itertools import chain, islice, repeat
 from operator import itemgetter, lt
+from time import perf_counter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import mdd as mdd_mod
 from . import nbc as nbc_mod
 from .states import ComponentId, DiscretizationSpec, MetricSample, SampleColumns, SequencingError, _Record
-from .states import check_entries, check_kind, check_origin, left_sum, read_document, sha256
+from .states import check_entries, check_kind, check_origin, left_sum, read_document, read_sample_columns, sha256
 
 __all__ = [
     "PreprocessPolicy",
@@ -38,6 +40,7 @@ __all__ = [
     "VirtualSensor",
     "EngineConfig",
     "Engine",
+    "RunStats",
     "Window",
     "SequencingError",
     "IncompleteWindowError",
@@ -129,13 +132,16 @@ class SeriesFilter:
     contiguous runs they merge into, and a replacement is written to the
     buffer once its own pass has judged every window that holds it; until
     then the next pass reads it from the pass's pending list.  ``judged``
-    counts the pairs judged and ``replaced`` the replacements.
+    counts the pairs judged, ``replaced`` the replacements, a sample
+    replaced in two passes twice, and ``clamped`` the values clamped.
     """
 
-    __slots__ = ("judged", "replaced", "_buf", "_percent", "_half", "_cutoff", "_runs", "_windows", "_pending", "_seen")
+    __slots__ = (
+        "judged", "replaced", "clamped", "_buf", "_percent", "_half", "_cutoff", "_runs", "_windows", "_pending", "_seen"
+    )
 
     def __init__(self, policy: PreprocessPolicy, percent: bool, buffer: array | None = None) -> None:
-        self.judged = self.replaced = 0
+        self.judged = self.replaced = self.clamped = 0
         self._buf = array("d") if buffer is None else buffer
         self._percent = percent
         self._half = policy.window // 2
@@ -171,6 +177,7 @@ class SeriesFilter:
                 v = buf[i]
                 if not 0.0 <= v <= 100.0:
                     buf[i] = min(100.0, max(0.0, v))
+                    self.clamped += 1
 
     def _advance(self, final: bool) -> None:
         """Move each pass as far as the values fed decide, or with
@@ -305,7 +312,10 @@ class SeriesFilter:
                 runs.append([start, stop])
 
 
-def preprocess(samples: Iterable[MetricSample] | SampleColumns, policy: PreprocessPolicy | None = None):
+def preprocess(
+    samples: Iterable[MetricSample] | SampleColumns, policy: PreprocessPolicy | None = None,
+    stats: RunStats | None = None,
+):
     """Robust per-series cleanup preserving order and timestamps.
 
     Each (host, vm, metric) series is handled independently: percent
@@ -336,6 +346,8 @@ def preprocess(samples: Iterable[MetricSample] | SampleColumns, policy: Preproce
     median that overflows to an infinity makes its z-score NaN, so every
     replacement is finite.  The columns hold each series in time order,
     so ``SampleColumns.of`` refuses a list in which a series falls.
+    Given ``stats``, the filters' ``clamped``, ``judged`` and
+    ``replaced`` counts are added to it.
     """
     listed = None
     if not isinstance(samples, SampleColumns):
@@ -343,7 +355,12 @@ def preprocess(samples: Iterable[MetricSample] | SampleColumns, policy: Preproce
         samples = SampleColumns.of(listed)
     policy = policy or PreprocessPolicy()
     for (_, _, metric), vals in zip(samples.series, samples.values):
-        SeriesFilter(policy, metric.name in PERCENT_METRIC_NAMES, vals).close()
+        series = SeriesFilter(policy, metric.name in PERCENT_METRIC_NAMES, vals)
+        series.close()
+        if stats is not None:
+            stats.clamped += series.clamped
+            stats.judged += series.judged
+            stats.replaced += series.replaced
     if listed is None:
         return samples
     return [s if s.value == c.value else c for s, c in zip(listed, samples)]
@@ -759,18 +776,44 @@ class EngineConfig(_Record):
         return self.model.schema.classes
 
 
+class RunStats(_Record):
+    """The deterministic counters of an engine's run: the same stream
+    and config give equal stats on any host.
+
+    ``samples`` taken, and of preprocessing the values ``clamped`` to a
+    percent metric's range, the (pass, position) pairs ``judged`` and the
+    replacements made, a sample replaced in two passes twice; the
+    ``windows`` of each severity 0, 1 and 2; the ``gate`` and ``loop``
+    alarms; and the diagnosed alarms per top cause, in ``causes``.  The
+    classifier alarms are ``Engine.nbc_invocations``, one per call.
+    """
+
+    _fields = ("samples", "clamped", "judged", "replaced", "windows", "gate", "loop", "causes")
+    __slots__ = _fields
+
+    def __init__(self) -> None:
+        self.samples = self.clamped = self.judged = self.replaced = self.gate = self.loop = 0
+        self.windows = [0, 0, 0]
+        self.causes: dict[str, int] = {}
+
+
 class Engine:
     """Stateful pipeline instance: windows in, alarms out.
 
     State is per-scope loop-rule streaks and what judging a window
     needs: the judgment of each bucket vector seen and each distinct
-    diagnosis.  One engine handles one logical stream; make a new engine
-    for a fresh run.
+    diagnosis.  ``stats`` counts what the engine did, and ``marks`` holds
+    a reading of ``clock`` (``perf_counter`` unless set otherwise) at the
+    bounds of the stages it ran.  One engine handles one logical stream;
+    make a new engine for a fresh run.
     """
 
     def __init__(self, config: EngineConfig):
         self.config = config
         self.nbc_invocations = 0
+        self.stats = RunStats()
+        self.clock = perf_counter
+        self.marks: list = []
         # matching windows in a row per scope; the loop alarm fires when
         # the streak reaches k, so once per span
         self._streaks: dict[tuple, int] = {}
@@ -812,25 +855,32 @@ class Engine:
         The window's whole judgment depends only on its bucket vector,
         so each vector is judged once per engine.  Alarms are built
         unchecked from the window, the config and the model: the
-        windows of read or simulated samples make only valid ones.
+        windows of read or simulated samples make only valid ones.  The
+        window and its alarm are counted in ``stats``.
         """
         timestamp, host, vm, buckets = window
         judged = self._judged.get(buckets)
         if judged is None:
             judged = self._judge(buckets)
         severity, loop, features = judged
+        stats = self.stats
+        stats.windows[severity] += 1
 
         config = self.config
         scope = (host, vm)
         if loop:
             streak = self._streaks[scope] = self._streaks.get(scope, 0) + 1
             if streak == config.loop_rule.k:
-                fields = (timestamp, host, vm, severity, TRIGGER_NBC, config.loop_diagnosis, config.loop_rule.cause)
+                stats.loop += 1
+                cause = config.loop_rule.cause
+                stats.causes[cause] = stats.causes.get(cause, 0) + 1
+                fields = (timestamp, host, vm, severity, TRIGGER_NBC, config.loop_diagnosis, cause)
                 return [tuple.__new__(Alarm, fields)]
         else:
             self._streaks[scope] = 0
 
         if severity == 2:
+            stats.gate += 1
             return [tuple.__new__(Alarm, (timestamp, host, vm, 2, TRIGGER_GATE, None, None))]
         if severity == 1:
             self.nbc_invocations += 1
@@ -838,6 +888,8 @@ class Engine:
             diagnosis = self._diagnoses.get(post)
             if diagnosis is None:
                 diagnosis = self._diagnoses[post] = (post, config.classes[nbc_mod.top_class(post)])
+            cause = diagnosis[1]
+            stats.causes[cause] = stats.causes.get(cause, 0) + 1
             return [tuple.__new__(Alarm, (timestamp, host, vm, 1, TRIGGER_NBC) + diagnosis)]
         return []
 
@@ -845,15 +897,52 @@ class Engine:
         """The alarms of an entire stream, stepped window by window in
         time order as they are taken.  The stream is preprocessed and
         windowed before this returns, so a stream those stages refuse
-        raises here, before any alarm is taken.  The stream comes as
-        ``SampleColumns``, as ``read_sample_columns`` gives it, which
-        this consumes: ``preprocess`` cleans their value columns in
-        place.  Samples given otherwise are put in columns first, and
-        stay as they were."""
+        raises here, before any alarm is taken; a mark is taken as each
+        of the two stages ends.  The stream comes as ``SampleColumns``,
+        as ``read_sample_columns`` gives it, which this consumes:
+        ``preprocess`` cleans their value columns in place.  Samples
+        given otherwise are put in columns first, and stay as they were."""
         columns = samples if isinstance(samples, SampleColumns) else SampleColumns.of(samples)
-        cleaned = preprocess(columns, self.config.preprocess)
+        self.stats.samples += len(columns)
+        cleaned = preprocess(columns, self.config.preprocess, self.stats)
+        self.marks.append(self.clock())
         windows = collect_windows(cleaned, self.config.window_specs)
-        return chain.from_iterable(map(self.step, windows))
+        self.marks.append(self.clock())
+        return self._stepped(windows)
+
+    def _stepped(self, windows: Iterable[Window]) -> Iterator[Alarm]:
+        # a Python loop: map would call step from C, and yield from would
+        # delegate to each list's iterator, both of which cost more
+        step = self.step
+        for window in windows:
+            for alarm in step(window):
+                yield alarm
+
+    def run(self, metrics_path, alarms_path) -> int:
+        """``afdi diagnose``: read the stream at ``metrics_path``, write
+        the alarm log of ``alarms`` to ``alarms_path``, and return the
+        number of alarms written.
+
+        ``marks`` gets a mark as the run starts and as each stage ends:
+        the read, ``preprocess``, ``collect_windows``, and the steps with
+        the write, which takes each window's alarms as it is stepped.  A
+        stream the read or the engine refuses raises before the log is
+        opened, leaving it as it was.  The run builds no reference
+        cycles, so the cycle collector would only rescan the growing heap
+        of columns; it is off for the run and back as it was afterwards.
+        """
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            self.marks.append(self.clock())
+            samples = read_sample_columns(metrics_path)
+            self.marks.append(self.clock())
+            raised = write_alarm_log(self.alarms(samples), alarms_path)
+            self.marks.append(self.clock())
+        finally:
+            if collecting:
+                gc.enable()
+        return raised
 
     def process_stream(self, samples: Iterable[MetricSample] | SampleColumns) -> list[Alarm]:
         """The list of ``alarms(samples)``."""

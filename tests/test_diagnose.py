@@ -29,6 +29,7 @@ from afdi.engine import (
 from afdi.simulator import generate, load_scenario, write_labels
 from afdi.states import ComponentId, MetricSample, read_metric_samples, read_sample_columns, write_metric_samples
 from conftest import fixture_path, hot_scenario
+from test_bench_counts import _checks as perfbench_checks
 
 import oracles
 
@@ -118,6 +119,69 @@ def test_fleet_filter_fed_in_the_pieces_of_1024_line_chunks_equals_the_batch(tmp
     assert judged == FLEET_FILTER_JUDGED[name]
 
 
+# -- the counts of a run ------------------------------------------------
+
+
+def _alarm_branches(alarms_path, config) -> dict:
+    """Alarms per branch of the log at ``alarms_path``, as the benchmark's
+    output checks count them: gate, classifier, loop rule."""
+    alarms = [json.loads(line) for line in alarms_path.read_text().splitlines()]
+    return perfbench_checks().alarm_branches(alarms, config.classes, config.loop_rule.cause)
+
+
+def _run_fixture(tmp_path, scenario) -> Engine:
+    """The engine of an ``Engine.run`` over a fixture scenario's stream."""
+    metrics = tmp_path / "metrics.jsonl"
+    write_metric_samples(generate(load_scenario(fixture_path(scenario)))[0], metrics)
+    eng = Engine(load_config(fixture_path("engine_config.json")))
+    eng.run(metrics, tmp_path / "alarms.jsonl")
+    return eng
+
+
+def test_a_crash_run_gates_every_serious_window_without_the_classifier(tmp_path):
+    eng = _run_fixture(tmp_path, "scenario_serious_crash.json")
+    assert eng.nbc_invocations == 0
+    assert eng.stats.gate == eng.stats.windows[2] > 0
+
+
+def test_a_loop_run_names_one_endless_loop(tmp_path):
+    eng = _run_fixture(tmp_path, "scenario_endless_loop.json")
+    assert eng.stats.causes == {"endless-loop": 1} and eng.stats.loop == 1
+
+
+@pytest.mark.parametrize("name", sorted(FLEET_FILTER_JUDGED))
+def test_fleet_run_stats_equal_counts_taken_apart_from_the_engine(tmp_path, name):
+    samples, labels = generate(load_scenario(_workloads()[name](str(ROOT), 3)))
+    metrics, alarms = tmp_path / "metrics.jsonl", tmp_path / "alarms.jsonl"
+    write_metric_samples(samples, metrics)
+    config = load_config(fixture_path("engine_config.json"))
+    eng = Engine(config)
+    raised = eng.run(metrics, alarms)
+    assert _sha256(alarms) == FLEET_ALARM_LOG_SHA256[name]
+    stats = eng.stats
+    # the alarms by branch, against the pinned log
+    branches = {"gate": stats.gate, "nbc": eng.nbc_invocations, "loop": stats.loop}
+    assert branches == _alarm_branches(alarms, config) and sum(branches.values()) == raised
+    assert sum(stats.causes.values()) == eng.nbc_invocations + stats.loop
+    assert (stats.samples, sum(stats.windows)) == (len(samples), len(labels)) == (108_800, 25_600)
+    # the filter's work, against the oracle on each clamped series
+    percent = engine.PERCENT_METRIC_NAMES
+    assert stats.clamped == sum(1 for s in samples if s.metric.name in percent and not 0 <= s.value <= 100)
+    assert stats.judged == FLEET_FILTER_JUDGED[name]
+    policy = config.preprocess
+    columns = read_sample_columns(metrics)
+    replaced = 0
+    for (_, _, metric), values in zip(columns.series, columns.values):
+        if metric.name in percent:
+            values = [min(100.0, max(0.0, v)) for v in values]
+        replaced += oracles.median_mad_counts(list(values), policy.window, policy.z_cutoff)[1]
+    assert stats.replaced == replaced
+    # the counters are the run's, not the host's
+    again = Engine(config)
+    again.run(metrics, tmp_path / "again.jsonl")
+    assert again.stats == stats
+
+
 # -- the cycle collector ----------------------------------------------
 
 
@@ -133,12 +197,12 @@ def _cycles_left(config_path, metrics_path, alarms_path) -> int:
     gc.disable()
     try:
         eng = Engine(config)
-        alarms = eng.process_stream(cli.read_sample_columns(metrics_path))
+        alarms = eng.process_stream(read_sample_columns(metrics_path))
         write_alarm_log(alarms, alarms_path)
         del eng, alarms
         left = gc.collect()
         eng = Engine(config)
-        write_alarm_log(eng.alarms(cli.read_sample_columns(metrics_path)), alarms_path)
+        write_alarm_log(eng.alarms(read_sample_columns(metrics_path)), alarms_path)
         del eng
         return left + gc.collect()
     finally:
@@ -166,37 +230,32 @@ def test_diagnose_stages_build_no_reference_cycles(tmp_path, scenario):
 # -- memory -----------------------------------------------------------
 
 
-def test_stepping_and_writing_hold_no_window_or_alarm_per_window(tmp_path, monkeypatch):
+def _heap_reading() -> tuple[int, int]:
+    """The traced heap now and its peak since the last reading."""
+    reading = tracemalloc.get_traced_memory()
+    tracemalloc.reset_peak()
+    return reading
+
+
+def test_stepping_and_writing_hold_no_window_or_alarm_per_window(tmp_path):
     # afdi diagnose steps each window as the write takes its alarms, so
     # past what collect_windows left, the stage holds a block of windows
     # and the engine's and the writer's tables, not a list of every window
     # or alarm: held, the alarms alone would take about 100 bytes each
     metrics = tmp_path / "metrics.jsonl"
     write_metric_samples(generate(hot_scenario(800))[0], metrics)
-    marks = {}
-    collect, write = engine.collect_windows, engine.write_alarm_log
-
-    def collected(*args):
-        windows = collect(*args)
-        marks["windows"], marks["left"] = len(windows), tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        return windows
-
-    def written(*args):
-        marks["alarms"] = write(*args)
-        marks["peak"] = tracemalloc.get_traced_memory()[1]
-        return marks["alarms"]
-
-    monkeypatch.setattr(engine, "collect_windows", collected)
-    monkeypatch.setattr(engine, "write_alarm_log", written)
+    eng = Engine(load_config(fixture_path("engine_config.json")))
+    eng.clock = _heap_reading  # a reading at each mark of the run
     gc.collect()
     tracemalloc.start()
     try:
-        assert _diagnose(fixture_path("engine_config.json"), metrics, tmp_path / "alarms.jsonl") == 0
+        alarms = eng.run(metrics, tmp_path / "alarms.jsonl")
     finally:
         tracemalloc.stop()
-    assert marks["windows"] == 6 * 800 and marks["alarms"] > 4000
-    assert marks["peak"] - marks["left"] < 64 * 1024
+    assert sum(eng.stats.windows) == 6 * 800 and alarms > 4000
+    # the marks after collect_windows and after the write
+    (left, _), (_, peak) = eng.marks[3:]
+    assert peak - left < 64 * 1024
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])

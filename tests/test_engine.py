@@ -19,6 +19,7 @@ from afdi.engine import (
     IncompleteWindowError,
     LoopRule,
     PreprocessPolicy,
+    RunStats,
     SequencingError,
     TRIGGER_GATE,
     TRIGGER_NBC,
@@ -583,6 +584,20 @@ def test_preprocess_cleans_the_columns_given_in_place():
     assert preprocess(columns) is columns
     assert all(a is b for a, b in zip(columns.values, given)) and len(columns.values) == len(given) == 1
     assert list(given[0]) == [100.0] * 20
+
+
+def test_preprocess_adds_its_filters_counts_to_the_stats_given():
+    stats = RunStats()
+    columns = SampleColumns.of(sample_series(_CLAMPED_DIP, metric="cpu"))
+    preprocess(columns, None, stats)
+    alone = SeriesFilter(PreprocessPolicy(), True, array("d", _CLAMPED_DIP))
+    alone.close()
+    # 19 values past 100, and the dip the filter replaces once
+    assert (stats.clamped, stats.judged, stats.replaced) == (alone.clamped, alone.judged, alone.replaced)
+    assert (alone.clamped, alone.replaced) == (19, 1) and alone.judged > 20
+    # the counts add up over calls: the clean series judged once more
+    preprocess(columns, None, stats)
+    assert (stats.clamped, stats.judged, stats.replaced) == (19, alone.judged + 20, 1)
 
 
 def test_engine_alarms_cleans_the_reader_columns_in_place(tmp_path):

@@ -32,10 +32,9 @@ from itertools import chain
 import pytest
 from hypothesis import HealthCheck, assume, event, given, settings, strategies as st
 
-from afdi import cli
 from afdi.engine import Engine, EngineConfig, PreprocessPolicy, load_config
 from afdi.simulator import KINDS, FaultInjection, Scenario, ScenarioError, generate, load_scenario
-from afdi.states import MetricSample, write_metric_samples
+from afdi.states import MetricSample, read_sample_columns, write_metric_samples
 from conftest import fixture_path
 
 CONFIG = load_config(fixture_path("engine_config.json"))
@@ -52,7 +51,7 @@ def _from_list(samples, _tmp):
 def _from_stream(samples, tmp):
     path = pathlib.Path(tmp) / "metrics.jsonl"
     write_metric_samples(samples, path)
-    return Engine(CONFIG).process_stream(cli.read_sample_columns(path))
+    return Engine(CONFIG).process_stream(read_sample_columns(path))
 
 
 ROUTES = (_from_list, _from_stream)
