@@ -189,7 +189,6 @@ def make_model_and_config() -> None:
         "engine_config.json",
         {
             "model": {"path": "nbc_model.json", "sha256": digest},
-            "attributes": ATTR_KEYS,
             "severity_components": ["vm.cpu", "vm.memory", "vm.network", "host.storage_io"],
             "severity_mapping": [0, 0, 1, 2],
             "discretization": {key: BOUNDS for key in ATTR_KEYS},
@@ -198,8 +197,6 @@ def make_model_and_config() -> None:
                 "vm_cpu": "vm.cpu",
                 "host_cpu": "host.cpu",
                 "throughput": "vm.throughput",
-                "cpu_bucket": 3,
-                "throughput_bucket": 0,
                 "cause": "endless-loop",
             },
             "preprocess": {"window": 11, "z_cutoff": 3.0},

@@ -24,7 +24,6 @@ distribution over the node's states.
 
 from __future__ import annotations
 
-import logging
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from operator import mul
@@ -43,11 +42,9 @@ __all__ = [
     "joint_probability",
 ]
 
-log = logging.getLogger(__name__)
-
 # Row sums are kept bit-exact when within KEEP_TOL, silently rescaled
-# within QUIET_TOL, rescaled with a warning record within REJECT_TOL,
-# and refused beyond that.
+# within QUIET_TOL, rescaled with a load warning within REJECT_TOL, and
+# refused beyond that.
 KEEP_TOL = 1e-12
 QUIET_TOL = 1e-9
 REJECT_TOL = 0.02
@@ -245,8 +242,9 @@ def load_net(source) -> DiscreteBayesNet:
 
     CPT rows are checked against the distribution invariant: a row sum
     within 1e-12 of 1 is kept bit-for-bit, small drift is rescaled
-    (silently up to 1e-9, with a warning record up to 0.02), and
-    anything further off is rejected as a likely authoring error.
+    (silently up to 1e-9, with a warning up to 0.02), and anything
+    further off is rejected as a likely authoring error.  Each warning
+    is a message in the net's ``load_warnings``; loading prints nothing.
     """
     doc = check_entries(read_document(source), _NET_KINDS, ("nodes",), "network document", NetLoadError)
     if not doc["nodes"]:
@@ -292,9 +290,7 @@ def load_net(source) -> DiscreteBayesNet:
             elif dev <= REJECT_TOL:
                 row = tuple(v / total for v in row)
                 if dev > QUIET_TOL:
-                    msg = f"node {node.name!r} row {r}: sum {total} renormalized"
-                    warnings_acc.append(msg)
-                    log.warning(msg)
+                    warnings_acc.append(f"node {node.name!r} row {r}: sum {total} renormalized")
             else:
                 raise NetLoadError(
                     f"node {node.name!r} row {r}: sum {total} deviates more than {REJECT_TOL}"
@@ -361,9 +357,9 @@ def _compile(net: DiscreteBayesNet, query: str, observed: frozenset, order) -> t
         return scope, cards, len(gathers) + len(steps) - 1
 
     for var in order:
+        # never empty: var sits in its own CPT's factor until it is
+        # eliminated, and eliminating another variable keeps it in scope
         bucket = [f for f in factors if var in f[0]]
-        if not bucket:
-            continue
         product = bucket[0]
         for f in bucket[1:]:
             product = multiply(product, f)

@@ -2,15 +2,15 @@
 
 One binary, six subcommands: simulate, train, diagnose, evaluate, mdd,
 bn-query.  Machine-readable JSON goes to stdout or the requested output
-file; human summaries and diagnostics go to stderr.  The AFDI_LOG
-environment variable (error, warn, info, debug) sets the level of the
-log records ``bn-query`` prints to stderr; no other command logs.  Every
-run is deterministic given its inputs: timestamps come from the input
-data, randomness only from recorded seeds.
+file; human summaries and diagnostics go to stderr, a failure as one
+``error:`` line and each of ``bn-query``'s load warnings as a
+``warning:`` line; afdi reads no environment variable.  Every run is
+deterministic given its inputs: timestamps come from the input data,
+randomness only from recorded seeds.
 
 Each subcommand imports the afdi modules it runs when it runs, so
 ``afdi diagnose`` loads neither the network engine nor the simulator,
-and only ``bn-query`` loads ``logging``.
+and no command loads ``logging``.
 """
 
 from __future__ import annotations
@@ -218,14 +218,11 @@ def cmd_mdd(args) -> int:
 
 
 def cmd_bn_query(args) -> int:
-    import logging
-
     from . import bayesnet
 
-    levels = {"error": logging.ERROR, "warn": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
-    level = os.environ.get("AFDI_LOG", "warn").lower()
-    logging.basicConfig(stream=sys.stderr, level=levels.get(level, logging.WARNING))
     net = bayesnet.load_net(_require_file(args.net))
+    for message in net.load_warnings:
+        print(f"warning: {message}", file=sys.stderr)
     evidence = {}
     for item in args.evidence or ():
         name, sep, state = item.partition("=")

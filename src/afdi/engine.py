@@ -221,10 +221,13 @@ class SeriesFilter:
         # the pass before left, and its own replacements wait in pending
         replaced = []
         judged = ended = 0
+        # every run starts below limit: the caller judges a pass only when
+        # its first run does, and a later run opens at i - half for a
+        # replacement i that the pass before made below its own limit,
+        # which is this pass's limit plus half; later steps only raise the
+        # limits, and a run cut at one resumes below the next
         for run in runs:
             a, b = run
-            if a >= limit:
-                break
             stop = b if b < limit else limit
             judged += stop - a
             # positions p .. q-1 have a full window; the at most half at
@@ -645,24 +648,23 @@ class VirtualSensor(namedtuple("VirtualSensor", "sensor_id active frequency_ms")
         return [((interval + 1) * period, alarm) for interval, alarm in newest.items()]
 
 
-class LoopRule(namedtuple("LoopRule", "k vm_cpu host_cpu throughput cpu_bucket throughput_bucket cause")):
+class LoopRule(namedtuple("LoopRule", "k vm_cpu host_cpu throughput cause")):
     """Composite-pattern parameters for the sustained-loop detector: both
-    CPU readings at or above usage bucket ``cpu_bucket`` and throughput at
-    or below ``throughput_bucket`` for ``k`` windows in a row raise an
-    alarm diagnosed as ``cause``.  The thresholds are integers (not
-    bools), the three component keys and the cause strings."""
+    CPU readings in the top usage bucket of their spec and throughput in
+    the bottom bucket of its spec for ``k`` windows in a row raise an
+    alarm diagnosed as ``cause``.  ``k`` is an integer (not a bool); the
+    three component keys and the cause are strings.  The buckets are the
+    specs', so ``EngineConfig`` derives them as its ``loop_signature``."""
 
     __slots__ = ()
 
     def __new__(cls, k: int = 3, vm_cpu: str = "vm.cpu", host_cpu: str = "host.cpu",
-                throughput: str = "vm.throughput", cpu_bucket: int = 3, throughput_bucket: int = 0,
-                cause: str = "endless-loop"):
-        rule = tuple.__new__(cls, (k, vm_cpu, host_cpu, throughput, cpu_bucket, throughput_bucket, cause))
-        for name, value in zip(cls._fields, rule):
-            if name in ("k", "cpu_bucket", "throughput_bucket"):
-                if type(value) is not int:
-                    raise ValueError(f"loop rule {name} must be an integer, got {value!r}")
-            elif not isinstance(value, str):
+                throughput: str = "vm.throughput", cause: str = "endless-loop"):
+        if type(k) is not int:
+            raise ValueError(f"loop rule k must be an integer, got {k!r}")
+        rule = tuple.__new__(cls, (k, vm_cpu, host_cpu, throughput, cause))
+        for name, value in zip(cls._fields[1:], rule[1:]):
+            if not isinstance(value, str):
                 raise ValueError(f"loop rule {name} must be a string, got {value!r}")
         if k < 1:
             raise ValueError("loop rule needs k >= 1")
@@ -671,23 +673,26 @@ class LoopRule(namedtuple("LoopRule", "k vm_cpu host_cpu throughput cpu_bucket t
 
 class EngineConfig(_Record):
     """What the engine judges windows by: a discretization spec per
-    component key, the NBC's attributes in feature order, the severity
-    components, the model, the bucket-to-severity mapping, the loop rule
-    and the preprocessing policy.  The constructor cross-checks them and
+    component key, the severity components, the model, the
+    bucket-to-severity mapping, the loop rule and the preprocessing
+    policy.
+
+    The model fixes the rest.  Its attribute names, parsed as component
+    keys, are the NBC's features in order, ``attributes``; and the loop
+    rule matches the window whose buckets of ``vm_cpu``, ``host_cpu`` and
+    ``throughput`` are ``loop_signature``, the top bucket of each CPU
+    spec and bucket 0.  The constructor cross-checks the parts and
     builds the lookup tables a window needs."""
 
-    _fields = (
-        "specs", "attributes", "severity_components", "model", "severity_mapping", "loop_rule", "preprocess"
-    )
+    _fields = ("specs", "severity_components", "model", "severity_mapping", "loop_rule", "preprocess")
     __slots__ = (
-        *_fields, "window_specs", "attribute_keys", "feature_positions", "loop_positions", "loop_diagnosis",
-        "severity_mdd", "severity_tables",
+        *_fields, "attributes", "window_specs", "attribute_keys", "feature_positions", "loop_positions",
+        "loop_signature", "loop_diagnosis", "severity_mdd", "severity_tables",
     )
 
     def __init__(
         self,
         specs: dict[str, DiscretizationSpec],  # keyed by ComponentId.key
-        attributes: tuple[ComponentId, ...],  # NBC feature order
         severity_components: tuple[ComponentId, ...],
         model: nbc_mod.NbcModel,
         severity_mapping: tuple[int, ...] = _SEVERITY_MAPPING,
@@ -695,12 +700,13 @@ class EngineConfig(_Record):
         preprocess: PreprocessPolicy = PreprocessPolicy(),
     ) -> None:
         self.specs = specs
-        self.attributes = attributes
         self.severity_components = severity_components
         self.model = model
         self.severity_mapping = severity_mapping
         self.loop_rule = loop_rule
         self.preprocess = preprocess
+        self.attribute_keys = tuple(name for name, _ in model.schema.attributes)
+        self.attributes = tuple(map(ComponentId.parse, self.attribute_keys))  # NBC feature order
         for key, spec in self.specs.items():
             # a spec routes the samples of its own component into windows
             if spec.component.key != key:
@@ -716,13 +722,7 @@ class EngineConfig(_Record):
         # order, and the tables below read it by position
         self.window_specs = tuple(judged.values())
         position = {key: i for i, key in enumerate(judged)}
-        self.attribute_keys = tuple(c.key for c in self.attributes)
         self.feature_positions = tuple(position[key] for key in self.attribute_keys)
-        model_names = tuple(name for name, _ in self.model.schema.attributes)
-        if model_names != self.attribute_keys:
-            raise ConfigError(
-                f"model attributes {model_names} do not match config attributes {self.attribute_keys}"
-            )
         for key, (_, card) in zip(self.attribute_keys, self.model.schema.attributes):
             if judged[key].num_intervals != card:
                 raise ConfigError(
@@ -740,20 +740,16 @@ class EngineConfig(_Record):
                             f"model gives {key}={value} probability 0 under class {name!r}"
                         )
         rule = self.loop_rule
-        for key, field in ((rule.vm_cpu, "cpu_bucket"), (rule.host_cpu, "cpu_bucket"),
-                           (rule.throughput, "throughput_bucket")):
+        keys = (rule.vm_cpu, rule.host_cpu, rule.throughput)
+        for key in keys:
             if key not in judged:
                 raise ConfigError(
                     f"loop rule component {key} is neither an attribute nor a severity component"
                 )
-            # a threshold outside the buckets makes its part of the rule
-            # never hold, or always
-            threshold, buckets = getattr(rule, field), judged[key].num_intervals
-            if not 0 <= threshold < buckets:
-                raise ConfigError(f"loop rule {field} {threshold} is not a bucket of {key} (0..{buckets - 1})")
         if rule.cause not in self.classes:
             raise ConfigError(f"loop rule cause {rule.cause!r} not in model classes")
-        self.loop_positions = tuple(position[key] for key in (rule.vm_cpu, rule.host_cpu, rule.throughput))
+        self.loop_positions = tuple(position[key] for key in keys)
+        self.loop_signature = (judged[rule.vm_cpu].num_intervals - 1, judged[rule.host_cpu].num_intervals - 1, 0)
         self.loop_diagnosis = tuple(1.0 if c == rule.cause else 0.0 for c in self.classes)
         # severity model operates on mapped 3-state levels; each severity
         # component gets its bucket's position and the level of each of
@@ -833,11 +829,8 @@ class Engine:
         """What a window with these buckets is judged, kept for the next
         one: its severity, whether the loop rule matches, its NBC features."""
         config = self.config
-        rule = config.loop_rule
-        vm_cpu, host_cpu, throughput = config.loop_positions
         severity = config.severity_mdd.evaluate_levels([table[buckets[i]] for i, table in config.severity_tables])
-        cpu = min(buckets[vm_cpu], buckets[host_cpu])
-        loop = cpu >= rule.cpu_bucket and buckets[throughput] <= rule.throughput_bucket
+        loop = tuple([buckets[i] for i in config.loop_positions]) == config.loop_signature
         features = tuple([buckets[i] for i in config.feature_positions])
         judged = self._judged[buckets] = (severity, loop, features)
         return judged
@@ -954,7 +947,6 @@ class Engine:
 _CONFIG_KINDS = {
     "model": "object",
     "discretization": "object",
-    "attributes": "array of strings",
     "severity_components": "array of strings",
     "severity_mapping": "array of integers",
     "loop_rule": "object",
@@ -967,8 +959,6 @@ _SECTION_KINDS = {
         "vm_cpu": "string",
         "host_cpu": "string",
         "throughput": "string",
-        "cpu_bucket": "integer",
-        "throughput_bucket": "integer",
         "cause": "string",
     },
     "preprocess": {"window": "integer", "z_cutoff": "number"},
@@ -986,7 +976,7 @@ def load_config(path) -> EngineConfig:
     import os
 
     where = f"config {path}"
-    required = ("model", "discretization", "attributes", "severity_components")
+    required = ("model", "discretization", "severity_components")
     doc = check_entries(read_document(path), _CONFIG_KINDS, required, where, ConfigError)
     sections = {
         section: check_entries(doc.get(section, {}), kinds, (), f"{section} of {where}", ConfigError)
@@ -1018,7 +1008,6 @@ def load_config(path) -> EngineConfig:
                 key: DiscretizationSpec(ComponentId.parse(key), tuple(bounds))
                 for key, bounds in discretization.items()
             },
-            attributes=tuple(ComponentId.parse(k) for k in doc["attributes"]),
             severity_components=tuple(ComponentId.parse(k) for k in doc["severity_components"]),
             model=model,
             severity_mapping=tuple(doc.get("severity_mapping", _SEVERITY_MAPPING)),

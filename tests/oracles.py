@@ -434,7 +434,11 @@ def oracle_diagnose(lines, config):
 
     model = config.model
     rule = config.loop_rule
-    judged = list(dict.fromkeys(config.attributes + config.severity_components))
+    # the NBC features are the model's attributes, and the loop signature
+    # is both CPU readings in their spec's top bucket, throughput in bucket 0
+    attributes = [ComponentId.parse(name) for name, _ in model.schema.attributes]
+    judged = list(dict.fromkeys(attributes + list(config.severity_components)))
+    tops = {key: config.specs[key].num_intervals - 1 for key in (rule.vm_cpu, rule.host_cpu)}
     streak, fired = {}, {}
     alarms = []
     for ts, host, vm in sorted(vm_rows):
@@ -454,9 +458,9 @@ def oracle_diagnose(lines, config):
         alarm = {"timestamp": ts, "host_id": host, "vm_id": vm, "severity": severity}
         scope = (host, vm)
         if (
-            usage[rule.vm_cpu] >= rule.cpu_bucket
-            and usage[rule.host_cpu] >= rule.cpu_bucket
-            and usage[rule.throughput] <= rule.throughput_bucket
+            usage[rule.vm_cpu] == tops[rule.vm_cpu]
+            and usage[rule.host_cpu] == tops[rule.host_cpu]
+            and usage[rule.throughput] == 0
         ):
             streak[scope] = streak.get(scope, 0) + 1
         else:
@@ -472,7 +476,7 @@ def oracle_diagnose(lines, config):
         elif severity == 2:
             alarm.update(trigger="severity_gate", diagnosis=None, top_cause=None)
         elif severity == 1:
-            features = [usage[c.key] for c in config.attributes]
+            features = [usage[c.key] for c in attributes]
             post = nb_posterior_log_per_call(model.priors, model.cond, features)
             top = max(range(len(post)), key=lambda c: (post[c], -c))
             alarm.update(trigger="nbc_diagnosis", diagnosis=list(post), top_cause=config.classes[top])

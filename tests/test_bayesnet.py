@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -468,3 +469,23 @@ def test_cached_plans_keep_every_check():
     with pytest.raises(ValueError, match="no state"):
         posterior_given_evidence(net, "S", {**evidence, "CPU": "hot"})
     assert net._plans == plans
+
+
+@pytest.mark.parametrize(
+    "call, error, named",
+    [
+        (lambda: posterior_given_evidence(load_net(_net()), "b", {"a": 2}), ValueError,
+         "state 2 outside 0..1 for node 'a'"),
+        (lambda: load_net({"nodes": [ROOT_A, ROOT_A]}), NetLoadError, "duplicate node names"),
+        (lambda: load_net({"nodes": [{**ROOT_A, "states": ["x"], "cpt": [[1.0]]}]}), NetLoadError,
+         "node 'a' needs at least 2 states"),
+        (lambda: load_net({"nodes": [{**ROOT_A, "cpt": [[1.5, -0.5]]}]}), NetLoadError,
+         "node 'a' row 0: negative probability"),
+        (lambda: Factor(("a",), (2,), [1.0]), ValueError, "factor over ('a',) needs 2 values, got 1"),
+        (lambda: Factor(("a",), (2,), [0.5, 0.5]).sum_out("b"), ValueError, "'b' not in factor scope ('a',)"),
+    ],
+    ids=["state-out-of-range", "duplicate-names", "one-state", "negative-entry", "factor-size", "sum-out-stranger"],
+)
+def test_each_input_check_names_what_it_refuses(call, error, named):
+    with pytest.raises(error, match=f"^{re.escape(named)}$"):
+        call()

@@ -69,7 +69,6 @@ def remade(config: EngineConfig, **changes) -> EngineConfig:
     """A config built anew from ``config``'s arguments, with ``changes``."""
     args = dict(
         specs=config.specs,
-        attributes=config.attributes,
         severity_components=config.severity_components,
         model=config.model,
         severity_mapping=config.severity_mapping,
@@ -1028,7 +1027,6 @@ def test_severity_uses_mapped_buckets(config):
 def test_custom_severity_mapping(config):
     strict = EngineConfig(
         specs=config.specs,
-        attributes=config.attributes,
         severity_components=config.severity_components,
         model=config.model,
         severity_mapping=(0, 1, 1, 2),
@@ -1102,18 +1100,15 @@ def test_loop_rule_match_table(config):
     [
         ({"k": 2.5}, r"loop rule k must be an integer, got 2\.5"),
         ({"k": True}, r"loop rule k must be an integer, got True"),
-        ({"cpu_bucket": 3.0}, r"loop rule cpu_bucket must be an integer, got 3\.0"),
-        ({"throughput_bucket": False}, r"loop rule throughput_bucket must be an integer, got False"),
         ({"vm_cpu": 5}, r"loop rule vm_cpu must be a string, got 5"),
         ({"host_cpu": None}, r"loop rule host_cpu must be a string, got None"),
         ({"throughput": ("vm.throughput",)}, r"loop rule throughput must be a string, got \('vm\.throughput',\)"),
         ({"cause": b"endless-loop"}, r"loop rule cause must be a string, got b'endless-loop'"),
         ({"k": 0}, r"loop rule needs k >= 1"),
     ],
-    ids=["k-fraction", "k-true", "cpu-bucket-float", "throughput-bucket-false", "vm-cpu-number",
-         "host-cpu-none", "throughput-tuple", "cause-bytes", "k-zero"],
+    ids=["k-fraction", "k-true", "vm-cpu-number", "host-cpu-none", "throughput-tuple", "cause-bytes", "k-zero"],
 )
-def test_loop_rule_takes_integer_thresholds_and_string_keys(entries, named):
+def test_loop_rule_takes_an_integer_k_and_string_keys(entries, named):
     # before, k=2.5 was accepted and the streak never equalled it, so the
     # loop alarm never fired; k=True was taken as 1
     with pytest.raises(ValueError, match=f"^{named}$"):
@@ -1566,15 +1561,19 @@ def test_load_config_missing_model_file(tmp_path):
         load_config(p)
 
 
-def test_load_config_rejects_unknown_keys(tmp_path):
+@pytest.mark.parametrize(
+    "key, value", [("window_ms", 1000), ("attributes", ["vm.cpu"])], ids=["window-ms", "attributes"]
+)
+def test_load_config_rejects_unknown_keys(tmp_path, key, value):
     # the loader does not read window_ms (windows are keyed by exact
-    # timestamp), so a config carrying it must not pass in silence
+    # timestamp), nor attributes (the feature order is the model's), so
+    # a config carrying either must not pass in silence
     cfg_doc = json.loads(open(fixture_path("engine_config.json")).read())
     cfg_doc["model"]["path"] = fixture_path(cfg_doc["model"]["path"])
-    cfg_doc["window_ms"] = 1000
+    cfg_doc[key] = value
     p = tmp_path / "config.json"
     p.write_text(json.dumps(cfg_doc))
-    with pytest.raises(ConfigError, match=r"unknown keys \['window_ms'\]"):
+    with pytest.raises(ConfigError, match=rf"unknown keys \['{key}'\] in config "):
         load_config(p)
 
 
@@ -1583,10 +1582,13 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     [
         ("preprocess", {"z_cutof": 0.5}, r"\['z_cutof'\]"),
         ("loop_rule", {"kk": 9, "k": 2}, r"\['kk'\]"),
-        # the retired key: every out-of-range percent reading is clamped
+        # the retired keys: every out-of-range percent reading is clamped,
+        # and the loop rule's buckets are the specs' top and bottom ones
         ("preprocess", {"clamp": True}, r"\['clamp'\]"),
+        ("loop_rule", {"cpu_bucket": 3}, r"\['cpu_bucket'\]"),
+        ("loop_rule", {"throughput_bucket": 0}, r"\['throughput_bucket'\]"),
     ],
-    ids=["preprocess", "loop_rule", "preprocess-clamp"],
+    ids=["preprocess", "loop_rule", "preprocess-clamp", "loop-rule-cpu-bucket", "loop-rule-throughput-bucket"],
 )
 def test_load_config_rejects_unknown_keys_inside_a_section(tmp_path, section, entry, named):
     # a misspelt key would otherwise leave its default in force unnoticed
@@ -1611,10 +1613,6 @@ def test_load_config_rejects_unknown_keys_inside_a_section(tmp_path, section, en
         ("preprocess", "z_cutoff", False,
          r"preprocess of config .*: z_cutoff must be a JSON number, got false"),
         ("loop_rule", "k", 2.7, r"loop_rule of config .*: k must be a JSON integer, got 2\.7"),
-        ("loop_rule", "cpu_bucket", True,
-         r"loop_rule of config .*: cpu_bucket must be a JSON integer, got true"),
-        ("loop_rule", "throughput_bucket", 0.5,
-         r"loop_rule of config .*: throughput_bucket must be a JSON integer, got 0\.5"),
         (None, "severity_mapping", [0, 0, 1.0, 2],
          r"config .*: severity_mapping must be a JSON array of integers, got \[0, 0, 1\.0, 2\]"),
         (None, "severity_mapping", [0, 0, True, 2],
@@ -1627,8 +1625,6 @@ def test_load_config_rejects_unknown_keys_inside_a_section(tmp_path, section, en
         ("discretization", "vm.cpu", 5,
          r"discretization of config .*: vm\.cpu must be a JSON array of numbers, got 5"),
         (None, "discretization", [], r"discretization must be a JSON object, got \[\]"),
-        (None, "attributes", [5],
-         r"config .*: attributes must be a JSON array of strings, got \[5\]"),
         (None, "severity_components", ["vm.cpu", True],
          r"config .*: severity_components must be a JSON array of strings, "
          r"got \[\"vm\.cpu\", true\]"),
@@ -1645,9 +1641,9 @@ def test_load_config_rejects_unknown_keys_inside_a_section(tmp_path, section, en
     ],
     ids=[
         "window-fraction", "window-true", "z-cutoff-string",
-        "z-cutoff-false", "k-fraction", "cpu-bucket-true", "throughput-bucket-fraction",
+        "z-cutoff-false", "k-fraction",
         "mapping-float", "mapping-true", "mapping-string", "bounds-false-and-string",
-        "bounds-number", "discretization-list", "attributes-number", "severity-components-true",
+        "bounds-number", "discretization-list", "severity-components-true",
         "loop-rule-list", "preprocess-number", "model-number", "model-path-number",
         "loop-vm-cpu-number", "loop-host-cpu-null", "loop-throughput-list", "loop-cause-number",
     ],
@@ -1713,7 +1709,7 @@ def test_load_config_rejects_a_z_cutoff_too_large_for_a_float(tmp_path):
 
 def test_load_config_requires_model_reference(tmp_path):
     p = tmp_path / "config.json"
-    p.write_text(json.dumps({"attributes": ["vm.cpu"]}))
+    p.write_text(json.dumps({"severity_components": ["vm.cpu"]}))
     with pytest.raises(ConfigError, match="model"):
         load_config(p)
 
@@ -1722,21 +1718,12 @@ def test_engine_config_cross_checks(config):
     with pytest.raises(ConfigError, match="spec"):
         EngineConfig(
             specs={k: v for k, v in config.specs.items() if k != "vm.cpu"},
-            attributes=config.attributes,
-            severity_components=config.severity_components,
-            model=config.model,
-        )
-    with pytest.raises(ConfigError, match="attributes"):
-        EngineConfig(
-            specs=config.specs,
-            attributes=config.attributes[::-1],
             severity_components=config.severity_components,
             model=config.model,
         )
     with pytest.raises(ConfigError, match="cause"):
         EngineConfig(
             specs=config.specs,
-            attributes=config.attributes,
             severity_components=config.severity_components,
             model=config.model,
             loop_rule=LoopRule(cause="gremlins"),
@@ -1761,6 +1748,26 @@ def test_model_with_zero_probability_rejected(config):
         remade(config, model=model)
 
 
+def _zero_prior(config: EngineConfig) -> EngineConfig:
+    """``config`` with a model that gives its first class prior 0."""
+    m = len(config.classes) - 1
+    model = config.model
+    return remade(config, model=nbc.NbcModel(model.schema, (0.0,) + (1 / m,) * m, model.cond, model.alpha))
+
+
+@pytest.mark.parametrize(
+    "build, error, named",
+    [
+        (lambda config: PreprocessPolicy(z_cutoff=0), ValueError, "z_cutoff must be > 0, got 0"),
+        (_zero_prior, ConfigError, "model prior of class 'normal' is 0"),
+    ],
+    ids=["z-cutoff-zero", "zero-prior"],
+)
+def test_each_input_check_names_what_it_refuses(config, build, error, named):
+    with pytest.raises(error, match=f"^{re.escape(named)}$"):
+        build(config)
+
+
 def test_severity_mapping_too_short_rejected(config):
     # bucket 3 of every 4-bucket severity component has no severity
     with pytest.raises(ConfigError, match=r"vm\.cpu: severity_mapping"):
@@ -1782,30 +1789,55 @@ def test_loop_rule_component_must_be_judged(config):
         remade(config, loop_rule=LoopRule(throughput="vm.tput"))
 
 
-@pytest.mark.parametrize(
-    "entries, named",
-    [
-        ({"cpu_bucket": 9}, r"loop rule cpu_bucket 9 is not a bucket of vm\.cpu \(0\.\.3\)"),
-        ({"cpu_bucket": -1}, r"loop rule cpu_bucket -1 is not a bucket of vm\.cpu \(0\.\.3\)"),
-        ({"throughput_bucket": 5}, r"loop rule throughput_bucket 5 is not a bucket of vm\.throughput \(0\.\.3\)"),
-        ({"throughput_bucket": -1}, r"loop rule throughput_bucket -1 is not a bucket of vm\.throughput \(0\.\.3\)"),
-    ],
-    ids=["cpu-9", "cpu-minus-1", "throughput-5", "throughput-minus-1"],
-)
-def test_loop_rule_thresholds_must_be_buckets(config, tmp_path, entries, named):
-    # before, cpu_bucket 9 never matched, so an endless loop raised no
-    # loop alarm, and -1 (or throughput_bucket 5) made the rule ignore
-    # that metric
-    with pytest.raises(ConfigError, match=f"^{named}$"):
-        remade(config, loop_rule=LoopRule(**entries))
-    path = _config_with(tmp_path, "loop_rule", dict(config.loop_rule._asdict(), **entries))
-    with pytest.raises(ConfigError, match=rf"^config {re.escape(str(path))}: {named}$"):
-        load_config(path)
+def test_the_feature_order_is_the_models(config):
+    # a model that lists its attributes in another order reads each
+    # window's features in that order, so every alarm stays, its
+    # posterior up to the order the log-likelihoods are added in
+    schema = config.model.schema
+    order = [5, 3, 0, 4, 1, 2]
+    model = nbc.NbcModel(
+        nbc.AttributeSchema(tuple(schema.attributes[j] for j in order), schema.classes),
+        config.model.priors,
+        tuple(config.model.cond[j] for j in order),
+        config.model.alpha,
+    )
+    shuffled = remade(config, model=model)
+    assert shuffled.attributes == tuple(config.attributes[j] for j in order)
+    assert shuffled.attributes == tuple(ComponentId.parse(name) for name, _ in model.schema.attributes)
+    samples, _ = generate(hot_scenario())
+    want = Engine(config).process_stream(samples)
+    assert any(alarm.trigger == TRIGGER_NBC and alarm.severity == 1 for alarm in want)
+    got = Engine(shuffled).process_stream(samples)
+    assert [a._replace(diagnosis=None) for a in got] == [a._replace(diagnosis=None) for a in want]
+    for a, b in zip(got, want):
+        assert a.diagnosis == b.diagnosis or a.diagnosis == pytest.approx(b.diagnosis, rel=1e-12, abs=1e-15)
 
 
-def test_loop_rule_thresholds_at_the_edge_buckets_are_accepted(config):
-    cfg = remade(config, loop_rule=LoopRule(cpu_bucket=0, throughput_bucket=3))
-    assert judgment(Engine(cfg), window_at(0, HEALTHY))[1] is True
+def test_the_loop_signature_is_the_top_cpu_buckets_and_throughput_bucket_0(config):
+    assert config.loop_signature == (3, 3, 0)
+    keys = ("vm.cpu", "host.cpu", "vm.throughput")
+    bounds = {"vm.cpu": (0.0, 50.0, 100.0), "host.cpu": (0.0, 20.0, 40.0, 60.0, 80.0, 100.0),
+              "vm.throughput": (0.0, 25.0, 50.0, 75.0, 100.0)}
+    specs = {key: DiscretizationSpec(ComponentId.parse(key), bounds[key]) for key in keys}
+    cards = tuple(len(bounds[key]) - 1 for key in keys)
+    model = nbc.NbcModel(
+        nbc.AttributeSchema(tuple(zip(keys, cards)), ("normal", "endless-loop")),
+        (0.5, 0.5),
+        tuple(((1 / card,) * card,) * 2 for card in cards),
+        1.0,
+    )
+    cfg = EngineConfig(specs=specs, severity_components=(ComponentId.parse("vm.cpu"),), model=model)
+    assert cfg.loop_signature == (1, 4, 0)
+    engine = Engine(cfg)
+    for (vm_cpu, host_cpu, throughput), want in [
+        ((90.0, 90.0, 10.0), True),
+        ((90.0, 70.0, 10.0), False),
+        ((40.0, 90.0, 10.0), False),
+        ((90.0, 90.0, 30.0), False),
+    ]:
+        values = {"vm.cpu": vm_cpu, "host.cpu": host_cpu, "vm.throughput": throughput}
+        (window,) = collect_windows(window_samples(0, values), cfg.window_specs)
+        assert judgment(engine, window)[1] is want, values
 
 
 def test_a_spec_is_filed_under_the_key_of_its_component(config):

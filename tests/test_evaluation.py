@@ -121,3 +121,8 @@ def test_custom_binarization_rule():
 def test_negative_counts_rejected():
     with pytest.raises(ValueError):
         ConfusionMatrix.from_counts(-1, 0, 0, 0)
+
+
+def test_duplicate_class_labels_are_refused():
+    with pytest.raises(ValueError, match="^duplicate class labels$"):
+        ConfusionMatrix(classes=("normal", "high-cpu-usage", "normal"))

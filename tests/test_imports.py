@@ -78,7 +78,7 @@ def test_diagnose_loads_neither_the_network_engine_nor_the_simulator(tmp_path):
     assert "logging" not in out["loaded"]
 
 
-def test_only_bn_query_loads_logging(tmp_path):
+def test_no_command_loads_logging(tmp_path):
     make_training_csv(tmp_path / "train.csv")
     commands = {
         "simulate": ["--scenario", fixture_path("scenario_healthy.json"),
@@ -98,7 +98,7 @@ def test_only_bn_query_loads_logging(tmp_path):
             print(json.dumps({{"rc": rc, "loaded": loaded()}}))
         """)
         assert out["rc"] == 0, command
-        assert ("logging" in out["loaded"]) == (command == "bn-query"), command
+        assert "logging" not in out["loaded"], command
 
 
 # each public name of the package, in ``afdi.__all__`` order, and the

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from afdi.mdd import (
     CapacityError,
     InvalidModelError,
+    Mdd,
     MddInputError,
     build_from_structure_function,
     build_max_severity,
@@ -266,3 +267,19 @@ def test_to_dot_mentions_components_and_sinks():
     for comp in COMPS4:
         assert comp.key in text
     assert '[shape=box, label="2"]' in text
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda: Mdd(COMPS4, [3, 3, 3]), "one arity per component required"),
+        (lambda: Mdd((), ()), "at least one component required"),
+        (lambda: Mdd(COMPS4[:2], [3, 1]), f"component {COMPS4[1].key} needs arity >= 2, got 1"),
+        (lambda: build_from_structure_function(COMPS4[:1], [2], lambda sv: -1),
+         "structure function returned negative level -1"),
+    ],
+    ids=["arities-mismatched", "no-components", "arity-1", "negative-level"],
+)
+def test_each_model_check_names_what_it_refuses(call, named):
+    with pytest.raises(InvalidModelError, match=f"^{re.escape(named)}$"):
+        call()

@@ -621,3 +621,20 @@ def test_posterior_takes_a_list_as_the_equal_tuple():
     other = NbcModel(schema=TWO, priors=(0.5, 0.5), cond=TWO_COND, alpha=1.0)
     assert posterior(other, (1, None)) == first
     assert posterior(other, [1, None]) is posterior(other, (1, None))
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda: AttributeSchema(attributes=(("x", 2),), classes=("a", "a")), "class labels must be unique"),
+        (lambda: NbcModel(BINARY, (0.5, 0.5), (((0.5, 0.5),) * 2,) * 2, 1.0),
+         "one conditional table per attribute required"),
+        (lambda: NbcModel(BINARY, (0.5, 0.5), (((0.5, 0.5),),), 1.0), "table for 'x' needs 2 class rows"),
+        (lambda: NbcModel(BINARY, (0.5, 0.5), (((0.5, 0.5), (0.25, 0.25, 0.5)),), 1.0),
+         "table row 'x'/class 1 has wrong width"),
+    ],
+    ids=["duplicate-classes", "tables", "rows", "entries"],
+)
+def test_each_model_check_names_what_it_refuses(call, named):
+    with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+        call()

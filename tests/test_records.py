@@ -23,7 +23,6 @@ _KEYS = ("vm.cpu", "host.cpu", "vm.throughput")
 _COMPONENTS = tuple(map(ComponentId.parse, _KEYS))
 _CONFIG_ARGS = dict(
     specs={c.key: DiscretizationSpec(c, (0.0, 25.0, 50.0, 75.0, 100.0)) for c in _COMPONENTS},
-    attributes=_COMPONENTS,
     severity_components=_COMPONENTS[:1],
     model=NbcModel(
         AttributeSchema(tuple((key, 4) for key in _KEYS), ("normal", "endless-loop")),
@@ -45,7 +44,7 @@ RECORDS = [
     (NbcModel, dict(schema=SCHEMA, priors=(0.5, 0.5), cond=UNIFORM, alpha=1.0), {}, True),
     (PreprocessPolicy, {}, dict(window=11, z_cutoff=3.0), True),
     (LoopRule, {}, dict(k=3, vm_cpu="vm.cpu", host_cpu="host.cpu", throughput="vm.throughput",
-                        cpu_bucket=3, throughput_bucket=0, cause="endless-loop"), True),
+                        cause="endless-loop"), True),
     (VirtualSensor, dict(sensor_id="s"), dict(active=True, frequency_ms=1000), True),
     (EngineConfig, _CONFIG_ARGS, dict(severity_mapping=(0, 0, 1, 2), loop_rule=LoopRule(),
                                       preprocess=PreprocessPolicy()), False),

@@ -607,3 +607,25 @@ def test_make_fixtures_reproduces_every_fixture(tmp_path):
     assert sorted(os.listdir(tmp_path)) == sorted(os.listdir(fixtures))
     for name in os.listdir(fixtures):
         assert (tmp_path / name).read_bytes() == (fixtures / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "call, error, named",
+    [
+        (lambda: FaultInjection("cpu_hog", "h0", -1, 5, vm="vm0"), ScenarioError, "injection start must be >= 0"),
+        (lambda: Scenario(seed=0, duration=0), ScenarioError, "duration must be positive"),
+        (lambda: Scenario(seed=0, duration=1, vms_per_host=0), ScenarioError,
+         "topology must have at least one host and one vm"),
+        (lambda: Scenario(seed=0, duration=1, baseline={**Scenario(seed=0, duration=1).baseline,
+                                                          "vm.cpu": (30.0, -1.0)}),
+         ScenarioError, "negative jitter for vm.cpu"),
+        (lambda: to_training_set(*generate(Scenario(seed=0, duration=2, window_ms=500)), SPECS, ATTRS, CLASSES),
+         AlignmentError, "duplicate windows for the same scope and time"),
+        (lambda: to_training_set(*generate(Scenario(seed=0, duration=2)), SPECS, ATTRS, CLASSES[1:]),
+         AlignmentError, "class 'normal' not in schema classes"),
+    ],
+    ids=["negative-start", "no-duration", "no-vm", "negative-jitter", "two-windows-in-one", "class-missing"],
+)
+def test_each_input_check_names_what_it_refuses(call, error, named):
+    with pytest.raises(error, match=f"^{re.escape(named)}$"):
+        call()

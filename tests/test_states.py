@@ -134,6 +134,11 @@ def test_state_vector_rejects_a_level_that_is_not_an_integer(level):
         StateVector(((comps[0], 0), (comps[1], level)))
 
 
+def test_state_vector_rejects_a_negative_level():
+    with pytest.raises(ValueError, match=r"^negative state level -1 for vm\.memory$"):
+        StateVector.from_levels([ComponentId("cpu"), ComponentId("memory")], [0, -1])
+
+
 # what a module may call on a value column, or on the list of them, that
 # changes it
 _COLUMN_MUTATORS = frozenset(
