@@ -28,25 +28,41 @@ diagnose`` run on each stream in a fresh child, its ``ru_maxrss`` as
 ``os.wait4`` reaps it, best of ``--repeat``.  The child inherits the
 environment as it is; its header says whether ``PYTHONDONTWRITEBYTECODE``
 was set, since a child that writes no bytecode compiles every module it
-imports.  Uses only the standard library and the ``afdi`` package under
-``src/`` of the checkout the script sits in.
+imports.
+
+A fourth table times the model kernels alone, per call, best of
+``--repeat`` with the cycle collector off:
+``bayesnet.posterior_given_evidence`` over the 73 case-study queries of
+``fixtures/case_study_net.json`` (every evidence pattern on the three
+components for S, and each component given each state of S), once on a
+freshly loaded net, where the first query of each plan compiles it, and
+once more on the same net; ``nbc.posterior`` over every full feature
+vector of the config's model, loaded afresh each repeat so that no
+answer comes from its memo; and ``Mdd.evaluate_levels`` of the config's
+severity diagram over every vector of levels.  Uses only the standard
+library and the ``afdi`` package under ``src/`` of the checkout the
+script sits in.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import itertools
 import os
 import platform
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+from time import perf_counter
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+CASE_NET = os.path.join(ROOT, "fixtures", "case_study_net.json")
 sys.path.insert(0, SRC)
 
-from afdi import engine  # noqa: E402
+from afdi import bayesnet, engine, nbc  # noqa: E402
 
 # the stages between the marks of Engine.run
 STAGES = ("read", "preprocess", "`collect_windows`", "`step` + write")
@@ -120,6 +136,61 @@ def stage_times(config_path: str, streams: list[str], repeat: int) -> tuple[dict
     return best, heaps, rss
 
 
+def case_study_queries(net) -> list[tuple[str, dict]]:
+    """P(S | evidence) for every pattern of evidence on the three
+    components (4^3 = 64), and P(component | S=s) for each component and
+    state of S: 73 queries."""
+    comps = ("Memory", "CPU", "Network")
+    out = []
+    for pattern in itertools.product((None, 0, 1, 2), repeat=len(comps)):
+        out.append(("S", {c: s for c, s in zip(comps, pattern) if s is not None}))
+    out.extend((comp, {"S": s}) for comp in comps for s in range(net.node("S").card))
+    return out
+
+
+def _per_call(call, args: list) -> float:
+    """Seconds per call of ``call`` over ``args``, each a tuple of its
+    arguments, with the cycle collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        start = perf_counter()
+        for arg in args:
+            call(*arg)
+        return (perf_counter() - start) / len(args)
+    finally:
+        gc.enable()
+
+
+def kernel_times(config_path: str, repeat: int) -> list[tuple[str, int, float]]:
+    """``(kernel, calls, seconds per call)`` of each model kernel, the
+    best of ``repeat``."""
+    diagram = engine.load_config(config_path).severity_mdd
+    levels = [(vec,) for vec in itertools.product(*(range(a) for a in diagram.arities))]
+    runs = []
+    for _ in range(repeat):
+        net = bayesnet.load_net(CASE_NET)
+        queries = [(net, query, evidence) for query, evidence in case_study_queries(net)]
+        model = engine.load_config(config_path).model
+        vectors = [(model, vec) for vec in itertools.product(*(range(card) for _, card in model.schema.attributes))]
+        pge = bayesnet.posterior_given_evidence
+        # in this order: the first pass over the queries compiles the plans
+        runs.append([(kernel, len(args), _per_call(call, args)) for kernel, call, args in (
+            ("`bayesnet.posterior_given_evidence`, fresh net: compiles its plans", pge, queries),
+            ("`bayesnet.posterior_given_evidence`", pge, queries),
+            ("`nbc.posterior`, fresh model", nbc.posterior, vectors),
+            ("`Mdd.evaluate_levels`", diagram.evaluate_levels, levels),
+        )])
+    return [(rows[0][0], rows[0][1], min(row[2] for row in rows)) for rows in zip(*runs)]
+
+
+def kernel_table(kernels: list[tuple[str, int, float]]) -> str:
+    """The Markdown table of ``kernels``, one row per kernel."""
+    lines = ["| kernel | calls | per call |", "|---|---|---|"]
+    lines.extend(f"| {kernel} | {calls} | {seconds * 1e6:.2f} us |" for kernel, calls, seconds in kernels)
+    return "\n".join(lines)
+
+
 def _header(columns: dict, first: str = "stage") -> list[str]:
     names = [os.path.splitext(os.path.basename(path))[0] for path in columns]
     return [f"| {first} | " + " | ".join(names) + " |", "|---" * (len(names) + 1) + "|"]
@@ -167,6 +238,9 @@ def main(argv: list[str] | None = None) -> int:
     written = "set" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "unset"
     print(f"peak RSS of a fresh child, best of {args.repeat}, PYTHONDONTWRITEBYTECODE {written}")
     print(rss_table(rss))
+    print()
+    print(f"model kernels alone, best of {args.repeat}, GC off")
+    print(kernel_table(kernel_times(args.config, args.repeat)))
     return 0
 
 

@@ -8,13 +8,19 @@ attention to elimination-order width beyond a deterministic default.
 
 Which cells an elimination multiplies and adds depends only on the
 query, the set of observed nodes and the order, never on the observed
-states.  So the first query of each such kind compiles its plan: the
-CPTs flattened, the cells each reduction keeps, and the index lists of
-every multiply and sum-out.  The net keeps the plan (at most n·2^(n-1)
-of them for an n-node net with the default order, plus one per explicit
-order), and each query gathers its reduced tables and replays the same
-products and sums in the same order as ``Factor`` would, so every answer
-is the same float.  A plan holds index tables, never answers.
+states.  So the first query of each such kind compiles its plan: one
+straight-line Python function that gathers each CPT entry it needs at
+the evidence states' offset, then multiplies and sums cell by cell in
+the same order as ``Factor`` would, so every answer is the same float.
+A plan holds integers and references to the CPTs, never answers, and
+its source holds no text of the network document.  No expression in it
+nests deeper than about ``2 * CHAIN`` operations: longer sums and
+products carry on through a local.  The net keeps the plan (at most
+n·2^(n-1) of them for an n-node net with the default order, plus one
+per explicit order).  Compiling a plan costs some hundred times a query
+that runs it (README gives the case study's figures), so the first
+query of each kind pays for the rest.  Evidence states resolve through
+a table the net builds at load; what it misses, ``state_index`` judges.
 
 Network documents are JSON: a list of nodes, each with a name, its
 state names, its parent list, and a CPT holding one row per parent
@@ -26,7 +32,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
-from operator import mul
 
 from .states import StateDistribution, check_entries, left_sum, read_document
 
@@ -80,9 +85,20 @@ class DiscreteBayesNet:
         self.cpts = {name: tuple(tuple(row) for row in table) for name, table in cpts.items()}
         self.load_warnings = list(load_warnings)
         self._order = tuple(order)
+        # state index by (node, exact type, state) for a state given as its
+        # index or its name, the first of two equal names as in
+        # state_index; any other state is state_index's to judge
+        self._state_index = {
+            (node.name, kind, state): i
+            for node in self.nodes
+            for i in reversed(range(node.card))
+            for kind, state in ((int, i), (str, node.states[i]))
+        }
         # compiled eliminations by (query, observed nodes, order or None);
-        # index tables only, every query multiplies and sums afresh
-        self._plans: dict[tuple, tuple] = {}
+        # functions of the evidence states, every query multiplies and sums
+        # afresh; all of them read the CPTs flattened once, in node order
+        self._plans: dict[tuple, Callable] = {}
+        self._flat_cpts = tuple(tuple(p for row in self.cpts[n.name] for p in row) for n in self.nodes)
 
     def node(self, name: str) -> NetNode:
         try:
@@ -306,23 +322,36 @@ def _state_indices(net: DiscreteBayesNet, states) -> dict[str, int]:
     is no states); anything else raises ``ValueError``."""
     if states is None:
         return {}
-    if not isinstance(states, Mapping):
+    if type(states) is not dict and not isinstance(states, Mapping):  # a dict skips the ABC check
         raise ValueError(f"expected a mapping of node names to states, got {states!r}")
-    return {name: net.state_index(name, state) for name, state in states.items()}
+    table = net._state_index
+    try:
+        return {name: table[name, type(state), state] for name, state in states.items()}
+    except (KeyError, TypeError):  # a miss, or an unhashable state, raises here
+        return {name: net.state_index(name, state) for name, state in states.items()}
 
 
-def _compile(net: DiscreteBayesNet, query: str, observed: frozenset, order) -> tuple:
+# No generated expression nests deeper than about twice this: a sum-out
+# adds at most this many terms in one expression and carries a longer sum
+# on through its cell's name, and a product of more factors goes through
+# names too (compiling a 3,000-term chain exhausts the compiler's
+# recursion limit on CPython 3.11).
+CHAIN = 100
+
+
+def _compile(net: DiscreteBayesNet, query: str, observed: frozenset, order) -> Callable:
     """The elimination ``Factor`` would run for ``query`` given evidence
-    on ``observed``, as index tables: ``(gathers, steps, answer)``.
+    on ``observed``, as one function that takes the evidence states by
+    node name and returns unnormalized P(query, evidence).
 
-    ``gathers`` holds, per node in net order, its CPT flattened, the
-    ``(variable, stride)`` of each observed variable in its scope, and the
-    offsets of the cells a reduction keeps.  ``steps`` holds each multiply
-    ``(slot, slot, indices, indices)`` and each sum-out ``(slot, output
-    index per cell, output size)`` in the order the buckets take them; a
-    step's table takes the next slot after the gathered ones, and
-    ``answer`` is the slot of P(query).  Index lists come from
-    ``_cell_indices``; an identity list is ``None``.
+    The function is straight-line code.  A gather reads a CPT entry at
+    the evidence states' base plus a fixed offset, a multiply multiplies
+    two cells, and a sum-out adds its cells from 0.0 in row-major order;
+    the buckets take them in the order ``Factor`` does, so each cell is
+    the float ``Factor`` computes.  A cell is an expression where it is
+    read once and a local where it is read more often; every sum is a
+    local.  The source holds only numbers and the names made here: the
+    CPTs and the evidence node names come in as default arguments.
     """
     to_eliminate = [n for n in net.names if n != query and n not in observed]
     if order is None:
@@ -332,29 +361,50 @@ def _compile(net: DiscreteBayesNet, query: str, observed: frozenset, order) -> t
             f"elimination order must cover exactly {sorted(to_eliminate)}, got {sorted(order)}"
         )
 
-    gathers = []
-    factors = []  # (scope, cards, slot) in the order the factor list keeps them
-    for node in net.nodes:
+    keys = [n for n in net.names if n in observed]
+    state_of = {name: f"ev[k{i}]" for i, name in enumerate(keys)}
+    body = []
+
+    def local(expr: str) -> str:
+        body.append(f"c{len(body)} = {expr}")
+        return f"c{len(body) - 1}"
+
+    # a table: (scope, cards, cell expressions, how deep its products nest)
+    factors = []
+    for j, node in enumerate(net.nodes):
         scope = node.parents + (node.name,)
         cards = tuple(net.node(p).card for p in node.parents) + (node.card,)
         strides = _strides(scope, cards)
         fixed = {v: 0 for v in scope if v in observed}
         kept = tuple(v for v in scope if v not in fixed)
         kept_cards = tuple(c for v, c in zip(scope, cards) if v not in fixed)
-        flat = tuple(p for row in net.cpts[node.name] for p in row)
         offsets = _cell_indices(kept, kept_cards, scope, cards, fixed)
-        gathers.append((flat, tuple((v, strides[v]) for v in fixed), offsets))
-        factors.append((kept, kept_cards, len(factors)))
+        if fixed:
+            body.append(f"b{j} = " + " + ".join(
+                state_of[v] + ("" if strides[v] == 1 else f" * {strides[v]}") for v in fixed
+            ))
+            cells = [f"f{j}[b{j} + {o}]" if o else f"f{j}[b{j}]" for o in offsets]
+        else:
+            cells = [f"f{j}[{o}]" for o in offsets]
+        factors.append((kept, kept_cards, cells, 0))
 
-    steps = []
-
-    def identity_or(indices):
-        return None if indices == list(range(len(indices))) else indices
+    def operands(table, indices):
+        """The cells of ``table`` a multiply reads at ``indices``, with a
+        cell read more than once, or nested too deep, bound to a local."""
+        cells, depth = table[2], table[3]
+        reads = [0] * len(cells)
+        for i in indices:
+            reads[i] += 1
+        cells = [c if c.isidentifier() or (n < 2 and depth < CHAIN) else local(c) for c, n in zip(cells, reads)]
+        return [cells[i] for i in indices], 0 if depth >= CHAIN else depth
 
     def multiply(a, b):
         scope, cards, mine, theirs = _product(a[0], a[1], b[0], b[1])
-        steps.append((a[2], b[2], identity_or(mine), identity_or(theirs)))
-        return scope, cards, len(gathers) + len(steps) - 1
+        left, da = operands(a, mine)
+        right, db = operands(b, theirs)
+        if db:
+            right = [f"({c})" for c in right]
+        return scope, cards, [f"{x} * {y}" for x, y in zip(left, right)], max(da, db) + 1
 
     for var in order:
         # never empty: var sits in its own CPT's factor until it is
@@ -363,14 +413,22 @@ def _compile(net: DiscreteBayesNet, query: str, observed: frozenset, order) -> t
         product = bucket[0]
         for f in bucket[1:]:
             product = multiply(product, f)
-        scope, cards, slot = product
+        scope, cards, cells, _ = product
         pos = scope.index(var)
         out_scope = scope[:pos] + scope[pos + 1:]
         out_cards = cards[:pos] + cards[pos + 1:]
-        out_of = _cell_indices(scope, cards, out_scope, out_cards, {})
-        steps.append((slot, out_of, len(out_of) // cards[pos]))
+        terms = [[] for _ in range(len(cells) // cards[pos])]
+        # cells in row-major order, as Factor.sum_out adds them
+        for o, c in zip(_cell_indices(scope, cards, out_scope, out_cards, {}), cells):
+            terms[o].append(c)
+        sums = []
+        for chain in terms:
+            name = local("0.0 + " + " + ".join(chain[:CHAIN]))
+            for k in range(CHAIN, len(chain), CHAIN):
+                body.append(f"{name} = {name} + " + " + ".join(chain[k:k + CHAIN]))
+            sums.append(name)
         factors = [f for f in factors if var not in f[0]]
-        factors.append((out_scope, out_cards, len(gathers) + len(steps) - 1))
+        factors.append((out_scope, out_cards, sums, 0))
 
     # Factor((), (), [1.0]) multiplies in the rest; 1.0 * p is p exactly
     result = factors[0]
@@ -378,7 +436,14 @@ def _compile(net: DiscreteBayesNet, query: str, observed: frozenset, order) -> t
         result = multiply(result, f)
     if result[0] != (query,):
         raise ValueError(f"elimination left scope {result[0]}, expected ({query!r},)")
-    return tuple(gathers), tuple(steps), result[2]
+    body.append("return (" + "".join(c + ", " for c in result[2]) + ")")
+    params = [f"f{j}" for j in range(len(net.nodes))] + [f"k{i}" for i in range(len(keys))]
+    source = f"def plan(ev, {', '.join(params)}):\n" + "".join(f"    {line}\n" for line in body)
+    namespace: dict = {}
+    exec(compile(source, "<elimination plan>", "exec"), namespace)
+    plan = namespace["plan"]
+    plan.__defaults__ = (*net._flat_cpts, *keys)
+    return plan
 
 
 def _eliminate(net: DiscreteBayesNet, query: str, evidence: dict[str, int], order) -> Sequence[float]:
@@ -388,33 +453,7 @@ def _eliminate(net: DiscreteBayesNet, query: str, evidence: dict[str, int], orde
     plan = net._plans.get(key)
     if plan is None:
         plan = net._plans[key] = _compile(net, *key)
-    gathers, steps, answer = plan
-    tables = []
-    for flat, fixed, offsets in gathers:
-        if not fixed:
-            tables.append(flat)
-            continue
-        base = 0
-        for var, stride in fixed:
-            base += evidence[var] * stride
-        tables.append([flat[base + o] for o in offsets])
-    for step in steps:
-        if len(step) == 4:  # a multiply; a sum-out has three entries
-            a, b, mine, theirs = step
-            a, b = tables[a], tables[b]
-            tables.append(list(map(
-                mul,
-                a if mine is None else map(a.__getitem__, mine),
-                b if theirs is None else map(b.__getitem__, theirs),
-            )))
-        else:
-            table, out_of, size = step
-            acc = [0.0] * size
-            # cells in row-major order, as Factor.sum_out adds them
-            for o, v in zip(out_of, tables[table]):
-                acc[o] += v
-            tables.append(acc)
-    return tables[answer]
+    return plan(evidence)
 
 
 def _normalized(values: Sequence[float], zero_mass: Callable[[], Exception]) -> StateDistribution:

@@ -228,6 +228,8 @@ def cmd_bn_query(args) -> int:
         name, sep, state = item.partition("=")
         if not sep:
             raise CliError(f"evidence must look like NODE=STATE, got {item!r}")
+        if name in evidence:
+            raise CliError(f"--evidence gives node {name!r} twice")
         if state.lstrip("-").isdigit():
             state = _argument_index(state, f"--evidence {item}")
         evidence[name] = state

@@ -334,8 +334,10 @@ def test_factor_multiply_sum_out_consistency():
         (1.7, r"state 1\.7 for node 'CPU' is neither a state name nor an integer index"),
         (True, r"state True for node 'CPU' is neither a state name nor an integer index"),
         (None, r"state None for node 'CPU' is neither a state name nor an integer index"),
+        (1.0, r"state 1\.0 for node 'CPU' is neither a state name nor an integer index"),
+        ([1], r"state \[1\] for node 'CPU' is neither a state name nor an integer index"),
     ],
-    ids=["float", "bool", "none"],
+    ids=["float", "bool", "none", "float-equal-to-an-index", "unhashable"],
 )
 def test_evidence_state_is_a_name_or_an_int(case_net, state, named):
     # before, int() read 1.7 and True as state 1
@@ -489,3 +491,114 @@ def test_cached_plans_keep_every_check():
 def test_each_input_check_names_what_it_refuses(call, error, named):
     with pytest.raises(error, match=f"^{re.escape(named)}$"):
         call()
+
+
+# -- the compiled kernel's limits --------------------------------------
+
+
+def _generated_only(net):
+    """Every plan the net compiled holds only integers, floats and names
+    it made: no text of the network document reached ``compile``."""
+    for plan in net._plans.values():
+        code = plan.__code__
+        assert all(c is None or type(c) in (int, float) for c in code.co_consts), code.co_consts
+        assert all(re.fullmatch(r"[bcefk]\d*|ev", name) for name in code.co_varnames + code.co_names)
+
+
+def test_names_that_are_python_source_never_reach_the_compiler():
+    quote, newline, call = 'a"b\'c', "x\ny", '__import__("os").system("exit 3")'
+    doc = {"nodes": [
+        {"name": call, "states": [quote, newline], "cpt": [[0.3, 0.7]]},
+        # names of the generated function's own parameters and locals
+        {"name": "ev", "states": ["f0", "c0", call], "parents": [call],
+         "cpt": [[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]]},
+        {"name": "\n)\n", "states": ["k0", "b1"], "parents": [call, "ev"],
+         "cpt": [[0.9, 0.1], [0.4, 0.6], [0.5, 0.5], [0.25, 0.75], [0.8, 0.2], [0.1, 0.9]]},
+    ]}
+    net = load_net(doc)
+    for query in net.names:
+        _assert_exact(net, query, {})
+        others = [n for n in net.names if n != query]
+        for observed in itertools.chain.from_iterable(itertools.combinations(others, k) for k in (1, 2)):
+            for states in itertools.product(*(range(net.node(n).card) for n in observed)):
+                _assert_exact(net, query, dict(zip(observed, states)))
+                by_name = {n: net.node(n).states[s] for n, s in zip(observed, states)}
+                assert posterior_given_evidence(net, query, by_name) == posterior_given_evidence(
+                    net, query, dict(zip(observed, states)))
+    _generated_only(net)
+
+
+def test_a_five_thousand_state_node_sums_through_bounded_chains():
+    # each sum over the big node adds 5,000 terms, past the depth at
+    # which CPython 3.11 fails to compile one flat chain of additions
+    rng = random.Random(5000)
+    big = [rng.random() + 1e-3 for _ in range(5000)]
+    rows = [[p, 1.0 - p] for p in (rng.random() for _ in range(5000))]
+    net = load_net({"nodes": [
+        {"name": "big", "states": [f"s{i}" for i in range(5000)], "cpt": [[p / sum(big) for p in big]]},
+        {"name": "small", "states": ["lo", "hi"], "parents": ["big"], "cpt": rows},
+    ]})
+    for query in ("big", "small"):
+        _assert_exact(net, query, {})
+    _assert_exact(net, "big", {"small": 1})
+    _assert_exact(net, "small", {"big": 4321})
+    assert posterior_given_evidence(net, "small", {"big": "s4321"}).probs == tuple(
+        oracles.bn_eliminate(net, "small", {"big": 4321}))
+    _generated_only(net)
+
+
+def test_a_product_of_three_thousand_factors_compiles():
+    # all 3,000 children of the root observed: the answer multiplies
+    # 3,001 tables, a product nested deeper than the compiler allows
+    rng = random.Random(3000)
+    children = [
+        {"name": f"n{i}", "states": ["x", "y"], "parents": ["root"], "cpt": [[p, 1.0 - p], [q, 1.0 - q]]}
+        for i, (p, q) in enumerate((rng.uniform(0.98, 0.999), rng.uniform(0.98, 0.999)) for _ in range(3000))
+    ]
+    net = load_net({"nodes": [{"name": "root", "states": ["a", "b"], "cpt": [[0.5, 0.5]]}, *children]})
+    # mostly the likely state, so the product stays far from underflow
+    evidence = {child["name"]: int(i % 500 == 7) for i, child in enumerate(children)}
+    # the product Factor forms: the root's prior times each child's
+    # reduced table in turn, from the left
+    cells = [0.5, 0.5]
+    for child in net.nodes[1:]:
+        table = net.cpts[child.name]
+        cells = [cells[r] * table[r][evidence[child.name]] for r in range(2)]
+    total = cells[0] + cells[1]
+    want = tuple(c / total for c in cells) if abs(total - 1.0) > 1e-12 else tuple(cells)
+    assert posterior_given_evidence(net, "root", evidence).probs == want
+    _generated_only(net)
+
+
+@pytest.mark.parametrize(
+    "evidence, named",
+    [
+        ({"CPU": -1}, "state -1 outside 0..2 for node 'CPU'"),
+        ({"Memory": 0, "GPU": 0}, "unknown node 'GPU'"),
+        ({"Memory": "nominal", "CPU": "hot"}, "node 'Memory' has no state 'nominal'"),
+    ],
+    ids=["negative-index", "unknown-node", "first-bad-state-named"],
+)
+def test_evidence_the_state_table_misses_keeps_its_message(case_net, evidence, named):
+    with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+        posterior_given_evidence(case_net, "S", evidence)
+
+
+def test_evidence_table_answers_as_state_index_does():
+    class Name(str):
+        pass
+
+    # two states share a name: the first one is meant, as list.index finds it
+    net = load_net({"nodes": [{**ROOT_A, "states": ["x", "x", "y"], "cpt": [[0.2, 0.3, 0.5]]},
+                              {**CHILD_B, "cpt": [[0.5, 0.5], [0.9, 0.1], [0.3, 0.7]]}]})
+    for state in (0, 1, 2, "x", "y", Name("x"), Name("y")):
+        want = oracles.bn_eliminate(net, "b", {"a": net.state_index("a", state)})
+        assert posterior_given_evidence(net, "b", {"a": state}).probs == want
+
+
+def test_a_sum_of_negative_zeros_is_positive_zero_as_in_factor():
+    # every sum-out starts from 0.0, so -0.0 + -0.0 never reaches an answer
+    net = load_net({"nodes": [ROOT_A, {**CHILD_B, "cpt": [[-0.0, 1.0], [-0.0, 1.0]]}]})
+    want = oracles.bn_eliminate(net, "b")
+    assert repr(want) == "(0.0, 1.0)"
+    assert repr(marginal(net, "b").probs) == repr(want)

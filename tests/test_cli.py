@@ -527,6 +527,21 @@ def test_bn_query_malformed_evidence():
     assert "NODE=STATE" in res.stderr
 
 
+def test_bn_query_refuses_a_node_given_twice():
+    # before, the last state given won and the query exited 0
+    res = run_cli(
+        "bn-query",
+        "--net", fixture_path("case_study_net.json"),
+        "--query", "S",
+        "--evidence", "CPU=0",
+        "--evidence", "Memory=0",
+        "--evidence", "CPU=2",
+    )
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.endswith("error: --evidence gives node 'CPU' twice\n")
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [

@@ -10,7 +10,8 @@ no entry point calls it.
 - ``scripts/make_fixtures.py``, writing into a temporary directory;
 - ``afdi train`` and ``afdi evaluate`` on a small labeled CSV;
 - ``afdi mdd`` with ``--query``, ``--dists`` and ``--dot``;
-- ``afdi bn-query`` on both networks, with and without evidence.
+- ``afdi bn-query`` on both networks, with and without evidence, and
+  once with a state its node does not have, which exits 1.
 
 The tests run it in a fresh interpreter that sets the profile before it
 imports ``afdi``, so calls made at import count, and what earlier tests
@@ -122,12 +123,12 @@ def defined_functions() -> dict[tuple, str]:
     return found
 
 
-def _cli(*argv) -> None:
+def _cli(*argv, status: int = 0) -> None:
     from afdi import cli
 
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main([str(arg) for arg in argv])
-    assert code == 0, argv
+    assert code == status, argv
 
 
 def _entry_points(tmp: pathlib.Path) -> None:
@@ -168,6 +169,8 @@ def _entry_points(tmp: pathlib.Path) -> None:
     for net in ("subsystem_net.json", "case_study_net.json"):
         _cli("bn-query", "--net", FIXTURES / net, "--query", "S")
         _cli("bn-query", "--net", FIXTURES / net, "--query", "CPU", "--evidence", "S=serious", "--evidence", "Memory=0")
+    # a state the node does not have, which the evidence table misses
+    _cli("bn-query", "--net", FIXTURES / "case_study_net.json", "--query", "S", "--evidence", "CPU=hot", status=1)
 
 
 def run_entry_points() -> list:

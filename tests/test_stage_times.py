@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from afdi import cli, engine
+from afdi import bayesnet, cli, engine, nbc
 from afdi.simulator import generate, load_scenario
 from afdi.states import write_metric_samples
 from conftest import fixture_path
@@ -27,7 +27,7 @@ def test_stage_times_prints_one_row_per_stage_and_a_column_per_stream(tmp_path, 
         write_metric_samples(samples, streams[-1])
     stage_times = _stage_times()
     assert stage_times.main(["--config", fixture_path("engine_config.json"), "--repeat", "2", *streams]) == 0
-    times, heaps, rss = capsys.readouterr().out.split("\n\n")
+    times, heaps, rss, kernels = capsys.readouterr().out.split("\n\n")
     first, header, rule, *rows = times.splitlines()
     assert first.endswith(", best of 2, GC off")
     assert header == "| stage | a | b |" and rule == "|---|---|---|"
@@ -55,6 +55,19 @@ def test_stage_times_prints_one_row_per_stage_and_a_column_per_stream(tmp_path, 
     # at least an interpreter's worth, and not a pathological size
     assert len(cells) == 2 and all(re.fullmatch(r"\d+\.\d\d MB", cell) for cell in cells)
     assert all(5 < float(cell.split()[0]) < 500 for cell in cells)
+    # then the model kernels alone, one row each
+    first, header, rule, *rows = kernels.splitlines()
+    assert first == "model kernels alone, best of 2, GC off"
+    assert header == "| kernel | calls | per call |" and rule == "|---|---|---|"
+    cells = [row.removesuffix(" |").split(" | ") for row in rows]
+    assert [(kernel, calls) for kernel, calls, _ in cells] == [
+        ("| `bayesnet.posterior_given_evidence`, fresh net: compiles its plans", "73"),
+        ("| `bayesnet.posterior_given_evidence`", "73"),
+        ("| `nbc.posterior`, fresh model", "4096"),
+        ("| `Mdd.evaluate_levels`", "81"),
+    ]
+    assert all(re.fullmatch(r"\d+\.\d\d us", per_call) and float(per_call.split()[0]) > 0
+               for _, _, per_call in cells)
 
 
 def test_stage_times_peak_rss_runs_the_checkout_and_writes_its_log(tmp_path):
@@ -102,3 +115,26 @@ def test_stage_times_raises_what_a_failed_diagnose_printed(tmp_path):
     stage_times = _stage_times()
     with pytest.raises(RuntimeError, match=r"afdi diagnose failed on .*: error: .*line 1"):
         stage_times._run(fixture_path("engine_config.json"), str(stream), str(tmp_path / "alarms.jsonl"))
+
+
+def test_kernel_table_times_the_case_study_queries_and_misses_the_memo(monkeypatch):
+    stage_times = _stage_times()
+    net = bayesnet.load_net(stage_times.CASE_NET)
+    queries = stage_times.case_study_queries(net)
+    assert len(queries) == 73
+    assert len({(query, tuple(sorted(evidence.items()))) for query, evidence in queries}) == 73
+    assert sum(query == "S" for query, _ in queries) == 64
+    # each repeat scores every vector on a model whose memo starts empty
+    models = []
+    posterior = nbc.posterior
+
+    def counted(model, features):
+        if not models or models[-1][0] is not model:
+            models.append((model, len(model._memo)))
+        return posterior(model, features)
+
+    monkeypatch.setattr(nbc, "posterior", counted)
+    stage_times.kernel_times(fixture_path("engine_config.json"), 2)
+    assert len(models) == 2 and models[0][0] is not models[1][0]
+    assert [memo for _, memo in models] == [0, 0]
+    assert all(len(model._memo) == 4096 for model, _ in models)
