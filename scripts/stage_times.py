@@ -36,8 +36,11 @@ A fourth table times the model kernels alone, per call, best of
 ``fixtures/case_study_net.json`` (every evidence pattern on the three
 components for S, and each component given each state of S), once on a
 freshly loaded net, where the first query of each plan compiles it, and
-once more on the same net; ``nbc.posterior`` over every full feature
-vector of the config's model, loaded afresh each repeat so that no
+once more on the same net; ``bayesnet.posterior_given_evidence`` of the
+class given each full feature vector of the config's model on the
+network the classifier encodes, whose one plan is compiled first (the
+network half of the benchmark's validation sweep); ``nbc.posterior``
+over the same vectors, the model loaded afresh each repeat so that no
 answer comes from its memo; and ``Mdd.evaluate_levels`` of the config's
 severity diagram over every vector of levels.  Uses only the standard
 library and the ``afdi`` package under ``src/`` of the checkout the
@@ -139,13 +142,24 @@ def stage_times(config_path: str, streams: list[str], repeat: int) -> tuple[dict
 def case_study_queries(net) -> list[tuple[str, dict]]:
     """P(S | evidence) for every pattern of evidence on the three
     components (4^3 = 64), and P(component | S=s) for each component and
-    state of S: 73 queries."""
+    state of S: 73 queries, the ones ``perfbench/child.py`` times."""
     comps = ("Memory", "CPU", "Network")
     out = []
     for pattern in itertools.product((None, 0, 1, 2), repeat=len(comps)):
         out.append(("S", {c: s for c, s in zip(comps, pattern) if s is not None}))
     out.extend((comp, {"S": s}) for comp in comps for s in range(net.node("S").card))
     return out
+
+
+def equivalent_net(model) -> dict:
+    """The network document of the BN the classifier encodes: the class
+    as root, one child per attribute whose CPT rows are ``cond[j][c]``."""
+    classes = model.schema.classes
+    nodes = [{"name": "class", "states": list(classes), "parents": [], "cpt": [list(model.priors)]}]
+    for j, (name, card) in enumerate(model.schema.attributes):
+        nodes.append({"name": name, "states": [str(v) for v in range(card)], "parents": ["class"],
+                      "cpt": [list(model.cond[j][c]) for c in range(len(classes))]})
+    return {"nodes": nodes}
 
 
 def _per_call(call, args: list) -> float:
@@ -172,12 +186,18 @@ def kernel_times(config_path: str, repeat: int) -> list[tuple[str, int, float]]:
         net = bayesnet.load_net(CASE_NET)
         queries = [(net, query, evidence) for query, evidence in case_study_queries(net)]
         model = engine.load_config(config_path).model
-        vectors = [(model, vec) for vec in itertools.product(*(range(card) for _, card in model.schema.attributes))]
+        full = list(itertools.product(*(range(card) for _, card in model.schema.attributes)))
+        vectors = [(model, vec) for vec in full]
+        attributes = [name for name, _ in model.schema.attributes]
+        encoded = bayesnet.load_net(equivalent_net(model))
+        sweep = [(encoded, "class", dict(zip(attributes, vec))) for vec in full]
         pge = bayesnet.posterior_given_evidence
+        pge(*sweep[0])  # compiles the sweep's one plan
         # in this order: the first pass over the queries compiles the plans
         runs.append([(kernel, len(args), _per_call(call, args)) for kernel, call, args in (
             ("`bayesnet.posterior_given_evidence`, fresh net: compiles its plans", pge, queries),
             ("`bayesnet.posterior_given_evidence`", pge, queries),
+            ("`bayesnet.posterior_given_evidence`, NBC-equivalent net", pge, sweep),
             ("`nbc.posterior`, fresh model", nbc.posterior, vectors),
             ("`Mdd.evaluate_levels`", diagram.evaluate_levels, levels),
         )])

@@ -9,18 +9,21 @@ attention to elimination-order width beyond a deterministic default.
 Which cells an elimination multiplies and adds depends only on the
 query, the set of observed nodes and the order, never on the observed
 states.  So the first query of each such kind compiles its plan: one
-straight-line Python function that gathers each CPT entry it needs at
-the evidence states' offset, then multiplies and sums cell by cell in
-the same order as ``Factor`` would, so every answer is the same float.
-A plan holds integers and references to the CPTs, never answers, and
-its source holds no text of the network document.  No expression in it
-nests deeper than about ``2 * CHAIN`` operations: longer sums and
-products carry on through a local.  The net keeps the plan (at most
-n·2^(n-1) of them for an n-node net with the default order, plus one
-per explicit order).  Compiling a plan costs some hundred times a query
-that runs it (README gives the case study's figures), so the first
-query of each kind pays for the rest.  Evidence states resolve through
-a table the net builds at load; what it misses, ``state_index`` judges.
+straight-line Python function of the evidence dict that resolves the
+states through a table the net builds at load, unpacks the CPT cells it
+needs, multiplies and sums cell by cell in the same order as ``Factor``
+would, so every answer is the same float, and ends in the net's
+compiled normalizer, which checks and builds the ``StateDistribution``.
+A query whose plan exists is one dictionary lookup and one call; any
+other takes the full path, which judges each input in turn.  A plan
+holds integers and references to the CPTs, never answers, and no source
+holds text of the network document.  No expression nests deeper than
+about ``2 * CHAIN`` operations: longer sums and products carry on
+through a local.  The net keeps the plan (at most n·2^(n-1) of them for
+an n-node net with the default order, plus one per explicit order).
+Compiling a plan costs some hundred times a query that runs it (README
+gives the case study's figures), so the first query of each kind pays
+for the rest.
 
 Network documents are JSON: a list of nodes, each with a name, its
 state names, its parent list, and a CPT holding one row per parent
@@ -30,6 +33,7 @@ distribution over the node's states.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -85,20 +89,21 @@ class DiscreteBayesNet:
         self.cpts = {name: tuple(tuple(row) for row in table) for name, table in cpts.items()}
         self.load_warnings = list(load_warnings)
         self._order = tuple(order)
-        # state index by (node, exact type, state) for a state given as its
-        # index or its name, the first of two equal names as in
+        # state index by node, exact type and state, for a state given as
+        # its index or its name, the first of two equal names as in
         # state_index; any other state is state_index's to judge
         self._state_index = {
-            (node.name, kind, state): i
+            node.name: {int: {i: i for i in range(node.card)},
+                        str: {node.states[i]: i for i in reversed(range(node.card))}}
             for node in self.nodes
-            for i in reversed(range(node.card))
-            for kind, state in ((int, i), (str, node.states[i]))
         }
         # compiled eliminations by (query, observed nodes, order or None);
-        # functions of the evidence states, every query multiplies and sums
-        # afresh; all of them read the CPTs flattened once, in node order
+        # functions of the evidence, every query multiplies and sums afresh;
+        # all of them read the CPTs flattened once, in node order
         self._plans: dict[tuple, Callable] = {}
         self._flat_cpts = tuple(tuple(p for row in self.cpts[n.name] for p in row) for n in self.nodes)
+        # compiled normalizers of an answer, by its number of states
+        self._normalizers: dict[int, Callable] = {}
 
     def node(self, name: str) -> NetNode:
         try:
@@ -326,32 +331,86 @@ def _state_indices(net: DiscreteBayesNet, states) -> dict[str, int]:
         raise ValueError(f"expected a mapping of node names to states, got {states!r}")
     table = net._state_index
     try:
-        return {name: table[name, type(state), state] for name, state in states.items()}
+        return {name: table[name][type(state)][state] for name, state in states.items()}
     except (KeyError, TypeError):  # a miss, or an unhashable state, raises here
         return {name: net.state_index(name, state) for name, state in states.items()}
 
 
-# No generated expression nests deeper than about twice this: a sum-out
-# adds at most this many terms in one expression and carries a longer sum
-# on through its cell's name, and a product of more factors goes through
-# names too (compiling a 3,000-term chain exhausts the compiler's
-# recursion limit on CPython 3.11).
+# No generated expression nests deeper than about twice this: a sum adds
+# at most this many terms in one expression and carries a longer sum on
+# through its name, and a product of more factors goes through names too
+# (compiling a 3,000-term chain exhausts the compiler's recursion limit on
+# CPython 3.11).
 CHAIN = 100
+
+
+def _sum_lines(name: str, start: str, terms: list) -> list:
+    """Lines that set ``name`` to ``start`` plus ``terms`` added left to
+    right, ``CHAIN`` terms per line."""
+    return [f"{name} = {name if k else start} + " + " + ".join(terms[k:k + CHAIN])
+            for k in range(0, len(terms), CHAIN)]
+
+
+def _define(source: str, name: str, defaults: tuple) -> Callable:
+    """The function ``name`` that ``source`` defines, with ``defaults``."""
+    namespace: dict = {}
+    exec(compile(source, f"<{name}>", "exec"), namespace)
+    function = namespace[name]
+    function.__defaults__ = defaults
+    return function
+
+
+def _normalizer(net: DiscreteBayesNet, card: int) -> Callable:
+    """The net's normalizer of an answer's ``card`` cells, compiled on
+    first use: straight-line code that adds the cells from 0 as
+    ``left_sum`` does and returns None unless the total is above 0.0;
+    divides them by it unless it is within ``KEEP_TOL`` of 1 and no cell
+    exceeds 1 (then keeps them bit for bit); and makes the checks of
+    ``StateDistribution``.  A distribution that passes is built without
+    checking it again; one that fails goes to ``StateDistribution``,
+    which raises its message.
+    """
+    normalize = net._normalizers.get(card)
+    if normalize is None:
+        cells = [f"c{i}" for i in range(card)]
+        body = _sum_lines("t", "0", cells) + [
+            "if t <= 0.0:",
+            "    return",
+            f"if abs(t - 1.0) > {KEEP_TOL!r}" + "".join(f" or {c} > 1.0" for c in cells) + ":",
+            *(f"    {c} = {c} / t" for c in cells),
+            *("    " + line for line in _sum_lines("t", "0", cells)),
+            f"r = ({', '.join(cells)},)",
+            # StateDistribution's checks, for floats: any other entry goes to it
+            "if abs(t - 1.0) <= 1e-12" + "".join(
+                f" and type({c}) is float and 0.0 <= {c} <= 1.0" for c in cells) + ":",
+            "    d = new(dist)",
+            "    put(d, r)",
+            "    return d",
+            "return dist(r)",
+        ]
+        source = f"def normalize({', '.join(cells)}, new, dist, put):\n" + "".join(f"    {line}\n" for line in body)
+        normalize = net._normalizers[card] = _define(
+            source, "normalize", (object.__new__, StateDistribution, StateDistribution.probs.__set__))
+    return normalize
 
 
 def _compile(net: DiscreteBayesNet, query: str, observed: frozenset, order) -> Callable:
     """The elimination ``Factor`` would run for ``query`` given evidence
-    on ``observed``, as one function that takes the evidence states by
-    node name and returns unnormalized P(query, evidence).
+    on ``observed``, as one function of the evidence dict that returns
+    the ``StateDistribution``, or None for zero mass; a state that is
+    neither an in-range ``int`` nor a state name raises ``KeyError`` or
+    ``TypeError``.
 
-    The function is straight-line code.  A gather reads a CPT entry at
-    the evidence states' base plus a fixed offset, a multiply multiplies
-    two cells, and a sum-out adds its cells from 0.0 in row-major order;
-    the buckets take them in the order ``Factor`` does, so each cell is
-    the float ``Factor`` computes.  A cell is an expression where it is
-    read once and a local where it is read more often; every sum is a
-    local.  The source holds only numbers and the names made here: the
-    CPTs and the evidence node names come in as default arguments.
+    The function is straight-line code.  It reads each CPT's cells in
+    one unpacking, of the CPT or of its row at the evidence states (rows
+    built here).  A multiply multiplies two cells, and a sum-out adds its
+    cells from 0.0 in row-major order; the buckets take them in the order
+    ``Factor`` does, so each cell is the float ``Factor`` computes.  A
+    product is an expression where it is read once and a local where it
+    is read more often; every sum is a local.  It returns what the net's
+    normalizer makes of the query's cells.  The source holds only numbers
+    and the names made here: the CPT rows, the evidence node names, their
+    state tables and the normalizer come in as default arguments.
     """
     to_eliminate = [n for n in net.names if n != query and n not in observed]
     if order is None:
@@ -362,30 +421,34 @@ def _compile(net: DiscreteBayesNet, query: str, observed: frozenset, order) -> C
         )
 
     keys = [n for n in net.names if n in observed]
-    state_of = {name: f"ev[k{i}]" for i, name in enumerate(keys)}
-    body = []
-
-    def local(expr: str) -> str:
-        body.append(f"c{len(body)} = {expr}")
-        return f"c{len(body) - 1}"
+    # each observed node's state by its exact type; a miss raises
+    # KeyError, an unhashable state TypeError
+    body = [f"s{i} = e{i}[type(ev[k{i}])][ev[k{i}]]" for i in range(len(keys))]
+    state_of = {name: f"s{i}" for i, name in enumerate(keys)}
+    count = itertools.count()
 
     # a table: (scope, cards, cell expressions, how deep its products nest)
     factors = []
+    tables = []
     for j, node in enumerate(net.nodes):
         scope = node.parents + (node.name,)
         cards = tuple(net.node(p).card for p in node.parents) + (node.card,)
-        strides = _strides(scope, cards)
-        fixed = {v: 0 for v in scope if v in observed}
-        kept = tuple(v for v in scope if v not in fixed)
-        kept_cards = tuple(c for v, c in zip(scope, cards) if v not in fixed)
-        offsets = _cell_indices(kept, kept_cards, scope, cards, fixed)
+        fixed = tuple(v for v in scope if v in observed)
+        kept = tuple(v for v in scope if v not in observed)
+        kept_cards = tuple(c for v, c in zip(scope, cards) if v not in observed)
+        table = flat = net._flat_cpts[j]
+        index = ""
         if fixed:
-            body.append(f"b{j} = " + " + ".join(
-                state_of[v] + ("" if strides[v] == 1 else f" * {strides[v]}") for v in fixed
-            ))
-            cells = [f"f{j}[b{j} + {o}]" if o else f"f{j}[b{j}]" for o in offsets]
-        else:
-            cells = [f"f{j}[{o}]" for o in offsets]
+            # the CPT's cells at each evidence row, rows in row-major order
+            fixed_cards = tuple(net.node(v).card for v in fixed)
+            offsets = _cell_indices(kept, kept_cards, scope, cards, dict.fromkeys(fixed, 0))
+            bases = _cell_indices(fixed, fixed_cards, scope, cards, dict.fromkeys(kept, 0))
+            table = tuple([tuple([flat[b + o] for o in offsets]) for b in bases])
+            strides = _strides(fixed, fixed_cards)
+            index = "[" + " + ".join(state_of[v] + ("" if strides[v] == 1 else f" * {strides[v]}") for v in fixed) + "]"
+        cells = [f"c{next(count)}" for _ in (table[0] if fixed else table)]
+        body.append(", ".join(cells) + f", = f{j}{index}")
+        tables.append(table)
         factors.append((kept, kept_cards, cells, 0))
 
     def operands(table, indices):
@@ -395,7 +458,12 @@ def _compile(net: DiscreteBayesNet, query: str, observed: frozenset, order) -> C
         reads = [0] * len(cells)
         for i in indices:
             reads[i] += 1
-        cells = [c if c.isidentifier() or (n < 2 and depth < CHAIN) else local(c) for c, n in zip(cells, reads)]
+        cells = list(cells)
+        for i, n in enumerate(reads):
+            if not (cells[i].isidentifier() or (n < 2 and depth < CHAIN)):
+                name = f"c{next(count)}"
+                body.append(f"{name} = {cells[i]}")
+                cells[i] = name
         return [cells[i] for i in indices], 0 if depth >= CHAIN else depth
 
     def multiply(a, b):
@@ -421,12 +489,9 @@ def _compile(net: DiscreteBayesNet, query: str, observed: frozenset, order) -> C
         # cells in row-major order, as Factor.sum_out adds them
         for o, c in zip(_cell_indices(scope, cards, out_scope, out_cards, {}), cells):
             terms[o].append(c)
-        sums = []
-        for chain in terms:
-            name = local("0.0 + " + " + ".join(chain[:CHAIN]))
-            for k in range(CHAIN, len(chain), CHAIN):
-                body.append(f"{name} = {name} + " + " + ".join(chain[k:k + CHAIN]))
-            sums.append(name)
+        sums = [f"c{next(count)}" for _ in terms]
+        for name, chain in zip(sums, terms):
+            body.extend(_sum_lines(name, "0.0", chain))
         factors = [f for f in factors if var not in f[0]]
         factors.append((out_scope, out_cards, sums, 0))
 
@@ -436,57 +501,63 @@ def _compile(net: DiscreteBayesNet, query: str, observed: frozenset, order) -> C
         result = multiply(result, f)
     if result[0] != (query,):
         raise ValueError(f"elimination left scope {result[0]}, expected ({query!r},)")
-    body.append("return (" + "".join(c + ", " for c in result[2]) + ")")
-    params = [f"f{j}" for j in range(len(net.nodes))] + [f"k{i}" for i in range(len(keys))]
-    source = f"def plan(ev, {', '.join(params)}):\n" + "".join(f"    {line}\n" for line in body)
-    namespace: dict = {}
-    exec(compile(source, "<elimination plan>", "exec"), namespace)
-    plan = namespace["plan"]
-    plan.__defaults__ = (*net._flat_cpts, *keys)
-    return plan
+    body.append(f"return normalize({', '.join(result[2])})")
+    params = [f"f{j}" for j in range(len(net.nodes))] + [f"k{i}, e{i}" for i in range(len(keys))]
+    source = f"def plan(ev, {', '.join(params)}, normalize):\n" + "".join(f"    {line}\n" for line in body)
+    evidence = [x for key in keys for x in (key, net._state_index[key])]
+    return _define(source, "plan", (*tables, *evidence, _normalizer(net, len(result[2]))))
 
 
-def _eliminate(net: DiscreteBayesNet, query: str, evidence: dict[str, int], order) -> Sequence[float]:
-    """Unnormalized P(query, evidence): the net's compiled plan for this
-    query, observed set and order, run on the evidence states."""
-    key = (query, frozenset(evidence), order if order is None else tuple(order))
+def _plan(net: DiscreteBayesNet, query: str, observed: frozenset, order) -> Callable:
+    """The net's plan for ``query`` given evidence on ``observed`` in
+    ``order`` (None: the default), compiled on its first use."""
+    key = (query, observed, order if order is None else tuple(order))
     plan = net._plans.get(key)
     if plan is None:
         plan = net._plans[key] = _compile(net, *key)
-    return plan(evidence)
+    return plan
 
 
-def _normalized(values: Sequence[float], zero_mass: Callable[[], Exception]) -> StateDistribution:
-    """``values`` divided by their sum, or kept bit-for-bit when the sum
-    is within ``KEEP_TOL`` of 1; raises ``zero_mass()`` when it is 0."""
-    total = left_sum(values)
-    if total <= 0.0:
-        raise zero_mass()
-    if abs(total - 1.0) > KEEP_TOL:
-        return StateDistribution(tuple(v / total for v in values))
-    return StateDistribution(tuple(values))
+_NOTHING = frozenset()
 
 
 def marginal(net: DiscreteBayesNet, query: str, elimination_order=None) -> StateDistribution:
     """P(query) by summing out every other node; normalized exactly."""
+    if elimination_order is None:
+        plan = net._plans.get((query, _NOTHING, None))
+        if plan is not None:
+            answer = plan({})
+            if answer is not None:
+                return answer
     net.node(query)
-    return _normalized(
-        _eliminate(net, query, {}, elimination_order),
-        lambda: ValueError(f"marginal of {query!r} has zero mass; CPTs inconsistent"),
-    )
+    answer = _plan(net, query, _NOTHING, elimination_order)({})
+    if answer is None:
+        raise ValueError(f"marginal of {query!r} has zero mass; CPTs inconsistent")
+    return answer
 
 
 def posterior_given_evidence(net: DiscreteBayesNet, query: str, evidence) -> StateDistribution:
     """P(query | evidence); evidence with zero likelihood is an error,
-    never a silent NaN."""
+    never a silent NaN.  A dict whose plan exists goes straight to it;
+    anything the plan does not answer takes the full path, which judges
+    the query, the evidence and each state in turn."""
+    if type(evidence) is dict:
+        plan = net._plans.get((query, frozenset(evidence), None))
+        if plan is not None:
+            try:
+                answer = plan(evidence)
+            except (KeyError, TypeError):  # a state the table lacks
+                answer = None
+            if answer is not None:
+                return answer
     net.node(query)
     ev = _state_indices(net, evidence)
     if query in ev:
         raise ValueError(f"evidence already fixes the query node {query!r}")
-    return _normalized(
-        _eliminate(net, query, ev, None),
-        lambda: ImpossibleEvidenceError(f"evidence {evidence!r} has probability zero"),
-    )
+    answer = _plan(net, query, frozenset(ev), None)(ev)
+    if answer is None:  # the states are resolved, so the mass is zero
+        raise ImpossibleEvidenceError(f"evidence {evidence!r} has probability zero")
+    return answer
 
 
 def joint_probability(net: DiscreteBayesNet, assignment: Mapping[str, int]) -> float:

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 
 import pytest
@@ -16,6 +17,7 @@ settings.register_profile(
 settings.load_profile("deterministic")
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
 
 
 @pytest.fixture(scope="session")
@@ -25,6 +27,14 @@ def fixtures_dir() -> str:
 
 def fixture_path(name: str) -> str:
     return os.path.abspath(os.path.join(FIXTURES, name))
+
+
+def load_script(name: str):
+    """The module ``scripts/<name>.py``, loaded afresh."""
+    spec = importlib.util.spec_from_file_location(name, os.path.join(SCRIPTS, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def hot_scenario(duration: int = 80) -> Scenario:

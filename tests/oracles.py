@@ -184,8 +184,9 @@ def bn_eliminate(net, query, evidence=None, order=None):
     the product of the factors that mention it, and what is left is
     multiplied into one table over the query.  ``evidence`` holds state
     indices.  The table is normalized as the library does: kept as it is
-    when its sum is within ``KEEP_TOL`` of 1.  Returns the tuple of
-    probabilities; zero mass raises ``ZeroDivisionError``.
+    when its sum is within ``KEEP_TOL`` of 1 and no cell exceeds 1,
+    divided by its sum otherwise.  Returns the tuple of probabilities;
+    zero mass raises ``ZeroDivisionError``.
     """
     evidence = evidence or {}
     factors = [Factor.from_cpt(net, n.name) for n in net.nodes]
@@ -211,7 +212,7 @@ def bn_eliminate(net, query, evidence=None, order=None):
         total += v
     if total <= 0.0:
         raise ZeroDivisionError("evidence has zero probability")
-    if abs(total - 1.0) > KEEP_TOL:
+    if abs(total - 1.0) > KEEP_TOL or any(v > 1.0 for v in result.values):
         return tuple(v / total for v in result.values)
     return tuple(result.values)
 

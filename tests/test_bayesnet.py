@@ -1,15 +1,22 @@
 import itertools
 import json
+import pathlib
 import random
 import re
+import subprocess
+import sys
+from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, strategies as st
 
 from afdi.bayesnet import (
+    DiscreteBayesNet,
     Factor,
     ImpossibleEvidenceError,
     NetLoadError,
+    NetNode,
     joint_probability,
     load_net,
     marginal,
@@ -18,7 +25,7 @@ from afdi.bayesnet import (
 from afdi.nbc import load_model
 
 import oracles
-from conftest import fixture_path
+from conftest import fixture_path, load_script
 
 ANCHOR_NORMAL = (0.899, 0.0685, 0.0325)
 ANCHOR_SERIOUS = (0.0321, 0.1728, 0.7951)
@@ -413,23 +420,43 @@ def test_naive_bayes_net_partial_vectors_exact(features):
     _assert_exact(NB_NET, "class", {a: v for a, v in zip(NB_ATTRS, features) if v is not None})
 
 
-def _case_study_queries():
-    """P(S | any evidence on the three components) for every pattern
-    (4^3 = 64), and P(component | S=s) for each component and state."""
-    comps = ("Memory", "CPU", "Network")
-    out = []
-    for pattern in itertools.product((None, 0, 1, 2), repeat=3):
-        out.append(("S", {c: s for c, s in zip(comps, pattern) if s is not None}))
-    out.extend((c, {"S": s}) for c in comps for s in range(3))
-    return out
+# the 73 case-study queries the kernel table times
+case_study_queries = load_script("stage_times").case_study_queries
+
+CHILD_ASKS = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import child
+from afdi.bayesnet import load_net
+from afdi.nbc import load_model
+print(json.dumps([child.case_study_queries(load_net(sys.argv[3])), child.equivalent_net(load_model(sys.argv[4]))]))
+"""
 
 
-def test_case_study_queries_exact_on_both_nets(subsystem_net, case_net):
-    queries = _case_study_queries()
-    assert len(queries) == 73
-    for net in (subsystem_net, case_net):
+def test_the_kernel_table_asks_what_the_benchmark_asks():
+    # perfbench/child.py keeps its own case-study queries and encoded
+    # network; its import of the host-speed probe stays in a child process
+    root = pathlib.Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD_ASKS, str(root / "src"), str(root / "perfbench"),
+         fixture_path("case_study_net.json"), fixture_path("nbc_model.json")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    queries, encoded = json.loads(proc.stdout)
+    assert queries == [list(q) for q in case_study_queries(load_net(fixture_path("case_study_net.json")))]
+    assert encoded == load_script("stage_times").equivalent_net(load_model(fixture_path("nbc_model.json")))
+
+
+def test_case_study_queries_exact_on_both_nets():
+    for name in ("subsystem_net.json", "case_study_net.json"):
+        net = load_net(fixture_path(name))
+        queries = case_study_queries(net)
+        assert len(queries) == 73
         for query, evidence in queries:
             _assert_exact(net, query, evidence)
+        # one plan per query node and set of evidence nodes
+        assert len(net._plans) == 11
 
 
 def test_every_elimination_order_exact(subsystem_net, case_net):
@@ -497,12 +524,14 @@ def test_each_input_check_names_what_it_refuses(call, error, named):
 
 
 def _generated_only(net):
-    """Every plan the net compiled holds only integers, floats and names
-    it made: no text of the network document reached ``compile``."""
-    for plan in net._plans.values():
-        code = plan.__code__
+    """Every plan and normalizer the net compiled holds only integers,
+    floats and names made for it: no text of the network document
+    reached ``compile``."""
+    for function in (*net._plans.values(), *net._normalizers.values()):
+        code = function.__code__
         assert all(c is None or type(c) in (int, float) for c in code.co_consts), code.co_consts
-        assert all(re.fullmatch(r"[bcefk]\d*|ev", name) for name in code.co_varnames + code.co_names)
+        names = code.co_varnames + code.co_names
+        assert all(re.fullmatch(r"[cefks]\d+|ev|normalize|type|[drt]|new|dist|put|abs|float", n) for n in names), names
 
 
 def test_names_that_are_python_source_never_reach_the_compiler():
@@ -602,3 +631,108 @@ def test_a_sum_of_negative_zeros_is_positive_zero_as_in_factor():
     want = oracles.bn_eliminate(net, "b")
     assert repr(want) == "(0.0, 1.0)"
     assert repr(marginal(net, "b").probs) == repr(want)
+
+
+# -- the plan's fast path keeps every check -------------------------------
+
+
+KEPT_ABOVE_ONE = {"nodes": [
+    {"name": "A", "states": ["a0", "a1", "a2", "a3", "a4"],
+     "cpt": [[0.1357504537539382, 0.2684674920350294, 0.17194743492308592, 0.11303764512179212,
+              0.3107969741661544]]},
+    {"name": "B", "states": ["x", "y"], "parents": ["A"], "cpt": [[1.0, 0.0]] * 5},
+]}
+
+
+def test_an_answer_with_an_entry_above_one_is_divided_not_kept():
+    # B's first cell adds up A's prior to 1.0000000000000002, within
+    # KEEP_TOL of 1; kept as it was, StateDistribution refused it
+    net = load_net(KEPT_ABOVE_ONE)
+    want = oracles.bn_eliminate(net, "B")
+    assert want == (1.0, 0.0)
+    assert marginal(net, "B").probs == want
+    assert posterior_given_evidence(net, "B", {}).probs == want
+    assert marginal(net, "B").probs == want
+
+
+def _built(row):
+    """A net of one two-state root 'a' whose CPT row is ``row``, built
+    without load_net's checks."""
+    return DiscreteBayesNet([NetNode("a", ("x", "y"), ())], {"a": (row,)}, [], ("a",))
+
+
+def _case():
+    return load_net(fixture_path("case_study_net.json"))
+
+
+def _subsystem():
+    return load_net(fixture_path("subsystem_net.json"))
+
+
+@pytest.mark.parametrize(
+    "make, ask, warm, error, named",
+    [
+        (_case, lambda net: posterior_given_evidence(net, "T", {"CPU": 1}), ("S", {"CPU": 1}),
+         ValueError, "unknown node 'T'"),
+        (_case, lambda net: posterior_given_evidence(net, "S", [("CPU", 1)]), ("S", {"CPU": 1}),
+         ValueError, "expected a mapping of node names to states, got [('CPU', 1)]"),
+        (_case, lambda net: posterior_given_evidence(net, "S", {"CPU": True}), ("S", {"CPU": 1}),
+         ValueError, "state True for node 'CPU' is neither a state name nor an integer index"),
+        (_case, lambda net: posterior_given_evidence(net, "S", {"CPU": 1.0}), ("S", {"CPU": 1}),
+         ValueError, "state 1.0 for node 'CPU' is neither a state name nor an integer index"),
+        (_case, lambda net: posterior_given_evidence(net, "S", {"CPU": "hot"}), ("S", {"CPU": 1}),
+         ValueError, "node 'CPU' has no state 'hot'"),
+        (_case, lambda net: posterior_given_evidence(net, "S", {"CPU": 3}), ("S", {"CPU": 1}),
+         ValueError, "state 3 outside 0..2 for node 'CPU'"),
+        (_case, lambda net: posterior_given_evidence(net, "S", {"CPU": [1]}), ("S", {"CPU": 1}),
+         ValueError, "state [1] for node 'CPU' is neither a state name nor an integer index"),
+        (_case, lambda net: posterior_given_evidence(net, "S", {"CPU": 1, "S": 0}), ("S", {"CPU": 1}),
+         ValueError, "evidence already fixes the query node 'S'"),
+        (_subsystem, lambda net: posterior_given_evidence(net, "S", {"Memory": 2}), ("S", {"Memory": 0}),
+         ImpossibleEvidenceError, "evidence {'Memory': 2} has probability zero"),
+        (lambda: _built((0.0, 0.0)), lambda net: marginal(net, "a"), None,
+         ValueError, "marginal of 'a' has zero mass; CPTs inconsistent"),
+        (lambda: _built((1.5, -0.5)), lambda net: marginal(net, "a"), None,
+         ValueError, "probability 1.5 outside [0, 1]"),
+        (lambda: _built((Fraction(1, 2), Fraction(1, 2))), lambda net: marginal(net, "a"), None,
+         ValueError, "probability Fraction(1, 2) is not a number"),
+    ],
+    ids=["unknown-query", "not-a-mapping", "bool", "float", "unknown-name", "int-out-of-range", "unhashable",
+         "query-as-evidence", "zero-mass-posterior", "zero-mass-marginal", "entry-above-one", "not-a-float"],
+)
+def test_each_error_keeps_its_type_and_message_once_its_plan_exists(make, ask, warm, error, named):
+    net = make()
+    with pytest.raises(error, match=f"^{re.escape(named)}$"):
+        ask(net)
+    if warm is not None:  # the error comes before the plan would compile
+        posterior_given_evidence(net, *warm)
+    plans = dict(net._plans)
+    assert plans
+    with pytest.raises(error, match=f"^{re.escape(named)}$"):
+        ask(net)
+    assert net._plans == plans
+
+
+def test_a_net_of_integers_answers_in_integers_as_state_distribution_keeps_them():
+    net = _built((1, 0))
+    for _ in range(2):
+        probs = marginal(net, "a").probs
+        assert probs == (1, 0) and all(type(p) is int for p in probs)
+
+
+def test_any_mapping_and_any_order_of_evidence_share_one_plan():
+    net = load_net(fixture_path("case_study_net.json"))
+    want = posterior_given_evidence(net, "S", {"Memory": 1, "CPU": 2, "Network": 0}).probs
+    plans = dict(net._plans)
+
+    class Evidence(dict):
+        pass
+
+    for evidence in (
+        {"Network": 0, "CPU": 2, "Memory": 1},
+        MappingProxyType({"Memory": 1, "CPU": 2, "Network": 0}),
+        Evidence(Memory=1, CPU=2, Network=0),
+        {"Memory": "minor", "CPU": 2, "Network": "normal"},
+    ):
+        assert posterior_given_evidence(net, "S", evidence).probs == want
+    assert net._plans == plans

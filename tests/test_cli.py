@@ -527,6 +527,22 @@ def test_bn_query_malformed_evidence():
     assert "NODE=STATE" in res.stderr
 
 
+def test_bn_query_answers_a_marginal_whose_cells_add_past_one(tmp_path):
+    # B's first cell adds up A's prior to 1.0000000000000002, within 1e-12
+    # of 1; before, the cells were kept and bn-query failed with
+    # "probability 1.0000000000000002 outside [0, 1]"
+    prior = [0.1357504537539382, 0.2684674920350294, 0.17194743492308592, 0.11303764512179212,
+             0.3107969741661544]
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps({"nodes": [
+        {"name": "A", "states": ["a0", "a1", "a2", "a3", "a4"], "cpt": [prior]},
+        {"name": "B", "states": ["x", "y"], "parents": ["A"], "cpt": [[1.0, 0.0]] * 5},
+    ]}))
+    res = run_cli("bn-query", "--net", str(net), "--query", "B")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["distribution"] == [1.0, 0.0]
+
+
 def test_bn_query_refuses_a_node_given_twice():
     # before, the last state given won and the query exited 0
     res = run_cli(

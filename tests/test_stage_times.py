@@ -1,4 +1,4 @@
-import importlib.util
+import itertools
 import os
 import re
 
@@ -7,16 +7,8 @@ import pytest
 from afdi import bayesnet, cli, engine, nbc
 from afdi.simulator import generate, load_scenario
 from afdi.states import write_metric_samples
-from conftest import fixture_path
-
-_SCRIPT = os.path.join(os.path.dirname(__file__), "..", "scripts", "stage_times.py")
-
-
-def _stage_times():
-    spec = importlib.util.spec_from_file_location("stage_times", _SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+import oracles
+from conftest import fixture_path, load_script
 
 
 def test_stage_times_prints_one_row_per_stage_and_a_column_per_stream(tmp_path, capsys):
@@ -25,7 +17,7 @@ def test_stage_times_prints_one_row_per_stage_and_a_column_per_stream(tmp_path, 
     for name in ("a", "b"):
         streams.append(str(tmp_path / f"{name}.jsonl"))
         write_metric_samples(samples, streams[-1])
-    stage_times = _stage_times()
+    stage_times = load_script("stage_times")
     assert stage_times.main(["--config", fixture_path("engine_config.json"), "--repeat", "2", *streams]) == 0
     times, heaps, rss, kernels = capsys.readouterr().out.split("\n\n")
     first, header, rule, *rows = times.splitlines()
@@ -63,6 +55,7 @@ def test_stage_times_prints_one_row_per_stage_and_a_column_per_stream(tmp_path, 
     assert [(kernel, calls) for kernel, calls, _ in cells] == [
         ("| `bayesnet.posterior_given_evidence`, fresh net: compiles its plans", "73"),
         ("| `bayesnet.posterior_given_evidence`", "73"),
+        ("| `bayesnet.posterior_given_evidence`, NBC-equivalent net", "4096"),
         ("| `nbc.posterior`, fresh model", "4096"),
         ("| `Mdd.evaluate_levels`", "81"),
     ]
@@ -77,7 +70,7 @@ def test_stage_times_peak_rss_runs_the_checkout_and_writes_its_log(tmp_path):
     stream = str(tmp_path / "metrics.jsonl")
     write_metric_samples(samples, stream)
     config_path = fixture_path("engine_config.json")
-    stage_times = _stage_times()
+    stage_times = load_script("stage_times")
     assert os.path.samefile(stage_times.SRC, os.path.join(os.path.dirname(engine.__file__), ".."))
     assert stage_times.peak_rss(config_path, stream, str(tmp_path / "child.jsonl")) > 0
     assert cli.main(["diagnose", "--config", config_path, "--metrics", stream, "--out-alarms",
@@ -97,7 +90,7 @@ def test_stage_times_runs_the_pipeline_afdi_diagnose_runs(tmp_path):
     stream = str(tmp_path / "metrics.jsonl")
     write_metric_samples(samples, stream)
     config_path = fixture_path("engine_config.json")
-    stage_times = _stage_times()
+    stage_times = load_script("stage_times")
     times = stage_times._run(config_path, stream, str(tmp_path / "timed.jsonl"))
     # the write takes each window's alarms as it is stepped, so the step
     # calls and the write are one stage
@@ -112,13 +105,13 @@ def test_stage_times_runs_the_pipeline_afdi_diagnose_runs(tmp_path):
 def test_stage_times_raises_what_a_failed_diagnose_printed(tmp_path):
     stream = tmp_path / "metrics.jsonl"
     stream.write_text("not json\n")
-    stage_times = _stage_times()
+    stage_times = load_script("stage_times")
     with pytest.raises(RuntimeError, match=r"afdi diagnose failed on .*: error: .*line 1"):
         stage_times._run(fixture_path("engine_config.json"), str(stream), str(tmp_path / "alarms.jsonl"))
 
 
 def test_kernel_table_times_the_case_study_queries_and_misses_the_memo(monkeypatch):
-    stage_times = _stage_times()
+    stage_times = load_script("stage_times")
     net = bayesnet.load_net(stage_times.CASE_NET)
     queries = stage_times.case_study_queries(net)
     assert len(queries) == 73
@@ -138,3 +131,29 @@ def test_kernel_table_times_the_case_study_queries_and_misses_the_memo(monkeypat
     assert len(models) == 2 and models[0][0] is not models[1][0]
     assert [memo for _, memo in models] == [0, 0]
     assert all(len(model._memo) == 4096 for model, _ in models)
+
+
+def test_kernel_table_sweeps_the_network_the_classifier_encodes(monkeypatch):
+    stage_times = load_script("stage_times")
+    config_path = fixture_path("engine_config.json")
+    model = engine.load_config(config_path).model
+    # the network the classifier is checked against in test_bayesnet.py
+    assert stage_times.equivalent_net(model) == oracles.naive_bayes_net_doc(model)
+    asked = []
+    posterior = bayesnet.posterior_given_evidence
+
+    def counted(net, query, evidence):
+        if query == "class":
+            asked.append((net, len(net._plans), tuple(evidence.items())))
+        return posterior(net, query, evidence)
+
+    monkeypatch.setattr(bayesnet, "posterior_given_evidence", counted)
+    stage_times.kernel_times(config_path, 1)
+    # one query compiles the plan, then the class given every full vector
+    # on the same net, each answered by that plan
+    first, *sweep = asked
+    assert first[1] == 0 and len(sweep) == 4096
+    assert all(net is first[0] and plans == 1 for net, plans, _ in sweep)
+    attributes = [name for name, _ in model.schema.attributes]
+    assert {evidence for _, _, evidence in sweep} == {
+        tuple(zip(attributes, vec)) for vec in itertools.product(*(range(card) for _, card in model.schema.attributes))}
