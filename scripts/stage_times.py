@@ -25,7 +25,10 @@ timed runs stay untraced; MB are 2**20 bytes, as in
 
 A third table gives the peak RSS of the whole process: ``python -m afdi
 diagnose`` run on each stream in a fresh child, its ``ru_maxrss`` as
-``os.wait4`` reaps it, best of ``--repeat``.  The child inherits the
+``os.wait4`` reaps it, best of ``--repeat``.  On Linux a child's
+``ru_maxrss`` includes the RSS of the process that spawned it, so each
+child is spawned by a small launcher process, not by the script, whose
+RSS has grown with its in-process runs.  The child inherits the
 environment as it is; its header says whether ``PYTHONDONTWRITEBYTECODE``
 was set, since a child that writes no bytecode compiles every module it
 imports.
@@ -108,20 +111,30 @@ def _measured(config_path: str, metrics: str, out: str, heap: bool) -> list:
             tracemalloc.stop()
 
 
+# the launcher: spawns the command of its arguments with stdout on the
+# null device, waits for it, prints its ru_maxrss in KiB and exits with
+# its exit code
+_LAUNCHER = """\
+import os, sys
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ,
+                     file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+_, status, usage = os.wait4(pid, 0)
+print(usage.ru_maxrss)
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
 def peak_rss(config_path: str, metrics: str, out: str) -> float:
     """The peak RSS in MB of one ``python -m afdi diagnose`` child over
-    ``metrics``, which runs the ``afdi`` under ``SRC`` in the environment
-    inherited; what it prints to stderr is raised if it fails."""
-    argv = ["diagnose", "--config", os.path.abspath(config_path), "--metrics", os.path.abspath(metrics)]
-    with tempfile.TemporaryFile("w+") as err:
-        proc = subprocess.Popen([sys.executable, "-m", "afdi", *argv, "--out-alarms", os.path.abspath(out)],
-                                cwd=SRC, stdout=subprocess.DEVNULL, stderr=err)
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        if proc.returncode != 0:
-            err.seek(0)
-            raise RuntimeError(f"afdi diagnose failed on {metrics}: {err.read().strip()}")
-    return usage.ru_maxrss / 1024
+    ``metrics``, spawned by the launcher, which runs the ``afdi`` under
+    ``SRC`` in the environment inherited; what it prints to stderr is
+    raised if it fails."""
+    argv = [sys.executable, "-m", "afdi", "diagnose", "--config", os.path.abspath(config_path),
+            "--metrics", os.path.abspath(metrics), "--out-alarms", os.path.abspath(out)]
+    proc = subprocess.run([sys.executable, "-c", _LAUNCHER, *argv], cwd=SRC, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"afdi diagnose failed on {metrics}: {proc.stderr.strip()}")
+    return int(proc.stdout) / 1024
 
 
 def stage_times(config_path: str, streams: list[str], repeat: int) -> tuple[dict, dict, dict]:

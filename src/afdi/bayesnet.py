@@ -37,7 +37,7 @@ import itertools
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 
-from .states import StateDistribution, check_entries, left_sum, read_document
+from .states import SUM_TOL, StateDistribution, check_entries, left_sum, read_document
 
 __all__ = [
     "NetNode",
@@ -381,7 +381,7 @@ def _normalizer(net: DiscreteBayesNet, card: int) -> Callable:
             *("    " + line for line in _sum_lines("t", "0", cells)),
             f"r = ({', '.join(cells)},)",
             # StateDistribution's checks, for floats: any other entry goes to it
-            "if abs(t - 1.0) <= 1e-12" + "".join(
+            f"if abs(t - 1.0) <= {SUM_TOL!r}" + "".join(
                 f" and type({c}) is float and 0.0 <= {c} <= 1.0" for c in cells) + ":",
             "    d = new(dist)",
             "    put(d, r)",

@@ -31,7 +31,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from . import mdd as mdd_mod
 from . import nbc as nbc_mod
 from .states import ComponentId, DiscretizationSpec, MetricSample, SampleColumns, SequencingError, _Record
-from .states import check_entries, check_kind, check_origin, left_sum, read_document, read_sample_columns, sha256
+from .states import check_distribution, check_entries, check_kind, check_origin, read_document, read_sample_columns
+from .states import sha256
 
 __all__ = [
     "PreprocessPolicy",
@@ -437,10 +438,11 @@ def collect_windows(
     A value is bucketed as ``discretize`` buckets it clamped to its
     spec's bounds, so a value past either end lands in the edge bucket.
     Host-level metrics are shared by every VM on that host.  A window
-    missing any windowed metric, or given one twice, raises before this
-    returns.  The windows come back as a sized view that builds them in
-    (timestamp, host, vm) order each time it is iterated, a block of
-    times at a time, so no list of every window is held.  Windows with
+    missing any windowed metric, or given any metric twice, windowed or
+    not, raises before this returns.  The windows come back as a sized
+    view that builds them in (timestamp, host, vm) order each time it is
+    iterated, a block of times at a time, so no list of every window is
+    held.  Windows with
     equal buckets share one tuple.
 
     Samples come as a ``SampleColumns`` or any iterable of samples, which
@@ -468,10 +470,6 @@ def collect_windows(
     for s, ((host, vm, metric), stamps, vals) in enumerate(series):
         if metric.level != "host":
             scopes.setdefault((host, vm), []).append(stamps)
-        route = routes.get(metric.key)
-        if route is None:
-            continue
-        i, inner, held = route
         if id(stamps) not in rising:
             rising[id(stamps)] = all(map(lt, stamps, islice(stamps, 1, None)))
         if not rising[id(stamps)]:
@@ -481,6 +479,10 @@ def collect_windows(
             scope = host if metric.level == "host" else f"{host}/{vm}"
             faults[s] = (k, ValueError(f"window t={stamps[k]} {scope}: second sample of {metric.key}"))
             continue
+        route = routes.get(metric.key)
+        if route is None:
+            continue
+        i, inner, held = route
         buckets = held(map(bisect_right, repeat(inner), vals))
         windowed[host, None if metric.level == "host" else vm, i] = (stamps, buckets)
     columns.raise_first(faults)
@@ -527,12 +529,7 @@ def _check_alarm(timestamp, host_id, vm_id, severity, trigger, diagnosis, top_ca
         return
     if diagnosis is None:
         raise ValueError("nbc_diagnosis alarms carry a diagnosis distribution")
-    # NaN fails the range test too, so it cannot pass the sum below
-    for p in diagnosis:
-        if type(p) not in (int, float) or not 0 <= p <= 1:
-            raise ValueError(f"diagnosis entries must be numbers in [0, 1], got {diagnosis!r}")
-    if abs(left_sum(diagnosis) - 1.0) > 1e-12:
-        raise ValueError("diagnosis distribution must be normalized")
+    check_distribution(diagnosis, "diagnosis")
     if not isinstance(top_cause, str):
         raise ValueError(f"nbc_diagnosis alarms name a top_cause string, got {top_cause!r}")
 
@@ -796,9 +793,8 @@ class RunStats(_Record):
 class Engine:
     """Stateful pipeline instance: windows in, alarms out.
 
-    State is per-scope loop-rule streaks and what judging a window
-    needs: the judgment of each bucket vector seen and each distinct
-    diagnosis.  ``stats`` counts what the engine did, and ``marks`` holds
+    State is per-scope loop-rule streaks and the judgment of each bucket
+    vector seen.  ``stats`` counts what the engine did, and ``marks`` holds
     a reading of ``clock`` (``perf_counter`` unless set otherwise) at the
     bounds of the stages it ran.  One engine handles one logical stream;
     make a new engine for a fresh run.
@@ -813,26 +809,22 @@ class Engine:
         # matching windows in a row per scope; the loop alarm fires when
         # the streak reaches k, so once per span
         self._streaks: dict[tuple, int] = {}
-        # (severity, loop rule matched, NBC features) per bucket vector,
-        # keyed by the tuple collect_windows shares among its equal windows
+        # (severity, loop rule matched, NBC features, top cause) per bucket
+        # vector, keyed by the tuple collect_windows shares among its equal
+        # windows; the top cause is None until the vector's first diagnosis
         self._judged: dict[tuple, tuple] = {}
-        # (diagnosis, top cause) per distinct diagnosis, the loop rule's
-        # one-hot among them, so equal diagnoses are one object.  Keying
-        # by value is exact: the posterior yields no -0.0, which equals
-        # 0.0 but encodes differently, and no NaN, which equals nothing
-        loop = config.loop_diagnosis
-        self._diagnoses: dict[tuple, tuple] = {loop: (loop, config.loop_rule.cause)}
 
     # -- window processing -------------------------------------------
 
     def _judge(self, buckets: tuple[int, ...]) -> tuple:
         """What a window with these buckets is judged, kept for the next
-        one: its severity, whether the loop rule matches, its NBC features."""
+        one: its severity, whether the loop rule matches, its NBC features,
+        and None for the top cause its first diagnosis finds."""
         config = self.config
         severity = config.severity_mdd.evaluate_levels([table[buckets[i]] for i, table in config.severity_tables])
         loop = tuple([buckets[i] for i in config.loop_positions]) == config.loop_signature
         features = tuple([buckets[i] for i in config.feature_positions])
-        judged = self._judged[buckets] = (severity, loop, features)
+        judged = self._judged[buckets] = (severity, loop, features, None)
         return judged
 
     def step(self, window: Window) -> list[Alarm]:
@@ -855,7 +847,7 @@ class Engine:
         judged = self._judged.get(buckets)
         if judged is None:
             judged = self._judge(buckets)
-        severity, loop, features = judged
+        severity, loop, features, cause = judged
         stats = self.stats
         stats.windows[severity] += 1
 
@@ -877,13 +869,13 @@ class Engine:
             return [tuple.__new__(Alarm, (timestamp, host, vm, 2, TRIGGER_GATE, None, None))]
         if severity == 1:
             self.nbc_invocations += 1
+            # the model keeps each answer, so equal features give one tuple
             post = nbc_mod.posterior(config.model, features)
-            diagnosis = self._diagnoses.get(post)
-            if diagnosis is None:
-                diagnosis = self._diagnoses[post] = (post, config.classes[nbc_mod.top_class(post)])
-            cause = diagnosis[1]
+            if cause is None:
+                cause = config.classes[nbc_mod.top_class(post)]
+                self._judged[buckets] = (severity, loop, features, cause)
             stats.causes[cause] = stats.causes.get(cause, 0) + 1
-            return [tuple.__new__(Alarm, (timestamp, host, vm, 1, TRIGGER_NBC) + diagnosis)]
+            return [tuple.__new__(Alarm, (timestamp, host, vm, 1, TRIGGER_NBC, post, cause))]
         return []
 
     def alarms(self, samples: Iterable[MetricSample] | SampleColumns) -> Iterator[Alarm]:

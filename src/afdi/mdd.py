@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-from .states import ComponentId, StateDistribution, StateVector, left_sum
+from .states import ComponentId, StateDistribution, StateVector, check_distribution
 
 __all__ = [
     "Mdd",
@@ -130,9 +130,9 @@ class Mdd:
     def level_probabilities(self, dists: Sequence[Sequence[float]]) -> StateDistribution:
         """Exact distribution over system levels under component independence.
 
-        ``dists`` gives one normalized per-state distribution per
-        component, in component order; an entry that is not an ``int``
-        or a ``float`` (a bool is neither) raises ``MddInputError``
+        ``dists`` gives one per-state distribution per component, in
+        component order; one whose length is not the component's arity,
+        or that ``check_distribution`` refuses, raises ``MddInputError``
         naming the component.  One pass over the node store, children
         first: at an internal node the child distributions are mixed by
         the component's state probabilities; no enumeration of the
@@ -145,18 +145,9 @@ class Mdd:
         checked: list[tuple[float, ...]] = []
         for comp, arity, d in zip(self.components, self.arities, dists):
             probs = tuple(d)
-            for p in probs:
-                if type(p) is not float and type(p) is not int:
-                    raise MddInputError(f"distribution for {comp.key} has {p!r}, not a number")
             if len(probs) != arity:
                 raise MddInputError(f"distribution for {comp.key} has {len(probs)} states, arity is {arity}")
-            # NaN fails the range test too, so it cannot pass the sum below
-            if not all(0.0 <= p <= 1.0 for p in probs):
-                raise MddInputError(f"distribution for {comp.key} has probabilities outside [0, 1]")
-            probs = tuple(map(float, probs))
-            total = left_sum(probs)
-            if abs(total - 1.0) > 1e-12:
-                raise MddInputError(f"distribution for {comp.key} sums to {total}, not 1")
+            check_distribution(probs, f"distribution for {comp.key}", MddInputError)
             checked.append(probs)
 
         num_levels = max(n[1] for n in self._nodes if n[0] == _SINK) + 1

@@ -17,8 +17,8 @@ import warnings
 from collections import namedtuple
 from typing import Sequence
 
-from .states import _Frozen, check_entries, check_kind, index_cell, left_sum, read_document, read_table
-from .states import sha256, write_table
+from .states import _Frozen, check_distribution, check_entries, check_kind, index_cell, left_sum, read_document
+from .states import read_table, sha256, write_table
 
 __all__ = [
     "AttributeSchema",
@@ -133,8 +133,8 @@ def _log(p: float) -> float:
 class NbcModel(_Frozen):
     """A trained classifier: class ``priors``, conditional tables
     ``cond[j][c][v]`` = P(attribute j takes value v | class c), and the
-    pseudo-count ``alpha`` they were smoothed with.  Every prior and
-    every table entry is a number in [0, 1], each distribution sums to 1,
+    pseudo-count ``alpha`` they were smoothed with.  The priors and each
+    table row are distributions as ``check_distribution`` states them,
     and ``alpha`` is a number >= 0."""
 
     _fields = ("schema", "priors", "cond", "alpha")
@@ -157,13 +157,7 @@ class NbcModel(_Frozen):
         k = schema.num_classes
         if len(priors) != k:
             raise ValueError("one prior per class required")
-        # NaN fails every range test, so it cannot reach the sums below
-        for c, p in enumerate(priors):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"prior {c} is {p}, not a number in [0, 1]")
-        total = left_sum(priors)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"priors sum to {total}, not 1")
+        check_distribution(priors, "prior distribution")
         if not alpha >= 0:
             raise ValueError(f"alpha must be a number >= 0, got {alpha}")
         if len(cond) != schema.num_attributes:
@@ -174,14 +168,7 @@ class NbcModel(_Frozen):
             for c, row in enumerate(table):
                 if len(row) != card:
                     raise ValueError(f"table row {name!r}/class {c} has wrong width")
-                for v, p in enumerate(row):
-                    if not 0.0 <= p <= 1.0:
-                        raise ValueError(
-                            f"table row {name!r}/class {c} entry {v} is {p}, not a number in [0, 1]"
-                        )
-                total = left_sum(row)
-                if abs(total - 1.0) > 1e-12:
-                    raise ValueError(f"table row {name!r}/class {c} sums to {total}, not 1")
+                check_distribution(row, f"table row {name!r}/class {c}")
                 if alpha > 0 and any(p <= 0.0 for p in row):
                     raise ValueError(f"smoothed row {name!r}/class {c} contains a non-positive entry")
         log_priors = tuple(_log(p) for p in priors)

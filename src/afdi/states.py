@@ -39,8 +39,10 @@ __all__ = [
     "DiscretizationSpec",
     "MetricSample",
     "OutOfRangeError",
+    "SUM_TOL",
     "SampleColumns",
     "SequencingError",
+    "check_distribution",
     "check_entries",
     "check_kind",
     "check_origin",
@@ -179,25 +181,34 @@ class StateVector(_Frozen):
         return tuple(v for _, v in self.assignments)
 
 
+# how far from 1 the entries of a probability distribution may add up
+SUM_TOL = 1e-12
+
+
+def check_distribution(probs: Sequence, subject: str, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` naming ``subject`` unless ``probs`` is a probability
+    distribution: every entry an ``int`` or a ``float`` (a bool is
+    neither) in [0, 1], the entries adding up by ``left_sum`` to within
+    ``SUM_TOL`` of 1.  Every distribution afdi takes is checked here."""
+    for i, p in enumerate(probs):
+        # float is tested first: every distribution afdi computes holds
+        # floats.  NaN fails the range test, so it cannot reach the sum
+        if (type(p) is not float and type(p) is not int) or not 0.0 <= p <= 1.0:
+            raise error(f"{subject} entry {i} is {p!r}, not a number in [0, 1]")
+    total = left_sum(probs)
+    if abs(total - 1.0) > SUM_TOL:
+        raise error(f"{subject} sums to {total}, not 1")
+
+
 class StateDistribution(_Frozen):
     """Probability per state for one component (or for system levels),
-    read through ``probs``.  A probability is an ``int`` or a ``float``;
-    a bool is neither."""
+    read through ``probs``, a distribution as ``check_distribution``
+    states it."""
 
     __slots__ = _fields = ("probs",)
 
     def __init__(self, probs: tuple[float, ...]) -> None:
-        if not probs:
-            raise ValueError("distribution must have at least one state")
-        for p in probs:
-            # float is tested first: every distribution afdi computes holds floats
-            if type(p) is not float and type(p) is not int:
-                raise ValueError(f"probability {p!r} is not a number")
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"probability {p} outside [0, 1]")
-        total = left_sum(probs)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"distribution sums to {total}, not 1")
+        check_distribution(probs, "distribution")
         object.__setattr__(self, "probs", probs)
 
 

@@ -693,9 +693,9 @@ def _subsystem():
         (lambda: _built((0.0, 0.0)), lambda net: marginal(net, "a"), None,
          ValueError, "marginal of 'a' has zero mass; CPTs inconsistent"),
         (lambda: _built((1.5, -0.5)), lambda net: marginal(net, "a"), None,
-         ValueError, "probability 1.5 outside [0, 1]"),
+         ValueError, "distribution entry 0 is 1.5, not a number in [0, 1]"),
         (lambda: _built((Fraction(1, 2), Fraction(1, 2))), lambda net: marginal(net, "a"), None,
-         ValueError, "probability Fraction(1, 2) is not a number"),
+         ValueError, "distribution entry 0 is Fraction(1, 2), not a number in [0, 1]"),
     ],
     ids=["unknown-query", "not-a-mapping", "bool", "float", "unknown-name", "int-out-of-range", "unhashable",
          "query-as-evidence", "zero-mass-posterior", "zero-mass-marginal", "entry-above-one", "not-a-float"],

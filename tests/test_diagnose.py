@@ -10,6 +10,7 @@ import pathlib
 import random
 import tempfile
 import tracemalloc
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -76,13 +77,36 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+class Fleet(NamedTuple):
+    samples: list
+    labels: list
+    metrics: pathlib.Path
+    labels_path: pathlib.Path
+
+
+@pytest.fixture(scope="session")
+def fleet(tmp_path_factory):
+    """The seed-3 benchmark fleet of a name, generated and written once
+    per session: its samples and labels, and the files they were written
+    to, which no test changes."""
+    built = {}
+
+    def build(name) -> Fleet:
+        if name not in built:
+            samples, labels = generate(load_scenario(_workloads()[name](str(ROOT), 3)))
+            directory = tmp_path_factory.mktemp(name)
+            write_metric_samples(samples, directory / "metrics.jsonl")
+            write_labels(labels, directory / "labels.csv")
+            built[name] = Fleet(samples, labels, directory / "metrics.jsonl", directory / "labels.csv")
+        return built[name]
+
+    return build
+
+
 @pytest.mark.parametrize("name", sorted(FLEET_ALARM_LOG_SHA256))
-def test_fleet_alarm_log_through_the_reader_pinned(tmp_path, name):
-    samples, labels = generate(load_scenario(_workloads()[name](str(ROOT), 3)))
-    metrics, alarms = tmp_path / "metrics.jsonl", tmp_path / "alarms.jsonl"
-    write_metric_samples(samples, metrics)
-    write_labels(labels, tmp_path / "labels.csv")
-    assert (_sha256(metrics), _sha256(tmp_path / "labels.csv")) == FLEET_STREAM_SHA256[name]
+def test_fleet_alarm_log_through_the_reader_pinned(tmp_path, fleet, name):
+    metrics, alarms = fleet(name).metrics, tmp_path / "alarms.jsonl"
+    assert (_sha256(metrics), _sha256(fleet(name).labels_path)) == FLEET_STREAM_SHA256[name]
     assert _diagnose(fixture_path("engine_config.json"), metrics, alarms) == 0
     assert _sha256(alarms) == FLEET_ALARM_LOG_SHA256[name]
 
@@ -93,10 +117,8 @@ FLEET_FILTER_JUDGED = {"fleet-replay": 159_815, "hot-fleet": 162_770}
 
 
 @pytest.mark.parametrize("name", sorted(FLEET_FILTER_JUDGED))
-def test_fleet_filter_fed_in_the_pieces_of_1024_line_chunks_equals_the_batch(tmp_path, name):
-    metrics = tmp_path / "metrics.jsonl"
-    write_metric_samples(generate(load_scenario(_workloads()[name](str(ROOT), 3)))[0], metrics)
-    columns = read_sample_columns(metrics)
+def test_fleet_filter_fed_in_the_pieces_of_1024_line_chunks_equals_the_batch(fleet, name):
+    columns = read_sample_columns(fleet(name).metrics)
     # each series' samples among each 1,024 lines, about 7.5 on a fleet
     cuts = [[] for _ in columns.series]
     for start in range(0, len(columns), 1024):
@@ -150,10 +172,9 @@ def test_a_loop_run_names_one_endless_loop(tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(FLEET_FILTER_JUDGED))
-def test_fleet_run_stats_equal_counts_taken_apart_from_the_engine(tmp_path, name):
-    samples, labels = generate(load_scenario(_workloads()[name](str(ROOT), 3)))
-    metrics, alarms = tmp_path / "metrics.jsonl", tmp_path / "alarms.jsonl"
-    write_metric_samples(samples, metrics)
+def test_fleet_run_stats_equal_counts_taken_apart_from_the_engine(tmp_path, fleet, name):
+    samples, labels, metrics, _ = fleet(name)
+    alarms = tmp_path / "alarms.jsonl"
     config = load_config(fixture_path("engine_config.json"))
     eng = Engine(config)
     raised = eng.run(metrics, alarms)
@@ -215,15 +236,16 @@ def _cycles_left(config_path, metrics_path, alarms_path) -> int:
     ["scenario_healthy.json", "scenario_endless_loop.json", "scenario_serious_crash.json",
      "scenario_800.json", "fleet-replay"],
 )
-def test_diagnose_stages_build_no_reference_cycles(tmp_path, scenario):
+def test_diagnose_stages_build_no_reference_cycles(tmp_path, fleet, scenario):
     # afdi diagnose runs these stages with the collector off; a cycle
     # they built would only be freed by a collection
     pinned = FLEET_STREAM_SHA256.get(scenario)
-    source = _workloads()[scenario](str(ROOT), 3) if pinned else fixture_path(scenario)
-    metrics = tmp_path / "metrics.jsonl"
-    write_metric_samples(generate(load_scenario(source))[0], metrics)
     if pinned:
+        metrics = fleet(scenario).metrics
         assert _sha256(metrics) == pinned[0]
+    else:
+        metrics = tmp_path / "metrics.jsonl"
+        write_metric_samples(generate(load_scenario(fixture_path(scenario)))[0], metrics)
     assert _cycles_left(fixture_path("engine_config.json"), metrics, tmp_path / "alarms.jsonl") == 0
 
 
@@ -382,13 +404,13 @@ def test_diagnose_matches_the_oracle_alarm_for_alarm(lines, window, z_cutoff):
 
 def _assert_alarms_pass_the_checked_constructor(alarms):
     """Each alarm is one the checked constructor makes, and equal
-    diagnoses of one run are one object."""
-    diagnoses = {}
+    diagnoses of one run name one top cause, one object."""
+    causes = {}
     for alarm in alarms:
         assert type(alarm) is Alarm
         assert Alarm(*alarm) == alarm
         if alarm.diagnosis is not None:
-            assert diagnoses.setdefault(alarm.diagnosis, alarm.diagnosis) is alarm.diagnosis
+            assert causes.setdefault(alarm.diagnosis, alarm.top_cause) is alarm.top_cause
 
 
 @pytest.mark.parametrize(
@@ -474,6 +496,12 @@ _REJECTED = {
         _windows(3)[:11] + [MetricSample(1000, "h0", "vm0", ComponentId("network"), 31.0)] + _windows(3)[11:13]
         + [MetricSample(2000, "h0", None, ComponentId("cpu", "host"), 41.0)] + _windows(3)[13:],
         ValueError, "window t=1000 h0/vm0: second sample of vm.network",
+    ),
+    # vm.latency has no spec, but a second sample of it is refused all the same
+    "second-sample-of-a-non-windowed-metric": (
+        _windows(3, values={**_HEALTHY, "vm.latency": 5.0})
+        + [MetricSample(2000, "h0", "vm0", ComponentId("latency"), 6.0)],
+        ValueError, "window t=2000 h0/vm0: second sample of vm.latency",
     ),
     "missing-vm-metric": (
         _without(_windows(3, vms=("vm0", "vm1")), 2000, "vm.memory", vm="vm1"),

@@ -1334,7 +1334,7 @@ def test_alarm_invariants_keep_their_messages():
     cases = [
         (dict(severity=1, trigger=TRIGGER_GATE), "severity_gate alarms are always serious"),
         (dict(severity=1, trigger=TRIGGER_NBC), "nbc_diagnosis alarms carry a diagnosis distribution"),
-        (dict(severity=1, trigger=TRIGGER_NBC, diagnosis=(0.5, 0.2)), "diagnosis distribution must be normalized"),
+        (dict(severity=1, trigger=TRIGGER_NBC, diagnosis=(0.5, 0.2)), "diagnosis sums to 0.7, not 1"),
         (dict(severity=2, trigger="page_everyone"), "unknown trigger 'page_everyone'"),
     ]
     for kwargs, message in cases:
@@ -1352,12 +1352,12 @@ def nbc_alarm(**overrides):
 def test_alarm_rejects_a_nan_diagnosis():
     # abs(nan - 1) > 1e-12 is False, so the sum alone lets NaN through,
     # and the log would get a bare NaN, which is not JSON
-    with pytest.raises(ValueError, match=r"diagnosis entries must be numbers in \[0, 1\]"):
+    with pytest.raises(ValueError, match=r"^diagnosis entry 0 is nan, not a number in \[0, 1\]$"):
         nbc_alarm(diagnosis=(math.nan, 1.0))
 
 
 def test_alarm_rejects_a_negative_diagnosis_entry():
-    with pytest.raises(ValueError, match=r"diagnosis entries must be numbers in \[0, 1\]"):
+    with pytest.raises(ValueError, match=r"^diagnosis entry 0 is 1\.5, not a number in \[0, 1\]$"):
         nbc_alarm(diagnosis=(1.5, -0.5))
 
 

@@ -240,7 +240,8 @@ def test_level_probabilities_rejects_nan_naming_the_component(depends_on_memory)
     f = (lambda sv: max(sv.levels[:2])) if depends_on_memory else (lambda sv: sv.levels[0])
     m = build_from_structure_function(COMPS4, [3] * 4, f)
     dists = [(1.0, 0.0, 0.0), (math.nan, 0.5, 0.5), (1.0, 0.0, 0.0), (1.0, 0.0, 0.0)]
-    with pytest.raises(MddInputError, match=r"^distribution for vm\.memory has probabilities outside \[0, 1\]$"):
+    want = r"^distribution for vm\.memory entry 0 is nan, not a number in \[0, 1\]$"
+    with pytest.raises(MddInputError, match=want):
         m.level_probabilities(dists)
 
 
@@ -250,7 +251,7 @@ def test_level_probabilities_refuses_an_entry_that_is_not_a_number_naming_the_co
     # (1.0, 0.0, 0.0), and "x" raised a ValueError naming no component
     m = _max_mdd()
     dists = [(1.0, 0.0, 0.0), (entry, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 0.0, 0.0)]
-    want = rf"^distribution for vm\.memory has {re.escape(repr(entry))}, not a number$"
+    want = rf"^distribution for vm\.memory entry 0 is {re.escape(repr(entry))}, not a number in \[0, 1\]$"
     with pytest.raises(MddInputError, match=want):
         m.level_probabilities(dists)
 

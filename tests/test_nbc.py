@@ -298,8 +298,8 @@ def test_model_invariant_validation():
 @pytest.mark.parametrize(
     "entries, named",
     [
-        (dict(priors=[math.nan, 0.5]), r"prior 0 is nan, not a number in \[0, 1\]"),
-        (dict(priors=[1.5, -0.5]), r"prior 0 is 1\.5, not a number in \[0, 1\]"),
+        (dict(priors=[math.nan, 0.5]), r"prior distribution entry 0 is nan, not a number in \[0, 1\]"),
+        (dict(priors=[1.5, -0.5]), r"prior distribution entry 0 is 1\.5, not a number in \[0, 1\]"),
         (dict(cond=[[[0.5, 0.5], [math.nan, 0.5]]]),
          r"table row 'x'/class 1 entry 0 is nan, not a number in \[0, 1\]"),
         (dict(cond=[[[0.5, 0.5], [0.5, math.inf]]]),
@@ -601,7 +601,7 @@ def test_posterior_rejects_what_is_not_a_feature_before_and_after_the_memo(bad, 
 @pytest.mark.parametrize(
     "priors, row, named",
     [
-        ((0.7, 0.2, 0.2), (0.5, 0.25, 0.25), "priors sum to 1.0999999999999999, not 1"),
+        ((0.7, 0.2, 0.2), (0.5, 0.25, 0.25), "prior distribution sums to 1.0999999999999999, not 1"),
         ((0.5, 0.25, 0.25), (0.7, 0.2, 0.2), "table row 'x'/class 0 sums to 1.0999999999999999, not 1"),
     ],
     ids=["priors", "table-row"],

@@ -82,6 +82,22 @@ def test_stage_times_peak_rss_runs_the_checkout_and_writes_its_log(tmp_path):
         stage_times.peak_rss(config_path, str(bad), str(tmp_path / "alarms.jsonl"))
 
 
+def test_stage_times_peak_rss_reads_the_child_not_the_script(tmp_path):
+    # on Linux a child's ru_maxrss includes the RSS of the process that
+    # spawned it; before, the script spawned the child itself, so the
+    # ballast the script held showed in the child's peak
+    samples, _ = generate(load_scenario(fixture_path("scenario_endless_loop.json")))
+    stream = str(tmp_path / "metrics.jsonl")
+    write_metric_samples(samples, stream)
+    config_path, out = fixture_path("engine_config.json"), str(tmp_path / "alarms.jsonl")
+    stage_times = load_script("stage_times")
+    without = stage_times.peak_rss(config_path, stream, out)
+    ballast = bytearray(b"\x01") * (64 << 20)  # written, so resident
+    held = stage_times.peak_rss(config_path, stream, out)
+    del ballast
+    assert abs(held - without) < 1.0
+
+
 def test_stage_times_runs_the_pipeline_afdi_diagnose_runs(tmp_path):
     # the script runs afdi diagnose itself, Engine.run, and times the
     # stages from its marks; what it writes must be the alarm log afdi

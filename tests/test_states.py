@@ -6,6 +6,8 @@ import pathlib
 import re
 import tracemalloc
 from array import array
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -23,7 +25,9 @@ from afdi.states import (
     read_metric_samples,
     write_metric_samples,
 )
-from afdi.engine import collect_windows
+from afdi.engine import TRIGGER_NBC, Alarm, collect_windows
+from afdi.mdd import MddInputError, build_from_structure_function
+from afdi.nbc import AttributeSchema, NbcModel
 from afdi.simulator import generate, load_scenario
 
 from conftest import fixture_path
@@ -246,8 +250,9 @@ def test_only_the_states_module_builds_or_extends_sample_columns():
 @pytest.mark.parametrize("probs", [(True, False), (0.5, "0.5"), (None, 1.0)], ids=["bools", "string", "none"])
 def test_state_distribution_refuses_an_entry_that_is_not_a_number(probs):
     # before, (True, False) was stored as it was
-    bad = next(p for p in probs if type(p) not in (int, float))
-    with pytest.raises(ValueError, match=rf"^probability {re.escape(repr(bad))} is not a number$"):
+    i, bad = next((i, p) for i, p in enumerate(probs) if type(p) not in (int, float))
+    want = rf"^distribution entry {i} is {re.escape(repr(bad))}, not a number in \[0, 1\]$"
+    with pytest.raises(ValueError, match=want):
         StateDistribution(probs)
 
 
@@ -274,6 +279,70 @@ def test_state_distribution_names_its_total_added_left_to_right(probs, total):
     # sum() compensates from CPython 3.12 and prints 1.1 for the floats
     with pytest.raises(ValueError, match=rf"^distribution sums to {re.escape(total)}, not 1$"):
         StateDistribution(probs)
+
+
+# every kind of entry a caller could hand over: floats with nan, +-inf and
+# -0.0 among them, ints, bools, Fractions and Decimals
+_ENTRIES = st.one_of(
+    st.floats(), st.floats(0.0, 1.0), st.integers(-1, 2), st.booleans(), st.fractions(0, 1),
+    st.decimals(0, 1, places=3),
+)
+
+
+@st.composite
+def _near_distributions(draw):
+    """2 to 4 floats in [0, 1] whose last one brings their total to 1, to
+    within a few 1e-12 either way, with up to two entries swapped for any
+    entry of ``_ENTRIES``."""
+    n = draw(st.integers(2, 4))
+    head = draw(st.lists(st.floats(0.0, 1.0), min_size=n - 1, max_size=n - 1))
+    off = draw(st.sampled_from((-2e-12, -1e-12, -5e-13, 0.0, 5e-13, 1e-12, 2e-12)))
+    probs = [*head, 1.0 - states.left_sum(head) + off]
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        probs[i] = draw(_ENTRIES)
+    return tuple(probs)
+
+
+def _door_outcomes(probs) -> list:
+    """What each door that takes a distribution makes of ``probs``: None
+    where it takes it, else the type of its error and its message less
+    the subject the door names first."""
+    n = len(probs)
+    schema = AttributeSchema((("x", 2),), tuple(f"c{c}" for c in range(n)))
+    diagram = build_from_structure_function((CPU,), [n], lambda sv: sv.levels[0])
+    doors = (
+        ("distribution", lambda: StateDistribution(probs)),
+        ("prior distribution", lambda: NbcModel(schema, probs, (((0.5, 0.5),) * n,), 0.0)),
+        ("diagnosis", lambda: Alarm(0, "h0", "vm0", 1, TRIGGER_NBC, probs, "c0")),
+        ("distribution for vm.cpu", lambda: diagram.level_probabilities([probs])),
+    )
+    outcomes = []
+    for subject, door in doors:
+        try:
+            door()
+        except Exception as exc:
+            assert str(exc).startswith(f"{subject} "), (subject, exc)
+            outcomes.append((type(exc), str(exc)[len(subject):]))
+        else:
+            outcomes.append(None)
+    return outcomes
+
+
+@given(st.one_of(_near_distributions(), st.lists(_ENTRIES, min_size=2, max_size=4).map(tuple)))
+@example((True, False))
+@example((Fraction(1, 2), Fraction(1, 2)))
+@example((Decimal("0.5"), Decimal("0.5")))
+@example((1, 0))
+@example((-0.0, 1.0))
+def test_every_door_that_takes_a_distribution_keeps_one_rule(probs):
+    # before, NbcModel took (True, False) and two Fraction(1, 2) priors,
+    # which the other doors refused, and raised TypeError on Decimals
+    outcomes = _door_outcomes(probs)
+    if outcomes[0] is None:
+        assert outcomes == [None] * 4
+    else:
+        assert [refusal and refusal[0] for refusal in outcomes] == [ValueError, ValueError, ValueError, MddInputError]
+        assert len({refusal[1] for refusal in outcomes}) == 1
 
 
 def test_metric_sample_scope_consistency():
